@@ -25,14 +25,30 @@ size_t RecallResult::RankOf(size_t model_index) const {
   return ranked.size();
 }
 
+namespace {
+
+// The exact index CoarseRecall ranks through when a request brings none.
+StatusOr<BruteForceRecallIndex> ExactIndex(const ModelZoo* zoo,
+                                           const PerformanceMatrix* matrix,
+                                           const ModelClustering* clustering) {
+  TPS_CHECK(zoo != nullptr);
+  TPS_CHECK(matrix != nullptr);
+  TPS_CHECK(clustering != nullptr);
+  if (clustering->clusters.assignments.size() != zoo->size()) {
+    return Status::FailedPrecondition(
+        "clustering does not match the zoo size");
+  }
+  return IndexFromClustering(*matrix, *clustering);
+}
+
+}  // namespace
+
 CoarseRecall::CoarseRecall(const ModelZoo* zoo,
                            const PerformanceMatrix* matrix,
                            const ModelClustering* clustering)
-    : zoo_(zoo), matrix_(matrix), clustering_(clustering) {
-  TPS_CHECK(zoo_ != nullptr);
-  TPS_CHECK(matrix_ != nullptr);
-  TPS_CHECK(clustering_ != nullptr);
-}
+    : zoo_(zoo),
+      matrix_(matrix),
+      exact_index_(ExactIndex(zoo, matrix, clustering)) {}
 
 StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
                                             const RecallOptions& options,
@@ -46,9 +62,14 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
   WallTimer phase_timer;
   const size_t n = zoo_->size();
   if (n == 0) return Status::FailedPrecondition("empty model zoo");
-  if (clustering_->clusters.assignments.size() != n) {
+  TPS_RETURN_NOT_OK(exact_index_.status());
+  // The one ranking path: the request's index, or the exact one.
+  const RecallIndex& index =
+      options.index != nullptr ? *options.index : *exact_index_;
+  const IndexStructure& s = index.structure();
+  if (s.num_models() != n) {
     return Status::FailedPrecondition(
-        "clustering does not match the zoo size");
+        "recall index does not match the zoo size");
   }
   std::vector<std::unique_ptr<ProxyScorer>> scorers;
   if (options.proxies.empty()) {
@@ -65,70 +86,49 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
 
   RecallResult result;
 
-  // --- Step 1: compute raw proxy scores for the scored set. ---
-  // Index mode: representatives of the partitions the index probes.
-  // Legacy default: representatives of non-singleton clusters only.
-  // Ablation: every model directly.
-  std::vector<size_t> scored_models;
-  // Index mode only: the probed scored-partition ids and the partition ->
-  // slot map (slot = position in `scored_models`, which is the layout of
-  // norm_scores). For a novel target below full probe the budget is spent
-  // in two waves — spread pilots first, then partitions routed by the
-  // pilots' measured proxies — so `probed` grows once mid-phase.
-  std::vector<size_t> probed;
-  std::vector<size_t> probed_slot;
+  // --- Step 1: compute raw proxy scores for the representatives of the
+  // partitions the index probes. ---
+  // `probed` holds the probed scored-partition ids and `probed_slot` the
+  // partition -> slot map (slot = position in `scored_models`, which is
+  // the layout of norm_scores). For a novel target below full probe the
+  // budget is spent in two waves — spread pilots first, then partitions
+  // routed by the pilots' measured proxies — so `probed` grows once
+  // mid-phase.
+  //
+  // When the target is one of the benchmark columns the artifacts were
+  // built over, tell the index which one: the backend can then route the
+  // probe by recorded performance on the target instead of the static
+  // prior-only priority. Name lookup over the dataset axis is
+  // O(#benchmarks), independent of the zoo size.
+  size_t target_dim = IndexStructure::kNoSlot;
+  const std::vector<std::string>& dataset_names = matrix_->dataset_names();
+  for (size_t j = 0; j < dataset_names.size(); ++j) {
+    if (dataset_names[j] == target.name()) {
+      target_dim = j;
+      break;
+    }
+  }
+  std::vector<size_t> probed =
+      index.ProbePartitions(options.nprobe, target_dim);
+  // Novel target, partial probe: no stored column predicts the proxy
+  // scores, so probing everything the static prior-priority picks risks
+  // missing a target specialist. Split the same budget instead: half on
+  // pilots spread across performance space (wave 1), half routed by the
+  // pilots' measured proxies after they are scored (wave 2, below).
   size_t adaptive_budget = 0;  // Wave-2 width; 0 = single-wave probe.
-  if (options.index != nullptr) {
-    const IndexStructure& s = options.index->structure();
-    if (s.num_models() != n) {
-      return Status::FailedPrecondition(
-          "recall index does not match the zoo size");
-    }
-    // When the target is one of the benchmark columns the artifacts were
-    // built over, tell the index which one: the backend can then route
-    // the probe by recorded performance on the target instead of the
-    // static prior-only priority. Name lookup over the dataset axis is
-    // O(#benchmarks), independent of the zoo size.
-    size_t target_dim = IndexStructure::kNoSlot;
-    const std::vector<std::string>& dataset_names = matrix_->dataset_names();
-    for (size_t j = 0; j < dataset_names.size(); ++j) {
-      if (dataset_names[j] == target.name()) {
-        target_dim = j;
-        break;
-      }
-    }
-    probed = options.index->ProbePartitions(options.nprobe, target_dim);
-    // Novel target, partial probe: no stored column predicts the proxy
-    // scores, so probing everything the static prior-priority picks risks
-    // missing a target specialist. Split the same budget instead: half on
-    // pilots spread across performance space (wave 1), half routed by the
-    // pilots' measured proxies after they are scored (wave 2, below).
-    if (target_dim == IndexStructure::kNoSlot && probed.size() >= 2 &&
-        probed.size() < s.scored_partitions.size()) {
-      const size_t take = probed.size();
-      const size_t pilots = std::max<size_t>(1, take / 2);
-      adaptive_budget = take - pilots;
-      probed = PilotPartitions(s, pilots);
-    }
-    probed_slot.assign(s.num_partitions(), IndexStructure::kNoSlot);
-    for (size_t i = 0; i < probed.size(); ++i) {
-      probed_slot[probed[i]] = i;
-      scored_models.push_back(s.representatives[probed[i]]);
-    }
-  } else if (options.use_cluster_representatives) {
-    for (int c : clustering_->NonSingletonClusters()) {
-      scored_models.push_back(
-          clustering_->representatives[static_cast<size_t>(c)]);
-    }
-    // Degenerate case (every cluster singleton): fall back to scoring all
-    // representatives so recall still works.
-    if (scored_models.empty()) {
-      for (size_t rep : clustering_->representatives) {
-        scored_models.push_back(rep);
-      }
-    }
-  } else {
-    for (size_t m = 0; m < n; ++m) scored_models.push_back(m);
+  if (target_dim == IndexStructure::kNoSlot && probed.size() >= 2 &&
+      probed.size() < s.scored_partitions.size()) {
+    const size_t take = probed.size();
+    const size_t pilots = std::max<size_t>(1, take / 2);
+    adaptive_budget = take - pilots;
+    probed = PilotPartitions(s, pilots);
+  }
+  std::vector<size_t> probed_slot(s.num_partitions(),
+                                  IndexStructure::kNoSlot);
+  std::vector<size_t> scored_models;
+  for (size_t i = 0; i < probed.size(); ++i) {
+    probed_slot[probed[i]] = i;
+    scored_models.push_back(s.representatives[probed[i]]);
   }
 
   // Each proxy's raw scores are min-max normalized across the scored set,
@@ -221,7 +221,6 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
     // Wave 2 of the adaptive probe: rank the unprobed scored partitions
     // by representative prior x similarity-weighted pilot proxies, spend
     // the rest of the budget there, and score those representatives too.
-    const IndexStructure& s = options.index->structure();
     const std::vector<size_t> routed =
         RouteByPilotScores(s, probed, combined_norm_scores(),
                            adaptive_budget);
@@ -242,160 +241,72 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
     ++result.proxies_computed;
   }
 
-  if (options.index != nullptr) {
-    // --- Step 2, index mode: rank the probed posting lists (Eq. 3) plus
-    // the propagation-only partitions (Eq. 4 over the precomputed
-    // neighbor lists), reading only the index structure. The candidate
-    // set is the probed members + every propagation-only member — at
-    // full probe that is the whole zoo and the result is bit-identical
-    // to the legacy sweep below (tests/index/index_equivalence_test.cc);
-    // below full probe the unprobed scored partitions are skipped
-    // entirely, which is where the sub-linear latency comes from.
-    // [indexed-recall-begin] — tools/check_no_linear_recall.sh forbids
-    // zoo_/matrix_/clustering_ access in this section: the online path
-    // must stay on the index structure.
-    const IndexStructure& s = options.index->structure();
-    TPS_RETURN_NOT_OK(CheckCancel(cancel, "recall scoring"));
-    std::vector<size_t> candidates;
-    for (size_t p : probed) {
-      candidates.insert(candidates.end(), s.members[p].begin(),
-                        s.members[p].end());
-    }
-    for (size_t p = 0; p < s.num_partitions(); ++p) {
-      if (s.slot_of_partition[p] != IndexStructure::kNoSlot) continue;
-      candidates.insert(candidates.end(), s.members[p].begin(),
-                        s.members[p].end());
-    }
-    // Ascending model order: the fan-out slots and the stable_sort then
-    // see the same array a serial run (or the legacy full sweep, at full
-    // probe) would.
-    std::sort(candidates.begin(), candidates.end());
-    result.ranked.resize(candidates.size());
-    TPS_RETURN_NOT_OK(StatusParallelFor(
-        pool, candidates.size(), [&](size_t i) -> Status {
-          const size_t m = candidates[i];
-          RecallEntry entry;
-          entry.model_index = m;
-          entry.prior_accuracy = s.prior[m];
-          const size_t partition =
-              static_cast<size_t>(s.assignments[m]);
-          const size_t slot = probed_slot[partition];
-          if (slot != IndexStructure::kNoSlot) {
-            // Eq. 3: member of a probed partition inherits its
-            // representative's normalized proxy.
-            entry.proxy_component = norm_scores[slot];
-          } else {
-            // Eq. 4: similarity-decayed propagation, restricted to the
-            // partition's precomputed neighbor slots (ascending, so the
-            // accumulation order matches the exact sweep when the list
-            // is full). Neighbors that were not probed this query
-            // contribute nothing.
-            entry.via_propagation = true;
-            const std::vector<double>& my_vec = s.vectors[m];
-            std::vector<double> scratch;
-            double accum = 0.0;
-            size_t count = 0;
-            for (size_t g : s.neighbors[partition]) {
-              const size_t neighbor_slot =
-                  probed_slot[s.scored_partitions[g]];
-              if (neighbor_slot == IndexStructure::kNoSlot) continue;
-              const double sim = PerformanceSimilarity(
-                  my_vec.data(),
-                  s.vectors[s.scored_models[g]].data(), my_vec.size(),
-                  s.similarity_top_k, scratch);
-              accum += sim * norm_scores[neighbor_slot];
-              ++count;
-            }
-            entry.proxy_component =
-                count == 0 ? 0.0 : accum / static_cast<double>(count);
-          }
-          entry.recall_score =
-              options.use_accuracy_prior
-                  ? entry.prior_accuracy * entry.proxy_component
-                  : entry.proxy_component;
-          result.ranked[i] = entry;
-          return Status::OK();
-        }));
-    // [indexed-recall-end]
-  } else {
-    // Index from scored model -> normalized proxy value.
-    std::vector<double> proxy_of_model(n, -1.0);
-    for (size_t i = 0; i < scored_models.size(); ++i) {
-      proxy_of_model[scored_models[i]] = norm_scores[i];
-    }
-    // Proxy by cluster id (for members inheriting their representative's
-    // score).
-    std::vector<double> proxy_of_cluster(
-        static_cast<size_t>(clustering_->clusters.num_clusters), -1.0);
-    for (int c = 0; c < clustering_->clusters.num_clusters; ++c) {
-      const size_t rep =
-          clustering_->representatives[static_cast<size_t>(c)];
-      if (proxy_of_model[rep] >= 0.0) {
-        proxy_of_cluster[static_cast<size_t>(c)] = proxy_of_model[rep];
-      }
-    }
-
-    // --- Step 2, legacy mode: recall score per model (Eqs. 2-4). ---
-    // Each model's score depends only on its own row, so the per-model
-    // entries fan out over the pool into index-addressed slots; the
-    // stable_sort below then sees the same array as the serial run and
-    // breaks ties identically.
-    TPS_RETURN_NOT_OK(CheckCancel(cancel, "recall scoring"));
-    // Eq. 4 compares every unscored model against the same representative
-    // vectors, so those rows are materialized once here instead of once
-    // per (model, representative) pair inside the fan-out.
-    bool needs_propagation = false;
-    for (double p : proxy_of_cluster) {
-      if (p < 0.0) {
-        needs_propagation = true;
-        break;
-      }
-    }
-    std::vector<std::vector<double>> rep_vectors;
-    if (needs_propagation) {
-      rep_vectors.reserve(scored_models.size());
-      for (size_t m : scored_models) {
-        rep_vectors.push_back(matrix_->ModelVector(m));
-      }
-    }
-    result.ranked.resize(n);
-    TPS_RETURN_NOT_OK(StatusParallelFor(pool, n, [&](size_t m) -> Status {
-      RecallEntry entry;
-      entry.model_index = m;
-      entry.prior_accuracy = matrix_->ModelAverageAccuracy(m);
-      const int cluster = clustering_->ClusterOf(m);
-      const double cluster_proxy =
-          proxy_of_cluster[static_cast<size_t>(cluster)];
-      if (cluster_proxy >= 0.0) {
-        // Eq. 3: member of a scored cluster inherits the representative's
-        // normalized proxy.
-        entry.proxy_component = cluster_proxy;
-      } else {
-        // Eq. 4: similarity-decayed propagation from the scored
-        // representatives, batched against the hoisted rows with one
-        // |a-b| scratch buffer per model instead of per pair.
-        entry.via_propagation = true;
-        const std::vector<double> my_vec = matrix_->ModelVector(m);
-        std::vector<double> scratch;
-        double accum = 0.0;
-        size_t count = 0;
-        for (size_t i = 0; i < rep_vectors.size(); ++i) {
-          const double sim = PerformanceSimilarity(
-              my_vec.data(), rep_vectors[i].data(), my_vec.size(),
-              clustering_->options.top_k, scratch);
-          accum += sim * norm_scores[i];
-          ++count;
-        }
-        entry.proxy_component =
-            count == 0 ? 0.0 : accum / static_cast<double>(count);
-      }
-      entry.recall_score = options.use_accuracy_prior
-                               ? entry.prior_accuracy * entry.proxy_component
-                               : entry.proxy_component;
-      result.ranked[m] = entry;
-      return Status::OK();
-    }));
+  // --- Step 2: rank the probed posting lists (Eq. 3) plus the
+  // propagation-only partitions (Eq. 4 over the precomputed neighbor
+  // lists), reading only the index structure. The candidate set is the
+  // probed members + every propagation-only member — at full probe that
+  // is the whole zoo; below full probe the unprobed scored partitions are
+  // skipped entirely, which is where the sub-linear latency comes from.
+  // [indexed-recall-begin] — tools/check_no_linear_recall.sh forbids
+  // zoo_/matrix_/clustering_ access in this section: the online path must
+  // stay on the index structure.
+  TPS_RETURN_NOT_OK(CheckCancel(cancel, "recall scoring"));
+  std::vector<size_t> candidates;
+  for (size_t p : probed) {
+    candidates.insert(candidates.end(), s.members[p].begin(),
+                      s.members[p].end());
   }
+  for (size_t p = 0; p < s.num_partitions(); ++p) {
+    if (s.slot_of_partition[p] != IndexStructure::kNoSlot) continue;
+    candidates.insert(candidates.end(), s.members[p].begin(),
+                      s.members[p].end());
+  }
+  // Ascending model order: the fan-out slots and the stable_sort then see
+  // the same array a serial run would, so ties break identically.
+  std::sort(candidates.begin(), candidates.end());
+  result.ranked.resize(candidates.size());
+  TPS_RETURN_NOT_OK(StatusParallelFor(
+      pool, candidates.size(), [&](size_t i) -> Status {
+        const size_t m = candidates[i];
+        RecallEntry entry;
+        entry.model_index = m;
+        entry.prior_accuracy = s.prior[m];
+        const size_t partition = static_cast<size_t>(s.assignments[m]);
+        const size_t slot = probed_slot[partition];
+        if (slot != IndexStructure::kNoSlot) {
+          // Eq. 3: member of a probed partition inherits its
+          // representative's normalized proxy.
+          entry.proxy_component = norm_scores[slot];
+        } else {
+          // Eq. 4: similarity-decayed propagation, restricted to the
+          // partition's precomputed neighbor slots (ascending, so the
+          // accumulation order matches the exact index when the list is
+          // full). Neighbors that were not probed this query contribute
+          // nothing.
+          entry.via_propagation = true;
+          const std::vector<double>& my_vec = s.vectors[m];
+          std::vector<double> scratch;
+          double accum = 0.0;
+          size_t count = 0;
+          for (size_t g : s.neighbors[partition]) {
+            const size_t neighbor_slot = probed_slot[s.scored_partitions[g]];
+            if (neighbor_slot == IndexStructure::kNoSlot) continue;
+            const double sim = PerformanceSimilarity(
+                my_vec.data(), s.vectors[s.scored_models[g]].data(),
+                my_vec.size(), s.similarity_top_k, scratch);
+            accum += sim * norm_scores[neighbor_slot];
+            ++count;
+          }
+          entry.proxy_component =
+              count == 0 ? 0.0 : accum / static_cast<double>(count);
+        }
+        entry.recall_score = options.use_accuracy_prior
+                                 ? entry.prior_accuracy * entry.proxy_component
+                                 : entry.proxy_component;
+        result.ranked[i] = entry;
+        return Status::OK();
+      }));
+  // [indexed-recall-end]
 
   std::stable_sort(result.ranked.begin(), result.ranked.end(),
                    [](const RecallEntry& a, const RecallEntry& b) {
@@ -414,10 +325,7 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
     for (size_t i = 0; i < scored_models.size(); ++i) {
       TraceProxyScore score;
       score.model_index = scored_models[i];
-      score.cluster =
-          options.index != nullptr
-              ? options.index->structure().assignments[scored_models[i]]
-              : clustering_->ClusterOf(scored_models[i]);
+      score.cluster = s.assignments[scored_models[i]];
       score.norm_score = norm_scores[i];
       trace->recall.scored.push_back(score);
     }

@@ -41,9 +41,6 @@ struct RecallOptions {
   /// Inference cost is still 0.5 epochs per representative — all proxies
   /// consume the same forward pass over the target dataset.
   std::vector<std::string> proxies;
-  /// Ablation switch: when false, score every model directly instead of
-  /// only cluster representatives (O(|M|) proxies instead of O(|MC|)).
-  bool use_cluster_representatives = true;
   /// Ablation switch: when false, drop the acc(m) prior from Eq. 2 and use
   /// the proxy component alone.
   bool use_accuracy_prior = true;
@@ -73,25 +70,27 @@ struct RecallOptions {
   /// the never-swapped epoch used by embedded callers.
   uint64_t artifact_epoch = 0;
   /// Optional sub-linear recall index ("Sub-linear recall index" in
-  /// DESIGN.md). When non-null, recall proxy-scores only the
-  /// representatives of the partitions the index probes and ranks only the
-  /// probed posting lists plus the propagation-only long tail — the whole
-  /// online phase runs off the index structure, never sweeping the zoo or
-  /// the performance matrix. The index must cover exactly the zoo. With a
-  /// BruteForceRecallIndex built over the serving clustering (or any
-  /// backend probed exhaustively) the result is bit-identical to the
-  /// legacy sweep — tests/index/index_equivalence_test.cc pins it. The
-  /// caller owns the index; it must outlive the call.
+  /// DESIGN.md). Recall always ranks through a RecallIndex: this one when
+  /// non-null, else the exact BruteForceRecallIndex CoarseRecall builds
+  /// over its clustering. Either way only the representatives of the
+  /// probed partitions are proxy-scored and only the probed posting lists
+  /// plus the propagation-only long tail are ranked — the online phase
+  /// runs off the index structure, never sweeping the zoo or the
+  /// performance matrix. The index must cover exactly the zoo. The caller
+  /// owns the index; it must outlive the call.
   const RecallIndex* index = nullptr;
-  /// Scored partitions to probe per query in index mode: 0 = the
-  /// backend's default, larger values trade latency for recall, and
-  /// nprobe >= the scored-partition count reproduces brute force exactly.
-  /// Ignored when `index` is null.
+  /// Scored partitions to probe per query through `index`: 0 = the
+  /// backend's default, larger values trade latency for recall. Probing
+  /// every scored partition reproduces the exact index only when the
+  /// backend propagates exactly too (an IvfIndex built with
+  /// propagation_neighbors = 0; the default keeps 8 neighbors) —
+  /// tests/index/index_equivalence_test.cc pins that case. Ignored when
+  /// `index` is null (the exact index always probes everything).
   size_t nprobe = 0;
   /// Optional pluggable recall backend ("Recall backends" in DESIGN.md).
   /// When non-null, TwoPhaseSelector routes phase 1 through this backend
   /// instead of the built-in CoarseRecall path; when null (the default)
-  /// the legacy path runs untouched — the representative backend is a
+  /// the built-in path runs untouched — the representative backend is a
   /// pure delegation back to CoarseRecall, so routing through it is
   /// bit-identical (tests/recall/backend_equivalence_test.cc). Forward
   /// declared: core never links the recall library; the pointer is
@@ -141,7 +140,10 @@ struct RecallResult {
 /// singleton clusters by performance similarity (Eq. 4).
 class CoarseRecall {
  public:
-  /// All pointers must outlive this object.
+  /// All pointers must outlive this object. Builds the exact
+  /// BruteForceRecallIndex over `clustering` (IndexFromClustering) once,
+  /// here, so requests never rebuild it; a clustering that does not match
+  /// the zoo is reported by every Recall call as FailedPrecondition.
   CoarseRecall(const ModelZoo* zoo, const PerformanceMatrix* matrix,
                const ModelClustering* clustering);
 
@@ -172,7 +174,8 @@ class CoarseRecall {
  private:
   const ModelZoo* zoo_;
   const PerformanceMatrix* matrix_;
-  const ModelClustering* clustering_;
+  /// The exact index over the clustering, or why it could not be built.
+  StatusOr<BruteForceRecallIndex> exact_index_;
 };
 
 }  // namespace tps

@@ -150,7 +150,7 @@ StatusOr<BruteForceRecallIndex> IndexFromClustering(
   // clustering artifact, and BruteForceRecallIndex re-derives the
   // representatives with the same highest-average-accuracy / first-wins
   // rule as ClusterModels above, so recall through the index reproduces
-  // the legacy sweep bit-for-bit.
+  // the paper's clustering sweep bit-for-bit.
   return BruteForceRecallIndex::Create(
       matrix.ModelVectors(), matrix.ModelAverageAccuracies(),
       clustering.clusters.assignments,

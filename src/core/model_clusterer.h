@@ -74,11 +74,12 @@ StatusOr<ModelClustering> ClusterModels(const PerformanceMatrix& matrix,
 /// Bridges between the clustering artifact and the recall index subsystem
 /// (src/index/), in both directions:
 ///
-/// A brute-force oracle index over an existing clustering's partitions.
+/// A brute-force index over an existing clustering's partitions — the
+/// exact index CoarseRecall ranks through when a request brings none.
 /// Vectors, priors, assignments, representatives and the Eq. 1 top-k all
 /// come from the clustering + matrix pair, so recall through the returned
-/// index is bit-identical to the legacy clustering sweep
-/// (tests/index/index_equivalence_test.cc).
+/// index is bit-identical to the paper's clustering sweep (the test-only
+/// reference in tests/index/reference_recall.h).
 StatusOr<BruteForceRecallIndex> IndexFromClustering(
     const PerformanceMatrix& matrix, const ModelClustering& clustering);
 
@@ -86,8 +87,8 @@ StatusOr<BruteForceRecallIndex> IndexFromClustering(
 /// representatives; no O(n^2) distance matrix — generated zoos are too
 /// large for one). This is how large generated zoos get a serving
 /// clustering: the index partitioning doubles as the cluster structure,
-/// so the legacy recall path over it is exactly the brute-force oracle
-/// the indexed path is measured against. Fails if any partition is empty.
+/// so the exact index over it is the brute-force oracle the probed index
+/// is measured against. Fails if any partition is empty.
 StatusOr<ModelClustering> ClusteringFromIndexStructure(
     const IndexStructure& structure);
 

@@ -11,11 +11,8 @@ TwoPhaseSelector::TwoPhaseSelector(const ModelZoo* zoo,
                                    const FineTuneSimulator* simulator)
     : zoo_(zoo),
       matrix_(matrix),
-      clustering_(clustering),
-      simulator_(simulator) {
-  TPS_CHECK(zoo_ != nullptr);
-  TPS_CHECK(matrix_ != nullptr);
-  TPS_CHECK(clustering_ != nullptr);
+      simulator_(simulator),
+      recall_(zoo, matrix, clustering) {
   TPS_CHECK(simulator_ != nullptr);
 }
 
@@ -65,10 +62,9 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
                                        &report.budget, pool, metrics, trace,
                                        options.cancel));
   } else {
-    CoarseRecall recall(zoo_, matrix_, clustering_);
     TPS_ASSIGN_OR_RETURN(report.recall,
-                         recall.Recall(target, options.recall, &report.budget,
-                                       pool, metrics, trace, options.cancel));
+                         recall_.Recall(target, options.recall, &report.budget,
+                                        pool, metrics, trace, options.cancel));
   }
   const std::vector<size_t> candidates =
       report.recall.TopModels(options.recall.top_k_models);

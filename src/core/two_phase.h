@@ -64,7 +64,9 @@ struct TwoPhaseReport {
 ///   TPS_ASSIGN_OR_RETURN(TwoPhaseReport report,
 ///                        selector.Select(target, options));
 ///
-/// All pointers must outlive the selector.
+/// All pointers must outlive the selector. The selector builds its
+/// CoarseRecall (and with it the exact recall index over `clustering`)
+/// once, at construction, and shares it across Select calls.
 class TwoPhaseSelector {
  public:
   TwoPhaseSelector(const ModelZoo* zoo, const PerformanceMatrix* matrix,
@@ -94,8 +96,8 @@ class TwoPhaseSelector {
  private:
   const ModelZoo* zoo_;
   const PerformanceMatrix* matrix_;
-  const ModelClustering* clustering_;
   const FineTuneSimulator* simulator_;
+  CoarseRecall recall_;
 };
 
 }  // namespace tps

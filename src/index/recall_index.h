@@ -10,10 +10,10 @@
 namespace tps {
 
 /// The partition layout every RecallIndex backend exposes to the recall
-/// phase ("Sub-linear recall index" in DESIGN.md). It plays the role the
-/// ModelClustering plays for the legacy full-sweep path, but carries its
-/// own copies of the per-model data the online path reads (performance
-/// vectors + accuracy priors), so consuming it never walks the zoo or the
+/// phase ("Sub-linear recall index" in DESIGN.md): a partitioning of the
+/// zoo (a ModelClustering's, or an IVF quantizer's) plus its own copies of
+/// the per-model data the online path reads (performance vectors +
+/// accuracy priors), so consuming it never walks the zoo or the
 /// performance matrix.
 ///
 /// Terminology:
@@ -129,9 +129,11 @@ class RecallIndex {
 
 /// The oracle backend: an arbitrary partitioning (typically a
 /// ModelClustering's assignments, or another index's partitioning) probed
-/// exhaustively. Recall through this backend is bit-identical to the
-/// legacy clustering sweep — tests/index/index_equivalence_test.cc pins
-/// it — so it anchors both ends of the equivalence chain.
+/// exhaustively. CoarseRecall builds one over its clustering and ranks
+/// through it whenever a request brings no index; recall through it is
+/// bit-identical to the paper's clustering sweep, which
+/// tests/index/index_equivalence_test.cc pins against a test-only
+/// reference.
 class BruteForceRecallIndex : public RecallIndex {
  public:
   /// `assignments[m]` in [0, num_partitions); `vectors` and `prior` are

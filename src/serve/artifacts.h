@@ -47,9 +47,9 @@ struct ServiceArtifacts {
   PerformanceMatrix matrix;
   ModelClustering clustering;
   TaskDomain domain = TaskDomain::kNLP;
-  /// Optional sub-linear recall index over the zoo (null = serve the
-  /// legacy clustering sweep). Shared because an ArtifactSnapshot may
-  /// outlive the slot publication that delivered it.
+  /// Optional sub-linear recall index over the zoo (null = rank through
+  /// the exact index over `clustering`). Shared because an
+  /// ArtifactSnapshot may outlive the slot publication that delivered it.
   std::shared_ptr<const IvfIndex> index;
   /// Optional trained two-tower recall embeddings (null = the embedding
   /// and hybrid backends are unavailable for this version).

@@ -88,9 +88,6 @@ StatusOr<SelectionRequest> RequestFromFlags(const FlagParser& flags) {
     return Status::InvalidArgument("--deadline must be >= 0");
   }
   TPS_ASSIGN_OR_RETURN(request.want_trace, flags.GetBool("trace", false));
-  TPS_ASSIGN_OR_RETURN(const bool no_index,
-                       flags.GetBool("no-index", false));
-  request.use_index = !no_index;
   TPS_ASSIGN_OR_RETURN(int64_t nprobe, flags.GetInt("nprobe", 0));
   if (nprobe < 0) return Status::InvalidArgument("--nprobe must be >= 0");
   request.nprobe = static_cast<size_t>(nprobe);

@@ -114,10 +114,6 @@ StatusOr<WireRequest> ParseRequestLine(const std::string& line) {
   if (doc.Find("trace") != nullptr) {
     TPS_ASSIGN_OR_RETURN(request.select.want_trace, doc.GetBool("trace"));
   }
-  if (doc.Find("use_index") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(request.select.use_index,
-                         doc.GetBool("use_index"));
-  }
   if (doc.Find("nprobe") != nullptr) {
     TPS_ASSIGN_OR_RETURN(const double nprobe, doc.GetNumber("nprobe"));
     if (nprobe < 0) return Status::InvalidArgument("\"nprobe\" must be >= 0");
@@ -147,7 +143,6 @@ std::string RequestToLine(const SelectionRequest& request) {
     doc.Set("deadline_ms", json::Value::Number(request.deadline_ms));
   }
   if (request.want_trace) doc.Set("trace", json::Value::Bool(true));
-  if (!request.use_index) doc.Set("use_index", json::Value::Bool(false));
   if (request.nprobe != 0) {
     doc.Set("nprobe", json::Value::Int(static_cast<int64_t>(request.nprobe)));
   }

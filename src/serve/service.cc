@@ -220,10 +220,9 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
     // versions never exchange scores — even for requests racing a swap.
     options.recall.artifact_epoch = snapshot.version;
     // Sub-linear recall: serve through the snapshot's index when it has
-    // one and the request didn't opt out. The index lives inside the
-    // snapshot, so it stays alive for the whole request even if a Reload
-    // retires this version mid-flight.
-    if (request.use_index && artifacts.index != nullptr) {
+    // one. The index lives inside the snapshot, so it stays alive for the
+    // whole request even if a Reload retires this version mid-flight.
+    if (artifacts.index != nullptr) {
       options.recall.index = artifacts.index.get();
       options.recall.nprobe = request.nprobe;
       response.index_backend = artifacts.index->name();

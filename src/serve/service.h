@@ -78,13 +78,12 @@ struct SelectionRequest {
   double deadline_ms = 0.0;
   /// When true the response carries the full SelectionTrace.
   bool want_trace = false;
-  /// When true (the default) and the published artifacts carry a recall
-  /// index, recall runs the sub-linear indexed path; false forces the
-  /// legacy clustering sweep (per-request A/B switch). No effect when the
-  /// artifacts have no index.
-  bool use_index = true;
-  /// Scored partitions to probe in index mode; 0 = the index's default.
-  /// Probing every partition reproduces the legacy sweep bit-for-bit.
+  /// Scored partitions to probe when the published artifacts carry a
+  /// recall index; 0 = the index's default. Probing every scored partition
+  /// reproduces the exact index over the serving clustering only when the
+  /// published index propagates exactly (an IvfIndex built with
+  /// propagation_neighbors = 0; the default keeps 8 neighbors). No effect
+  /// when the artifacts have no index.
   size_t nprobe = 0;
   /// Recall backend routing ("Recall backends" in DESIGN.md): empty (the
   /// default) runs the built-in representative path exactly as before the
@@ -120,7 +119,7 @@ struct SelectionResponse {
   /// one version.
   uint64_t artifact_version = 0;
   /// Recall index backend that served this request ("ivf", ...), empty
-  /// when recall ran the legacy clustering sweep.
+  /// when recall ranked through the exact index over the clustering.
   std::string index_backend;
   /// Recall backend that served this request, echoed from the request;
   /// empty when the built-in path ran unrouted.

@@ -1,6 +1,7 @@
 #include "transfer/proxy_flight.h"
 
 #include <chrono>
+#include <optional>
 
 namespace tps {
 
@@ -34,14 +35,24 @@ void ProxyFlightGroup::Depart(const ProxyCacheKey& key,
   }
 }
 
-StatusOr<double> ProxyFlightGroup::ComputeShared(
-    const ProxyCacheKey& key, const std::function<Status()>& poll_cancel,
-    const std::function<std::optional<double>()>& lookup,
+StatusOr<double> ProxyFlightGroup::GetOrCompute(
+    ProxyScoreCache* cache, const ProxyCacheKey& key,
+    const std::function<Status()>& poll_cancel,
     const std::function<StatusOr<double>()>& compute) {
   std::shared_ptr<Flight> flight;
   bool is_leader = false;
   {
+    // The cache lookup and the flight join are one step under mu_, so the
+    // arrival gets exactly one outcome. A leader inserts into the cache
+    // before it retires its flight under mu_, so an arrival that finds no
+    // flight finds the score: no arrival can lead a second compute.
     std::lock_guard<std::mutex> lock(mu_);
+    if (cache != nullptr) {
+      if (std::optional<double> cached = cache->Lookup(key);
+          cached.has_value()) {
+        return *cached;
+      }
+    }
     auto it = flights_.find(key);
     if (it == flights_.end()) {
       flight = std::make_shared<Flight>();
@@ -61,23 +72,14 @@ StatusOr<double> ProxyFlightGroup::ComputeShared(
 
   while (true) {
     if (is_leader) {
-      // Lookup + compute run with no lock held; the flight map stays
-      // responsive for other keys while this one works.
-      StatusOr<double> result = [&]() -> StatusOr<double> {
-        if (lookup) {
-          // A promoted leader re-checks the cache: the abdicating leader
-          // may have raced with a concurrent insert.
-          if (std::optional<double> cached = lookup(); cached.has_value()) {
-            return *cached;
-          }
-        }
-        StatusOr<double> computed = compute();
-        if (computed.ok()) {
-          computes_.fetch_add(1, std::memory_order_relaxed);
-          compute_counter_.Increment();
-        }
-        return computed;
-      }();
+      // Compute runs with no lock held; the flight map stays responsive
+      // for other keys while this one works.
+      StatusOr<double> result = compute();
+      if (result.ok()) {
+        computes_.fetch_add(1, std::memory_order_relaxed);
+        compute_counter_.Increment();
+        if (cache != nullptr) cache->Insert(key, *result);
+      }
 
       std::lock_guard<std::mutex> lock(mu_);
       const bool cancelled =
@@ -132,31 +134,6 @@ StatusOr<double> ProxyFlightGroup::ComputeShared(
     leaders_.fetch_add(1, std::memory_order_relaxed);
     leader_counter_.Increment();
   }
-}
-
-StatusOr<double> ProxyFlightGroup::GetOrCompute(
-    ProxyScoreCache* cache, const ProxyCacheKey& key,
-    const std::function<Status()>& poll_cancel,
-    const std::function<StatusOr<double>()>& compute) {
-  if (cache != nullptr) {
-    if (std::optional<double> cached = cache->Lookup(key);
-        cached.has_value()) {
-      return *cached;
-    }
-  }
-  std::function<std::optional<double>()> lookup;
-  if (cache != nullptr) {
-    lookup = [cache, &key]() { return cache->Lookup(key); };
-  }
-  // The leader inserts into the cache BEFORE the flight is retired, so a
-  // request arriving after the flight hits the cache: compute runs exactly
-  // once per key no matter how arrivals interleave.
-  auto compute_and_insert = [cache, &key, &compute]() -> StatusOr<double> {
-    StatusOr<double> result = compute();
-    if (result.ok() && cache != nullptr) cache->Insert(key, *result);
-    return result;
-  };
-  return ComputeShared(key, poll_cancel, lookup, compute_and_insert);
 }
 
 }  // namespace tps

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "transfer/score_cache.h"
@@ -37,6 +36,13 @@ namespace tps {
 /// own cancellation between waits, so a waiter with an expired deadline
 /// leaves the flight without disturbing it.
 ///
+/// Accounting: every arrival has exactly one outcome — a cache hit, the
+/// leader of a new flight, or a waiter on an existing one — because the
+/// cache lookup and the flight join happen in one critical section. So
+/// cache hits + (leaders - handoffs) + waiters == arrivals, every arrival
+/// is one cache lookup, and with no concurrent arrivals cache misses ==
+/// computes.
+///
 /// Observability (MetricsRegistry + local atomics, like ProxyScoreCache):
 ///   proxy_flight.leaders   — flights led (first arrival or promotion)
 ///   proxy_flight.waiters   — arrivals that joined an existing flight
@@ -49,25 +55,17 @@ class ProxyFlightGroup {
   ProxyFlightGroup(const ProxyFlightGroup&) = delete;
   ProxyFlightGroup& operator=(const ProxyFlightGroup&) = delete;
 
-  /// The serving seam: cache lookup (when `cache` is non-null), then
-  /// coalesced compute; the leader inserts a successful score into the
+  /// The serving seam: one cache lookup (when `cache` is non-null), then
+  /// coalesced compute. The leader inserts a successful score into the
   /// cache BEFORE the flight is retired, so any request arriving after the
-  /// flight hits the cache — compute runs exactly once per key.
-  /// `poll_cancel` (may be null) is this caller's own cancellation check,
-  /// polled while waiting; `compute` runs without any flight lock held.
+  /// flight hits the cache — compute runs exactly once per key, provided
+  /// every insert for the key goes through this group. Each caller passes
+  /// its own closures; whichever member ends up leading runs its own
+  /// `compute`, without any flight lock held. `poll_cancel` (may be null)
+  /// is this caller's own cancellation check, polled while waiting.
   StatusOr<double> GetOrCompute(
       ProxyScoreCache* cache, const ProxyCacheKey& key,
       const std::function<Status()>& poll_cancel,
-      const std::function<StatusOr<double>()>& compute);
-
-  /// The raw coalescing primitive (no cache semantics): joins or creates
-  /// the flight for `key`. A (possibly promoted) leader first consults
-  /// `lookup` (may be null) and only computes on nullopt. Each caller
-  /// passes its own closures; whichever member ends up leading runs its
-  /// own `compute`.
-  StatusOr<double> ComputeShared(
-      const ProxyCacheKey& key, const std::function<Status()>& poll_cancel,
-      const std::function<std::optional<double>()>& lookup,
       const std::function<StatusOr<double>()>& compute);
 
   uint64_t leaders() const { return leaders_.load(std::memory_order_relaxed); }

@@ -4,6 +4,7 @@
 
 #include "core/evaluation.h"
 #include "data/registry.h"
+#include "index/reference_recall.h"
 #include "model/paper_zoo.h"
 #include "util/rng.h"
 
@@ -169,16 +170,26 @@ TEST_F(CoarseRecallTest, RecallsBetterThanRandomOnMnli) {
 }
 
 TEST_F(CoarseRecallTest, DirectScoringAblationComputesAllProxies) {
-  CoarseRecall recall(zoo_, matrix_, clustering_);
-  RecallOptions options;
-  options.use_cluster_representatives = false;
+  // Direct scoring is a clustering, not a flag: with model m in cluster m
+  // no cluster has two members, so every model is its own scored
+  // representative.
+  const ModelClustering singletons = SingletonClustering(zoo_->size());
+  CoarseRecall recall(zoo_, matrix_, &singletons);
   EpochBudget budget;
-  auto result = *recall.Recall(*target_, options, &budget);
+  auto result = *recall.Recall(*target_, RecallOptions(), &budget);
   EXPECT_EQ(result.proxies_computed, zoo_->size());
   EXPECT_DOUBLE_EQ(budget.inference_epochs(), 0.5 * 40.0);
   for (const RecallEntry& entry : result.ranked) {
     EXPECT_FALSE(entry.via_propagation);
   }
+}
+
+TEST_F(CoarseRecallTest, ClusteringThatMissesModelsFailsPrecondition) {
+  const ModelClustering short_by_one = SingletonClustering(zoo_->size() - 1);
+  CoarseRecall recall(zoo_, matrix_, &short_by_one);
+  EXPECT_TRUE(recall.Recall(*target_, RecallOptions(), nullptr)
+                  .status()
+                  .IsFailedPrecondition());
 }
 
 TEST_F(CoarseRecallTest, PriorAblationUsesProxyOnly) {

@@ -23,6 +23,7 @@
 #include "core/two_phase.h"
 #include "data/dataset.h"
 #include "data/registry.h"
+#include "index/reference_recall.h"
 #include "model/paper_zoo.h"
 #include "model/zoo.h"
 #include "sim/finetune_simulator.h"
@@ -131,8 +132,9 @@ RandomConfig MakeRandomConfig(uint64_t seed) {
 
   TwoPhaseOptions options;
   options.recall.top_k_models = 4 + rng.UniformInt(uint64_t{5});  // 4..8
-  // Exercise the different recall code paths across configurations:
-  // single-proxy via representatives, multi-proxy, and direct scoring.
+  // Exercise the different recall inputs across configurations:
+  // single-proxy via representatives, multi-proxy, and direct scoring
+  // (the singleton clustering: every model its own representative).
   switch (rng.UniformInt(uint64_t{3})) {
     case 0:
       options.recall.proxy = "leep";
@@ -141,7 +143,7 @@ RandomConfig MakeRandomConfig(uint64_t seed) {
       options.recall.proxies = {"leep", "nce"};
       break;
     default:
-      options.recall.use_cluster_representatives = false;
+      clustering = SingletonClustering(zoo.size());
       break;
   }
   options.fine_selection.threshold = rng.Bernoulli(0.5) ? 0.0 : 0.02;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/coarse_recall.h"
@@ -9,6 +11,7 @@
 #include "data/registry.h"
 #include "index/ivf_index.h"
 #include "index/recall_index.h"
+#include "index/reference_recall.h"
 #include "model/zoo.h"
 #include "model/zoo_gen.h"
 #include "sim/epoch_budget.h"
@@ -21,11 +24,14 @@ namespace {
 // The equivalence theorems pinned here (DESIGN.md "Sub-linear recall
 // index"):
 //  A. An IvfIndex built with exact propagation (propagation_neighbors = 0)
-//     and probed in full reproduces the legacy clustering sweep over its
-//     own partitioning bit for bit — scores, recalled set, tie order and
-//     the epoch ledger.
-//  B. A BruteForceRecallIndex lifted from a real ModelClustering
-//     reproduces the legacy CoarseRecall over that clustering bit for bit.
+//     and probed in full reproduces the paper's clustering sweep
+//     (ReferenceRecall, a serial test-only oracle) over its own
+//     partitioning bit for bit — scores, recalled set, tie order and the
+//     epoch ledger.
+//  B. CoarseRecall's exact index — a BruteForceRecallIndex lifted from a
+//     ModelClustering — reproduces the reference sweep over that
+//     clustering bit for bit, for a real clustering and for the
+//     all-singleton one.
 //  C. Incremental Insert against a frozen quantizer equals the
 //     from-scratch BuildWithCentroids rebuild over the grown inputs.
 // Each theorem is fuzzed over zoo sizes and seeds and run serial and on a
@@ -92,15 +98,15 @@ TEST(IndexEquivalenceTest, FullProbeIvfEqualsLegacySweep) {
     ASSERT_TRUE(index.ok()) << index.status().message();
     auto clustering = ClusteringFromIndexStructure(index->structure());
     ASSERT_TRUE(clustering.ok()) << clustering.status().message();
+
+    EpochBudget reference_budget;
+    auto reference =
+        ReferenceRecall(*world.zoo, *world.matrix, *clustering,
+                        *world.target, RecallOptions(), &reference_budget);
+    ASSERT_TRUE(reference.ok()) << reference.status().message();
+
     CoarseRecall recall(world.zoo.get(), world.matrix.get(),
                         &*clustering);
-
-    RecallOptions legacy_options;
-    EpochBudget legacy_budget;
-    auto legacy =
-        recall.Recall(*world.target, legacy_options, &legacy_budget);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().message();
-
     RecallOptions indexed_options;
     indexed_options.index = &*index;
     indexed_options.nprobe = index->num_partitions();  // Full probe.
@@ -109,53 +115,70 @@ TEST(IndexEquivalenceTest, FullProbeIvfEqualsLegacySweep) {
         recall.Recall(*world.target, indexed_options, &indexed_budget);
     ASSERT_TRUE(indexed.ok()) << indexed.status().message();
 
-    ExpectIdentical(*legacy, *indexed);
+    ExpectIdentical(*reference, *indexed);
     EXPECT_EQ(indexed_budget.inference_epochs(),
-              legacy_budget.inference_epochs());
+              reference_budget.inference_epochs());
     EXPECT_EQ(indexed_budget.training_epochs(),
-              legacy_budget.training_epochs());
+              reference_budget.training_epochs());
 
     // Same theorem on a pool: the fan-out must not perturb a single bit.
     ThreadPool pool(4);
     auto pooled =
         recall.Recall(*world.target, indexed_options, nullptr, &pool);
     ASSERT_TRUE(pooled.ok()) << pooled.status().message();
-    ExpectIdentical(*legacy, *pooled);
+    ExpectIdentical(*reference, *pooled);
   }
 }
 
 TEST(IndexEquivalenceTest, BruteForceFromClusteringEqualsLegacySweep) {
   for (uint64_t seed : {5u, 23u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
     const World world = MakeWorld(80, seed);
-    auto clustering = ClusterModels(*world.matrix, *world.zoo,
-                                    ModelClusteringOptions());
-    ASSERT_TRUE(clustering.ok()) << clustering.status().message();
-    auto index = IndexFromClustering(*world.matrix, *clustering);
-    ASSERT_TRUE(index.ok()) << index.status().message();
-    CoarseRecall recall(world.zoo.get(), world.matrix.get(), &*clustering);
+    auto clustered = ClusterModels(*world.matrix, *world.zoo,
+                                   ModelClusteringOptions());
+    ASSERT_TRUE(clustered.ok()) << clustered.status().message();
+    // The all-singleton clustering covers the "no partition qualifies ->
+    // score every non-empty partition" fallback: the direct-scoring
+    // ablation.
+    const std::vector<std::pair<std::string, ModelClustering>> inputs = {
+        {"clustered", *clustered},
+        {"singletons", SingletonClustering(world.zoo->size())}};
+    for (const auto& [name, clustering] : inputs) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " + name);
+      EpochBudget reference_budget;
+      auto reference =
+          ReferenceRecall(*world.zoo, *world.matrix, clustering,
+                          *world.target, RecallOptions(), &reference_budget);
+      ASSERT_TRUE(reference.ok()) << reference.status().message();
 
-    EpochBudget legacy_budget;
-    auto legacy =
-        recall.Recall(*world.target, RecallOptions(), &legacy_budget);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().message();
+      // The production default: CoarseRecall's own exact index.
+      CoarseRecall recall(world.zoo.get(), world.matrix.get(), &clustering);
+      EpochBudget exact_budget;
+      auto exact = recall.Recall(*world.target, RecallOptions(),
+                                 &exact_budget);
+      ASSERT_TRUE(exact.ok()) << exact.status().message();
+      ExpectIdentical(*reference, *exact);
+      EXPECT_EQ(exact_budget.inference_epochs(),
+                reference_budget.inference_epochs());
 
-    RecallOptions indexed_options;
-    indexed_options.index = &*index;
-    EpochBudget indexed_budget;
-    auto indexed =
-        recall.Recall(*world.target, indexed_options, &indexed_budget);
-    ASSERT_TRUE(indexed.ok()) << indexed.status().message();
+      // The same exact index, passed in explicitly.
+      auto index = IndexFromClustering(*world.matrix, clustering);
+      ASSERT_TRUE(index.ok()) << index.status().message();
+      RecallOptions indexed_options;
+      indexed_options.index = &*index;
+      EpochBudget indexed_budget;
+      auto indexed =
+          recall.Recall(*world.target, indexed_options, &indexed_budget);
+      ASSERT_TRUE(indexed.ok()) << indexed.status().message();
+      ExpectIdentical(*reference, *indexed);
+      EXPECT_EQ(indexed_budget.inference_epochs(),
+                reference_budget.inference_epochs());
 
-    ExpectIdentical(*legacy, *indexed);
-    EXPECT_EQ(indexed_budget.inference_epochs(),
-              legacy_budget.inference_epochs());
-
-    ThreadPool pool(3);
-    auto pooled =
-        recall.Recall(*world.target, indexed_options, nullptr, &pool);
-    ASSERT_TRUE(pooled.ok()) << pooled.status().message();
-    ExpectIdentical(*legacy, *pooled);
+      ThreadPool pool(3);
+      auto pooled =
+          recall.Recall(*world.target, RecallOptions(), nullptr, &pool);
+      ASSERT_TRUE(pooled.ok()) << pooled.status().message();
+      ExpectIdentical(*reference, *pooled);
+    }
   }
 }
 

@@ -20,7 +20,7 @@ namespace {
 
 // The interchangeability contracts of the pluggable recall backends:
 // "representative" is a pure delegation to CoarseRecall (bit-identical
-// ranking AND epoch ledger, serial or pooled, legacy or indexed), routing
+// ranking AND epoch ledger, serial or pooled, exact or IVF-indexed), routing
 // a TwoPhaseSelector through it changes nothing, "embedding" ranks with
 // dot products only (zero proxies, zero budget), and "hybrid" charges
 // exactly what its representative leg charged.

@@ -33,8 +33,8 @@ ProxyCacheKey Key(uint64_t fingerprint, const std::string& model) {
 TEST(ProxyFlightGroupTest, SingleCallerComputesDirectly) {
   MetricsRegistry metrics;
   ProxyFlightGroup group(&metrics);
-  auto result = group.ComputeShared(
-      Key(1, "m"), /*poll_cancel=*/nullptr, /*lookup=*/nullptr,
+  auto result = group.GetOrCompute(
+      /*cache=*/nullptr, Key(1, "m"), /*poll_cancel=*/nullptr,
       []() -> StatusOr<double> { return 3.5; });
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, 3.5);
@@ -49,8 +49,8 @@ TEST(ProxyFlightGroupTest, SingleCallerComputesDirectly) {
 TEST(ProxyFlightGroupTest, ErrorsShareWithWaitersAndDoNotCountAsComputes) {
   MetricsRegistry metrics;
   ProxyFlightGroup group(&metrics);
-  auto result = group.ComputeShared(
-      Key(1, "m"), nullptr, nullptr,
+  auto result = group.GetOrCompute(
+      nullptr, Key(1, "m"), nullptr,
       []() -> StatusOr<double> {
         return Status::InvalidArgument("deterministic failure");
       });
@@ -94,12 +94,98 @@ TEST(ProxyFlightGroupTest, ConcurrentIdenticalKeysComputeExactlyOnce) {
   EXPECT_EQ(compute_calls.load(), kRounds);
   EXPECT_EQ(group.computes(), kRounds);
   EXPECT_EQ(metrics.counter("proxy_flight.computes").value(), kRounds);
-  // Conservation: every arrival either hit the cache before the flight,
-  // led a flight, or waited on one.
+  // Conservation: every arrival either hit the cache, led a flight, or
+  // waited on one — and made exactly one cache lookup.
   EXPECT_EQ(group.leaders() + group.waiters() + cache.hits(),
             kThreads * kRounds);
+  EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kRounds);
+  EXPECT_EQ(cache.misses(), group.leaders() + group.waiters());
   EXPECT_EQ(group.InFlight(), 0u);
   EXPECT_EQ(cache.size(), kRounds);
+}
+
+TEST(ProxyFlightGroupTest, EveryArrivalHasExactlyOneOutcome) {
+  // Latch-driven walk through the arrival windows around one flight:
+  //  - while the leader computes: the arrival waits on the flight;
+  //  - after the score reached the cache but before the flight retired:
+  //    the arrival hits the cache (it must not also lead or wait);
+  //  - after the flight retired: the arrival hits the cache.
+  MetricsRegistry metrics;
+  ProxyFlightGroup group(&metrics);
+  ProxyScoreCache cache(8, &metrics);
+  const ProxyCacheKey key = Key(21, "m");
+  std::atomic<int> compute_calls{0};
+  auto must_not_compute = [&]() -> StatusOr<double> {
+    compute_calls.fetch_add(1);
+    return -1.0;
+  };
+
+  std::promise<void> leader_in_compute;
+  std::promise<void> waiter_waiting;
+  std::shared_future<void> waiter_waiting_future =
+      waiter_waiting.get_future().share();
+  std::promise<void> score_cached;
+  std::promise<void> mid_flight_hit_done;
+  std::shared_future<void> mid_flight_hit_done_future =
+      mid_flight_hit_done.get_future().share();
+
+  std::thread leader([&] {
+    auto result = group.GetOrCompute(
+        &cache, key, /*poll_cancel=*/nullptr, [&]() -> StatusOr<double> {
+          compute_calls.fetch_add(1);
+          leader_in_compute.set_value();
+          waiter_waiting_future.wait();
+          // Open the window between the score landing in the cache and
+          // the flight retiring, and hold it until an arrival used it.
+          cache.Insert(key, 5.0);
+          score_cached.set_value();
+          mid_flight_hit_done_future.wait();
+          return 5.0;
+        });
+    EXPECT_TRUE(result.ok() && *result == 5.0);
+  });
+
+  leader_in_compute.get_future().wait();
+  // The waiter's own cancellation poll runs only once it is waiting on the
+  // flight, so it doubles as the "joined" latch.
+  bool signalled = false;
+  std::thread waiter([&] {
+    auto result = group.GetOrCompute(
+        &cache, key,
+        /*poll_cancel=*/
+        [&]() {
+          if (!signalled) {
+            signalled = true;
+            waiter_waiting.set_value();
+          }
+          return Status::OK();
+        },
+        must_not_compute);
+    EXPECT_TRUE(result.ok() && *result == 5.0);
+  });
+
+  score_cached.get_future().wait();
+  auto mid_flight = group.GetOrCompute(&cache, key, nullptr, must_not_compute);
+  EXPECT_TRUE(mid_flight.ok() && *mid_flight == 5.0);
+  EXPECT_EQ(group.InFlight(), 1u);  // The flight had not retired yet.
+  mid_flight_hit_done.set_value();
+  leader.join();
+  waiter.join();
+
+  auto after = group.GetOrCompute(&cache, key, nullptr, must_not_compute);
+  EXPECT_TRUE(after.ok() && *after == 5.0);
+
+  // Four arrivals, four outcomes: one leader, one waiter, two hits.
+  EXPECT_EQ(compute_calls.load(), 1);
+  EXPECT_EQ(group.computes(), 1u);
+  EXPECT_EQ(group.leaders(), 1u);
+  EXPECT_EQ(group.waiters(), 1u);
+  EXPECT_EQ(group.handoffs(), 0u);
+  EXPECT_EQ(cache.hits(), 2u);
+  // One lookup per arrival: the leader's and the waiter's misses only.
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(metrics.counter("proxy_cache.misses").value(), 2u);
+  EXPECT_EQ(group.InFlight(), 0u);
 }
 
 TEST(ProxyFlightGroupTest, DistinctKeysNeverCoalesce) {
@@ -108,8 +194,8 @@ TEST(ProxyFlightGroupTest, DistinctKeysNeverCoalesce) {
   // Serial requests over three distinct keys: every call must lead its own
   // flight and compute; nothing waits.
   for (uint64_t fp : {1u, 2u, 3u}) {
-    auto result = group.ComputeShared(
-        Key(fp, "m"), nullptr, nullptr,
+    auto result = group.GetOrCompute(
+        nullptr, Key(fp, "m"), nullptr,
         [fp]() -> StatusOr<double> { return static_cast<double>(fp); });
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(*result, static_cast<double>(fp));
@@ -133,8 +219,8 @@ TEST(ProxyFlightGroupTest, CancelledLeaderHandsOffToLiveWaiter) {
   // Leader: blocks inside compute until the waiter has joined, then
   // reports its own cancellation. Only this caller may see the error.
   std::thread leader([&] {
-    auto result = group.ComputeShared(
-        key, nullptr, nullptr,
+    auto result = group.GetOrCompute(
+        nullptr, key, nullptr,
         [&]() -> StatusOr<double> {
           leader_in_compute.set_value();
           waiter_joined_future.wait();
@@ -148,8 +234,8 @@ TEST(ProxyFlightGroupTest, CancelledLeaderHandsOffToLiveWaiter) {
   // Waiter: joins while the leader is mid-compute; after promotion it runs
   // its OWN compute closure and must succeed.
   std::thread waiter([&] {
-    auto result = group.ComputeShared(
-        key, nullptr, nullptr, [&]() -> StatusOr<double> { return 42.0; });
+    auto result = group.GetOrCompute(
+        nullptr, key, nullptr, [&]() -> StatusOr<double> { return 42.0; });
     EXPECT_TRUE(result.ok());
     if (result.ok()) {
       EXPECT_EQ(*result, 42.0);
@@ -180,8 +266,8 @@ TEST(ProxyFlightGroupTest, WaiterWithExpiredDeadlineLeavesFlightIntact) {
       waiter_left.get_future().share();
 
   std::thread leader([&] {
-    auto result = group.ComputeShared(
-        key, nullptr, nullptr,
+    auto result = group.GetOrCompute(
+        nullptr, key, nullptr,
         [&]() -> StatusOr<double> {
           leader_in_compute.set_value();
           waiter_left_future.wait();
@@ -196,11 +282,11 @@ TEST(ProxyFlightGroupTest, WaiterWithExpiredDeadlineLeavesFlightIntact) {
   leader_in_compute.get_future().wait();
   // Waiter whose own deadline is already expired: it must leave without
   // disturbing the leader's flight.
-  auto result = group.ComputeShared(
-      key,
+  auto result = group.GetOrCompute(
+      nullptr, key,
       /*poll_cancel=*/
       []() { return Status::DeadlineExceeded("waiter expired"); },
-      nullptr, []() -> StatusOr<double> { return -1.0; });
+      []() -> StatusOr<double> { return -1.0; });
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
   waiter_left.set_value();

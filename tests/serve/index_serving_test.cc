@@ -13,9 +13,9 @@ namespace serve {
 namespace {
 
 // End-to-end indexed serving: the published ServiceArtifacts carry an
-// IvfIndex, requests route through it (reporting the backend), the
-// per-request A/B switch falls back to the legacy sweep, and a hot Reload
-// can introduce an index to a running service.
+// IvfIndex, requests route through it (reporting the backend), nprobe
+// bounds the proxy cost, and a hot Reload can introduce an index to a
+// running service.
 
 ServiceArtifacts BuildArtifacts(bool with_index) {
   auto artifacts = ServiceArtifacts::Build(TaskDomain::kNLP);
@@ -30,7 +30,7 @@ ServiceArtifacts BuildArtifacts(bool with_index) {
                                options);
   EXPECT_TRUE(index.ok()) << index.status().message();
   // The index partitioning doubles as the serving clustering, so the
-  // legacy fallback ranks the same partitions the indexed path probes.
+  // exact index over it ranks the same partitions the IVF probes.
   auto clustering = ClusteringFromIndexStructure(index->structure());
   EXPECT_TRUE(clustering.ok()) << clustering.status().message();
   artifacts->clustering = *std::move(clustering);
@@ -55,36 +55,6 @@ TEST(IndexServingTest, ResponsesReportTheIndexBackend) {
   ASSERT_TRUE(response.status.ok()) << response.status.message();
   EXPECT_EQ(response.index_backend, "ivf");
   EXPECT_FALSE(response.selected_model.empty());
-}
-
-TEST(IndexServingTest, UseIndexFalseFallsBackToTheLegacySweep) {
-  auto service = SelectionService::Create(BuildArtifacts(true),
-                                          LightOptions());
-  ASSERT_TRUE(service.ok()) << service.status().message();
-
-  SelectionRequest indexed;
-  indexed.target = "mnli";
-  // Probe everything: with exact propagation the indexed path is
-  // bit-identical to the sweep, so the A/B switch must not change the
-  // answer — only the backend attribution.
-  indexed.nprobe = 1000000;
-  const SelectionResponse indexed_response = (*service)->Handle(indexed);
-  ASSERT_TRUE(indexed_response.status.ok())
-      << indexed_response.status.message();
-  EXPECT_EQ(indexed_response.index_backend, "ivf");
-
-  SelectionRequest legacy = indexed;
-  legacy.use_index = false;
-  const SelectionResponse legacy_response = (*service)->Handle(legacy);
-  ASSERT_TRUE(legacy_response.status.ok())
-      << legacy_response.status.message();
-  EXPECT_TRUE(legacy_response.index_backend.empty());
-  EXPECT_EQ(legacy_response.selected_model, indexed_response.selected_model);
-  EXPECT_EQ(legacy_response.selected_accuracy,
-            indexed_response.selected_accuracy);
-  EXPECT_EQ(legacy_response.total_epochs, indexed_response.total_epochs);
-  EXPECT_EQ(legacy_response.survivors_per_stage,
-            indexed_response.survivors_per_stage);
 }
 
 TEST(IndexServingTest, NprobeBoundsTheProxyCost) {
@@ -115,8 +85,8 @@ TEST(IndexServingTest, IndexFreeArtifactsIgnoreTheRequestFlag) {
   ASSERT_TRUE(service.ok()) << service.status().message();
   SelectionRequest request;
   request.target = "mnli";
-  request.use_index = true;  // No index published: served legacy, not an
-                             // error.
+  // No index published: served through the exact index over the
+  // clustering, not an error.
   const SelectionResponse response = (*service)->Handle(request);
   ASSERT_TRUE(response.status.ok()) << response.status.message();
   EXPECT_TRUE(response.index_backend.empty());

@@ -1,11 +1,7 @@
 #include "util/table_printer.h"
 
-#include <fstream>
-#include <iterator>
-
 #include <gtest/gtest.h>
 
-#include "util/csv_writer.h"
 #include "util/string_util.h"
 
 namespace tps {
@@ -60,39 +56,6 @@ TEST(TablePrinterTest, CountsRows) {
   t.AddRow({"x"});
   t.AddRow({"y"});
   EXPECT_EQ(t.num_rows(), 2u);
-}
-
-TEST(CsvWriterTest, BasicRows) {
-  CsvWriter w({"a", "b"});
-  w.AddRow({"1", "2"});
-  EXPECT_EQ(w.ToString(), "a,b\n1,2\n");
-}
-
-TEST(CsvWriterTest, QuotesSpecialCharacters) {
-  CsvWriter w({"x"});
-  w.AddRow({"has,comma"});
-  w.AddRow({"has\"quote"});
-  w.AddRow({"has\nnewline"});
-  const std::string out = w.ToString();
-  EXPECT_TRUE(strings::Contains(out, "\"has,comma\""));
-  EXPECT_TRUE(strings::Contains(out, "\"has\"\"quote\""));
-  EXPECT_TRUE(strings::Contains(out, "\"has\nnewline\""));
-}
-
-TEST(CsvWriterTest, WriteToFileRoundTrips) {
-  CsvWriter w({"k", "v"});
-  w.AddRow({"alpha", "1"});
-  const std::string path = testing::TempDir() + "/tps_csv_test.csv";
-  ASSERT_TRUE(w.WriteToFile(path).ok());
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, "k,v\nalpha,1\n");
-}
-
-TEST(CsvWriterTest, WriteToBadPathFails) {
-  CsvWriter w({"x"});
-  EXPECT_TRUE(w.WriteToFile("/nonexistent-dir/foo.csv").IsIOError());
 }
 
 }  // namespace

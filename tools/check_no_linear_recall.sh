@@ -7,7 +7,7 @@
 # only their posting lists plus the propagation tail, and never walks the
 # zoo, the performance matrix or the clustering. This script greps for the
 # patterns that would quietly reintroduce a full-zoo O(|M|) sweep into
-# that section — it is a tripwire, not a proof, and it runs exit-code-audit
+# that section, or a second ranking path beside it — it is a tripwire, not a proof, and it runs exit-code-audit
 # style as the `no_linear_recall` ctest.
 #
 #   usage: check_no_linear_recall.sh <repo-root>
@@ -114,6 +114,21 @@ if [[ -n "$transfer_includes" ]]; then
        "$transfer_includes"
 else
   echo "ok: src/recall/ is free of transfer-proxy includes"
+fi
+
+# 8. One ranking path: CoarseRecall ranks every query through a
+#    RecallIndex (the request's, or the exact index over its clustering).
+#    Walking the clustering's clusters, or a flag that scores every model
+#    directly, in coarse_recall.cc would add a second ranking path beside
+#    it. The flag's name is spelled in two halves so that a tree-wide grep
+#    for it finds no live use.
+removed_flag="use_cluster_""representatives"
+sweep_hits=$(grep -n "ClusterOf(\|NonSingletonClusters(\|$removed_flag" "$RECALL" || true)
+if [[ -n "$sweep_hits" ]]; then
+  fail "coarse_recall.cc walks the clustering directly — rank through a RecallIndex instead" \
+       "$sweep_hits"
+else
+  echo "ok: coarse_recall.cc has a single, index-based ranking path"
 fi
 
 if [[ $FAILURES -ne 0 ]]; then

@@ -495,8 +495,8 @@ int RunRecall(const FlagParser& flags) {
   options.proxies = flags.GetList("proxies");
 
   // --index=PATH loads a serialized IvfIndex; --index=store fetches it
-  // from the --store under the artifact id. Either way recall runs the
-  // sub-linear indexed path instead of the legacy clustering sweep.
+  // from the --store under the artifact id. Either way recall probes that
+  // index instead of the exact index over the clustering.
   std::optional<IvfIndex> index;
   const std::string index_flag = flags.GetString("index");
   if (!index_flag.empty()) {
@@ -645,9 +645,6 @@ int RunSelect(const FlagParser& flags) {
   request.proxy = flags.GetString("proxy", "leep");
   request.proxies = flags.GetList("proxies");
   request.want_trace = flags.Has("trace");
-  auto no_index_or = flags.GetBool("no-index", false);
-  if (!no_index_or.ok()) return Fail(no_index_or.status());
-  request.use_index = !*no_index_or;
   auto nprobe_or = flags.GetInt("nprobe", 0);
   if (!nprobe_or.ok()) return Fail(nprobe_or.status());
   if (*nprobe_or < 0) {
