@@ -13,9 +13,16 @@ ConvergenceTrendMiner::ConvergenceTrendMiner(const PerformanceMatrix* matrix,
     : matrix_(matrix), options_(options) {
   TPS_CHECK(matrix_ != nullptr);
   TPS_CHECK(options_.num_trends >= 1);
+  for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
+    for (size_t m = 0; m < matrix_->num_models(); ++m) {
+      num_stages_ =
+          std::max(num_stages_, matrix_->run(d, m).val_accuracy.size());
+    }
+  }
+  cells_ = std::make_unique<Cell[]>(matrix_->num_models() * num_stages_);
 }
 
-StatusOr<std::vector<ConvergenceTrend>> ConvergenceTrendMiner::MineTrends(
+StatusOr<const ConvergenceTrendMiner::Cell*> ConvergenceTrendMiner::Lookup(
     size_t model_index, int stage) const {
   if (model_index >= matrix_->num_models()) {
     return Status::OutOfRange("model index out of range in MineTrends");
@@ -23,11 +30,43 @@ StatusOr<std::vector<ConvergenceTrend>> ConvergenceTrendMiner::MineTrends(
   if (stage < 0) {
     return Status::InvalidArgument("stage must be >= 0");
   }
-  const size_t num_datasets = matrix_->num_datasets();
-  if (num_datasets == 0) {
+  if (matrix_->num_datasets() == 0) {
     return Status::FailedPrecondition("performance matrix has no datasets");
   }
+  const int clamped = std::min(stage, static_cast<int>(num_stages_) - 1);
+  Cell& cell =
+      cells_[model_index * num_stages_ + static_cast<size_t>(clamped)];
+  std::call_once(cell.mined, [&] {
+    StatusOr<std::vector<ConvergenceTrend>> mined = Mine(model_index, clamped);
+    if (mined.ok()) {
+      cell.trends = std::move(*mined);
+    } else {
+      cell.status = mined.status();
+    }
+  });
+  return &cell;
+}
 
+StatusOr<std::vector<ConvergenceTrend>> ConvergenceTrendMiner::MineTrends(
+    size_t model_index, int stage) const {
+  TPS_ASSIGN_OR_RETURN(const Cell* cell, Lookup(model_index, stage));
+  TPS_RETURN_NOT_OK(cell->status);
+  return cell->trends;
+}
+
+StatusOr<double> ConvergenceTrendMiner::Predict(size_t model_index, int stage,
+                                                double observed_val) const {
+  TPS_ASSIGN_OR_RETURN(const Cell* cell, Lookup(model_index, stage));
+  TPS_RETURN_NOT_OK(cell->status);
+  if (cell->trends.empty()) {
+    return Status::Internal("trend mining produced no trends");
+  }
+  return PredictFinal(cell->trends, observed_val);
+}
+
+StatusOr<std::vector<ConvergenceTrend>> ConvergenceTrendMiner::Mine(
+    size_t model_index, int stage) const {
+  const size_t num_datasets = matrix_->num_datasets();
   std::vector<double> stage_vals(num_datasets);
   for (size_t d = 0; d < num_datasets; ++d) {
     stage_vals[d] = matrix_->ValAtStage(d, model_index, stage);

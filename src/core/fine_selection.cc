@@ -32,6 +32,10 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
     }
   }
   if (metrics == nullptr) metrics = MetricsRegistry::Default();
+  Counter& stages_counter = metrics->counter("fine.stages");
+  Counter& epoch_steps_counter = metrics->counter("fine.epoch_steps");
+  Counter& trend_prunes_counter = metrics->counter("fine.trend_prunes");
+  Counter& halving_drops_counter = metrics->counter("fine.halving_drops");
   TPS_RETURN_NOT_OK(CheckCancel(cancel, "fine selection entry"));
   WallTimer phase_timer;
 
@@ -70,8 +74,8 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
     if (budget != nullptr) {
       budget->ChargeTraining(static_cast<double>(remaining.size()));
     }
-    metrics->counter("fine.stages").Increment();
-    metrics->counter("fine.epoch_steps").Increment(remaining.size());
+    stages_counter.Increment();
+    epoch_steps_counter.Increment(remaining.size());
     if (remaining.size() <= 1) {
       if (trace != nullptr) {
         stage_trace.survivors = zoo_indices(remaining);
@@ -85,20 +89,16 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
     };
 
     // Predict each survivor's final accuracy from its convergence trends
-    // (Eqs. 5-6). Trends are mined per model at the current stage; each
-    // survivor is independent, so predictions fan out over the pool. The
-    // fine-filter below reads the slots serially.
+    // (Eqs. 5-6), read from the miner's per-(model, stage) memo; a cell's
+    // first reader mines it. Each survivor is independent, so predictions
+    // fan out over the pool. The fine-filter below reads the slots serially.
     std::vector<double> predictions(remaining.size());
     TPS_RETURN_NOT_OK(StatusParallelFor(
         pool, remaining.size(), [&](size_t r) -> Status {
           const size_t pos = remaining[r];
-          TPS_ASSIGN_OR_RETURN(std::vector<ConvergenceTrend> trends,
-                               miner_->MineTrends(candidates[pos], stage));
-          if (trends.empty()) {
-            return Status::Internal("trend mining produced no trends");
-          }
-          predictions[r] =
-              ConvergenceTrendMiner::PredictFinal(trends, val_at_stage(pos));
+          TPS_ASSIGN_OR_RETURN(
+              predictions[r],
+              miner_->Predict(candidates[pos], stage, val_at_stage(pos)));
           return Status::OK();
         }));
 
@@ -144,8 +144,7 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
       if (!removed[r]) survivors.push_back(remaining[r]);
     }
     TPS_CHECK(!survivors.empty());  // The best-val model is never removed.
-    metrics->counter("fine.trend_prunes")
-        .Increment(remaining.size() - survivors.size());
+    trend_prunes_counter.Increment(remaining.size() - survivors.size());
 
     // Halving backstop: ensure at least half the stage's pool is gone.
     const size_t keep = std::max<size_t>(1, remaining.size() / 2);
@@ -159,8 +158,7 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
             survivors.begin() + static_cast<ptrdiff_t>(keep),
             survivors.end()));
       }
-      metrics->counter("fine.halving_drops")
-          .Increment(survivors.size() - keep);
+      halving_drops_counter.Increment(survivors.size() - keep);
       survivors.resize(keep);
     }
     remaining = std::move(survivors);

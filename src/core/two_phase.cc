@@ -8,11 +8,12 @@ namespace tps {
 TwoPhaseSelector::TwoPhaseSelector(const ModelZoo* zoo,
                                    const PerformanceMatrix* matrix,
                                    const ModelClustering* clustering,
-                                   const FineTuneSimulator* simulator)
+                                   const FineTuneSimulator* simulator,
+                                   TrendMinerOptions trends)
     : zoo_(zoo),
-      matrix_(matrix),
       simulator_(simulator),
-      recall_(zoo, matrix, clustering) {
+      recall_(zoo, matrix, clustering),
+      miner_(matrix, trends) {
   TPS_CHECK(simulator_ != nullptr);
 }
 
@@ -73,9 +74,8 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
   }
 
   // Phase 2: fine selection over the recalled candidates, on the same
-  // pool.
-  ConvergenceTrendMiner miner(matrix_, options.trends);
-  FineSelectionSelector fine(zoo_, simulator_, &miner,
+  // pool, reading the selector's memoized trends.
+  FineSelectionSelector fine(zoo_, simulator_, &miner_,
                              options.fine_selection);
   TPS_ASSIGN_OR_RETURN(report.selection,
                        fine.Select(candidates, target, hp, &report.budget,

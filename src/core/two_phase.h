@@ -22,7 +22,6 @@ namespace tps {
 struct TwoPhaseOptions {
   RecallOptions recall;
   FineSelectionOptions fine_selection;
-  TrendMinerOptions trends;
   /// Worker threads for the online pipeline. 1 (the default) runs fully
   /// serial; > 1 fans the proxy forward passes and per-survivor epoch
   /// steps over one shared ThreadPool. Output is bit-identical for every
@@ -65,13 +64,16 @@ struct TwoPhaseReport {
 ///                        selector.Select(target, options));
 ///
 /// All pointers must outlive the selector. The selector builds its
-/// CoarseRecall (and with it the exact recall index over `clustering`)
-/// once, at construction, and shares it across Select calls.
+/// CoarseRecall (and with it the exact recall index over `clustering`) and
+/// its ConvergenceTrendMiner once, at construction, and shares them across
+/// Select calls: each convergence trend is mined at most once per selector,
+/// i.e. once per artifact version when serving.
 class TwoPhaseSelector {
  public:
   TwoPhaseSelector(const ModelZoo* zoo, const PerformanceMatrix* matrix,
                    const ModelClustering* clustering,
-                   const FineTuneSimulator* simulator);
+                   const FineTuneSimulator* simulator,
+                   TrendMinerOptions trends = TrendMinerOptions());
 
   /// Runs both phases on `target` with per-domain default hyperparameters
   /// (5 epochs NLP / 4 epochs CV, lr 3e-5).
@@ -95,9 +97,9 @@ class TwoPhaseSelector {
 
  private:
   const ModelZoo* zoo_;
-  const PerformanceMatrix* matrix_;
   const FineTuneSimulator* simulator_;
   CoarseRecall recall_;
+  ConvergenceTrendMiner miner_;
 };
 
 }  // namespace tps

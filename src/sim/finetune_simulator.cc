@@ -21,7 +21,10 @@ double TrainingRun::best_val() const {
 }
 
 FineTuneSimulator::FineTuneSimulator(TransferOracle oracle)
-    : oracle_(std::move(oracle)) {}
+    : oracle_(std::move(oracle)),
+      runs_counter_(&MetricsRegistry::Default()->counter("sim.runs")),
+      epochs_counter_(
+          &MetricsRegistry::Default()->counter("sim.epochs_simulated")) {}
 
 StatusOr<TrainingRun> FineTuneSimulator::Run(const PretrainedModel& model,
                                              const Dataset& dataset,
@@ -85,10 +88,8 @@ StatusOr<TrainingRun> FineTuneSimulator::Run(const PretrainedModel& model,
     run.val_accuracy.push_back(val);
     run.test_accuracy.push_back(test);
   }
-  MetricsRegistry& metrics = *MetricsRegistry::Default();
-  metrics.counter("sim.runs").Increment();
-  metrics.counter("sim.epochs_simulated")
-      .Increment(static_cast<uint64_t>(hp.epochs));
+  runs_counter_->Increment();
+  epochs_counter_->Increment(static_cast<uint64_t>(hp.epochs));
   return run;
 }
 

@@ -8,6 +8,7 @@
 #include "model/pretrained_model.h"
 #include "sim/hyperparams.h"
 #include "sim/transfer_oracle.h"
+#include "util/metrics.h"
 #include "util/statusor.h"
 
 namespace tps {
@@ -56,6 +57,10 @@ class FineTuneSimulator {
 
  private:
   TransferOracle oracle_;
+  /// `sim.runs` and `sim.epochs_simulated` on MetricsRegistry::Default(),
+  /// resolved once here rather than per Run.
+  Counter* runs_counter_;
+  Counter* epochs_counter_;
 };
 
 }  // namespace tps

@@ -146,7 +146,9 @@ struct ParallelForState {
       }
       std::unique_lock<std::mutex> lock(mu);
       if (thrown != nullptr && (error == nullptr || i < error_index)) {
-        error = thrown;
+        // Moved, not copied: this thread must hold no reference to the
+        // recorded exception once `completed` reaches n (see ParallelFor).
+        error = std::move(thrown);
         error_index = i;
       }
       ++completed;
@@ -169,12 +171,19 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     Submit([state] { state->Drain(); });
   }
   state->Drain();
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->all_indices_done.wait(
         lock, [&state] { return state->completed == state->n; });
+    // Take the error out of the shared state, so the caller's thread holds
+    // the only reference to it. Otherwise a helper task that drops the last
+    // reference to the state after this call returns would free the
+    // exception while the caller reads it, synchronized only by
+    // libstdc++'s exception refcount, which ThreadSanitizer cannot see.
+    error = std::move(state->error);
   }
-  if (state->error != nullptr) std::rethrow_exception(state->error);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 int ThreadPool::DefaultThreads() {

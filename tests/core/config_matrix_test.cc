@@ -74,9 +74,10 @@ TEST_P(ConfigMatrixTest, PipelineCompletesWithValidOutcome) {
   TwoPhaseOptions options;
   options.recall.proxy = config.proxy;
   options.recall.top_k_models = config.recall_k;
-  options.trends.num_trends = config.num_trends;
+  TrendMinerOptions trends;
+  trends.num_trends = config.num_trends;
 
-  TwoPhaseSelector selector(zoo_, matrix_, &*clustering, simulator_);
+  TwoPhaseSelector selector(zoo_, matrix_, &*clustering, simulator_, trends);
   auto report = selector.Select(*target_, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 

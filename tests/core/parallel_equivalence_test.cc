@@ -288,7 +288,7 @@ TEST_P(ParallelEquivalenceTest, FineSelectionLedgerMatchesSerialExactly) {
   // exactly.
   const RandomConfig config = MakeRandomConfig(GetParam());
   FineTuneSimulator simulator;
-  ConvergenceTrendMiner miner(&config.matrix, config.options.trends);
+  ConvergenceTrendMiner miner(&config.matrix);
   FineSelectionSelector fine(&config.zoo, &simulator, &miner,
                              config.options.fine_selection);
   std::vector<size_t> candidates(config.zoo.size());
