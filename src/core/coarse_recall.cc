@@ -1,8 +1,8 @@
 #include "core/coarse_recall.h"
 
 #include <algorithm>
+#include <atomic>
 
-#include "clustering/distance.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -144,6 +144,13 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
   const uint64_t target_fingerprint =
       options.flight_group != nullptr ? DatasetFingerprint(target) : 0;
   std::vector<std::vector<double>> raw_per_scorer(scorers.size());
+  // This call's own cache lookups, one per fetch that consults the cache.
+  std::atomic<size_t> cache_hits{0};
+  std::atomic<size_t> cache_misses{0};
+  auto count_lookup = [&](bool hit) {
+    if (options.score_cache == nullptr) return;
+    (hit ? cache_hits : cache_misses).fetch_add(1, std::memory_order_relaxed);
+  };
   auto score_wave = [&](const std::vector<size_t>& wave) -> Status {
     for (size_t si = 0; si < scorers.size(); ++si) {
       const std::unique_ptr<ProxyScorer>& scorer = scorers[si];
@@ -167,6 +174,7 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
             pool, wave.size(), [&](size_t i) -> Status {
               TPS_RETURN_NOT_OK(CheckCancel(cancel, "proxy fan-out"));
               const PretrainedModel& model = zoo_->model(wave[i]);
+              bool hit = false;
               if (options.flight_group != nullptr) {
                 ProxyCacheKey key;
                 key.dataset_fingerprint = target_fingerprint;
@@ -182,16 +190,18 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
                           return CheckCancel(cancel, "proxy flight wait");
                         },
                         /*compute=*/
-                        [&]() { return scorer->Score(model, target); }));
+                        [&]() { return scorer->Score(model, target); },
+                        &hit));
               } else if (options.score_cache != nullptr) {
                 TPS_ASSIGN_OR_RETURN(
                     raw_scores[i],
-                    options.score_cache->GetOrCompute(*scorer, model, target,
-                                                      options.artifact_epoch));
+                    options.score_cache->GetOrCompute(
+                        *scorer, model, target, options.artifact_epoch, &hit));
               } else {
                 TPS_ASSIGN_OR_RETURN(raw_scores[i],
                                      scorer->Score(model, target));
               }
+              count_lookup(hit);
               return Status::OK();
             }));
       }
@@ -240,6 +250,8 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
     if (budget != nullptr) budget->ChargeProxyInference();
     ++result.proxies_computed;
   }
+  result.cache_hits = cache_hits.load(std::memory_order_relaxed);
+  result.cache_misses = cache_misses.load(std::memory_order_relaxed);
 
   // --- Step 2: rank the probed posting lists (Eq. 3) plus the
   // propagation-only partitions (Eq. 4 over the precomputed neighbor
@@ -279,22 +291,22 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
           entry.proxy_component = norm_scores[slot];
         } else {
           // Eq. 4: similarity-decayed propagation, restricted to the
-          // partition's precomputed neighbor slots (ascending, so the
-          // accumulation order matches the exact index when the list is
-          // full). Neighbors that were not probed this query contribute
+          // partition's precomputed neighbor slots and their precomputed
+          // similarity weights (ascending, so the accumulation order
+          // matches the exact index when the list is full). The partition's
+          // one member is the representative the weights were computed
+          // for. Neighbors that were not probed this query contribute
           // nothing.
           entry.via_propagation = true;
-          const std::vector<double>& my_vec = s.vectors[m];
-          std::vector<double> scratch;
+          const std::vector<size_t>& slots = s.neighbors[partition];
+          const std::vector<double>& sims = s.neighbor_similarity[partition];
           double accum = 0.0;
           size_t count = 0;
-          for (size_t g : s.neighbors[partition]) {
-            const size_t neighbor_slot = probed_slot[s.scored_partitions[g]];
+          for (size_t k = 0; k < slots.size(); ++k) {
+            const size_t neighbor_slot =
+                probed_slot[s.scored_partitions[slots[k]]];
             if (neighbor_slot == IndexStructure::kNoSlot) continue;
-            const double sim = PerformanceSimilarity(
-                my_vec.data(), s.vectors[s.scored_models[g]].data(),
-                my_vec.size(), s.similarity_top_k, scratch);
-            accum += sim * norm_scores[neighbor_slot];
+            accum += sims[k] * norm_scores[neighbor_slot];
             ++count;
           }
           entry.proxy_component =

@@ -126,6 +126,11 @@ struct RecallResult {
   std::vector<RecallEntry> ranked;
   /// Number of proxy scores actually computed (= scored representatives).
   size_t proxies_computed = 0;
+  /// This call's own proxy-cache lookups that hit / missed (both 0 without
+  /// a cache). Counted per fetch, so calls that share the cache never count
+  /// each other's lookups.
+  size_t cache_hits = 0;
+  size_t cache_misses = 0;
 
   /// Zoo indices of the top `k` models (fewer if the zoo is smaller).
   std::vector<size_t> TopModels(size_t k) const;

@@ -96,22 +96,20 @@ Status FinalizeIndexStructure(IndexStructure* s,
   }
 
   // Neighbor lists: for each unscored (propagation-only) partition, the
-  // scored slots its Eq. 4 may read. Unbounded = every slot (exact).
-  // Bounded = the `propagation_neighbors` most performance-similar scored
-  // representatives (ties -> lower slot), emitted ascending so the
-  // propagation accumulates in the same order the exact sweep would.
+  // scored slots its Eq. 4 may read and their similarity weights.
+  // Unbounded = every slot (exact). Bounded = the `propagation_neighbors`
+  // most performance-similar scored representatives (ties -> lower slot).
+  // Either way the list is ascending, so the propagation accumulates in the
+  // same order the exact sweep would.
   s->neighbors.assign(P, {});
+  s->neighbor_similarity.assign(P, {});
   const size_t num_slots = s->scored_models.size();
+  const bool bounded =
+      propagation_neighbors != 0 && propagation_neighbors < num_slots;
   std::vector<double> scratch;
   for (size_t p = 0; p < P; ++p) {
     if (s->slot_of_partition[p] != IndexStructure::kNoSlot) continue;
     if (s->members[p].empty()) continue;
-    std::vector<size_t>& list = s->neighbors[p];
-    if (propagation_neighbors == 0 || propagation_neighbors >= num_slots) {
-      list.resize(num_slots);
-      for (size_t g = 0; g < num_slots; ++g) list[g] = g;
-      continue;
-    }
     const std::vector<double>& rep_vec =
         s->vectors[s->representatives[p]];
     std::vector<std::pair<double, size_t>> ranked;
@@ -125,15 +123,25 @@ Status FinalizeIndexStructure(IndexStructure* s,
                                 scratch);
       ranked.emplace_back(sim, g);
     }
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const std::pair<double, size_t>& a,
-                        const std::pair<double, size_t>& b) {
-                       return a.first > b.first;
-                     });
-    ranked.resize(propagation_neighbors);
-    list.reserve(ranked.size());
-    for (const auto& [sim, g] : ranked) list.push_back(g);
-    std::sort(list.begin(), list.end());
+    if (bounded) {
+      std::stable_sort(ranked.begin(), ranked.end(),
+                       [](const std::pair<double, size_t>& a,
+                          const std::pair<double, size_t>& b) {
+                         return a.first > b.first;
+                       });
+      ranked.resize(propagation_neighbors);
+      std::sort(ranked.begin(), ranked.end(),
+                [](const std::pair<double, size_t>& a,
+                   const std::pair<double, size_t>& b) {
+                  return a.second < b.second;
+                });
+    }
+    s->neighbors[p].reserve(ranked.size());
+    s->neighbor_similarity[p].reserve(ranked.size());
+    for (const auto& [sim, g] : ranked) {
+      s->neighbors[p].push_back(g);
+      s->neighbor_similarity[p].push_back(sim);
+    }
   }
 
   // Static probe priority: descending representative prior, ties ->

@@ -60,6 +60,13 @@ struct IndexStructure {
   /// every slot (exact propagation); the IVF backend keeps only the
   /// nearest few by performance similarity. Empty for scored partitions.
   std::vector<std::vector<size_t>> neighbors;
+  /// Per unscored partition, aligned with `neighbors[p]`: the Eq. 4 weight
+  /// PerformanceSimilarity(representative of p, scored_models[g]) of each
+  /// listed slot g. An unscored partition has exactly one member, its
+  /// representative, so these are the weights its propagation reads; the
+  /// target never enters them, which is why they are computed here, once
+  /// per structure, instead of per query. Empty for scored partitions.
+  std::vector<std::vector<double>> neighbor_similarity;
 
   /// Scored partition ids in static probe-priority order: descending
   /// representative prior, ties -> ascending partition id. An nprobe-
@@ -86,7 +93,8 @@ struct IndexStructure {
 };
 
 /// Recomputes every derived field of `s` (members, representatives,
-/// scored set, slots, neighbors, probe priority) from the primary fields
+/// scored set, slots, neighbors and their similarities, probe priority,
+/// pilot order) from the primary fields
 /// (similarity_top_k, vectors, prior, assignments). `propagation_neighbors`
 /// bounds each unscored partition's neighbor list (0 = keep every scored
 /// slot). Deterministic: a pure function of the primary fields, so two

@@ -97,6 +97,8 @@ class HybridBackend : public RecallBackend {
                        return a.recall_score > b.recall_score;
                      });
     result.proxies_computed = rep.proxies_computed;
+    result.cache_hits = rep.cache_hits;
+    result.cache_misses = rep.cache_misses;
     return result;
   }
 

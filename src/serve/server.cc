@@ -145,11 +145,10 @@ void SelectionServer::HandleConnection(std::shared_ptr<Socket> socket) {
         break;
       }
       case WireCommand::kSelect: {
-        // Submit, not Handle: socket traffic goes through the same
-        // admission control and deadline accounting as embedded callers.
-        SelectionResponse response =
-            service_->Submit(std::move(request_or->select)).get();
-        reply = ResponseToLine(response);
+        // Serve, not Handle: socket traffic goes through the same
+        // admission control and deadline accounting as embedded callers,
+        // and runs right here when a run slot is free.
+        reply = ResponseToLine(service_->Serve(std::move(request_or->select)));
         break;
       }
     }

@@ -41,10 +41,12 @@ struct ServerOptions {
 /// Threading model: one blocking accept-loop thread per endpoint plus one
 /// blocking thread per live connection — no readiness polling, which keeps
 /// the stack simple and sanitizer-clean. Selects are routed through
-/// SelectionService::Submit, so socket traffic is subject to the same
-/// admission control and deadlines as embedded callers; ping/stats answer
-/// inline. A reload runs on the connection thread — artifact load +
-/// validation never touch the serving path.
+/// SelectionService::Serve, so socket traffic is subject to the same
+/// admission control and deadlines as embedded callers: an admitted select
+/// runs on its connection thread when a run slot is free and nothing is
+/// queued, and otherwise waits for a worker. ping/stats answer inline. A
+/// reload runs on the connection thread — artifact load + validation never
+/// touch the serving path.
 ///
 /// Connection bookkeeping: each connection self-registers on a done-list
 /// when its handler finishes; the accept loops join those threads and drop

@@ -33,7 +33,20 @@ SelectionService::SelectionService(ServiceArtifacts artifacts,
       metrics_(options.metrics != nullptr ? options.metrics
                                           : MetricsRegistry::Default()),
       slot_(std::make_shared<const ArtifactSnapshot>(std::move(artifacts),
-                                                     /*version=*/1)) {
+                                                     /*version=*/1)),
+      requests_counter_(metrics_->counter("serve.requests")),
+      admitted_counter_(metrics_->counter("serve.admitted")),
+      rejected_counter_(metrics_->counter("serve.rejected")),
+      completed_counter_(metrics_->counter("serve.completed")),
+      deadline_exceeded_counter_(
+          metrics_->counter("serve.deadline_exceeded")),
+      errors_counter_(metrics_->counter("serve.errors")),
+      reloads_counter_(metrics_->counter("serve.reloads")),
+      queue_depth_gauge_(metrics_->gauge("serve.queue_depth")),
+      version_gauge_(metrics_->gauge("serve.artifact_version")),
+      request_latency_histogram_(
+          metrics_->histogram("serve.request_latency_us")),
+      queue_wait_histogram_(metrics_->histogram("serve.queue_wait_us")) {
   if (options_.pipeline_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(ThreadPool::ClampThreads(
         options_.pipeline_threads, slot_.Acquire()->artifacts.zoo.size()));
@@ -45,7 +58,7 @@ SelectionService::SelectionService(ServiceArtifacts artifacts,
   if (options_.coalesce_proxies) {
     flight_ = std::make_unique<ProxyFlightGroup>(metrics_);
   }
-  metrics_->gauge("serve.artifact_version").Set(1.0);
+  version_gauge_.Set(1.0);
   workers_.reserve(static_cast<size_t>(options_.worker_threads));
   for (int i = 0; i < options_.worker_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -83,9 +96,8 @@ Status SelectionService::Reload(ServiceArtifacts artifacts) {
     // destroyed once the last in-flight request releases its reference.
   }
   reloads_.fetch_add(1, std::memory_order_relaxed);
-  metrics_->counter("serve.reloads").Increment();
-  metrics_->gauge("serve.artifact_version")
-      .Set(static_cast<double>(slot_.version()));
+  reloads_counter_.Increment();
+  version_gauge_.Set(static_cast<double>(slot_.version()));
   return Status::OK();
 }
 
@@ -98,7 +110,7 @@ Status SelectionService::Reload(const ArtifactPaths& source) {
 }
 
 SelectionResponse SelectionService::Handle(const SelectionRequest& request) {
-  metrics_->counter("serve.requests").Increment();
+  requests_counter_.Increment();
   const std::shared_ptr<const ArtifactSnapshot> snapshot = slot_.Acquire();
   const double deadline_ms = request.deadline_ms > 0.0
                                  ? request.deadline_ms
@@ -114,13 +126,37 @@ SelectionResponse SelectionService::Handle(const SelectionRequest& request) {
 
 std::future<SelectionResponse> SelectionService::Submit(
     SelectionRequest request) {
-  metrics_->counter("serve.requests").Increment();
   QueuedRequest queued;
   queued.request = std::move(request);
+  std::future<SelectionResponse> future = queued.promise.get_future();
+  if (Admit(queued, /*may_run_here=*/false) == Admission::kRejected) {
+    queued.promise.set_value(Rejection(queued));
+  }
+  return future;
+}
+
+SelectionResponse SelectionService::Serve(SelectionRequest request) {
+  QueuedRequest queued;
+  queued.request = std::move(request);
+  std::future<SelectionResponse> future = queued.promise.get_future();
+  switch (Admit(queued, /*may_run_here=*/true)) {
+    case Admission::kRunHere:
+      return RunAdmitted(queued);
+    case Admission::kQueued:
+      return future.get();
+    case Admission::kRejected:
+      break;
+  }
+  return Rejection(queued);
+}
+
+SelectionService::Admission SelectionService::Admit(QueuedRequest& queued,
+                                                    bool may_run_here) {
+  requests_counter_.Increment();
   // Snapshot acquired at admission: whatever Reloads land while this
   // request is queued, it runs against the version that admitted it.
   queued.snapshot = slot_.Acquire();
-  queued.enqueued_at = std::chrono::steady_clock::now();
+  queued.admitted_at = std::chrono::steady_clock::now();
   const double deadline_ms = queued.request.deadline_ms > 0.0
                                  ? queued.request.deadline_ms
                                  : options_.default_deadline_ms;
@@ -129,33 +165,64 @@ std::future<SelectionResponse> SelectionService::Submit(
     queued.token = std::make_shared<CancelToken>();
     queued.token->SetDeadlineAfterMillis(deadline_ms);
   }
-  std::future<SelectionResponse> future = queued.promise.get_future();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (!shutting_down_ && queue_.size() < options_.max_queue) {
-      queue_.push_back(std::move(queued));
-      metrics_->gauge("serve.queue_depth")
-          .Set(static_cast<double>(queue_.size()));
-      metrics_->gauge("serve.queue_depth")
-          .SetMax(static_cast<double>(queue_.size()));
-      admitted_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->counter("serve.admitted").Increment();
-      lock.unlock();
-      queue_ready_.notify_one();
-      return future;
+    if (!shutting_down_) {
+      // Running here is allowed only with an empty queue, so a caller
+      // never overtakes a request that is already waiting.
+      if (may_run_here && queue_.empty() &&
+          running_ < options_.worker_threads) {
+        ++running_;
+        admitted_.fetch_add(1, std::memory_order_relaxed);
+        admitted_counter_.Increment();
+        return Admission::kRunHere;
+      }
+      if (queue_.size() < options_.max_queue) {
+        queue_.push_back(std::move(queued));
+        queue_depth_gauge_.Set(static_cast<double>(queue_.size()));
+        queue_depth_gauge_.SetMax(static_cast<double>(queue_.size()));
+        admitted_.fetch_add(1, std::memory_order_relaxed);
+        admitted_counter_.Increment();
+        lock.unlock();
+        queue_ready_.notify_one();
+        return Admission::kQueued;
+      }
     }
   }
   // Rejected: explicit backpressure, never blocking the caller.
   rejected_.fetch_add(1, std::memory_order_relaxed);
-  metrics_->counter("serve.rejected").Increment();
+  rejected_counter_.Increment();
+  return Admission::kRejected;
+}
+
+SelectionResponse SelectionService::Rejection(
+    const QueuedRequest& queued) const {
   SelectionResponse response;
   response.target = queued.request.target;
   response.artifact_version = queued.snapshot->version;
   response.status = Status::Unavailable(
       "request queue full (" + std::to_string(options_.max_queue) +
       " deep); retry later");
-  queued.promise.set_value(std::move(response));
-  return future;
+  return response;
+}
+
+SelectionResponse SelectionService::RunAdmitted(const QueuedRequest& queued) {
+  if (options_.pre_handle_hook) options_.pre_handle_hook();
+  queue_wait_histogram_.Record(
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - queued.admitted_at)
+          .count());
+  SelectionResponse response =
+      Run(queued.request, queued.token.get(), *queued.snapshot);
+  bool backlog = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+    backlog = !queue_.empty();
+  }
+  // The freed slot may be the one a queued request waits for.
+  if (backlog) queue_ready_.notify_one();
+  return response;
 }
 
 void SelectionService::WorkerLoop() {
@@ -163,22 +230,17 @@ void SelectionService::WorkerLoop() {
     QueuedRequest queued;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      queue_ready_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
+      queue_ready_.wait(lock, [this] {
+        return shutting_down_ ||
+               (!queue_.empty() && running_ < options_.worker_threads);
+      });
       if (shutting_down_) return;  // Destructor answers leftovers.
       queued = std::move(queue_.front());
       queue_.pop_front();
-      metrics_->gauge("serve.queue_depth")
-          .Set(static_cast<double>(queue_.size()));
+      ++running_;
+      queue_depth_gauge_.Set(static_cast<double>(queue_.size()));
     }
-    if (options_.pre_handle_hook) options_.pre_handle_hook();
-    const double queue_wait_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - queued.enqueued_at)
-            .count();
-    metrics_->histogram("serve.queue_wait_us").Record(queue_wait_us);
-    queued.promise.set_value(
-        Run(queued.request, queued.token.get(), *queued.snapshot));
+    queued.promise.set_value(RunAdmitted(queued));
     // queued goes out of scope here, releasing the snapshot reference —
     // the last release after a Reload destroys the retired version.
   }
@@ -191,9 +253,6 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
   SelectionResponse response;
   response.target = request.target;
   response.artifact_version = snapshot.version;
-
-  const uint64_t hits_before = cache_ != nullptr ? cache_->hits() : 0;
-  const uint64_t misses_before = cache_ != nullptr ? cache_->misses() : 0;
 
   const ServiceArtifacts& artifacts = snapshot.artifacts;
   auto run = [&]() -> Status {
@@ -253,6 +312,8 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
     response.inference_epochs = report.budget.inference_epochs();
     response.total_epochs = report.budget.total_epochs();
     response.survivors_per_stage = report.selection.survivors_per_stage;
+    response.cache_hits = report.recall.cache_hits;
+    response.cache_misses = report.recall.cache_misses;
     response.has_trace = request.want_trace;
     response.report = std::move(report);
     return Status::OK();
@@ -270,21 +331,16 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
   }
 
   response.wall_ms = timer.ElapsedMillis();
-  if (cache_ != nullptr) {
-    response.cache_hits = cache_->hits() - hits_before;
-    response.cache_misses = cache_->misses() - misses_before;
-  }
-  metrics_->histogram("serve.request_latency_us")
-      .Record(response.wall_ms * 1e3);
+  request_latency_histogram_.Record(response.wall_ms * 1e3);
   if (response.status.ok()) {
     completed_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("serve.completed").Increment();
+    completed_counter_.Increment();
   } else if (response.status.IsDeadlineExceeded()) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("serve.deadline_exceeded").Increment();
+    deadline_exceeded_counter_.Increment();
   } else {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("serve.errors").Increment();
+    errors_counter_.Increment();
   }
   return response;
 }

@@ -31,9 +31,12 @@ namespace serve {
 
 /// Tuning knobs for one SelectionService ("Serving" in DESIGN.md).
 struct ServiceOptions {
-  /// Request worker threads draining the admission queue (Submit path).
-  /// 0 is valid: Submit then queues without ever draining — only useful
-  /// for tests that drive the queue by hand via Handle.
+  /// Run slots: at most this many admitted requests run their pipeline at
+  /// once. One worker thread per slot drains the admission queue, and a
+  /// Serve caller that finds a free slot and an empty queue takes the slot
+  /// and runs on its own thread; both share the same slots. 0 is valid for
+  /// Handle-only services: admitted requests then queue without ever
+  /// running.
   int worker_threads = 2;
   /// Bounded queue capacity. A Submit that finds the queue full is
   /// rejected immediately with an Unavailable response (explicit
@@ -60,9 +63,10 @@ struct ServiceOptions {
   kernels::KernelMode kernel_mode = kernels::KernelMode::kBatched;
   /// Metrics sink; nullptr -> MetricsRegistry::Default().
   MetricsRegistry* metrics = nullptr;
-  /// Test-only hook: invoked by a worker thread immediately before it
-  /// starts processing a dequeued request. Lets tests hold a worker on a
-  /// latch to fill the queue deterministically. Never set in production.
+  /// Test-only hook: invoked immediately before an admitted request starts
+  /// its pipeline, on whichever thread runs it (a worker, or the Serve
+  /// caller). Lets tests hold a run slot on a latch to fill the queue
+  /// deterministically. Never set in production.
   std::function<void()> pre_handle_hook;
 };
 
@@ -73,8 +77,8 @@ struct SelectionRequest {
   double threshold = 0.0;       // Fine-filter threshold.
   std::string proxy = "leep";   // Single proxy scorer.
   std::vector<std::string> proxies;  // Multi-proxy override (may be empty).
-  /// Per-request deadline in ms, measured from admission (Submit) or from
-  /// Handle entry; <= 0 uses the service default; 0 default = none.
+  /// Per-request deadline in ms, measured from admission (Submit, Serve)
+  /// or from Handle entry; <= 0 uses the service default; 0 default = none.
   double deadline_ms = 0.0;
   /// When true the response carries the full SelectionTrace.
   bool want_trace = false;
@@ -108,7 +112,8 @@ struct SelectionResponse {
   std::vector<size_t> survivors_per_stage;
   /// Wall time spent inside the pipeline (excludes queue wait).
   double wall_ms = 0.0;
-  /// Cache hits/misses recorded by this request's recall phase.
+  /// Proxy-cache lookups of this request's own recall phase that hit /
+  /// missed; requests running concurrently never count each other's.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   bool has_trace = false;
@@ -153,14 +158,20 @@ struct ServiceStats {
 /// queue with admission control, and answers many concurrent selection
 /// requests without reloading anything per call.
 ///
-/// Two entry points:
-///  - Handle(): synchronous, runs the pipeline on the calling thread.
-///    Thread-safe — any number of callers may Handle concurrently; they
-///    share the cache and pool. Used by `tps_cli select` and tests.
+/// Three entry points:
+///  - Handle(): synchronous, runs the pipeline on the calling thread
+///    outside admission control. Thread-safe — any number of callers may
+///    Handle concurrently; they share the cache and pool. Used by
+///    `tps_cli select` and tests.
 ///  - Submit(): admission-controlled. The request either takes a queue
 ///    slot (drained by worker threads) or is rejected immediately with an
 ///    Unavailable response. Deadlines start at admission, so time spent
-///    queued counts against them. Used by the socket front end.
+///    queued counts against them.
+///  - Serve(): the same admission, blocking. A request that finds a free
+///    run slot and an empty queue runs on the calling thread; otherwise
+///    it queues like Submit and the caller waits for its answer. Used by
+///    the socket front end, so an uncontended select never changes
+///    threads.
 ///
 /// Hot artifact swap ("Serving: hot artifact swap" in DESIGN.md): Reload()
 /// publishes new ServiceArtifacts with zero downtime. Every request
@@ -172,6 +183,7 @@ struct ServiceStats {
 ///
 /// Shutdown: the destructor stops the workers; requests still queued are
 /// answered with Unavailable("service shutting down") rather than dropped.
+/// Handle and Serve callers must return before the service is destroyed.
 ///
 /// Metrics (prefix `serve.`): requests/admitted/rejected/completed/
 /// deadline_exceeded/errors/reloads counters, queue_depth gauge (current +
@@ -195,6 +207,12 @@ class SelectionService {
   /// DeadlineExceeded if it expired in the queue, the pipeline's answer
   /// otherwise).
   std::future<SelectionResponse> Submit(SelectionRequest request);
+
+  /// Blocking admission control: admits exactly as Submit does, then runs
+  /// the request on the calling thread when a run slot is free and nothing
+  /// is queued, and otherwise waits for a worker to answer it. Returns
+  /// what Submit's future would resolve to.
+  SelectionResponse Serve(SelectionRequest request);
 
   /// Zero-downtime artifact hot swap: validates `artifacts`, publishes
   /// them as the next version, and returns. In-flight requests keep the
@@ -232,8 +250,10 @@ class SelectionService {
     std::shared_ptr<const ArtifactSnapshot> snapshot;
     /// Deadline armed at admission (null when the request has none).
     std::shared_ptr<CancelToken> token;
-    std::chrono::steady_clock::time_point enqueued_at;
+    std::chrono::steady_clock::time_point admitted_at;
   };
+
+  enum class Admission { kRejected, kQueued, kRunHere };
 
   SelectionService(ServiceArtifacts artifacts, const ServiceOptions& options);
 
@@ -243,6 +263,20 @@ class SelectionService {
   SelectionResponse Run(const SelectionRequest& request,
                         const CancelToken* token,
                         const ArtifactSnapshot& snapshot);
+
+  /// Admission shared by Submit and Serve: counts the request, pins the
+  /// snapshot and arms the deadline on `queued`, then under mu_ takes a
+  /// free run slot (kRunHere; only when `may_run_here` and nothing is
+  /// queued, so queued requests keep FIFO order), or moves `queued` into
+  /// the queue (kQueued), or rejects it (kRejected; `queued` is intact).
+  Admission Admit(QueuedRequest& queued, bool may_run_here);
+
+  /// The Unavailable answer to a request Admit rejected.
+  SelectionResponse Rejection(const QueuedRequest& queued) const;
+
+  /// Runs a request that holds a run slot on the calling thread — hook,
+  /// queue-wait record, pipeline — and then frees the slot.
+  SelectionResponse RunAdmitted(const QueuedRequest& queued);
 
   void WorkerLoop();
 
@@ -261,6 +295,9 @@ class SelectionService {
   std::condition_variable queue_ready_;
   std::deque<QueuedRequest> queue_;
   bool shutting_down_ = false;
+  /// Run slots taken, by workers and Serve callers alike; at most
+  /// options_.worker_threads.
+  int running_ = 0;
   std::vector<std::thread> workers_;
 
   // Local stats mirrors (exact reads for Stats() independent of the
@@ -271,6 +308,19 @@ class SelectionService {
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> reloads_{0};
+
+  // Registry instruments, resolved once at construction.
+  Counter& requests_counter_;
+  Counter& admitted_counter_;
+  Counter& rejected_counter_;
+  Counter& completed_counter_;
+  Counter& deadline_exceeded_counter_;
+  Counter& errors_counter_;
+  Counter& reloads_counter_;
+  Gauge& queue_depth_gauge_;
+  Gauge& version_gauge_;
+  Histogram& request_latency_histogram_;
+  Histogram& queue_wait_histogram_;
 };
 
 }  // namespace serve

@@ -38,7 +38,8 @@ void ProxyFlightGroup::Depart(const ProxyCacheKey& key,
 StatusOr<double> ProxyFlightGroup::GetOrCompute(
     ProxyScoreCache* cache, const ProxyCacheKey& key,
     const std::function<Status()>& poll_cancel,
-    const std::function<StatusOr<double>()>& compute) {
+    const std::function<StatusOr<double>()>& compute, bool* cache_hit) {
+  if (cache_hit != nullptr) *cache_hit = false;
   std::shared_ptr<Flight> flight;
   bool is_leader = false;
   {
@@ -50,6 +51,7 @@ StatusOr<double> ProxyFlightGroup::GetOrCompute(
     if (cache != nullptr) {
       if (std::optional<double> cached = cache->Lookup(key);
           cached.has_value()) {
+        if (cache_hit != nullptr) *cache_hit = true;
         return *cached;
       }
     }

@@ -63,10 +63,13 @@ class ProxyFlightGroup {
   /// its own closures; whichever member ends up leading runs its own
   /// `compute`, without any flight lock held. `poll_cancel` (may be null)
   /// is this caller's own cancellation check, polled while waiting.
+  /// `cache_hit` (may be null) receives whether the arrival's cache lookup
+  /// hit — its own outcome, whatever other callers do meanwhile.
   StatusOr<double> GetOrCompute(
       ProxyScoreCache* cache, const ProxyCacheKey& key,
       const std::function<Status()>& poll_cancel,
-      const std::function<StatusOr<double>()>& compute);
+      const std::function<StatusOr<double>()>& compute,
+      bool* cache_hit = nullptr);
 
   uint64_t leaders() const { return leaders_.load(std::memory_order_relaxed); }
   uint64_t waiters() const { return waiters_.load(std::memory_order_relaxed); }

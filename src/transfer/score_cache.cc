@@ -117,15 +117,16 @@ void ProxyScoreCache::Insert(const ProxyCacheKey& key, double score) {
 StatusOr<double> ProxyScoreCache::GetOrCompute(const ProxyScorer& scorer,
                                                const PretrainedModel& model,
                                                const Dataset& target,
-                                               uint64_t artifact_epoch) {
+                                               uint64_t artifact_epoch,
+                                               bool* hit) {
   ProxyCacheKey key;
   key.dataset_fingerprint = DatasetFingerprint(target);
   key.model = model.name();
   key.scorer = scorer.name();
   key.artifact_epoch = artifact_epoch;
-  if (std::optional<double> cached = Lookup(key); cached.has_value()) {
-    return *cached;
-  }
+  std::optional<double> cached = Lookup(key);
+  if (hit != nullptr) *hit = cached.has_value();
+  if (cached.has_value()) return *cached;
   TPS_ASSIGN_OR_RETURN(double score, scorer.Score(model, target));
   Insert(key, score);
   return score;

@@ -91,11 +91,13 @@ class ProxyScoreCache {
 
   /// The seam used by coarse recall: cache hit, or compute via
   /// `scorer.Score(model, target)` and cache the successful result.
-  /// `artifact_epoch` tags the key (see ProxyCacheKey).
+  /// `artifact_epoch` tags the key (see ProxyCacheKey). `hit` (may be
+  /// null) receives whether this call's one lookup hit.
   StatusOr<double> GetOrCompute(const ProxyScorer& scorer,
                                 const PretrainedModel& model,
                                 const Dataset& target,
-                                uint64_t artifact_epoch = 0);
+                                uint64_t artifact_epoch = 0,
+                                bool* hit = nullptr);
 
   /// Drops every entry (counters are retained).
   void Clear();

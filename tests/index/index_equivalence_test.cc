@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "clustering/distance.h"
 #include "core/coarse_recall.h"
 #include "core/model_clusterer.h"
 #include "core/performance_matrix.h"
@@ -14,6 +15,7 @@
 #include "index/reference_recall.h"
 #include "model/zoo.h"
 #include "model/zoo_gen.h"
+#include "serve/artifacts.h"
 #include "sim/epoch_budget.h"
 #include "sim/finetune_simulator.h"
 #include "util/thread_pool.h"
@@ -34,6 +36,8 @@ namespace {
 //     all-singleton one.
 //  C. Incremental Insert against a frozen quantizer equals the
 //     from-scratch BuildWithCentroids rebuild over the grown inputs.
+//  D. The Eq. 4 weights an index stores (neighbor_similarity) are the
+//     similarities recall would compute per query, bit for bit.
 // Each theorem is fuzzed over zoo sizes and seeds and run serial and on a
 // pool (the parallel label routes this file through the TSan sweep).
 
@@ -221,9 +225,60 @@ TEST(IndexEquivalenceTest, InsertEqualsRebuildWithFrozenQuantizer) {
     EXPECT_EQ(a.scored_partitions, b.scored_partitions);
     EXPECT_EQ(a.slot_of_partition, b.slot_of_partition);
     EXPECT_EQ(a.neighbors, b.neighbors);
+    EXPECT_EQ(a.neighbor_similarity, b.neighbor_similarity);
     EXPECT_EQ(a.probe_priority, b.probe_priority);
     EXPECT_EQ(a.pilot_order, b.pilot_order);
   }
+}
+
+// Theorem D over one structure: every stored weight is
+// PerformanceSimilarity(the unscored partition's one member, the listed
+// slot's representative), computed the way recall used to per query.
+void ExpectStoredEq4Weights(const IndexStructure& s) {
+  ASSERT_EQ(s.neighbor_similarity.size(), s.num_partitions());
+  size_t checked = 0;
+  std::vector<double> scratch;
+  for (size_t p = 0; p < s.num_partitions(); ++p) {
+    ASSERT_EQ(s.neighbor_similarity[p].size(), s.neighbors[p].size()) << p;
+    if (s.neighbors[p].empty()) continue;
+    ASSERT_EQ(s.slot_of_partition[p], IndexStructure::kNoSlot) << p;
+    ASSERT_EQ(s.members[p].size(), 1u) << p;
+    const std::vector<double>& member = s.vectors[s.members[p][0]];
+    for (size_t k = 0; k < s.neighbors[p].size(); ++k) {
+      const std::vector<double>& rep =
+          s.vectors[s.scored_models[s.neighbors[p][k]]];
+      EXPECT_EQ(s.neighbor_similarity[p][k],
+                PerformanceSimilarity(member.data(), rep.data(),
+                                      member.size(), s.similarity_top_k,
+                                      scratch))
+          << "partition " << p << " neighbor " << k;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u) << "no propagation-only partition to check";
+}
+
+TEST(IndexEquivalenceTest, StoredEq4WeightsEqualPerQuerySimilarity) {
+  // The exact index over each paper clustering: every slot listed.
+  for (TaskDomain domain : {TaskDomain::kNLP, TaskDomain::kCV}) {
+    SCOPED_TRACE(ToString(domain));
+    auto artifacts = serve::ServiceArtifacts::Build(domain);
+    ASSERT_TRUE(artifacts.ok()) << artifacts.status().message();
+    auto index = IndexFromClustering(artifacts->matrix, artifacts->clustering);
+    ASSERT_TRUE(index.ok()) << index.status().message();
+    ExpectStoredEq4Weights(index->structure());
+  }
+  // A bounded IVF: the 4 most similar slots, chosen by the same values.
+  const World world = MakeWorld(120, 31);
+  IvfIndexOptions options;
+  options.propagation_neighbors = 4;
+  auto ivf = IvfIndex::Build(world.matrix->ModelVectors(),
+                             world.matrix->ModelAverageAccuracies(), options);
+  ASSERT_TRUE(ivf.ok()) << ivf.status().message();
+  for (const std::vector<size_t>& list : ivf->structure().neighbors) {
+    EXPECT_LE(list.size(), 4u);
+  }
+  ExpectStoredEq4Weights(ivf->structure());
 }
 
 TEST(IndexEquivalenceTest, PartialProbeChargesExactlyNprobe) {

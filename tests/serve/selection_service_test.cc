@@ -6,13 +6,36 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace tps {
 namespace serve {
 namespace {
+
+/// Holds every admitted request in ServiceOptions::pre_handle_hook until
+/// Release(); WaitEntered() returns once the first one is inside. Latches
+/// only, so a hook test never depends on how long anything takes.
+class HookGate {
+ public:
+  std::function<void()> Hook() {
+    return [this] {
+      if (!first_entered_.exchange(true)) entered_.count_down();
+      released_.wait();
+    };
+  }
+  void WaitEntered() { entered_.wait(); }
+  void Release() { released_.count_down(); }
+
+ private:
+  std::atomic<bool> first_entered_{false};
+  std::latch entered_{1};
+  std::latch released_{1};
+};
 
 class SelectionServiceTest : public testing::Test {
  protected:
@@ -146,24 +169,17 @@ TEST_F(SelectionServiceTest, SubmitDrainsThroughWorkers) {
 
 TEST_F(SelectionServiceTest, FullQueueRejectsImmediately) {
   MetricsRegistry metrics;
-  std::atomic<bool> hold{true};
-  std::atomic<int> in_hook{0};
+  HookGate gate;
   ServiceOptions options;
   options.worker_threads = 1;
   options.max_queue = 2;
   options.metrics = &metrics;
-  options.pre_handle_hook = [&] {
-    in_hook.fetch_add(1);
-    while (hold.load()) std::this_thread::sleep_for(
-        std::chrono::milliseconds(1));
-  };
+  options.pre_handle_hook = gate.Hook();
   auto service = MakeService(options);
 
   // First request: the worker dequeues it and parks in the hook.
   auto f1 = service->Submit(Request("mnli"));
-  while (in_hook.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  gate.WaitEntered();
   // Queue is now empty; fill it to capacity.
   auto f2 = service->Submit(Request("mnli"));
   auto f3 = service->Submit(Request("boolq"));
@@ -183,7 +199,7 @@ TEST_F(SelectionServiceTest, FullQueueRejectsImmediately) {
             std::string::npos);
   EXPECT_LT(reject_ms, 1000.0);  // Rejection never waits for the pipeline.
 
-  hold.store(false);
+  gate.Release();
   EXPECT_TRUE(f1.get().status.ok());
   EXPECT_TRUE(f2.get().status.ok());
   EXPECT_TRUE(f3.get().status.ok());
@@ -201,32 +217,29 @@ TEST_F(SelectionServiceTest, DeadlineBurnsWhileQueued) {
   // deadline in the queue is answered DeadlineExceeded without ever
   // touching the pipeline.
   MetricsRegistry metrics;
-  std::atomic<bool> hold{true};
-  std::atomic<int> in_hook{0};
+  HookGate gate;
   ServiceOptions options;
   options.worker_threads = 1;
   options.metrics = &metrics;
-  options.pre_handle_hook = [&] {
-    in_hook.fetch_add(1);
-    while (hold.load()) std::this_thread::sleep_for(
-        std::chrono::milliseconds(1));
-  };
+  options.pre_handle_hook = gate.Hook();
   auto service = MakeService(options);
 
   auto blocker = service->Submit(Request("mnli"));  // No deadline.
-  while (in_hook.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  gate.WaitEntered();
+  // A 1 ns deadline: admitted (the queue has room), and long expired by
+  // the time the held slot frees up, without the test waiting on a clock.
   SelectionRequest doomed = Request("boolq");
-  doomed.deadline_ms = 5.0;
+  doomed.deadline_ms = 1e-6;
   auto f = service->Submit(std::move(doomed));
-  // Let the 5 ms deadline expire while the request sits in the queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  hold.store(false);
+  EXPECT_EQ(service->queue_depth(), 1u);
+  gate.Release();
 
   EXPECT_TRUE(blocker.get().status.ok());
   const SelectionResponse response = f.get();
   EXPECT_TRUE(response.status.IsDeadlineExceeded())
+      << response.status.ToString();
+  // It expired before the pipeline started.
+  EXPECT_NE(response.status.message().find("admission"), std::string::npos)
       << response.status.ToString();
   EXPECT_TRUE(response.selected_model.empty());
   EXPECT_EQ(service->Stats().deadline_exceeded, 1u);
@@ -234,31 +247,27 @@ TEST_F(SelectionServiceTest, DeadlineBurnsWhileQueued) {
 
 TEST_F(SelectionServiceTest, ShutdownAnswersAbandonedRequests) {
   MetricsRegistry metrics;
-  std::atomic<bool> hold{true};
-  std::atomic<int> in_hook{0};
+  HookGate gate;
   ServiceOptions options;
   options.worker_threads = 1;
   options.metrics = &metrics;
-  options.pre_handle_hook = [&] {
-    in_hook.fetch_add(1);
-    while (hold.load()) std::this_thread::sleep_for(
-        std::chrono::milliseconds(1));
-  };
+  options.pre_handle_hook = gate.Hook();
   auto service = MakeService(options);
 
   auto f1 = service->Submit(Request("mnli"));
-  while (in_hook.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  gate.WaitEntered();
   auto f2 = service->Submit(Request("boolq"));
   auto f3 = service->Submit(Request("mnli"));
+  EXPECT_EQ(service->queue_depth(), 2u);
 
   // Destroy the service from another thread: the destructor swaps the
   // queue out (f2/f3 become abandoned) and then blocks joining the worker
-  // we are holding; release it once the destruction is underway.
+  // we are holding. Its members live until that join returns, so the
+  // emptied queue is observable; release the worker once it is.
+  SelectionService* const dying = service.get();
   std::thread destroyer([&] { service.reset(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  hold.store(false);
+  while (dying->queue_depth() != 0) std::this_thread::yield();
+  gate.Release();
   destroyer.join();
 
   EXPECT_TRUE(f1.get().status.ok());
@@ -321,6 +330,75 @@ TEST_F(SelectionServiceTest, CacheWarmsAcrossRequests) {
   EXPECT_EQ(warm.selected_model, cold.selected_model);
   EXPECT_EQ(warm.selected_accuracy, cold.selected_accuracy);
   EXPECT_EQ(metrics.counter("proxy_cache.hits").value(), warm.cache_hits);
+}
+
+TEST_F(SelectionServiceTest, ConcurrentRequestsReportOnlyTheirOwnLookups) {
+  // Per-reply cache counts are counted per fetch inside recall, not read
+  // off the shared cache's global counters, so two requests running at
+  // once never count each other's lookups.
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.worker_threads = 2;
+  options.metrics = &metrics;
+  auto service = MakeService(options);
+  const SelectionResponse cold = service->Serve(Request("mnli"));
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  const uint64_t lookups = cold.cache_misses;
+  ASSERT_GT(lookups, 0u);
+  ASSERT_EQ(cold.cache_hits, 0u);
+
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE(round);
+    const uint64_t hits_before = service->cache()->hits();
+    // Both requests leave the latch together, each on its own run slot.
+    std::latch start(2);
+    std::vector<SelectionResponse> responses(2);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < 2; ++i) {
+      callers.emplace_back([&, i] {
+        start.arrive_and_wait();
+        responses[i] = service->Serve(Request("mnli"));
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (const SelectionResponse& response : responses) {
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(response.cache_hits, lookups);
+      EXPECT_EQ(response.cache_misses, 0u);
+    }
+    EXPECT_EQ(service->cache()->hits() - hits_before, 2 * lookups);
+  }
+}
+
+TEST_F(SelectionServiceTest, ServeRunsOnTheCallerWhenASlotIsFree) {
+  MetricsRegistry metrics;
+  std::mutex mu;
+  std::vector<std::thread::id> runners;
+  ServiceOptions options;
+  options.worker_threads = 1;
+  options.metrics = &metrics;
+  options.pre_handle_hook = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    runners.push_back(std::this_thread::get_id());
+  };
+  auto service = MakeService(options);
+
+  // A free slot and an empty queue: Serve runs the pipeline right here.
+  const SelectionResponse served = service->Serve(Request("mnli"));
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  // Submit always hands the request to a worker.
+  const SelectionResponse submitted = service->Submit(Request("mnli")).get();
+  ASSERT_TRUE(submitted.status.ok()) << submitted.status.ToString();
+  EXPECT_EQ(served.selected_model, submitted.selected_model);
+
+  ASSERT_EQ(runners.size(), 2u);
+  EXPECT_EQ(runners[0], std::this_thread::get_id());
+  EXPECT_NE(runners[1], std::this_thread::get_id());
+  // Both paths record their queue wait.
+  EXPECT_EQ(metrics.histogram("serve.queue_wait_us").count(), 2u);
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.completed, 2u);
 }
 
 TEST_F(SelectionServiceTest, CacheDisabledStillServes) {

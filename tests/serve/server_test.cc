@@ -6,8 +6,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +62,26 @@ class SelectionServerTest : public testing::Test {
     auto reply = socket.RecvLine(buffer);
     EXPECT_TRUE(reply.ok()) << reply.status().ToString();
     return reply.ok() ? *reply : "";
+  }
+
+  /// Starts a Unix-socket server over `service`.
+  std::unique_ptr<SelectionServer> StartUnixFor(SelectionService* service,
+                                                const std::string& path) {
+    ServerOptions options;
+    options.unix_path = path;
+    auto server_or = SelectionServer::Start(service, options);
+    EXPECT_TRUE(server_or.ok()) << server_or.status().ToString();
+    return server_or.ok() ? std::move(*server_or) : nullptr;
+  }
+
+  /// The serve counters' conservation laws: every request has exactly one
+  /// admission outcome, and every admitted request exactly one result.
+  static void ExpectConservation(MetricsRegistry& metrics,
+                                 const ServiceStats& stats) {
+    EXPECT_EQ(stats.admitted + stats.rejected,
+              metrics.counter("serve.requests").value());
+    EXPECT_EQ(stats.completed + stats.deadline_exceeded + stats.errors,
+              stats.admitted);
   }
 
   static ServiceArtifacts* artifacts_;
@@ -394,6 +418,135 @@ TEST_F(SelectionServerTest, ShutdownWithLiveConnectionUnblocksIt) {
   // The peer observes the close as EOF.
   auto eof = client->RecvLine(&buffer);
   EXPECT_FALSE(eof.ok());
+}
+
+// A socket select is admission-controlled. With the only run slot held
+// and a one-deep queue, the next connection's select queues, the one after
+// is refused at once with the queue-full error line, and both admitted
+// selects answer once the slot is released.
+TEST_F(SelectionServerTest, SocketSelectsQueueThenRejectWhenFull) {
+  MetricsRegistry metrics;
+  std::atomic<bool> first{true};
+  std::latch entered(1);
+  std::latch release(1);
+  ServiceOptions options;
+  options.worker_threads = 1;
+  options.max_queue = 1;
+  options.metrics = &metrics;
+  options.pre_handle_hook = [&] {
+    if (first.exchange(false)) entered.count_down();
+    release.wait();
+  };
+  auto service_or = SelectionService::Create(*artifacts_, options);
+  ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
+  std::unique_ptr<SelectionService> service = std::move(*service_or);
+  const std::string path = SocketPath("admission");
+  auto server = StartUnixFor(service.get(), path);
+  ASSERT_NE(server, nullptr);
+
+  auto running = ConnectUnix(path);
+  auto queued = ConnectUnix(path);
+  auto refused = ConnectUnix(path);
+  ASSERT_TRUE(running.ok() && queued.ok() && refused.ok());
+  std::string running_buffer, queued_buffer, refused_buffer;
+
+  ASSERT_TRUE(running->SendAll("{\"target\": \"mnli\"}\n").ok());
+  entered.wait();  // The first select holds the only run slot.
+  ASSERT_TRUE(queued->SendAll("{\"target\": \"boolq\"}\n").ok());
+  while (service->queue_depth() != 1) std::this_thread::yield();
+
+  // The slot is still held, so this reply cannot have waited for it.
+  auto rejected = ParseResponseLine(
+      Exchange(*refused, &refused_buffer, R"({"target": "mnli"})"));
+  EXPECT_TRUE(rejected.status().IsUnavailable())
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().message().find("queue full"),
+            std::string::npos);
+
+  release.count_down();
+  auto expect_ok_reply = [](Socket& socket, std::string* buffer) {
+    auto line = socket.RecvLine(buffer);
+    ASSERT_TRUE(line.ok()) << line.status().ToString();
+    auto reply = ParseResponseLine(*line);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
+  };
+  expect_ok_reply(*running, &running_buffer);
+  expect_ok_reply(*queued, &queued_buffer);
+  server->Shutdown();
+
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+  ExpectConservation(metrics, stats);
+}
+
+// Run slots bound connection threads and workers together: eight
+// connections selecting at once never have more than worker_threads
+// requests past admission and into the pipeline; the rest queue.
+TEST_F(SelectionServerTest, RunSlotsBoundConcurrentSocketSelects) {
+  constexpr int kClients = 8;
+  constexpr int kSlots = 2;
+  MetricsRegistry metrics;
+  std::mutex mu;
+  int inside = 0;
+  int max_inside = 0;
+  std::atomic<int> arrivals{0};
+  std::latch slots_full(kSlots);
+  std::latch release(1);
+  ServiceOptions options;
+  options.worker_threads = kSlots;
+  options.metrics = &metrics;
+  options.pre_handle_hook = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      max_inside = std::max(max_inside, ++inside);
+    }
+    if (arrivals.fetch_add(1) < kSlots) slots_full.count_down();
+    release.wait();
+    std::lock_guard<std::mutex> lock(mu);
+    --inside;
+  };
+  auto service_or = SelectionService::Create(*artifacts_, options);
+  ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
+  std::unique_ptr<SelectionService> service = std::move(*service_or);
+  const std::string path = SocketPath("slots");
+  auto server = StartUnixFor(service.get(), path);
+  ASSERT_NE(server, nullptr);
+
+  std::vector<std::thread> clients;
+  std::atomic<int> ok_replies{0};
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      auto client = ConnectUnix(path);
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      std::string buffer;
+      auto reply = ParseResponseLine(Exchange(
+          *client, &buffer,
+          i % 2 == 0 ? R"({"target": "mnli"})" : R"({"target": "boolq"})"));
+      if (reply.ok() && reply->status.ok()) ok_replies.fetch_add(1);
+    });
+  }
+  slots_full.wait();
+  while (service->queue_depth() != kClients - kSlots) {
+    std::this_thread::yield();
+  }
+  {
+    // Six selects wait in the queue while two hold the slots.
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(inside, kSlots);
+  }
+  release.count_down();
+  for (std::thread& client : clients) client.join();
+  server->Shutdown();
+
+  EXPECT_EQ(ok_replies.load(), kClients);
+  EXPECT_EQ(max_inside, kSlots);
+  const ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kClients));
+  ExpectConservation(metrics, stats);
 }
 
 }  // namespace
