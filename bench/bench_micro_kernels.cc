@@ -3,11 +3,9 @@
 // distances, k-means, hierarchical clustering, and the fine-tune
 // simulator. These are the per-call costs the online phase pays.
 //
-// Each proxy scorer runs twice — once with the retained scalar reference
-// kernels, once with the batched SoA kernels that are the production
-// default — so a run reports the vectorization speedup directly. A custom
-// main mirrors every measured time into the BENCH_micro_kernels.json
-// sidecar (see bench/telemetry.h) alongside the per-kernel speedups.
+// Each proxy scorer is timed as production runs it, through
+// MakeProxyScorer. A custom main mirrors every measured time into the
+// BENCH_micro_kernels.json sidecar (see bench/telemetry.h).
 
 #include <benchmark/benchmark.h>
 
@@ -23,11 +21,7 @@
 #include "model/paper_zoo.h"
 #include "model/zoo.h"
 #include "sim/finetune_simulator.h"
-#include "transfer/kernels.h"
-#include "transfer/knn_proxy.h"
-#include "transfer/leep.h"
-#include "transfer/logme.h"
-#include "transfer/nce.h"
+#include "transfer/proxy_scorer.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -58,49 +52,19 @@ const PretrainedModel& Model() {
   return *model;
 }
 
-void BM_LeepScore(benchmark::State& state, kernels::KernelMode mode) {
-  LeepScorer scorer(mode);
+void BM_ProxyScore(benchmark::State& state, const char* name) {
+  auto scorer = MakeProxyScorer(name);
+  TPS_CHECK_OK(scorer.status());
   for (auto _ : state) {
-    auto score = scorer.Score(Model(), TargetDataset());
+    auto score = (*scorer)->Score(Model(), TargetDataset());
     TPS_CHECK_OK(score.status());
     benchmark::DoNotOptimize(*score);
   }
 }
-BENCHMARK_CAPTURE(BM_LeepScore, Reference, kernels::KernelMode::kReference);
-BENCHMARK_CAPTURE(BM_LeepScore, Batched, kernels::KernelMode::kBatched);
-
-void BM_NceScore(benchmark::State& state, kernels::KernelMode mode) {
-  NceScorer scorer(mode);
-  for (auto _ : state) {
-    auto score = scorer.Score(Model(), TargetDataset());
-    TPS_CHECK_OK(score.status());
-    benchmark::DoNotOptimize(*score);
-  }
-}
-BENCHMARK_CAPTURE(BM_NceScore, Reference, kernels::KernelMode::kReference);
-BENCHMARK_CAPTURE(BM_NceScore, Batched, kernels::KernelMode::kBatched);
-
-void BM_LogMeScore(benchmark::State& state, kernels::KernelMode mode) {
-  LogMeScorer scorer(mode);
-  for (auto _ : state) {
-    auto score = scorer.Score(Model(), TargetDataset());
-    TPS_CHECK_OK(score.status());
-    benchmark::DoNotOptimize(*score);
-  }
-}
-BENCHMARK_CAPTURE(BM_LogMeScore, Reference, kernels::KernelMode::kReference);
-BENCHMARK_CAPTURE(BM_LogMeScore, Batched, kernels::KernelMode::kBatched);
-
-void BM_KnnScore(benchmark::State& state, kernels::KernelMode mode) {
-  KnnScorer scorer(/*k=*/5, mode);
-  for (auto _ : state) {
-    auto score = scorer.Score(Model(), TargetDataset());
-    TPS_CHECK_OK(score.status());
-    benchmark::DoNotOptimize(*score);
-  }
-}
-BENCHMARK_CAPTURE(BM_KnnScore, Reference, kernels::KernelMode::kReference);
-BENCHMARK_CAPTURE(BM_KnnScore, Batched, kernels::KernelMode::kBatched);
+BENCHMARK_CAPTURE(BM_ProxyScore, leep, "leep");
+BENCHMARK_CAPTURE(BM_ProxyScore, nce, "nce");
+BENCHMARK_CAPTURE(BM_ProxyScore, logme, "logme");
+BENCHMARK_CAPTURE(BM_ProxyScore, knn, "knn");
 
 void BM_FineTuneRun(benchmark::State& state) {
   FineTuneSimulator simulator;
@@ -194,25 +158,8 @@ std::string SanitizedName(std::string name) {
 
 void WriteTelemetry(const TelemetryReporter& reporter) {
   bench::BenchTelemetry telemetry("micro_kernels");
-  const auto find = [&](const std::string& name) -> const double* {
-    for (const auto& [run_name, ns] : reporter.times()) {
-      if (run_name == name) return &ns;
-    }
-    return nullptr;
-  };
   for (const auto& [name, ns] : reporter.times()) {
     telemetry.RecordValue("kernel/" + SanitizedName(name) + "/ns", ns);
-  }
-  for (const char* base :
-       {"BM_LeepScore", "BM_NceScore", "BM_LogMeScore", "BM_KnnScore"}) {
-    const double* reference = find(std::string(base) + "/Reference");
-    const double* batched = find(std::string(base) + "/Batched");
-    if (reference == nullptr || batched == nullptr || *batched <= 0.0) {
-      continue;  // Filtered out via --benchmark_filter; skip the ratio.
-    }
-    telemetry.RecordValue(
-        std::string("kernel/") + base + "/reference_over_batched",
-        *reference / *batched);
   }
   telemetry.WriteFileOrWarn();
 }

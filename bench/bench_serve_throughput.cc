@@ -6,10 +6,9 @@
 // scores for the request mix, the recall phase stops recomputing them.
 //
 // A second experiment measures the cold path itself: a stampede of clients
-// hitting the same never-seen target at once, comparing the
-// pre-vectorization configuration (scalar reference kernels, no request
-// coalescing) against the production default (batched SoA kernels +
-// cross-request proxy coalescing). Its headline is NLP/cold_p50_speedup.
+// hitting the same never-seen target at once, with the proxy-score cache
+// off, so cross-request proxy coalescing is the only thing that collapses
+// the duplicate work.
 
 #include <algorithm>
 #include <atomic>
@@ -97,8 +96,8 @@ LoadResult RunLoad(SelectionService& service,
 
 /// Cold-request stampede: for every target in turn, kStampedeClients
 /// clients submit the identical request simultaneously against a service
-/// with no proxy-score cache. Every measured request is cold; coalescing,
-/// when enabled, is the only thing that collapses the duplicate work. The
+/// with no proxy-score cache. Every measured request is cold; coalescing
+/// is the only thing that collapses the duplicate work. The
 /// requests ask for the full proxy suite — the per-model scoring kernels
 /// are the cold path the stampede is designed to stress.
 LoadResult RunStampede(SelectionService& service,
@@ -215,46 +214,26 @@ void Report() {
   warm_only.stats = warm_stats;
   record("warm_cache", warm_only);
 
-  // Cold-request stampede, pre-vectorization configuration vs the
-  // production default. The cache is disabled for both so every measured
+  // Cold-request stampede. The cache is disabled so every measured
   // request is genuinely cold — otherwise late arrivals in a wave hit
   // entries inserted by early finishers and the run degenerates into the
-  // warm-cache measurement above. With the cache off the old configuration
-  // recomputes every proxy per request; the new one still collapses each
-  // wave to a single computation via the proxy flight group.
+  // warm-cache measurement above. The flight group still collapses each
+  // wave to a single computation per proxy.
   ServiceOptions stampede_options = options;
   stampede_options.worker_threads = kStampedeClients;
   stampede_options.max_queue = 4 * kStampedeClients;
   stampede_options.cache_capacity = 0;
-  LoadResult stampede_old;
-  {
-    ServiceOptions old_options = stampede_options;
-    old_options.kernel_mode = kernels::KernelMode::kReference;
-    old_options.coalesce_proxies = false;
-    auto old_service = ExitIfError(
-        SelectionService::Create(artifacts, old_options),
-        "service (reference kernels, no coalescing)");
-    stampede_old = RunStampede(*old_service, targets);
-    record("stampede_reference_uncoalesced", stampede_old);
-  }
-  auto new_service = ExitIfError(
+  auto stampede_service = ExitIfError(
       SelectionService::Create(artifacts, stampede_options),
-      "service (batched kernels + coalescing)");
-  const LoadResult stampede_new = RunStampede(*new_service, targets);
-  record("stampede_batched_coalesced", stampede_new);
+      "service (stampede)");
+  record("stampede_batched_coalesced",
+         RunStampede(*stampede_service, targets));
 
   table.Print(std::cout);
   const double speedup = warm.p50_ms > 0.0 ? off.p50_ms / warm.p50_ms : 0.0;
   std::cout << "\nwarm-cache p50 speedup vs cache-off: "
             << strings::Format("%.2fx", speedup) << "\n";
   telemetry.RecordValue("NLP/warm_vs_off_p50_speedup", speedup);
-  const double cold_speedup = stampede_new.p50_ms > 0.0
-                                  ? stampede_old.p50_ms / stampede_new.p50_ms
-                                  : 0.0;
-  std::cout << "cold-request p50 speedup (batched + coalesced vs "
-               "reference uncoalesced): "
-            << strings::Format("%.2fx", cold_speedup) << "\n";
-  telemetry.RecordValue("NLP/cold_p50_speedup", cold_speedup);
   telemetry.WriteFileOrWarn();
 }
 

@@ -12,7 +12,7 @@
 #include "data/registry.h"
 #include "model/paper_zoo.h"
 #include "sim/finetune_simulator.h"
-#include "transfer/leep.h"
+#include "transfer/proxy_scorer.h"
 #include "util/logging.h"
 #include "util/stats.h"
 #include "util/string_util.h"
@@ -41,7 +41,9 @@ int main(int argc, char** argv) {
   TPS_CHECK_OK(truth_or.status());
   const std::vector<double>& truth = *truth_or;
 
-  LeepScorer leep;
+  auto leep_or = MakeProxyScorer("leep");
+  TPS_CHECK_OK(leep_or.status());
+  const ProxyScorer& leep = **leep_or;
   std::vector<double> leep_scores(zoo.size());
   for (size_t m = 0; m < zoo.size(); ++m) {
     auto score_or = leep.Score(zoo.model(m), target);

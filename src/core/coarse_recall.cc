@@ -71,17 +71,14 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
     return Status::FailedPrecondition(
         "recall index does not match the zoo size");
   }
+  const std::vector<std::string> names =
+      options.proxies.empty() ? std::vector<std::string>{options.proxy}
+                              : options.proxies;
   std::vector<std::unique_ptr<ProxyScorer>> scorers;
-  if (options.proxies.empty()) {
+  for (const std::string& name : names) {
     TPS_ASSIGN_OR_RETURN(std::unique_ptr<ProxyScorer> scorer,
-                         MakeProxyScorer(options.proxy, options.kernel_mode));
+                         MakeProxyScorer(name));
     scorers.push_back(std::move(scorer));
-  } else {
-    for (const std::string& name : options.proxies) {
-      TPS_ASSIGN_OR_RETURN(std::unique_ptr<ProxyScorer> scorer,
-                           MakeProxyScorer(name, options.kernel_mode));
-      scorers.push_back(std::move(scorer));
-    }
   }
 
   RecallResult result;
@@ -155,56 +152,43 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
     for (size_t si = 0; si < scorers.size(); ++si) {
       const std::unique_ptr<ProxyScorer>& scorer = scorers[si];
       std::vector<double> raw_scores(wave.size(), 0.0);
-      if (pool == nullptr && options.score_cache == nullptr &&
-          options.flight_group == nullptr) {
-        // Serial uncached path: one ScoreBatch call shares the per-target
-        // setup (label extraction, scratch) across every scored model. The
-        // per-model cancellation checks still run — up front, so the check
-        // count matches the per-model loop and no partial scoring precedes
-        // a trip either way.
-        for (size_t i = 0; i < wave.size(); ++i) {
-          TPS_RETURN_NOT_OK(CheckCancel(cancel, "proxy fan-out"));
-        }
-        std::vector<const PretrainedModel*> models;
-        models.reserve(wave.size());
-        for (size_t m : wave) models.push_back(&zoo_->model(m));
-        TPS_ASSIGN_OR_RETURN(raw_scores, scorer->ScoreBatch(models, target));
-      } else {
-        TPS_RETURN_NOT_OK(StatusParallelFor(
-            pool, wave.size(), [&](size_t i) -> Status {
-              TPS_RETURN_NOT_OK(CheckCancel(cancel, "proxy fan-out"));
-              const PretrainedModel& model = zoo_->model(wave[i]);
-              bool hit = false;
-              if (options.flight_group != nullptr) {
-                ProxyCacheKey key;
-                key.dataset_fingerprint = target_fingerprint;
-                key.model = model.name();
-                key.scorer = scorer->name();
-                key.artifact_epoch = options.artifact_epoch;
-                TPS_ASSIGN_OR_RETURN(
-                    raw_scores[i],
-                    options.flight_group->GetOrCompute(
-                        options.score_cache, key,
-                        /*poll_cancel=*/
-                        [&]() {
-                          return CheckCancel(cancel, "proxy flight wait");
-                        },
-                        /*compute=*/
-                        [&]() { return scorer->Score(model, target); },
-                        &hit));
-              } else if (options.score_cache != nullptr) {
-                TPS_ASSIGN_OR_RETURN(
-                    raw_scores[i],
-                    options.score_cache->GetOrCompute(
-                        *scorer, model, target, options.artifact_epoch, &hit));
-              } else {
-                TPS_ASSIGN_OR_RETURN(raw_scores[i],
-                                     scorer->Score(model, target));
-              }
-              count_lookup(hit);
-              return Status::OK();
-            }));
-      }
+      // One fetch per model, serial when `pool` is null. The token is
+      // polled before each model is scored, so a trip never leaves a
+      // partial wave behind.
+      TPS_RETURN_NOT_OK(StatusParallelFor(
+          pool, wave.size(), [&](size_t i) -> Status {
+            TPS_RETURN_NOT_OK(CheckCancel(cancel, "proxy fan-out"));
+            const PretrainedModel& model = zoo_->model(wave[i]);
+            bool hit = false;
+            if (options.flight_group != nullptr) {
+              ProxyCacheKey key;
+              key.dataset_fingerprint = target_fingerprint;
+              key.model = model.name();
+              key.scorer = scorer->name();
+              key.artifact_epoch = options.artifact_epoch;
+              TPS_ASSIGN_OR_RETURN(
+                  raw_scores[i],
+                  options.flight_group->GetOrCompute(
+                      options.score_cache, key,
+                      /*poll_cancel=*/
+                      [&]() {
+                        return CheckCancel(cancel, "proxy flight wait");
+                      },
+                      /*compute=*/
+                      [&]() { return scorer->Score(model, target); },
+                      &hit));
+            } else if (options.score_cache != nullptr) {
+              TPS_ASSIGN_OR_RETURN(
+                  raw_scores[i],
+                  options.score_cache->GetOrCompute(
+                      *scorer, model, target, options.artifact_epoch, &hit));
+            } else {
+              TPS_ASSIGN_OR_RETURN(raw_scores[i],
+                                   scorer->Score(model, target));
+            }
+            count_lookup(hit);
+            return Status::OK();
+          }));
       raw_per_scorer[si].insert(raw_per_scorer[si].end(), raw_scores.begin(),
                                 raw_scores.end());
     }

@@ -34,6 +34,7 @@ SelectionService::SelectionService(ServiceArtifacts artifacts,
                                           : MetricsRegistry::Default()),
       slot_(std::make_shared<const ArtifactSnapshot>(std::move(artifacts),
                                                      /*version=*/1)),
+      flight_(metrics_),
       requests_counter_(metrics_->counter("serve.requests")),
       admitted_counter_(metrics_->counter("serve.admitted")),
       rejected_counter_(metrics_->counter("serve.rejected")),
@@ -54,9 +55,6 @@ SelectionService::SelectionService(ServiceArtifacts artifacts,
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<ProxyScoreCache>(options_.cache_capacity,
                                                metrics_);
-  }
-  if (options_.coalesce_proxies) {
-    flight_ = std::make_unique<ProxyFlightGroup>(metrics_);
   }
   version_gauge_.Set(1.0);
   workers_.reserve(static_cast<size_t>(options_.worker_threads));
@@ -273,8 +271,7 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
     options.recall.proxy = request.proxy;
     options.recall.proxies = request.proxies;
     options.recall.score_cache = cache_.get();
-    options.recall.flight_group = flight_.get();
-    options.recall.kernel_mode = options_.kernel_mode;
+    options.recall.flight_group = &flight_;
     // Cache/flight entries are tagged with the snapshot's version, so two
     // versions never exchange scores — even for requests racing a swap.
     options.recall.artifact_epoch = snapshot.version;

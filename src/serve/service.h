@@ -19,7 +19,6 @@
 #include "serve/artifact_slot.h"
 #include "serve/artifacts.h"
 #include "sim/finetune_simulator.h"
-#include "transfer/kernels.h"
 #include "transfer/proxy_flight.h"
 #include "transfer/score_cache.h"
 #include "util/metrics.h"
@@ -51,16 +50,6 @@ struct ServiceOptions {
   /// Default per-request deadline in milliseconds; 0 = no deadline.
   /// Requests may override per call.
   double default_deadline_ms = 0.0;
-  /// Cross-request proxy coalescing: concurrent requests needing the same
-  /// (target, model, scorer) proxy share one computation (single-flight on
-  /// the cache key, with cancellation-safe leader handoff). Bit-identical
-  /// to independent computation — tests/serve/coalescing_test.cc — so this
-  /// only changes cost, never answers.
-  bool coalesce_proxies = true;
-  /// Kernel family for the proxy hot path (forwarded to
-  /// RecallOptions::kernel_mode). kBatched = SoA vectorized kernels;
-  /// kReference = original scalar loops. Bit-identical by contract.
-  kernels::KernelMode kernel_mode = kernels::KernelMode::kBatched;
   /// Metrics sink; nullptr -> MetricsRegistry::Default().
   MetricsRegistry* metrics = nullptr;
   /// Test-only hook: invoked immediately before an admitted request starts
@@ -154,9 +143,12 @@ struct ServiceStats {
 };
 
 /// The embeddable serving layer: owns the published artifact versions, the
-/// shared pipeline ThreadPool, the proxy-score cache, and a bounded request
-/// queue with admission control, and answers many concurrent selection
-/// requests without reloading anything per call.
+/// shared pipeline ThreadPool, the proxy-score cache, the proxy flight
+/// group (concurrent requests needing the same proxy always share one
+/// computation — bit-identical to computing alone,
+/// tests/serve/coalescing_test.cc), and a bounded request queue with
+/// admission control, and answers many concurrent selection requests
+/// without reloading anything per call.
 ///
 /// Three entry points:
 ///  - Handle(): synchronous, runs the pipeline on the calling thread
@@ -237,7 +229,7 @@ class SelectionService {
   /// Version of the currently published artifacts (starts at 1).
   uint64_t artifact_version() const { return slot_.version(); }
   ProxyScoreCache* cache() { return cache_.get(); }
-  ProxyFlightGroup* flight_group() { return flight_.get(); }
+  ProxyFlightGroup* flight_group() { return &flight_; }
   size_t queue_depth() const;
 
  private:
@@ -285,7 +277,8 @@ class SelectionService {
   ArtifactSlot slot_;
   std::unique_ptr<ThreadPool> pool_;      // Null when pipeline_threads == 1.
   std::unique_ptr<ProxyScoreCache> cache_;  // Null when capacity == 0.
-  std::unique_ptr<ProxyFlightGroup> flight_;  // Null when coalescing is off.
+  /// Coalesces concurrent requests' identical proxy computations.
+  ProxyFlightGroup flight_;
 
   /// Serializes Reload callers (version allocation + publish); never held
   /// while serving.

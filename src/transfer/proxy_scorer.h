@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "matrix/matrix.h"
 #include "model/pretrained_model.h"
-#include "transfer/kernels.h"
 #include "util/statusor.h"
 
 namespace tps {
@@ -30,25 +30,54 @@ class ProxyScorer {
   /// differ.
   virtual StatusOr<double> Score(const PretrainedModel& model,
                                  const Dataset& target) const = 0;
-
-  /// Batched entry point: scores every model against the same target,
-  /// sharing per-target setup (label extraction, scratch) across models.
-  /// Result order matches `models`. Bit-identical to calling Score() in a
-  /// loop — the parallel-equivalence suite compares the two paths with ==.
-  /// The base implementation is that loop; the concrete scorers override
-  /// it with the shared-setup version.
-  virtual StatusOr<std::vector<double>> ScoreBatch(
-      const std::vector<const PretrainedModel*>& models,
-      const Dataset& target) const;
 };
 
-/// Constructs a scorer by name; InvalidArgument for unknown names. `mode`
-/// selects the kernel family every score is computed with (bit-identical
-/// by contract; kReference retains the scalar loops for the differential
-/// harness).
+/// Constructs a scorer by name; InvalidArgument for unknown names. "leep"
+/// and "nce" score the model's predictive distributions on the target,
+/// "logme" and "knn" (k = 5) its penultimate-layer features.
 StatusOr<std::unique_ptr<ProxyScorer>> MakeProxyScorer(
-    const std::string& name,
-    kernels::KernelMode mode = kernels::KernelMode::kBatched);
+    const std::string& name);
+
+/// Log Expected Empirical Prediction (Nguyen et al., ICML 2020), computed
+/// exactly from source-model predictions:
+///
+///   P(y, z) = (1/n) sum_i theta_z(x_i) * 1[y_i = y]     (empirical joint)
+///   P(y | z) = P(y, z) / P(z)
+///   LEEP    = (1/n) sum_i log( sum_z P(y_i | z) * theta_z(x_i) )
+///
+/// `predictions` is row-stochastic (n examples x Z source labels); `labels`
+/// holds target labels in [0, num_target_labels). Returns a value in
+/// (-inf, 0]; higher means better transferability.
+StatusOr<double> LeepFromPredictions(const Matrix& predictions,
+                                     const std::vector<int>& labels,
+                                     int num_target_labels);
+
+/// Negative Conditional Entropy (Tran et al., ICCV 2019): uses hard source
+/// predictions z_i = argmax_z theta_z(x_i) and scores transferability as
+/// -H(Y | Z) under the empirical joint of (y_i, z_i). In [-log|Y|, 0];
+/// higher is better.
+StatusOr<double> NceFromPredictions(const Matrix& predictions,
+                                    const std::vector<int>& labels,
+                                    int num_target_labels);
+
+/// LogME (You et al., ICML 2021): the log marginal evidence of a Bayesian
+/// linear regression from model features to (one-hot) target labels,
+/// maximized over the prior/noise precisions (alpha, beta) by fixed-point
+/// iteration, averaged over classes and normalized by the sample count.
+/// Higher is better. `features` is n examples x D dimensions; `labels` in
+/// [0, num_target_labels).
+StatusOr<double> LogMeFromFeatures(const Matrix& features,
+                                   const std::vector<int>& labels,
+                                   int num_target_labels);
+
+/// kNN proxy (Renggli et al., CVPR 2022): leave-one-out k-nearest-neighbour
+/// classification accuracy over the model's features on the target dataset.
+/// Approximates post-fine-tuning accuracy directly; in [0, 1], higher is
+/// better. More faithful than LEEP but needs the pairwise distance pass the
+/// paper calls out as "extra training".
+StatusOr<double> KnnLeaveOneOutAccuracy(const Matrix& features,
+                                        const std::vector<int>& labels,
+                                        int k);
 
 /// Min-max normalizes scores to [0, 1] (the paper normalizes LEEP before
 /// combining it with the prior accuracy in the recall score). A constant

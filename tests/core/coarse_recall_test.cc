@@ -4,9 +4,13 @@
 
 #include "core/evaluation.h"
 #include "data/registry.h"
+#include "index/ivf_index.h"
 #include "index/reference_recall.h"
 #include "model/paper_zoo.h"
+#include "transfer/proxy_flight.h"
+#include "transfer/score_cache.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace tps {
 namespace {
@@ -215,6 +219,79 @@ TEST_F(CoarseRecallTest, WorksWithAllProxyScorers) {
   EXPECT_TRUE(recall.Recall(*target_, bad, nullptr)
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST_F(CoarseRecallTest, ProxyLookupsEqualProxiesTimesScorers) {
+  // Every fetch that consults the cache counts exactly one hit or one
+  // miss, whatever carries it — the cache alone or a flight group in front
+  // of it, serial or pooled, one scorer or two, one probe wave or the
+  // adaptive two-wave probe of a novel target: hits + misses ==
+  // proxies_computed x scorers. Without a cache nothing is counted, with a
+  // flight group or without.
+  auto ivf = IvfIndex::Build(matrix_->ModelVectors(),
+                             matrix_->ModelAverageAccuracies(),
+                             IvfIndexOptions());
+  ASSERT_TRUE(ivf.ok()) << ivf.status().message();
+  const size_t scored = ivf->structure().scored_partitions.size();
+  ASSERT_GE(scored, 4u);
+  struct Probe {
+    const Dataset* target;
+    const RecallIndex* index;
+    size_t nprobe;
+    size_t expected_proxies;
+  };
+  const Probe probes[] = {
+      // A benchmark column: one wave over the exact index.
+      {registry_->Benchmarks(TaskDomain::kNLP).front(), nullptr, 0,
+       clustering_->NonSingletonClusters().size()},
+      // A novel target below full probe: pilots, then routed partitions.
+      {target_, &*ivf, scored / 2, scored / 2},
+  };
+  CoarseRecall recall(zoo_, matrix_, clustering_);
+  ThreadPool four(4);
+  const std::vector<std::vector<std::string>> proxy_sets = {
+      {}, {"leep", "logme"}};
+  for (const Probe& probe : probes) {
+    for (const std::vector<std::string>& proxies : proxy_sets) {
+      const size_t num_scorers = proxies.empty() ? 1 : proxies.size();
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+        for (bool with_cache : {false, true}) {
+          for (bool with_flight : {false, true}) {
+            SCOPED_TRACE(probe.target->name() + " scorers=" +
+                         std::to_string(num_scorers) +
+                         (pool != nullptr ? " pool" : " serial") +
+                         (with_cache ? " cache" : "") +
+                         (with_flight ? " flight" : ""));
+            MetricsRegistry metrics;
+            ProxyScoreCache cache(256, &metrics);
+            ProxyFlightGroup flight(&metrics);
+            RecallOptions options;
+            options.proxies = proxies;
+            options.index = probe.index;
+            options.nprobe = probe.nprobe;
+            options.score_cache = with_cache ? &cache : nullptr;
+            options.flight_group = with_flight ? &flight : nullptr;
+            for (int round = 0; round < 2; ++round) {  // Cold, then warm.
+              auto result = recall.Recall(*probe.target, options, nullptr,
+                                          pool, &metrics);
+              ASSERT_TRUE(result.ok()) << result.status().message();
+              EXPECT_EQ(result->proxies_computed, probe.expected_proxies);
+              if (!with_cache) {
+                EXPECT_EQ(result->cache_hits, 0u);
+                EXPECT_EQ(result->cache_misses, 0u);
+                continue;
+              }
+              EXPECT_EQ(result->cache_hits + result->cache_misses,
+                        result->proxies_computed * num_scorers);
+              EXPECT_EQ(round == 0 ? result->cache_hits
+                                   : result->cache_misses,
+                        0u);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(CoarseRecallTest, DeterministicAcrossCalls) {

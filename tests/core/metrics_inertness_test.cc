@@ -158,45 +158,6 @@ TEST_P(MetricsInertnessTest, InstrumentedParallelMatchesNoOpSerial) {
   }
 }
 
-TEST_P(MetricsInertnessTest, KernelModeIsInertUnderInstrumentation) {
-  // Full cross product on both paper domains: kernel mode (reference /
-  // batched) x instrumentation (no-op / live) x execution (serial /
-  // parallel) all collapse to one bit-identical report. Metrics stay pure
-  // observation and the SoA kernels stay a pure performance toggle even
-  // when both vary at once.
-  const PaperWorld world = MakePaperWorld(GetParam());
-  FineTuneSimulator simulator;
-  TwoPhaseSelector selector(&world.zoo, &world.matrix, &world.clustering,
-                            &simulator);
-  const Dataset* target = world.registry.Targets(GetParam()).front();
-
-  MetricsRegistry disabled(/*enabled=*/false);
-  TwoPhaseOptions baseline_options;
-  baseline_options.metrics = &disabled;
-  baseline_options.recall.kernel_mode = kernels::KernelMode::kReference;
-  const TwoPhaseReport baseline =
-      *selector.Select(*target, baseline_options, world.hp);
-
-  ThreadPool pool(7);
-  for (kernels::KernelMode mode :
-       {kernels::KernelMode::kReference, kernels::KernelMode::kBatched}) {
-    for (ThreadPool* pool_ptr : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      MetricsRegistry live;
-      SelectionTrace trace;
-      TwoPhaseOptions options;
-      options.metrics = &live;
-      options.trace = &trace;
-      options.recall.kernel_mode = mode;
-      const TwoPhaseReport report =
-          *selector.Select(*target, options, world.hp, pool_ptr);
-      ExpectBitIdentical(baseline, report,
-                         std::string(kernels::ToString(mode)) +
-                             (pool_ptr != nullptr ? " parallel" : " serial"));
-      EXPECT_EQ(live.counter("two_phase.runs").value(), 1u);
-    }
-  }
-}
-
 TEST_P(MetricsInertnessTest, TraceIsIdenticalAcrossRepeatsAndThreadCounts) {
   // The trace itself is part of the determinism contract: same input, same
   // trace, bit for bit, serial or parallel (wall_ms excluded — scrubbed to

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "clustering/distance.h"
-#include "transfer/proxy_scorer.h"
+#include "transfer/reference_kernels.h"
 
 namespace tps {
 
@@ -28,7 +28,7 @@ StatusOr<RecallResult> ReferenceRecall(const ModelZoo& zoo,
   std::vector<std::unique_ptr<ProxyScorer>> scorers;
   for (const std::string& name : names) {
     TPS_ASSIGN_OR_RETURN(std::unique_ptr<ProxyScorer> scorer,
-                         MakeProxyScorer(name, options.kernel_mode));
+                         MakeReferenceProxyScorer(name));
     scorers.push_back(std::move(scorer));
   }
 

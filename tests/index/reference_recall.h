@@ -14,14 +14,15 @@ namespace tps {
 /// Test-only oracle: the paper's coarse recall (Eqs. 2-4) as a direct,
 /// serial sweep over a ModelClustering — no index, no pool, no cache.
 /// Proxy-scores the representatives of the non-singleton clusters (every
-/// representative when no cluster has two members), min-max normalizes
-/// and averages the proxies, gives members of a scored cluster their
+/// representative when no cluster has two members) with the scalar
+/// oracle scorers (MakeReferenceProxyScorer), min-max normalizes and
+/// averages the proxies, gives members of a scored cluster their
 /// representative's score (Eq. 3) and every other model the
 /// similarity-decayed average over the scored representatives (Eq. 4),
-/// then stable-sorts by descending score. Reads `proxy`, `proxies`,
-/// `use_accuracy_prior` and `kernel_mode` from `options`; charges 0.5
-/// epochs per proxy to `budget` (may be null). CoarseRecall's index path
-/// must reproduce it bit for bit.
+/// then stable-sorts by descending score. Reads `proxy`, `proxies` and
+/// `use_accuracy_prior` from `options`; charges 0.5 epochs per proxy to
+/// `budget` (may be null). CoarseRecall's index path must reproduce it bit
+/// for bit.
 StatusOr<RecallResult> ReferenceRecall(const ModelZoo& zoo,
                                        const PerformanceMatrix& matrix,
                                        const ModelClustering& clustering,

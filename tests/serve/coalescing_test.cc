@@ -1,7 +1,8 @@
 // Cross-request proxy coalescing: N concurrent identical queries compute
 // each proxy exactly once; different keys never coalesce; a cancelled
-// leader hands its flight to a live waiter instead of failing it; and
-// coalescing on vs off is bit-identical (it changes cost, never answers).
+// leader hands its flight to a live waiter instead of failing it; and the
+// always-coalescing service answers exactly as the selector run without a
+// cache or flight group (coalescing changes cost, never answers).
 
 #include <atomic>
 #include <chrono>
@@ -393,29 +394,35 @@ TEST_F(CoalescingServiceTest, MixedKeyQueriesDoNotCoalesce) {
 }
 
 TEST_F(CoalescingServiceTest, CoalescingOnEqualsOffBitForBit) {
-  ServiceOptions on;
-  on.worker_threads = 0;
-  ServiceOptions off = on;
-  off.coalesce_proxies = false;
-
-  auto service_on_or = SelectionService::Create(Artifacts(), on);
-  auto service_off_or = SelectionService::Create(Artifacts(), off);
-  ASSERT_TRUE(service_on_or.ok());
-  ASSERT_TRUE(service_off_or.ok());
-  EXPECT_EQ((*service_off_or)->flight_group(), nullptr);
+  // The service always coalesces. Its replies must equal the selector run
+  // on the same snapshot with no cache and no flight group, field by
+  // field.
+  ServiceOptions options;
+  options.worker_threads = 0;
+  auto service_or = SelectionService::Create(Artifacts(), options);
+  ASSERT_TRUE(service_or.ok());
+  auto& service = *service_or;
+  ASSERT_NE(service->flight_group(), nullptr);
+  const std::shared_ptr<const ArtifactSnapshot> snapshot =
+      service->snapshot();
 
   for (const char* target : {"mnli", "sst2", "mnli"}) {
-    const SelectionResponse a = (*service_on_or)->Handle(Request(target));
-    const SelectionResponse b = (*service_off_or)->Handle(Request(target));
+    const SelectionResponse a = service->Handle(Request(target));
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-    ASSERT_TRUE(b.status.ok()) << b.status.ToString();
-    EXPECT_EQ(a.selected_model, b.selected_model);
-    EXPECT_EQ(a.selected_accuracy, b.selected_accuracy);
-    EXPECT_EQ(a.training_epochs, b.training_epochs);
-    EXPECT_EQ(a.inference_epochs, b.inference_epochs);
-    EXPECT_EQ(a.total_epochs, b.total_epochs);
-    EXPECT_EQ(a.survivors_per_stage, b.survivors_per_stage);
+    const Dataset* dataset = *snapshot->artifacts.registry.Find(target);
+    auto b = snapshot->selector.Select(
+        *dataset, TwoPhaseOptions(),
+        Hyperparams::DefaultsFor(dataset->spec().domain));
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    const ModelZoo& zoo = snapshot->artifacts.zoo;
+    EXPECT_EQ(a.selected_model, zoo.model(b->selection.selected_model).name());
+    EXPECT_EQ(a.selected_accuracy, b->selection.selected_accuracy);
+    EXPECT_EQ(a.training_epochs, b->budget.training_epochs());
+    EXPECT_EQ(a.inference_epochs, b->budget.inference_epochs());
+    EXPECT_EQ(a.total_epochs, b->budget.total_epochs());
+    EXPECT_EQ(a.survivors_per_stage, b->selection.survivors_per_stage);
   }
+  EXPECT_GT(service->flight_group()->computes(), 0u);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
-// Differential kernel harness: every vectorized (SoA / batched) kernel on
-// the proxy-scoring hot path is pitted against the retained reference
-// implementation over randomized shapes and adversarial edge cases, and
-// the results must be BIT-IDENTICAL (EXPECT_EQ on doubles, not NEAR).
-// This is the contract that lets the batched kernels ship as the default
-// without touching a single golden snapshot. Runs the comparisons serially
-// and under a ThreadPool (the `kernels` label joins the sanitizer matrix,
-// so TSan sweeps the concurrent section).
+// Differential kernel harness: every production proxy function on the
+// scoring hot path (validation + vectorized SoA kernel) is pitted against
+// the scalar oracle in reference_kernels.* over randomized shapes and
+// adversarial edge cases, and the results must be BIT-IDENTICAL (EXPECT_EQ
+// on doubles, not NEAR). Inputs the production functions reject must fail
+// with the expected status code. This is the contract that lets the
+// batched kernels be the only production path without touching a single
+// golden snapshot. Runs the comparisons serially and under a ThreadPool
+// (the `kernels` label joins the sanitizer matrix, so TSan sweeps the
+// concurrent section).
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,11 +22,8 @@
 #include "matrix/matrix.h"
 #include "matrix/vector_ops.h"
 #include "model/pretrained_model.h"
-#include "transfer/kernels.h"
-#include "transfer/knn_proxy.h"
-#include "transfer/leep.h"
-#include "transfer/logme.h"
-#include "transfer/nce.h"
+#include "transfer/proxy_scorer.h"
+#include "transfer/reference_kernels.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -42,9 +43,9 @@ struct ProxyInputs {
 /// softmax: at ~40 the off-max probabilities land many orders of magnitude
 /// below 1 (denormal-adjacent), stressing the accumulation-order proofs
 /// exactly where floating point is least forgiving. Degenerate shapes
-/// (n == 0, Z == 1, num_target == 1) are legal inputs here; the wrappers
-/// decide what is an error, and the harness asserts BOTH kernel modes
-/// agree on that too.
+/// (n == 0, Z == 1, num_target == 1) are legal inputs here; the
+/// production functions decide what is an error, and the harness asserts
+/// the status code they return.
 ProxyInputs MakeInputs(Rng& rng, size_t n, size_t z, int num_target,
                        double logit_scale) {
   ProxyInputs inputs;
@@ -85,18 +86,27 @@ const std::vector<Shape>& Shapes() {
   return *shapes;
 }
 
-/// Both kernel modes must produce the same ok-bit, the same status code on
-/// error, and bit-identical values on success.
-template <typename Fn>
-void ExpectModesAgree(Fn&& run, const std::string& what) {
-  const StatusOr<double> reference = run(kernels::KernelMode::kReference);
-  const StatusOr<double> batched = run(kernels::KernelMode::kBatched);
-  ASSERT_EQ(reference.ok(), batched.ok()) << what;
-  if (reference.ok()) {
-    EXPECT_EQ(*reference, *batched) << what;
-  } else {
-    EXPECT_EQ(reference.status().code(), batched.status().code()) << what;
-  }
+/// The production function must succeed and match the oracle bit for
+/// bit.
+void ExpectMatchesOracle(const StatusOr<double>& production,
+                         const StatusOr<double>& oracle,
+                         const std::string& what) {
+  ASSERT_TRUE(production.ok())
+      << what << ": " << production.status().ToString();
+  ASSERT_TRUE(oracle.ok()) << what << ": " << oracle.status().ToString();
+  EXPECT_EQ(*production, *oracle) << what;
+}
+
+/// The production function must reject the input with `code`.
+void ExpectFails(const StatusOr<double>& production, StatusCode code,
+                 const std::string& what) {
+  ASSERT_FALSE(production.ok()) << what;
+  EXPECT_EQ(production.status().code(), code)
+      << what << ": " << production.status().ToString();
+}
+
+size_t Target(const ProxyInputs& in) {
+  return static_cast<size_t>(in.num_target);
 }
 
 std::string ShapeName(const Shape& shape, double scale, uint64_t seed) {
@@ -116,11 +126,9 @@ TEST_P(KernelEquivalenceTest, LeepBatchedIsBitIdentical) {
       Rng rng(seed * 7919 + shape.n);
       const ProxyInputs in =
           MakeInputs(rng, shape.n, shape.z, shape.num_target, scale);
-      ExpectModesAgree(
-          [&](kernels::KernelMode mode) {
-            return LeepFromPredictions(in.predictions, in.labels,
-                                       in.num_target, mode);
-          },
+      ExpectMatchesOracle(
+          LeepFromPredictions(in.predictions, in.labels, in.num_target),
+          kernels::LeepReference(in.predictions, in.labels, Target(in)),
           "LEEP " + ShapeName(shape, scale, seed));
     }
   }
@@ -133,11 +141,9 @@ TEST_P(KernelEquivalenceTest, NceBatchedIsBitIdentical) {
       Rng rng(seed * 104729 + shape.z);
       const ProxyInputs in =
           MakeInputs(rng, shape.n, shape.z, shape.num_target, scale);
-      ExpectModesAgree(
-          [&](kernels::KernelMode mode) {
-            return NceFromPredictions(in.predictions, in.labels,
-                                      in.num_target, mode);
-          },
+      ExpectMatchesOracle(
+          NceFromPredictions(in.predictions, in.labels, in.num_target),
+          kernels::NceReference(in.predictions, in.labels, Target(in)),
           "NCE " + ShapeName(shape, scale, seed));
     }
   }
@@ -150,11 +156,9 @@ TEST_P(KernelEquivalenceTest, LogMeBatchedIsBitIdentical) {
       Rng rng(seed * 1299709 + shape.n * 31 + shape.z);
       const ProxyInputs in =
           MakeInputs(rng, shape.n, shape.z, shape.num_target, scale);
-      ExpectModesAgree(
-          [&](kernels::KernelMode mode) {
-            return LogMeFromFeatures(in.features, in.labels, in.num_target,
-                                     mode);
-          },
+      ExpectMatchesOracle(
+          LogMeFromFeatures(in.features, in.labels, in.num_target),
+          kernels::LogMeReference(in.features, in.labels, Target(in)),
           "LogME " + ShapeName(shape, scale, seed));
     }
   }
@@ -168,12 +172,18 @@ TEST_P(KernelEquivalenceTest, KnnBatchedIsBitIdentical) {
         Rng rng(seed * 15485863 + shape.n + static_cast<uint64_t>(k));
         const ProxyInputs in =
             MakeInputs(rng, shape.n, shape.z, shape.num_target, scale);
-        ExpectModesAgree(
-            [&](kernels::KernelMode mode) {
-              return KnnLeaveOneOutAccuracy(in.features, in.labels, k, mode);
-            },
-            "kNN k=" + std::to_string(k) + " " +
-                ShapeName(shape, scale, seed));
+        const std::string what =
+            "kNN k=" + std::to_string(k) + " " + ShapeName(shape, scale, seed);
+        const StatusOr<double> production =
+            KnnLeaveOneOutAccuracy(in.features, in.labels, k);
+        if (shape.n < 2) {  // No neighbour to vote.
+          ExpectFails(production, StatusCode::kInvalidArgument, what);
+          continue;
+        }
+        const size_t kk = std::min<size_t>(static_cast<size_t>(k), shape.n - 1);
+        ExpectMatchesOracle(production,
+                            kernels::KnnReference(in.features, in.labels, kk),
+                            what);
       }
     }
   }
@@ -184,49 +194,73 @@ TEST_P(KernelEquivalenceTest, KnnBatchedIsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(LogitScales, KernelEquivalenceTest,
                          ::testing::Values(2.0, 40.0));
 
-// --- Error-path equivalence -------------------------------------------------
+// --- Error paths -----------------------------------------------------------
 
 TEST(KernelEquivalenceEdgeTest, DegenerateInputsFailIdenticallyInBothModes) {
+  // Each degenerate input is either rejected with the production status
+  // code or, where it is still valid for a proxy, scored bit-identically
+  // to the oracle.
   Rng rng(42);
-  // Empty batch.
+  // Empty batch: every proxy rejects it.
   const ProxyInputs empty = MakeInputs(rng, 0, 3, 2, 2.0);
-  // Target class count of 1 (LEEP/NCE reject; the harness only demands
-  // both modes agree).
+  // Target class count of 1: LEEP/NCE/LogME reject it; kNN ignores the
+  // class count and still scores.
   const ProxyInputs one_class = MakeInputs(rng, 8, 3, 1, 2.0);
-  // Single example (kNN needs a neighbour).
+  // Single example: only kNN, which needs a neighbour, rejects it.
   const ProxyInputs lonely = MakeInputs(rng, 1, 3, 2, 2.0);
-  // Mismatched label vector.
+  // Mismatched label vector: every proxy rejects it.
   const ProxyInputs ragged = [&] {
     ProxyInputs in = MakeInputs(rng, 6, 3, 2, 2.0);
     in.labels.pop_back();
     return in;
   }();
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
 
-  for (const ProxyInputs* in : {&empty, &one_class, &lonely, &ragged}) {
-    ExpectModesAgree(
-        [&](kernels::KernelMode mode) {
-          return LeepFromPredictions(in->predictions, in->labels,
-                                     in->num_target, mode);
-        },
-        "LEEP edge");
-    ExpectModesAgree(
-        [&](kernels::KernelMode mode) {
-          return NceFromPredictions(in->predictions, in->labels,
-                                    in->num_target, mode);
-        },
-        "NCE edge");
-    ExpectModesAgree(
-        [&](kernels::KernelMode mode) {
-          return LogMeFromFeatures(in->features, in->labels, in->num_target,
-                                   mode);
-        },
-        "LogME edge");
-    ExpectModesAgree(
-        [&](kernels::KernelMode mode) {
-          return KnnLeaveOneOutAccuracy(in->features, in->labels, 3, mode);
-        },
-        "kNN edge");
+  for (const ProxyInputs* in : {&empty, &one_class, &ragged}) {
+    ExpectFails(LeepFromPredictions(in->predictions, in->labels,
+                                    in->num_target),
+                kInvalid, "LEEP edge");
+    ExpectFails(NceFromPredictions(in->predictions, in->labels,
+                                   in->num_target),
+                kInvalid, "NCE edge");
+    ExpectFails(LogMeFromFeatures(in->features, in->labels, in->num_target),
+                kInvalid, "LogME edge");
   }
+  for (const ProxyInputs* in : {&empty, &lonely, &ragged}) {
+    ExpectFails(KnnLeaveOneOutAccuracy(in->features, in->labels, 3),
+                kInvalid, "kNN edge");
+  }
+  ExpectMatchesOracle(
+      LeepFromPredictions(lonely.predictions, lonely.labels,
+                          lonely.num_target),
+      kernels::LeepReference(lonely.predictions, lonely.labels,
+                             Target(lonely)),
+      "LEEP single example");
+  ExpectMatchesOracle(
+      NceFromPredictions(lonely.predictions, lonely.labels, lonely.num_target),
+      kernels::NceReference(lonely.predictions, lonely.labels,
+                            Target(lonely)),
+      "NCE single example");
+  ExpectMatchesOracle(
+      LogMeFromFeatures(lonely.features, lonely.labels, lonely.num_target),
+      kernels::LogMeReference(lonely.features, lonely.labels,
+                              Target(lonely)),
+      "LogME single example");
+  ExpectMatchesOracle(
+      KnnLeaveOneOutAccuracy(one_class.features, one_class.labels, 3),
+      kernels::KnnReference(one_class.features, one_class.labels, 3),
+      "kNN one class");
+  // Labels outside [0, num_target) are out of range, not invalid.
+  ProxyInputs stray = MakeInputs(rng, 6, 3, 2, 2.0);
+  stray.labels[2] = 2;
+  ExpectFails(LeepFromPredictions(stray.predictions, stray.labels, 2),
+              StatusCode::kOutOfRange, "LEEP stray label");
+  ExpectFails(NceFromPredictions(stray.predictions, stray.labels, 2),
+              StatusCode::kOutOfRange, "NCE stray label");
+  ExpectFails(LogMeFromFeatures(stray.features, stray.labels, 2),
+              StatusCode::kOutOfRange, "LogME stray label");
+  ExpectFails(KnnLeaveOneOutAccuracy(stray.features, stray.labels, 0),
+              kInvalid, "kNN k = 0");
 }
 
 TEST(KernelEquivalenceEdgeTest, TiedAndDuplicateRowsAgree) {
@@ -239,21 +273,15 @@ TEST(KernelEquivalenceEdgeTest, TiedAndDuplicateRowsAgree) {
                                         {0.4, 0.4, 0.1, 0.1},
                                         {0.1, 0.4, 0.4, 0.1}});
   const std::vector<int> labels = {0, 1, 0, 1, 1};
-  ExpectModesAgree(
-      [&](kernels::KernelMode mode) {
-        return NceFromPredictions(predictions, labels, 2, mode);
-      },
-      "NCE ties");
-  ExpectModesAgree(
-      [&](kernels::KernelMode mode) {
-        return LeepFromPredictions(predictions, labels, 2, mode);
-      },
-      "LEEP ties");
-  ExpectModesAgree(
-      [&](kernels::KernelMode mode) {
-        return KnnLeaveOneOutAccuracy(predictions, labels, 2, mode);
-      },
-      "kNN duplicate rows");
+  ExpectMatchesOracle(NceFromPredictions(predictions, labels, 2),
+                      kernels::NceReference(predictions, labels, 2),
+                      "NCE ties");
+  ExpectMatchesOracle(LeepFromPredictions(predictions, labels, 2),
+                      kernels::LeepReference(predictions, labels, 2),
+                      "LEEP ties");
+  ExpectMatchesOracle(KnnLeaveOneOutAccuracy(predictions, labels, 2),
+                      kernels::KnnReference(predictions, labels, 2),
+                      "kNN duplicate rows");
 }
 
 // --- Forward-pass (SoA) and vector-helper pairs -----------------------------
@@ -349,38 +377,7 @@ TEST(VectorHelperEquivalenceTest, InPlaceHelpersMatchAllocatingOnes) {
   vec::SoftmaxInPlace(scratch.data(), 0);  // Must not crash.
 }
 
-// --- Scorer batching and parallel execution ---------------------------------
-
-TEST(ScoreBatchEquivalenceTest, ScoreBatchMatchesScoreLoop) {
-  auto target = MakeTarget(3, 48);
-  ASSERT_TRUE(target.ok());
-  std::vector<PretrainedModel> models;
-  for (int s : {3, 5, 9}) {
-    auto model = MakeModel(s);
-    ASSERT_TRUE(model.ok());
-    models.push_back(std::move(*model));
-  }
-  std::vector<const PretrainedModel*> pointers;
-  for (const PretrainedModel& m : models) pointers.push_back(&m);
-
-  for (const char* name : {"leep", "nce", "logme", "knn"}) {
-    for (kernels::KernelMode mode :
-         {kernels::KernelMode::kReference, kernels::KernelMode::kBatched}) {
-      auto scorer = MakeProxyScorer(name, mode);
-      ASSERT_TRUE(scorer.ok());
-      auto batch = (*scorer)->ScoreBatch(pointers, *target);
-      ASSERT_TRUE(batch.ok()) << name;
-      ASSERT_EQ(batch->size(), pointers.size());
-      for (size_t i = 0; i < pointers.size(); ++i) {
-        auto single = (*scorer)->Score(*pointers[i], *target);
-        ASSERT_TRUE(single.ok()) << name;
-        EXPECT_EQ((*batch)[i], *single)
-            << name << " model " << i << " mode "
-            << kernels::ToString(mode);
-      }
-    }
-  }
-}
+// --- Parallel execution ----------------------------------------------------
 
 TEST(ParallelKernelEquivalenceTest, ConcurrentBatchedRunsStayBitIdentical) {
   // The batched kernels keep no shared mutable state; N threads computing
@@ -390,33 +387,36 @@ TEST(ParallelKernelEquivalenceTest, ConcurrentBatchedRunsStayBitIdentical) {
   const ProxyInputs in = MakeInputs(rng, 48, 9, 4, 2.0);
 
   const StatusOr<double> leep_serial =
-      LeepFromPredictions(in.predictions, in.labels, in.num_target,
-                          kernels::KernelMode::kBatched);
+      LeepFromPredictions(in.predictions, in.labels, in.num_target);
   const StatusOr<double> nce_serial =
-      NceFromPredictions(in.predictions, in.labels, in.num_target,
-                         kernels::KernelMode::kBatched);
+      NceFromPredictions(in.predictions, in.labels, in.num_target);
   const StatusOr<double> logme_serial =
-      LogMeFromFeatures(in.features, in.labels, in.num_target,
-                        kernels::KernelMode::kBatched);
+      LogMeFromFeatures(in.features, in.labels, in.num_target);
   const StatusOr<double> knn_serial =
-      KnnLeaveOneOutAccuracy(in.features, in.labels, 5,
-                             kernels::KernelMode::kBatched);
+      KnnLeaveOneOutAccuracy(in.features, in.labels, 5);
   ASSERT_TRUE(leep_serial.ok() && nce_serial.ok() && logme_serial.ok() &&
               knn_serial.ok());
+  ExpectMatchesOracle(
+      leep_serial,
+      kernels::LeepReference(in.predictions, in.labels, Target(in)), "LEEP");
+  ExpectMatchesOracle(
+      nce_serial, kernels::NceReference(in.predictions, in.labels, Target(in)),
+      "NCE");
+  ExpectMatchesOracle(
+      logme_serial,
+      kernels::LogMeReference(in.features, in.labels, Target(in)), "LogME");
+  ExpectMatchesOracle(knn_serial,
+                      kernels::KnnReference(in.features, in.labels, 5), "kNN");
 
   constexpr size_t kTrials = 32;
   std::vector<double> leep(kTrials), nce(kTrials), logme(kTrials),
       knn(kTrials);
   ThreadPool pool(4);
   pool.ParallelFor(kTrials, [&](size_t t) {
-    leep[t] = *LeepFromPredictions(in.predictions, in.labels, in.num_target,
-                                   kernels::KernelMode::kBatched);
-    nce[t] = *NceFromPredictions(in.predictions, in.labels, in.num_target,
-                                 kernels::KernelMode::kBatched);
-    logme[t] = *LogMeFromFeatures(in.features, in.labels, in.num_target,
-                                  kernels::KernelMode::kBatched);
-    knn[t] = *KnnLeaveOneOutAccuracy(in.features, in.labels, 5,
-                                     kernels::KernelMode::kBatched);
+    leep[t] = *LeepFromPredictions(in.predictions, in.labels, in.num_target);
+    nce[t] = *NceFromPredictions(in.predictions, in.labels, in.num_target);
+    logme[t] = *LogMeFromFeatures(in.features, in.labels, in.num_target);
+    knn[t] = *KnnLeaveOneOutAccuracy(in.features, in.labels, 5);
   });
   for (size_t t = 0; t < kTrials; ++t) {
     EXPECT_EQ(leep[t], *leep_serial);

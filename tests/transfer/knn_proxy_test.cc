@@ -1,8 +1,7 @@
-#include "transfer/knn_proxy.h"
+#include "transfer/proxy_scorer.h"
 
 #include <gtest/gtest.h>
 
-#include "transfer/proxy_scorer.h"
 #include "util/rng.h"
 
 namespace tps {

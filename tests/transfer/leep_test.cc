@@ -1,4 +1,4 @@
-#include "transfer/leep.h"
+#include "transfer/proxy_scorer.h"
 
 #include <cmath>
 
@@ -110,10 +110,11 @@ TEST(LeepScorerTest, EndToEndOnSimulatedModel) {
   target_spec.num_examples = 120;
   auto target = *Dataset::Create(target_spec);
 
-  LeepScorer scorer;
-  EXPECT_EQ(scorer.name(), "leep");
-  auto aligned_score = scorer.Score(aligned, target);
-  auto misaligned_score = scorer.Score(misaligned, target);
+  auto scorer = MakeProxyScorer("leep");
+  ASSERT_TRUE(scorer.ok());
+  EXPECT_EQ((*scorer)->name(), "leep");
+  auto aligned_score = (*scorer)->Score(aligned, target);
+  auto misaligned_score = (*scorer)->Score(misaligned, target);
   ASSERT_TRUE(aligned_score.ok());
   ASSERT_TRUE(misaligned_score.ok());
   EXPECT_GT(*aligned_score, *misaligned_score);

@@ -1,4 +1,4 @@
-#include "transfer/nce.h"
+#include "transfer/proxy_scorer.h"
 
 #include <cmath>
 

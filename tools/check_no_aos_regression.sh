@@ -2,11 +2,14 @@
 # Static guard against AoS regressions on the proxy-scoring hot path.
 #
 # The vectorized kernels (src/transfer/kernels.cc) own all per-element
-# math; the scorer wrappers validate and dispatch, and the recall-side
-# call sites consume SoA layouts through the vec:: helpers. This script
-# greps for the patterns that would quietly reintroduce the old
-# element-at-a-time structure — it is a tripwire, not a proof, and it
-# runs exit-code-audit style as the `no_aos_regression` ctest.
+# math over contiguous rows and columns; the validating functions and
+# scorers in proxy_scorer.cc check shapes and dispatch, and the
+# recall-side call sites consume SoA layouts through the vec:: helpers.
+# The scalar, element-at-a-time loops live only in the test oracle
+# (tests/transfer/reference_kernels.*). This script greps for the patterns
+# that would quietly reintroduce them — it is a tripwire, not a proof, and
+# it runs exit-code-audit style as the `no_aos_regression` ctest. A file
+# it checks that is missing is a failure, never a pass.
 #
 #   usage: check_no_aos_regression.sh <repo-root>
 
@@ -28,12 +31,21 @@ fail() {
   FAILURES=$((FAILURES + 1))
 }
 
-# 1. Scorer wrappers stay validate-and-dispatch: no Matrix::At element
-#    access — per-element math belongs in kernels.cc.
-for f in leep.cc nce.cc logme.cc knn_proxy.cc proxy_scorer.cc; do
-  hits=$(grep -n "\.At(" "$SRC/transfer/$f" || true)
+# A path a check reads that is missing is a FAIL, never a silent pass.
+require() {
+  [[ -e "$1" ]] && return 0
+  fail "${1#"$ROOT"/} is missing — point this check at its replacement"
+  return 1
+}
+
+# 1. The proxy-scoring files stay off Matrix::At: the kernels stream
+#    contiguous rows and columns, and the scorers only validate and
+#    dispatch.
+for f in kernels.cc proxy_scorer.cc; do
+  require "$SRC/transfer/$f" || continue
+  hits=$(grep -n "\.At(" "$SRC/transfer/$f")
   if [[ -n "$hits" ]]; then
-    fail "src/transfer/$f uses Matrix::At — move the loop into kernels.cc" \
+    fail "src/transfer/$f uses Matrix::At — stream contiguous rows instead" \
          "$hits"
   else
     echo "ok: src/transfer/$f has no element-at-a-time math"
@@ -42,13 +54,16 @@ done
 
 # 2. The SoA forward pass: vec::Dot (the AoS row-by-row dot) must appear in
 #    pretrained_model.cc only inside the retained *Reference section.
-ref_line=$(grep -n "ExtractFeaturesReference(" "$SRC/model/pretrained_model.cc" \
-  | head -1 | cut -d: -f1)
+ref_line=""
+if require "$SRC/model/pretrained_model.cc"; then
+  ref_line=$(grep -n "ExtractFeaturesReference(" \
+    "$SRC/model/pretrained_model.cc" | head -1 | cut -d: -f1)
+fi
 if [[ -z "$ref_line" ]]; then
   fail "pretrained_model.cc: ExtractFeaturesReference definition not found"
 else
   early=$(grep -n "vec::Dot(" "$SRC/model/pretrained_model.cc" \
-    | awk -F: -v ref="$ref_line" '$1 < ref' || true)
+    | awk -F: -v ref="$ref_line" '$1 < ref')
   if [[ -n "$early" ]]; then
     fail "pretrained_model.cc calls vec::Dot on the hot path (before the Reference section at line $ref_line)" \
          "$early"
@@ -57,23 +72,24 @@ else
   fi
 fi
 
-# 3. Reference kernels are a differential-test oracle, not an API: nothing
-#    in src/ outside transfer/ and the model's own Reference pair may call
-#    them. (Tests and benches may — they prove the equivalence.)
+# 3. The reference kernels are a test oracle in tests/transfer/: no
+#    *Reference( function exists anywhere in src/ except the model's own
+#    Reference forward-pass pair (check 2).
+require "$SRC/transfer"
 callers=$(grep -rn "Reference(" "$SRC" --include='*.cc' --include='*.h' \
-  | grep -v "^$SRC/transfer/" \
-  | grep -v "^$SRC/model/pretrained_model\.\(h\|cc\)" || true)
+  | grep -v "^$SRC/model/pretrained_model\.\(h\|cc\):")
 if [[ -n "$callers" ]]; then
-  fail "reference kernels referenced outside src/transfer and the model's Reference pair" \
+  fail "a *Reference( function in src/ outside the model's Reference pair — oracles belong in tests/" \
        "$callers"
 else
-  echo "ok: reference kernels only referenced from src/transfer and pretrained_model"
+  echo "ok: no reference kernel in src/ (oracles live in tests/)"
 fi
 
 # 4. The recall-side call sites that were converted to SoA / row-pointer
 #    form must not regrow Matrix::At loops.
 for f in core/coarse_recall.cc core/task_similarity.cc; do
-  hits=$(grep -n "\.At(" "$SRC/$f" || true)
+  require "$SRC/$f" || continue
+  hits=$(grep -n "\.At(" "$SRC/$f")
   if [[ -n "$hits" ]]; then
     fail "src/$f reintroduced Matrix::At on the recall hot path" "$hits"
   else
