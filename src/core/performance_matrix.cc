@@ -1,8 +1,11 @@
 #include "core/performance_matrix.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -11,6 +14,55 @@
 #include "util/timer.h"
 
 namespace tps {
+
+namespace {
+
+/// A cursor over serialized text that reads lines like std::getline and
+/// numbers like operator>> (skip leading whitespace, then take the longest
+/// valid number), with std::from_chars instead of a stream. Both parse
+/// doubles with correct rounding, so Serialize round trips stay bit-exact.
+class TextCursor {
+ public:
+  explicit TextCursor(std::string_view text) : text_(text) {}
+
+  /// The next line without its '\n'; false (and no line) at end of text.
+  bool Line(std::string_view* line) {
+    if (pos_ >= text_.size()) return false;
+    const size_t end = std::min(text_.find('\n', pos_), text_.size());
+    *line = text_.substr(pos_, end - pos_);
+    pos_ = end + (end < text_.size() ? 1 : 0);
+    return true;
+  }
+
+  template <typename T>
+  bool Number(T* value) {
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+    const char* first = text_.data() + pos_;
+    const char* last = text_.data() + text_.size();
+    const std::from_chars_result result = std::from_chars(first, last, *value);
+    if (result.ec != std::errc()) return false;
+    pos_ += static_cast<size_t>(result.ptr - first);
+    return true;
+  }
+
+  /// Skips one character (the newline after the dimensions line).
+  void SkipOne() {
+    if (pos_ < text_.size()) ++pos_;
+  }
+
+  size_t remaining() const { return text_.size() - pos_; }
+
+ private:
+  static bool IsSpace(char c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+           c == '\f';
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+}  // namespace
 
 StatusOr<PerformanceMatrix> PerformanceMatrix::Build(
     const ModelZoo& zoo, const std::vector<const Dataset*>& benchmarks,
@@ -160,31 +212,38 @@ Status PerformanceMatrix::SaveToFile(const std::string& path) const {
 
 StatusOr<PerformanceMatrix> PerformanceMatrix::Deserialize(
     const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  std::getline(in, header);
+  TextCursor in(text);
+  std::string_view header;
+  in.Line(&header);
   if (header != "tps-performance-matrix v1") {
     return Status::InvalidArgument("bad performance-matrix header");
   }
   size_t num_datasets = 0, num_models = 0;
-  in >> num_datasets >> num_models;
-  in.ignore();  // Trailing newline.
-  if (!in || num_datasets == 0 || num_models == 0) {
+  const bool dims_ok = in.Number(&num_datasets) && in.Number(&num_models);
+  in.SkipOne();  // Trailing newline.
+  // Every name and run record takes at least two bytes, so dimensions the
+  // text cannot hold are malformed (and would otherwise size huge buffers).
+  if (!dims_ok || num_datasets == 0 || num_models == 0 ||
+      num_datasets > text.size() || num_models > text.size() / num_datasets) {
     return Status::InvalidArgument("bad performance-matrix dimensions");
   }
 
   PerformanceMatrix pm;
   pm.dataset_names_.resize(num_datasets);
   for (std::string& name : pm.dataset_names_) {
-    if (!std::getline(in, name) || name.empty()) {
+    std::string_view line;
+    if (!in.Line(&line) || line.empty()) {
       return Status::InvalidArgument("truncated dataset names");
     }
+    name = line;
   }
   pm.model_names_.resize(num_models);
   for (std::string& name : pm.model_names_) {
-    if (!std::getline(in, name) || name.empty()) {
+    std::string_view line;
+    if (!in.Line(&line) || line.empty()) {
       return Status::InvalidArgument("truncated model names");
     }
+    name = line;
   }
 
   pm.accuracy_ = Matrix(num_datasets, num_models);
@@ -192,18 +251,25 @@ StatusOr<PerformanceMatrix> PerformanceMatrix::Deserialize(
   for (size_t entry = 0; entry < num_datasets * num_models; ++entry) {
     size_t di = 0, mi = 0;
     int epochs = 0;
-    if (!(in >> di >> mi >> epochs) || di >= num_datasets ||
-        mi >= num_models || epochs < 1) {
+    if (!(in.Number(&di) && in.Number(&mi) && in.Number(&epochs)) ||
+        di >= num_datasets || mi >= num_models || epochs < 1) {
       return Status::InvalidArgument("truncated run record");
+    }
+    // 2 * epochs values of at least two bytes each (digit + separator).
+    if (static_cast<size_t>(epochs) > (in.remaining() + 1) / 4) {
+      return Status::InvalidArgument("truncated curves");
     }
     TrainingRun run;
     run.dataset_name = pm.dataset_names_[di];
     run.model_name = pm.model_names_[mi];
     run.val_accuracy.resize(static_cast<size_t>(epochs));
     run.test_accuracy.resize(static_cast<size_t>(epochs));
-    for (double& v : run.val_accuracy) in >> v;
-    for (double& v : run.test_accuracy) in >> v;
-    if (!in) return Status::InvalidArgument("truncated curves");
+    for (double& v : run.val_accuracy) {
+      if (!in.Number(&v)) return Status::InvalidArgument("truncated curves");
+    }
+    for (double& v : run.test_accuracy) {
+      if (!in.Number(&v)) return Status::InvalidArgument("truncated curves");
+    }
     pm.accuracy_.At(di, mi) = run.final_test();
     pm.runs_[di * num_models + mi] = std::move(run);
   }

@@ -14,6 +14,40 @@ namespace {
 constexpr double kDomainWeight = 0.6;
 constexpr double kLabelWeight = 0.8;
 constexpr double kNoiseWeight = 0.3;
+
+std::vector<Example> GenerateExamples(
+    const DatasetSpec& spec, uint64_t seed,
+    const std::vector<double>& domain_vector,
+    const std::vector<std::vector<double>>& label_prototypes) {
+  Rng rng(latent::CombineSeeds(seed, latent::HashString("examples")));
+  std::vector<Example> examples;
+  examples.reserve(static_cast<size_t>(spec.num_examples));
+  for (int i = 0; i < spec.num_examples; ++i) {
+    // Round-robin labels so every class is populated even for small sample
+    // counts; real proxy-score sampling is stratified the same way.
+    const int label = i % spec.num_labels;
+    Example ex;
+    ex.label = label;
+    ex.features.resize(latent::kDims);
+    const std::vector<double>& proto =
+        label_prototypes[static_cast<size_t>(label)];
+    // Per-example idiosyncratic direction (unit norm, then scaled), so the
+    // noise weight is relative to the unit-norm signal components. Harder
+    // datasets have noisier examples.
+    const double noise_scale = kNoiseWeight * (0.6 + 0.8 * spec.difficulty);
+    std::vector<double> noise(latent::kDims);
+    for (double& v : noise) v = rng.Normal();
+    vec::NormalizeInPlace(noise);
+    for (size_t d = 0; d < latent::kDims; ++d) {
+      ex.features[d] = kDomainWeight * domain_vector[d] +
+                       kLabelWeight * proto[d] + noise_scale * noise[d];
+    }
+    vec::NormalizeInPlace(ex.features);
+    examples.push_back(std::move(ex));
+  }
+  return examples;
+}
+
 }  // namespace
 
 StatusOr<Dataset> Dataset::Create(const DatasetSpec& spec) {
@@ -44,32 +78,23 @@ StatusOr<Dataset> Dataset::Create(const DatasetSpec& spec) {
     ds.label_prototypes_.push_back(latent::LabelVector(ds.seed_, y));
   }
 
-  Rng rng(latent::CombineSeeds(ds.seed_, latent::HashString("examples")));
-  ds.examples_.reserve(static_cast<size_t>(spec.num_examples));
-  for (int i = 0; i < spec.num_examples; ++i) {
-    // Round-robin labels so every class is populated even for small sample
-    // counts; real proxy-score sampling is stratified the same way.
-    const int label = i % spec.num_labels;
-    Example ex;
-    ex.label = label;
-    ex.features.resize(latent::kDims);
-    const std::vector<double>& proto =
-        ds.label_prototypes_[static_cast<size_t>(label)];
-    // Per-example idiosyncratic direction (unit norm, then scaled), so the
-    // noise weight is relative to the unit-norm signal components. Harder
-    // datasets have noisier examples.
-    const double noise_scale = kNoiseWeight * (0.6 + 0.8 * spec.difficulty);
-    std::vector<double> noise(latent::kDims);
-    for (double& v : noise) v = rng.Normal();
-    vec::NormalizeInPlace(noise);
-    for (size_t d = 0; d < latent::kDims; ++d) {
-      ex.features[d] = kDomainWeight * ds.domain_vector_[d] +
-                       kLabelWeight * proto[d] + noise_scale * noise[d];
-    }
-    vec::NormalizeInPlace(ex.features);
-    ds.examples_.push_back(std::move(ex));
-  }
+  ds.examples_ = std::make_shared<LazyExamples>();
   return ds;
+}
+
+const std::vector<Example>& Dataset::examples() const {
+  static const std::vector<Example> kNone;
+  if (examples_ == nullptr) return kNone;  // Moved-from.
+  std::call_once(examples_->once, [this] {
+    examples_->examples =
+        GenerateExamples(spec_, seed_, domain_vector_, label_prototypes_);
+    examples_->built = true;
+  });
+  return examples_->examples;
+}
+
+bool Dataset::examples_built() const {
+  return examples_ != nullptr && examples_->built;
 }
 
 const std::vector<double>& Dataset::label_prototype(int label) const {

@@ -1,6 +1,9 @@
 #ifndef TPS_DATA_DATASET_H_
 #define TPS_DATA_DATASET_H_
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -17,8 +20,14 @@ struct Example {
   int label = 0;
 };
 
-/// A materialized (simulated) dataset: a spec, a latent domain vector, and
-/// generated labelled examples.
+/// A (simulated) dataset: a spec, a latent domain vector, label prototypes,
+/// and generated labelled examples.
+///
+/// Create builds the spec, domain vector and prototypes; the examples are
+/// built on first read of examples(), once, thread-safely, and shared by
+/// every copy of the Dataset (a copy is a refcount bump, never a rebuild).
+/// Each dataset draws its examples from its own name-seeded Rng, so they
+/// are the same bits whichever copy or thread reads them first.
 ///
 /// Example generation: each label has a prototype direction; an example of
 /// label y is normalize(w_domain * theta_d + w_label * proto_y + w_noise *
@@ -33,8 +42,14 @@ class Dataset {
 
   const DatasetSpec& spec() const { return spec_; }
   const std::string& name() const { return spec_.name; }
-  const std::vector<Example>& examples() const { return examples_; }
-  size_t size() const { return examples_.size(); }
+  /// The labelled examples, built on the first call (by any copy).
+  const std::vector<Example>& examples() const;
+  /// spec().num_examples (0 once moved from); never builds the examples.
+  size_t size() const {
+    return examples_ == nullptr ? 0 : static_cast<size_t>(spec_.num_examples);
+  }
+  /// Whether some copy has built the examples yet.
+  bool examples_built() const;
 
   /// The dataset's latent domain vector (unit norm).
   const std::vector<double>& domain_vector() const { return domain_vector_; }
@@ -47,13 +62,21 @@ class Dataset {
   uint64_t seed() const { return seed_; }
 
  private:
+  /// The examples and the once-flag guarding their construction, held
+  /// behind a shared_ptr so Dataset stays copyable and movable.
+  struct LazyExamples {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    std::vector<Example> examples;
+  };
+
   Dataset() = default;
 
   DatasetSpec spec_;
   uint64_t seed_ = 0;
   std::vector<double> domain_vector_;
   std::vector<std::vector<double>> label_prototypes_;
-  std::vector<Example> examples_;
+  std::shared_ptr<LazyExamples> examples_;
 };
 
 }  // namespace tps

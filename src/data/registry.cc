@@ -138,32 +138,44 @@ std::vector<DatasetSpec> CvTargetSpecs() {
 }
 
 StatusOr<DatasetRegistry> DatasetRegistry::CreatePaperInventory() {
-  std::vector<DatasetSpec> specs;
-  for (auto* list : {&NlpBenchmarkSpecs, &NlpTargetSpecs, &CvBenchmarkSpecs,
-                     &CvTargetSpecs}) {
-    std::vector<DatasetSpec> part = (*list)();
-    specs.insert(specs.end(), part.begin(), part.end());
-  }
-  return Create(specs);
+  // The inventory is a pure function of the compiled-in specs: build it
+  // once per process (thread-safe static init) and hand out shared copies.
+  static const StatusOr<DatasetRegistry> inventory = [] {
+    std::vector<DatasetSpec> specs;
+    for (auto* list : {&NlpBenchmarkSpecs, &NlpTargetSpecs,
+                       &CvBenchmarkSpecs, &CvTargetSpecs}) {
+      std::vector<DatasetSpec> part = (*list)();
+      specs.insert(specs.end(), part.begin(), part.end());
+    }
+    return Create(specs);
+  }();
+  return inventory;
 }
 
 StatusOr<DatasetRegistry> DatasetRegistry::Create(
     const std::vector<DatasetSpec>& specs) {
-  DatasetRegistry registry;
+  auto datasets = std::make_shared<std::vector<Dataset>>();
   std::unordered_set<std::string> seen;
-  registry.datasets_.reserve(specs.size());
+  datasets->reserve(specs.size());
   for (const DatasetSpec& spec : specs) {
     if (!seen.insert(spec.name).second) {
       return Status::AlreadyExists("duplicate dataset name: " + spec.name);
     }
     TPS_ASSIGN_OR_RETURN(Dataset ds, Dataset::Create(spec));
-    registry.datasets_.push_back(std::move(ds));
+    datasets->push_back(std::move(ds));
   }
+  DatasetRegistry registry;
+  registry.datasets_ = std::move(datasets);
   return registry;
 }
 
+const std::vector<Dataset>& DatasetRegistry::datasets() const {
+  static const std::vector<Dataset> kNone;
+  return datasets_ == nullptr ? kNone : *datasets_;
+}
+
 StatusOr<const Dataset*> DatasetRegistry::Find(const std::string& name) const {
-  for (const Dataset& ds : datasets_) {
+  for (const Dataset& ds : datasets()) {
     if (ds.name() == name) return &ds;
   }
   return Status::NotFound("dataset not found: " + name);
@@ -172,7 +184,7 @@ StatusOr<const Dataset*> DatasetRegistry::Find(const std::string& name) const {
 std::vector<const Dataset*> DatasetRegistry::Benchmarks(
     TaskDomain domain) const {
   std::vector<const Dataset*> out;
-  for (const Dataset& ds : datasets_) {
+  for (const Dataset& ds : datasets()) {
     if (ds.spec().domain == domain &&
         ds.spec().role == DatasetRole::kBenchmark) {
       out.push_back(&ds);
@@ -183,7 +195,7 @@ std::vector<const Dataset*> DatasetRegistry::Benchmarks(
 
 std::vector<const Dataset*> DatasetRegistry::Targets(TaskDomain domain) const {
   std::vector<const Dataset*> out;
-  for (const Dataset& ds : datasets_) {
+  for (const Dataset& ds : datasets()) {
     if (ds.spec().domain == domain && ds.spec().role == DatasetRole::kTarget) {
       out.push_back(&ds);
     }

@@ -1,6 +1,7 @@
 #ifndef TPS_DATA_REGISTRY_H_
 #define TPS_DATA_REGISTRY_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,12 +26,18 @@ std::vector<DatasetSpec> NlpTargetSpecs();
 std::vector<DatasetSpec> CvBenchmarkSpecs();
 std::vector<DatasetSpec> CvTargetSpecs();
 
-/// Owns materialized datasets and provides lookup by name and by
-/// (domain, role).
+/// An immutable dataset collection with lookup by name and by
+/// (domain, role). The datasets live behind a shared pointer: copying a
+/// registry bumps a refcount and shares the same Dataset objects, whose
+/// examples are built on first read (see Dataset). A default-constructed or
+/// moved-from registry is empty.
 class DatasetRegistry {
  public:
-  /// Materializes the full paper inventory: 24 NLP benchmarks + 4 NLP
-  /// targets + 10 CV benchmarks + 4 CV targets.
+  DatasetRegistry() = default;
+
+  /// The full paper inventory: 24 NLP benchmarks + 4 NLP targets + 10 CV
+  /// benchmarks + 4 CV targets. Built once per process; every call returns
+  /// a copy sharing those datasets, so Find() pointers agree across calls.
   static StatusOr<DatasetRegistry> CreatePaperInventory();
 
   /// Materializes an arbitrary spec list. Fails on duplicate names or
@@ -39,7 +46,7 @@ class DatasetRegistry {
       const std::vector<DatasetSpec>& specs);
 
   /// Pointer lookup by dataset name; NotFound if absent. The pointer stays
-  /// valid for the registry's lifetime.
+  /// valid while any copy of the registry lives.
   StatusOr<const Dataset*> Find(const std::string& name) const;
 
   /// All benchmark datasets of a domain, in registration order.
@@ -48,13 +55,13 @@ class DatasetRegistry {
   /// All target datasets of a domain, in registration order.
   std::vector<const Dataset*> Targets(TaskDomain domain) const;
 
-  const std::vector<Dataset>& datasets() const { return datasets_; }
-  size_t size() const { return datasets_.size(); }
+  const std::vector<Dataset>& datasets() const;
+  size_t size() const {
+    return datasets_ == nullptr ? 0 : datasets_->size();
+  }
 
  private:
-  DatasetRegistry() = default;
-
-  std::vector<Dataset> datasets_;
+  std::shared_ptr<const std::vector<Dataset>> datasets_;
 };
 
 }  // namespace tps

@@ -156,11 +156,12 @@ StatusOr<Matrix> PretrainedModel::ExtractFeatures(
   // prototype rows contiguously. Each logit still accumulates its d terms
   // in ascending order — exactly vec::Dot's order — so the result is
   // bit-identical to ExtractFeaturesReference.
-  Matrix logits(dataset.size(), num_labels);
+  const std::vector<Example>& examples = dataset.examples();
+  Matrix logits(examples.size(), num_labels);
   double* out = logits.data().data();
   std::vector<double> acc(num_labels);
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    const Example& ex = dataset.examples()[i];
+  for (size_t i = 0; i < examples.size(); ++i) {
+    const Example& ex = examples[i];
     const double* features = ex.features.data();
     std::fill(acc.begin(), acc.end(), 0.0);
     for (size_t d = 0; d < latent::kDims; ++d) {

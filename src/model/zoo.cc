@@ -6,28 +6,38 @@
 
 namespace tps {
 
+ModelZoo::ModelZoo(std::vector<PretrainedModel> models)
+    : models_(std::make_shared<const std::vector<PretrainedModel>>(
+          std::move(models))) {}
+
 StatusOr<ModelZoo> ModelZoo::Create(const std::vector<ModelSpec>& specs) {
-  ModelZoo zoo;
+  std::vector<PretrainedModel> models;
   std::unordered_set<std::string> seen;
-  zoo.models_.reserve(specs.size());
+  models.reserve(specs.size());
   for (const ModelSpec& spec : specs) {
     if (!seen.insert(spec.name).second) {
       return Status::AlreadyExists("duplicate model name: " + spec.name);
     }
     TPS_ASSIGN_OR_RETURN(PretrainedModel model, PretrainedModel::Create(spec));
-    zoo.models_.push_back(std::move(model));
+    models.push_back(std::move(model));
   }
-  return zoo;
+  return ModelZoo(std::move(models));
+}
+
+const std::vector<PretrainedModel>& ModelZoo::models() const {
+  static const std::vector<PretrainedModel> kNone;
+  return models_ == nullptr ? kNone : *models_;
 }
 
 const PretrainedModel& ModelZoo::model(size_t index) const {
-  TPS_CHECK(index < models_.size());
-  return models_[index];
+  TPS_CHECK(index < size());
+  return models()[index];
 }
 
 StatusOr<size_t> ModelZoo::IndexOf(const std::string& name) const {
-  for (size_t i = 0; i < models_.size(); ++i) {
-    if (models_[i].name() == name) return i;
+  const std::vector<PretrainedModel>& all = models();
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (all[i].name() == name) return i;
   }
   return Status::NotFound("model not found: " + name);
 }
@@ -35,19 +45,19 @@ StatusOr<size_t> ModelZoo::IndexOf(const std::string& name) const {
 StatusOr<const PretrainedModel*> ModelZoo::Find(
     const std::string& name) const {
   TPS_ASSIGN_OR_RETURN(size_t index, IndexOf(name));
-  return &models_[index];
+  return &models()[index];
 }
 
 StatusOr<ModelZoo> ModelZoo::Subset(const std::vector<size_t>& indices) const {
-  ModelZoo subset;
-  subset.models_.reserve(indices.size());
+  std::vector<PretrainedModel> subset;
+  subset.reserve(indices.size());
   for (size_t index : indices) {
-    if (index >= models_.size()) {
+    if (index >= size()) {
       return Status::OutOfRange("model index out of range in Subset");
     }
-    subset.models_.push_back(models_[index]);
+    subset.push_back(models()[index]);
   }
-  return subset;
+  return ModelZoo(std::move(subset));
 }
 
 }  // namespace tps

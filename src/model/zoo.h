@@ -1,6 +1,7 @@
 #ifndef TPS_MODEL_ZOO_H_
 #define TPS_MODEL_ZOO_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,16 +10,21 @@
 
 namespace tps {
 
-/// The model repository M = {m_1, ..., m_n}: an ordered, owned collection
-/// of pre-trained models with name lookup. Model indices within a zoo are
-/// the model ids used by the performance matrix and clustering.
+/// The model repository M = {m_1, ..., m_n}: an ordered, immutable
+/// collection of pre-trained models with name lookup. Model indices within
+/// a zoo are the model ids used by the performance matrix and clustering.
+/// The models live behind a shared pointer: copying a zoo bumps a refcount
+/// and shares the same PretrainedModel objects. A default-constructed or
+/// moved-from zoo is empty.
 class ModelZoo {
  public:
+  ModelZoo() = default;
+
   /// Materializes all specs. Fails on duplicate names or invalid specs.
   static StatusOr<ModelZoo> Create(const std::vector<ModelSpec>& specs);
 
-  const std::vector<PretrainedModel>& models() const { return models_; }
-  size_t size() const { return models_.size(); }
+  const std::vector<PretrainedModel>& models() const;
+  size_t size() const { return models_ == nullptr ? 0 : models_->size(); }
 
   const PretrainedModel& model(size_t index) const;
 
@@ -26,16 +32,16 @@ class ModelZoo {
   StatusOr<size_t> IndexOf(const std::string& name) const;
 
   /// Pointer lookup by model name; NotFound if absent. The pointer stays
-  /// valid for the zoo's lifetime.
+  /// valid while any copy of the zoo lives.
   StatusOr<const PretrainedModel*> Find(const std::string& name) const;
 
   /// A sub-zoo containing only the models at `indices` (in that order).
   StatusOr<ModelZoo> Subset(const std::vector<size_t>& indices) const;
 
  private:
-  ModelZoo() = default;
+  explicit ModelZoo(std::vector<PretrainedModel> models);
 
-  std::vector<PretrainedModel> models_;
+  std::shared_ptr<const std::vector<PretrainedModel>> models_;
 };
 
 }  // namespace tps

@@ -1,5 +1,6 @@
 #include "serve/artifacts.h"
 
+#include <optional>
 #include <utility>
 
 #include "model/paper_zoo.h"
@@ -12,9 +13,15 @@ namespace serve {
 
 namespace {
 
+/// The domain's paper zoo, built once per process (thread-safe static
+/// init); every call returns a copy sharing the same models.
 StatusOr<ModelZoo> ZooFor(TaskDomain domain) {
-  return ModelZoo::Create(domain == TaskDomain::kNLP ? NlpPaperZooSpecs()
-                                                     : CvPaperZooSpecs());
+  if (domain == TaskDomain::kNLP) {
+    static const StatusOr<ModelZoo> nlp = ModelZoo::Create(NlpPaperZooSpecs());
+    return nlp;
+  }
+  static const StatusOr<ModelZoo> cv = ModelZoo::Create(CvPaperZooSpecs());
+  return cv;
 }
 
 std::string EffectiveId(const ArtifactPaths& paths) {
@@ -30,43 +37,36 @@ StatusOr<ServiceArtifacts> ServiceArtifacts::Load(
                        DatasetRegistry::CreatePaperInventory());
   TPS_ASSIGN_OR_RETURN(ModelZoo zoo, ZooFor(paths.domain));
 
-  auto load_matrix = [&]() -> StatusOr<PerformanceMatrix> {
-    if (!paths.store.empty()) {
-      TPS_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(paths.store));
-      return store.GetPerformanceMatrix(EffectiveId(paths));
-    }
-    if (paths.matrix.empty()) {
-      return Status::InvalidArgument(
-          "--store or --matrix/--clustering paths are required (run "
-          "`tps_cli offline` first)");
-    }
-    return PerformanceMatrix::LoadFromFile(paths.matrix);
-  };
-  auto load_clustering = [&]() -> StatusOr<ModelClustering> {
-    if (!paths.store.empty()) {
-      TPS_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(paths.store));
-      return store.GetClustering(EffectiveId(paths));
-    }
-    if (paths.clustering.empty()) {
-      return Status::InvalidArgument(
-          "--store or --matrix/--clustering paths are required (run "
-          "`tps_cli offline` first)");
-    }
-    return LoadClustering(paths.clustering);
-  };
-  TPS_ASSIGN_OR_RETURN(PerformanceMatrix matrix, load_matrix());
-  TPS_ASSIGN_OR_RETURN(ModelClustering clustering, load_clustering());
+  // Store mode opens the log once (each Open replays and checksums the
+  // whole log) and reads every artifact from that one handle; the store
+  // closes when Load returns.
+  std::optional<ModelStore> store;
+  if (!paths.store.empty()) {
+    TPS_ASSIGN_OR_RETURN(store, ModelStore::Open(paths.store));
+  }
+  const std::string id = EffectiveId(paths);
+  const Status missing_paths = Status::InvalidArgument(
+      "--store or --matrix/--clustering paths are required (run "
+      "`tps_cli offline` first)");
+
+  if (!store && paths.matrix.empty()) return missing_paths;
+  TPS_ASSIGN_OR_RETURN(PerformanceMatrix matrix,
+                       store ? store->GetPerformanceMatrix(id)
+                             : PerformanceMatrix::LoadFromFile(paths.matrix));
+  if (!store && paths.clustering.empty()) return missing_paths;
+  TPS_ASSIGN_OR_RETURN(ModelClustering clustering,
+                       store ? store->GetClustering(id)
+                             : LoadClustering(paths.clustering));
 
   // Artifacts built over a generated zoo (tps_cli zoo-gen) do not match
   // the paper zoo. When the store carries the generating specs, rebuild
   // the zoo from them, in matrix column order, so serving covers exactly
   // the models the artifacts were computed over.
-  if (matrix.num_models() != zoo.size() && !paths.store.empty()) {
-    TPS_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(paths.store));
+  if (matrix.num_models() != zoo.size() && store) {
     std::vector<ModelSpec> specs;
     specs.reserve(matrix.num_models());
     for (const std::string& name : matrix.model_names()) {
-      auto spec = store.GetModelSpec(name);
+      auto spec = store->GetModelSpec(name);
       if (!spec.ok()) {
         return Status(spec.status().code(),
                       "matrix model '" + name +
@@ -78,10 +78,10 @@ StatusOr<ServiceArtifacts> ServiceArtifacts::Load(
     TPS_ASSIGN_OR_RETURN(zoo, ModelZoo::Create(specs));
   }
 
+  // The recall index is optional: absent-is-OK in store mode.
   std::shared_ptr<const IvfIndex> index;
-  if (!paths.store.empty()) {
-    TPS_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(paths.store));
-    auto loaded = store.GetRecallIndex(EffectiveId(paths));
+  if (store) {
+    auto loaded = store->GetRecallIndex(id);
     if (loaded.ok()) {
       index = std::make_shared<const IvfIndex>(std::move(loaded).value());
     } else if (!loaded.status().IsNotFound()) {
@@ -100,9 +100,8 @@ StatusOr<ServiceArtifacts> ServiceArtifacts::Load(
 
   // Trained recall embeddings: like the recall index, absent-is-OK in
   // store mode (the embedding backend is simply unavailable then).
-  if (!paths.store.empty()) {
-    TPS_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(paths.store));
-    auto loaded = store.GetRecallEmbeddings(EffectiveId(paths));
+  if (store) {
+    auto loaded = store->GetRecallEmbeddings(id);
     if (loaded.ok()) {
       TPS_RETURN_NOT_OK(
           artifacts.AttachEmbeddings(std::move(loaded).value()));

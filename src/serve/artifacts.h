@@ -41,6 +41,12 @@ struct ArtifactPaths {
 /// loaded instance is shared read-only by every request a SelectionService
 /// handles — the whole point of the serving layer is to stop reloading
 /// this per invocation.
+///
+/// `registry` and `zoo` share their storage across copies. The paper
+/// inventory and each domain's paper zoo are built once per process, and
+/// a dataset's examples once, on first read; every Load/Build returns
+/// copies of those. Only the matrix, clustering, index and embeddings are
+/// per version.
 struct ServiceArtifacts {
   DatasetRegistry registry;
   ModelZoo zoo;
@@ -75,9 +81,9 @@ struct ServiceArtifacts {
   /// they cover exactly one zoo: the paper zoo for the domain or, when a
   /// store carries a differently-sized matrix, the generated zoo
   /// reconstructed from the store's model specs in matrix column order.
-  /// The store is opened
-  /// read-only-in-spirit: it is opened, read, and closed before this
-  /// returns, so a long-lived service holds no lock on the log file.
+  /// The store is opened read-only-in-spirit: it is opened once, read, and
+  /// closed before this returns, so a long-lived service holds no lock on
+  /// the log file.
   static StatusOr<ServiceArtifacts> Load(const ArtifactPaths& paths);
 
   /// Builds fresh artifacts in-process (registry + zoo + matrix +

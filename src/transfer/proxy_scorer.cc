@@ -162,9 +162,10 @@ std::vector<double> MinMaxNormalize(const std::vector<double>& scores) {
 }
 
 std::vector<int> TargetLabels(const Dataset& target) {
-  std::vector<int> labels(target.size());
-  for (size_t i = 0; i < target.size(); ++i) {
-    labels[i] = target.examples()[i].label;
+  const std::vector<Example>& examples = target.examples();
+  std::vector<int> labels(examples.size());
+  for (size_t i = 0; i < examples.size(); ++i) {
+    labels[i] = examples[i].label;
   }
   return labels;
 }

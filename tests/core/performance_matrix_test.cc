@@ -1,6 +1,9 @@
 #include "core/performance_matrix.h"
 
+#include <cstring>
 #include <fstream>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +120,69 @@ TEST_F(PerformanceMatrixTest, LoadRejectsCorruptFiles) {
   EXPECT_TRUE(PerformanceMatrix::LoadFromFile("/no/such/file")
                   .status()
                   .IsIOError());
+}
+
+// Serialize writes 17 significant digits and Deserialize parses with
+// correct rounding, so every curve value survives the text round trip bit
+// for bit.
+TEST_F(PerformanceMatrixTest, TextRoundTripIsBitExact) {
+  const std::string text = matrix_->Serialize();
+  auto parsed = PerformanceMatrix::Deserialize(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Serialize(), text);
+  for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
+    for (size_t m = 0; m < matrix_->num_models(); ++m) {
+      const TrainingRun& a = parsed->run(d, m);
+      const TrainingRun& b = matrix_->run(d, m);
+      ASSERT_EQ(a.val_accuracy.size(), b.val_accuracy.size());
+      ASSERT_EQ(a.test_accuracy.size(), b.test_accuracy.size());
+      EXPECT_EQ(std::memcmp(a.val_accuracy.data(), b.val_accuracy.data(),
+                            a.val_accuracy.size() * sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(a.test_accuracy.data(), b.test_accuracy.data(),
+                            a.test_accuracy.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
+// Every prefix of a serialized matrix that drops at least its last value,
+// and each malformed shape, fails with InvalidArgument and its specific
+// message, never a crash or a huge allocation. (A prefix that only shortens
+// the last value's digits is still a well-formed matrix.)
+TEST_F(PerformanceMatrixTest, DeserializeRejectsTruncatedAndMalformedText) {
+  const std::string text = matrix_->Serialize();
+  const size_t last_value = text.rfind(' ') + 1;
+  const std::set<std::string> messages = {
+      "bad performance-matrix header", "bad performance-matrix dimensions",
+      "truncated dataset names",       "truncated model names",
+      "truncated run record",          "truncated curves"};
+  for (size_t cut = 0; cut < last_value; ++cut) {
+    auto parsed = PerformanceMatrix::Deserialize(text.substr(0, cut));
+    ASSERT_FALSE(parsed.ok()) << "prefix " << cut;
+    ASSERT_TRUE(parsed.status().IsInvalidArgument()) << "prefix " << cut;
+    ASSERT_EQ(messages.count(parsed.status().message()), 1u)
+        << parsed.status().message();
+  }
+
+  auto message = [](const std::string& body) {
+    return PerformanceMatrix::Deserialize("tps-performance-matrix v1\n" + body)
+        .status()
+        .message();
+  };
+  EXPECT_EQ(message("0 2\n"), "bad performance-matrix dimensions");
+  EXPECT_EQ(message("-1 2\n"), "bad performance-matrix dimensions");
+  EXPECT_EQ(message("x 2\n"), "bad performance-matrix dimensions");
+  EXPECT_EQ(message("99999999999 99999999999\na\nb\n"),
+            "bad performance-matrix dimensions");
+  EXPECT_EQ(message("1 1\na\n\n"), "truncated model names");
+  EXPECT_EQ(message("1 1\na\nm\n0 1 0\n"), "truncated run record");
+  EXPECT_EQ(message("1 1\na\nm\n0 0 2000000000 0.5 0.5\n"),
+            "truncated curves");
+  EXPECT_EQ(message("1 1\na\nm\n0 0 1 0.5 x\n"), "truncated curves");
+  EXPECT_TRUE(PerformanceMatrix::Deserialize(
+                  "tps-performance-matrix v1\n1 1\na\nm\n0 0 1 0.5 0.25")
+                  .ok());
 }
 
 TEST_F(PerformanceMatrixTest, ParallelBuildIsBitIdenticalToSerial) {

@@ -1,10 +1,14 @@
 #include "model/paper_zoo.h"
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/model_clusterer.h"
 #include "model/zoo.h"
+#include "serve/artifacts.h"
 #include "util/string_util.h"
 
 namespace tps {
@@ -116,6 +120,59 @@ TEST(SyntheticZooTest, CapabilitiesSkewLow) {
   // The Fig. 1 shape: strong models are a minority.
   EXPECT_LT(strong, 200);
   EXPECT_GT(strong, 10);
+}
+
+TEST(ZooSharingTest, DefaultAndMovedFromZoosAreEmpty) {
+  const ModelZoo empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.models().empty());
+  EXPECT_TRUE(empty.Find("bert-base-uncased").status().IsNotFound());
+  EXPECT_TRUE(empty.Subset({0}).status().IsOutOfRange());
+
+  ModelZoo source = *ModelZoo::Create(NlpPaperZooSpecs());
+  ModelZoo moved = std::move(source);
+  EXPECT_EQ(moved.size(), 40u);
+  EXPECT_EQ(source.size(), 0u);
+  ModelZoo assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 40u);
+  EXPECT_TRUE(moved.models().empty());
+}
+
+TEST(ZooSharingTest, CopiesShareModelsAndSubsetsOwnTheirs) {
+  const ModelZoo zoo = *ModelZoo::Create(CvPaperZooSpecs());
+  const ModelZoo copy = zoo;
+  EXPECT_EQ(&copy.model(0), &zoo.model(0));
+  EXPECT_EQ(*copy.Find(zoo.model(3).name()), &zoo.model(3));
+
+  const ModelZoo subset = *zoo.Subset({3, 1});
+  ASSERT_EQ(subset.size(), 2u);
+  EXPECT_EQ(subset.model(0).name(), zoo.model(3).name());
+  EXPECT_EQ(subset.model(1).name(), zoo.model(1).name());
+  EXPECT_NE(&subset.model(0), &zoo.model(3));
+}
+
+// The paper zoo and dataset inventory are per process: two loads of the
+// same artifacts (and the in-process build) share one set of models and
+// datasets rather than each materializing their own.
+TEST(ZooSharingTest, PaperZooLoadsShareModels) {
+  const auto built = serve::ServiceArtifacts::Build(TaskDomain::kNLP);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  serve::ArtifactPaths paths;
+  paths.domain = TaskDomain::kNLP;
+  paths.matrix = testing::TempDir() + "/tps_zoo_sharing_matrix.txt";
+  paths.clustering = testing::TempDir() + "/tps_zoo_sharing_clustering.txt";
+  ASSERT_TRUE(built->matrix.SaveToFile(paths.matrix).ok());
+  ASSERT_TRUE(SaveClustering(built->clustering, paths.clustering).ok());
+
+  const auto a = serve::ServiceArtifacts::Load(paths);
+  const auto b = serve::ServiceArtifacts::Load(paths);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(&a->zoo.model(0), &b->zoo.model(0));
+  EXPECT_EQ(&a->zoo.model(0), &built->zoo.model(0));
+  EXPECT_EQ(*a->registry.Find("mnli"), *b->registry.Find("mnli"));
+  EXPECT_EQ(*a->registry.Find("mnli"), *built->registry.Find("mnli"));
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 // included) from version V+1.
 
 #include <atomic>
-#include <chrono>
 #include <future>
+#include <latch>
 #include <map>
 #include <memory>
 #include <set>
@@ -286,18 +286,27 @@ TEST_F(HotSwapTest, SwapUnderLoadNeverDropsOrMixesVersions) {
 
   constexpr int kClients = 8;
   std::atomic<bool> stop{false};
-  std::atomic<int> warmed{0};
+  // Latches, not sleeps: the reloads are ordered against what the clients
+  // have provably completed. `warmed`: every client answered once (at
+  // version 1). `saw_variant`: every client answered at version 2, so the
+  // second reload cannot land before the variant was served to all.
+  std::latch warmed(kClients);
+  std::latch saw_variant(kClients);
   std::vector<std::vector<SelectionResponse>> responses(kClients);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      int i = 0;
-      while (true) {
+      bool counted_variant = false;
+      for (int i = 0;; ++i) {
         SelectionRequest request =
             Request(targets[(c + i) % targets.size()]);
         responses[c].push_back(service.Submit(std::move(request)).get());
-        if (++i == 1) warmed.fetch_add(1);
+        if (i == 0) warmed.count_down();
+        if (!counted_variant && responses[c].back().artifact_version == 2) {
+          counted_variant = true;
+          saw_variant.count_down();
+        }
         // Check AFTER completing a request so every client has at least
         // one answer admitted after the final reload was requested.
         if (stop.load()) break;
@@ -305,13 +314,10 @@ TEST_F(HotSwapTest, SwapUnderLoadNeverDropsOrMixesVersions) {
     });
   }
 
-  // Both reloads land while all eight clients are provably mid-loop:
-  // wait until each has completed a request, and stop them only after.
-  while (warmed.load() < kClients) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // Both reloads land while all eight clients are provably mid-loop.
+  warmed.wait();
   ASSERT_TRUE(service.Reload(Variant()).ok());  // -> version 2
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  saw_variant.wait();
   ASSERT_TRUE(service.Reload(Base()).ok());  // -> version 3 (base again)
   stop.store(true);
   for (std::thread& client : clients) client.join();
@@ -337,12 +343,11 @@ TEST_F(HotSwapTest, SwapUnderLoadNeverDropsOrMixesVersions) {
                        OracleFor(response.artifact_version).at(response.target));
     }
   }
-  // Every client completed at least one request before the first reload
-  // and one after stop was set.
+  // Every client completed a request at version 1 and another at version 2.
   EXPECT_GE(total, static_cast<size_t>(kClients) * 2);
-  // Version 1 (pre-reload warmup) and version 3 (the probe) are both
-  // guaranteed observed.
-  EXPECT_GE(versions_seen.size(), 2u);
+  // Version 1 (warm-up), version 2 (the saw_variant latch) and version 3
+  // (the probe) are all guaranteed observed.
+  EXPECT_EQ(versions_seen.size(), 3u);
 
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.reloads, 2u);
