@@ -139,7 +139,9 @@ void ReportBackends(TaskDomain domain, const char* title,
   context.clustering = world.clustering.get();
   context.embeddings = &trained.embeddings;
   context.embedding_index = &embedding_index;
-  const recall::RecallBackendSet backends(context);
+  const CoarseRecall representative(world.zoo.get(), world.matrix.get(),
+                                    world.clustering.get());
+  const recall::RecallBackendSet backends(representative, context);
 
   std::cout << "=== Recall backends head-to-head (" << title << ") ===\n";
   TablePrinter table({"target", "backend", "recall@5", "recall@10",

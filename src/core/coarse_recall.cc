@@ -50,6 +50,11 @@ CoarseRecall::CoarseRecall(const ModelZoo* zoo,
       matrix_(matrix),
       exact_index_(ExactIndex(zoo, matrix, clustering)) {}
 
+const std::string& CoarseRecall::name() const {
+  static const std::string kName = "representative";
+  return kName;
+}
+
 StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
                                             const RecallOptions& options,
                                             EpochBudget* budget,

@@ -22,10 +22,6 @@
 
 namespace tps {
 
-namespace recall {
-class RecallBackend;
-}  // namespace recall
-
 struct RecallOptions {
   /// How many models to hand to the fine-selection phase (the paper uses
   /// 10).
@@ -86,16 +82,6 @@ struct RecallOptions {
   /// tests/index/index_equivalence_test.cc pins that case. Ignored when
   /// `index` is null (the exact index always probes everything).
   size_t nprobe = 0;
-  /// Optional pluggable recall backend ("Recall backends" in DESIGN.md).
-  /// When non-null, TwoPhaseSelector routes phase 1 through this backend
-  /// instead of the built-in CoarseRecall path; when null (the default)
-  /// the built-in path runs untouched — the representative backend is a
-  /// pure delegation back to CoarseRecall, so routing through it is
-  /// bit-identical (tests/recall/backend_equivalence_test.cc). Forward
-  /// declared: core never links the recall library; the pointer is
-  /// injected by the serving layer. The caller owns the backend; it must
-  /// outlive the call.
-  const recall::RecallBackend* backend = nullptr;
 };
 
 /// One scored model in the recall ranking.
@@ -131,11 +117,44 @@ struct RecallResult {
   size_t RankOf(size_t model_index) const;
 };
 
+namespace recall {
+
+/// Phase 1 behind an interface ("Recall backends" in DESIGN.md): every
+/// implementation ranks the zoo for a target dataset and returns the same
+/// RecallResult shape the fine-selection phase consumes, so backends are
+/// interchangeable per request. CoarseRecall below is the paper's policy
+/// ("representative"); src/recall/ adds the learned ones. Implementations
+/// must be const-thread-safe: one backend instance serves every in-flight
+/// request of an artifact snapshot concurrently.
+class RecallBackend {
+ public:
+  virtual ~RecallBackend() = default;
+
+  /// Backend name ("representative", "embedding", "hybrid").
+  virtual const std::string& name() const = 0;
+
+  /// Full descending ranking, deterministic for any thread count, epoch
+  /// budget charged only for proxies actually computed, `cancel` polled so
+  /// an expired deadline yields DeadlineExceeded rather than a partial
+  /// ranking. All pointer parameters may be null except the target.
+  virtual StatusOr<RecallResult> Recall(const Dataset& target,
+                                        const RecallOptions& options,
+                                        EpochBudget* budget,
+                                        ThreadPool* pool = nullptr,
+                                        MetricsRegistry* metrics = nullptr,
+                                        SelectionTrace* trace = nullptr,
+                                        const CancelToken* cancel =
+                                            nullptr) const = 0;
+};
+
+}  // namespace recall
+
 /// Phase 1 of the framework: recalls the most promising K models by
 /// combining the benchmark-accuracy prior with a proxy score computed only
 /// for non-singleton cluster representatives (Eq. 3), propagated to
-/// singleton clusters by performance similarity (Eq. 4).
-class CoarseRecall {
+/// singleton clusters by performance similarity (Eq. 4). This is the
+/// "representative" recall backend.
+class CoarseRecall : public recall::RecallBackend {
  public:
   /// All pointers must outlive this object. Builds the exact
   /// BruteForceRecallIndex over `clustering` (IndexFromClustering) once,
@@ -166,7 +185,11 @@ class CoarseRecall {
                                 ThreadPool* pool = nullptr,
                                 MetricsRegistry* metrics = nullptr,
                                 SelectionTrace* trace = nullptr,
-                                const CancelToken* cancel = nullptr) const;
+                                const CancelToken* cancel =
+                                    nullptr) const override;
+
+  /// "representative".
+  const std::string& name() const override;
 
  private:
   const ModelZoo* zoo_;

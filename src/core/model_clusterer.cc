@@ -256,8 +256,10 @@ StatusOr<ModelClustering> DeserializeClustering(const std::string& text) {
   size_t num_models = 0;
   int num_clusters = 0;
   in >> num_models >> num_clusters;
-  if (!in || num_models == 0 || num_clusters <= 0 ||
-      num_clusters > static_cast<int>(num_models)) {
+  // Every assignment takes at least two bytes, so a model count the text
+  // cannot hold is malformed (and would otherwise size a huge buffer).
+  if (!in || num_models == 0 || num_models > text.size() ||
+      num_clusters <= 0 || num_clusters > static_cast<int>(num_models)) {
     return Status::InvalidArgument("bad clustering dimensions");
   }
 
@@ -293,7 +295,9 @@ StatusOr<ModelClustering> DeserializeClustering(const std::string& text) {
   in >> n;
   // n == 0 means the clustering carries no distance matrix (index-derived
   // clusterings over large generated zoos skip the O(n^2) artifact).
-  if (!in || (n != num_models && n != 0)) {
+  // The n x n distances take at least two bytes each; dividing rather
+  // than squaring keeps the bound itself from overflowing.
+  if (!in || (n != num_models && n != 0) || (n != 0 && n > text.size() / n)) {
     return Status::InvalidArgument("bad distance matrix size");
   }
   if (n > 0) {

@@ -1,6 +1,5 @@
 #include "core/two_phase.h"
 
-#include "recall/recall_backend.h"
 #include "util/logging.h"
 
 namespace tps {
@@ -40,6 +39,13 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
 StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
     const Dataset& target, const TwoPhaseOptions& options,
     const Hyperparams& hp, ThreadPool* pool) const {
+  return Select(target, options, hp, pool, recall_);
+}
+
+StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
+    const Dataset& target, const TwoPhaseOptions& options,
+    const Hyperparams& hp, ThreadPool* pool,
+    const recall::RecallBackend& recall) const {
   TwoPhaseReport report;
   MetricsRegistry* metrics = options.metrics != nullptr
                                  ? options.metrics
@@ -51,22 +57,10 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
     trace->domain = ToString(target.spec().domain);
   }
 
-  // Phase 1: coarse recall (charges 0.5 epoch-equivalents per proxy).
-  // A non-null pluggable backend takes over the whole phase; the default
-  // null path is the paper's cluster-representative proxy recall,
-  // untouched (the representative backend delegates right back here, so
-  // the two routes are bit-identical).
-  if (options.recall.backend != nullptr) {
-    TPS_ASSIGN_OR_RETURN(
-        report.recall,
-        options.recall.backend->Recall(target, options.recall,
-                                       &report.budget, pool, metrics, trace,
-                                       options.cancel));
-  } else {
-    TPS_ASSIGN_OR_RETURN(report.recall,
-                         recall_.Recall(target, options.recall, &report.budget,
-                                        pool, metrics, trace, options.cancel));
-  }
+  // Phase 1: recall (charges 0.5 epoch-equivalents per proxy it computes).
+  TPS_ASSIGN_OR_RETURN(report.recall,
+                       recall.Recall(target, options.recall, &report.budget,
+                                     pool, metrics, trace, options.cancel));
   const std::vector<size_t> candidates =
       report.recall.TopModels(options.recall.top_k_models);
   if (candidates.empty()) {

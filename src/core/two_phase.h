@@ -95,6 +95,18 @@ class TwoPhaseSelector {
                                   const Hyperparams& hp,
                                   ThreadPool* pool) const;
 
+  /// As above with phase 1 run by `recall` (e.g. a learned backend from
+  /// src/recall/, or this selector's own coarse_recall()). The backend
+  /// must rank the same zoo this selector was built over.
+  StatusOr<TwoPhaseReport> Select(const Dataset& target,
+                                  const TwoPhaseOptions& options,
+                                  const Hyperparams& hp, ThreadPool* pool,
+                                  const recall::RecallBackend& recall) const;
+
+  /// The paper's coarse recall over this selector's artifacts: the phase 1
+  /// every overload without a backend runs.
+  const CoarseRecall& coarse_recall() const { return recall_; }
+
  private:
   const ModelZoo* zoo_;
   const FineTuneSimulator* simulator_;

@@ -6,7 +6,6 @@
 
 #include "recall/embedding_backend.h"
 #include "recall/normalize.h"
-#include "recall/representative_backend.h"
 
 namespace tps {
 namespace recall {
@@ -23,10 +22,10 @@ struct FusedEntry {
 
 class HybridBackend : public RecallBackend {
  public:
-  HybridBackend(std::unique_ptr<RecallBackend> representative,
+  HybridBackend(const RecallBackendContext& context,
                 std::unique_ptr<RecallBackend> embedding)
       : name_("hybrid"),
-        representative_(std::move(representative)),
+        representative_(context.zoo, context.matrix, context.clustering),
         embedding_(std::move(embedding)) {}
 
   const std::string& name() const override { return name_; }
@@ -42,8 +41,8 @@ class HybridBackend : public RecallBackend {
     // attributes exactly the work the proxy path did.
     TPS_ASSIGN_OR_RETURN(
         RecallResult rep,
-        representative_->Recall(target, options, budget, pool, metrics,
-                                trace, cancel));
+        representative_.Recall(target, options, budget, pool, metrics, trace,
+                               cancel));
     TPS_ASSIGN_OR_RETURN(RecallResult emb,
                          embedding_->Recall(target, options, nullptr, pool,
                                             metrics, nullptr, cancel));
@@ -104,7 +103,7 @@ class HybridBackend : public RecallBackend {
 
  private:
   const std::string name_;
-  std::unique_ptr<RecallBackend> representative_;
+  CoarseRecall representative_;
   std::unique_ptr<RecallBackend> embedding_;
 };
 
@@ -112,12 +111,11 @@ class HybridBackend : public RecallBackend {
 
 StatusOr<std::unique_ptr<RecallBackend>> CreateHybridBackend(
     const RecallBackendContext& context) {
-  TPS_ASSIGN_OR_RETURN(std::unique_ptr<RecallBackend> representative,
-                       CreateRepresentativeBackend(context));
+  TPS_RETURN_NOT_OK(CheckRepresentativeContext(context));
   TPS_ASSIGN_OR_RETURN(std::unique_ptr<RecallBackend> embedding,
                        CreateEmbeddingBackend(context));
-  return std::unique_ptr<RecallBackend>(new HybridBackend(
-      std::move(representative), std::move(embedding)));
+  return std::unique_ptr<RecallBackend>(
+      new HybridBackend(context, std::move(embedding)));
 }
 
 }  // namespace recall

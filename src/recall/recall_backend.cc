@@ -1,76 +1,61 @@
 #include "recall/recall_backend.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "recall/embedding_backend.h"
 #include "recall/hybrid_backend.h"
-#include "recall/representative_backend.h"
 
 namespace tps {
 namespace recall {
 
-namespace {
-
-std::map<std::string, RecallBackendFactory>& Registry() {
-  static auto* registry = [] {
-    auto* r = new std::map<std::string, RecallBackendFactory>();
-    (*r)["representative"] = [](const RecallBackendContext& context) {
-      return CreateRepresentativeBackend(context);
-    };
-    (*r)["embedding"] = [](const RecallBackendContext& context) {
-      return CreateEmbeddingBackend(context);
-    };
-    (*r)["hybrid"] = [](const RecallBackendContext& context) {
-      return CreateHybridBackend(context);
-    };
-    return r;
-  }();
-  return *registry;
-}
-
-}  // namespace
-
-void RegisterRecallBackend(const std::string& name,
-                           RecallBackendFactory factory) {
-  Registry()[name] = std::move(factory);
+Status CheckRepresentativeContext(const RecallBackendContext& context) {
+  if (context.zoo == nullptr || context.matrix == nullptr ||
+      context.clustering == nullptr) {
+    return Status::InvalidArgument(
+        "representative recall needs zoo, matrix, and clustering");
+  }
+  return Status::OK();
 }
 
 StatusOr<std::unique_ptr<RecallBackend>> CreateRecallBackend(
     const std::string& name, const RecallBackendContext& context) {
-  const auto& registry = Registry();
-  const auto it = registry.find(name);
-  if (it == registry.end()) {
-    return Status::NotFound("unknown recall backend: " + name);
+  if (name == "representative") {
+    TPS_RETURN_NOT_OK(CheckRepresentativeContext(context));
+    return std::unique_ptr<RecallBackend>(
+        new CoarseRecall(context.zoo, context.matrix, context.clustering));
   }
-  return it->second(context);
+  if (name == "embedding") return CreateEmbeddingBackend(context);
+  if (name == "hybrid") return CreateHybridBackend(context);
+  return Status::NotFound("unknown recall backend: " + name);
 }
 
-std::vector<std::string> RecallBackendNames() {
-  std::vector<std::string> names;
-  for (const auto& [name, factory] : Registry()) names.push_back(name);
-  return names;  // std::map iterates sorted.
+const std::vector<std::string>& RecallBackendNames() {
+  static const std::vector<std::string> kNames = {"embedding", "hybrid",
+                                                  "representative"};
+  return kNames;
 }
 
-RecallBackendSet::RecallBackendSet(const RecallBackendContext& context) {
-  for (const std::string& name : RecallBackendNames()) {
+RecallBackendSet::RecallBackendSet(const CoarseRecall& representative,
+                                   const RecallBackendContext& context)
+    : representative_(representative) {
+  for (const char* name : {"embedding", "hybrid"}) {
     auto backend = CreateRecallBackend(name, context);
     // Backends the context cannot support (e.g. embedding recall without
     // trained embeddings) are left out rather than failing the whole
     // artifact load; requests naming them get FailedPrecondition.
-    if (backend.ok()) backends_.push_back(std::move(backend).value());
+    if (backend.ok()) learned_.push_back(std::move(backend).value());
   }
 }
 
 StatusOr<const RecallBackend*> RecallBackendSet::Find(
     const std::string& name) const {
-  for (const std::unique_ptr<RecallBackend>& backend : backends_) {
+  if (name == representative_.name()) return &representative_;
+  for (const std::unique_ptr<RecallBackend>& backend : learned_) {
     if (backend->name() == name) return backend.get();
   }
-  const std::vector<std::string> registered = RecallBackendNames();
-  if (std::find(registered.begin(), registered.end(), name) !=
-      registered.end()) {
+  const std::vector<std::string>& known = RecallBackendNames();
+  if (std::find(known.begin(), known.end(), name) != known.end()) {
     return Status::FailedPrecondition(
         "recall backend \"" + name +
         "\" is not available for these artifacts (train embeddings first)");
@@ -79,8 +64,8 @@ StatusOr<const RecallBackend*> RecallBackendSet::Find(
 }
 
 std::vector<std::string> RecallBackendSet::available() const {
-  std::vector<std::string> names;
-  for (const std::unique_ptr<RecallBackend>& backend : backends_) {
+  std::vector<std::string> names = {representative_.name()};
+  for (const std::unique_ptr<RecallBackend>& backend : learned_) {
     names.push_back(backend->name());
   }
   std::sort(names.begin(), names.end());

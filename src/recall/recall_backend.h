@@ -1,7 +1,6 @@
 #ifndef TPS_RECALL_RECALL_BACKEND_H_
 #define TPS_RECALL_RECALL_BACKEND_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,10 +13,10 @@ namespace tps {
 namespace recall {
 
 /// Everything a backend may rank with. `zoo`, `matrix`, and `clustering`
-/// are always required; `embeddings` (and optionally `embedding_index`,
-/// an IVF built over the model-embedding vectors) are only needed by the
-/// embedding and hybrid backends. All pointers are borrowed and must
-/// outlive the backend.
+/// are required by the representative (CoarseRecall) and hybrid backends;
+/// `embeddings` (and optionally `embedding_index`, an IVF built over the
+/// model-embedding vectors) only by the embedding and hybrid backends.
+/// All pointers are borrowed and must outlive the backend.
 struct RecallBackendContext {
   const ModelZoo* zoo = nullptr;
   const PerformanceMatrix* matrix = nullptr;
@@ -26,73 +25,44 @@ struct RecallBackendContext {
   const IvfIndex* embedding_index = nullptr;
 };
 
-/// Phase 1 behind an interface ("Recall backends" in DESIGN.md): every
-/// implementation ranks the zoo for a target dataset and returns the same
-/// RecallResult shape the fine-selection phase consumes, so backends are
-/// interchangeable per request. Implementations must be const-thread-safe:
-/// one backend instance serves every in-flight request of an artifact
-/// snapshot concurrently.
-class RecallBackend {
- public:
-  virtual ~RecallBackend() = default;
+/// InvalidArgument unless `context` carries the zoo, matrix, and
+/// clustering a CoarseRecall ranks with.
+Status CheckRepresentativeContext(const RecallBackendContext& context);
 
-  /// Registry name ("representative", "embedding", "hybrid").
-  virtual const std::string& name() const = 0;
-
-  /// Same contract as CoarseRecall::Recall: full descending ranking,
-  /// deterministic for any thread count, epoch budget charged only for
-  /// proxies actually computed, `cancel` polled so an expired deadline
-  /// yields DeadlineExceeded rather than a partial ranking. All pointer
-  /// parameters may be null except the target.
-  virtual StatusOr<RecallResult> Recall(const Dataset& target,
-                                        const RecallOptions& options,
-                                        EpochBudget* budget,
-                                        ThreadPool* pool = nullptr,
-                                        MetricsRegistry* metrics = nullptr,
-                                        SelectionTrace* trace = nullptr,
-                                        const CancelToken* cancel =
-                                            nullptr) const = 0;
-};
-
-using RecallBackendFactory =
-    std::function<StatusOr<std::unique_ptr<RecallBackend>>(
-        const RecallBackendContext&)>;
-
-/// Registers a backend factory under `name`. The three built-ins are
-/// pre-registered; re-registering an existing name replaces it (tests use
-/// this to inject instrumented backends). Not thread-safe: register at
-/// startup, before serving.
-void RegisterRecallBackend(const std::string& name,
-                           RecallBackendFactory factory);
-
-/// Instantiates a registered backend over `context`. NotFound for an
-/// unknown name; InvalidArgument / FailedPrecondition when the context is
-/// missing what the backend needs (e.g. no trained embeddings).
+/// Instantiates the backend named `name` ("representative", "embedding",
+/// "hybrid") over `context`. NotFound for any other name; InvalidArgument
+/// / FailedPrecondition when the context is missing what the backend
+/// needs (e.g. no trained embeddings).
 StatusOr<std::unique_ptr<RecallBackend>> CreateRecallBackend(
     const std::string& name, const RecallBackendContext& context);
 
-/// Registered backend names, sorted.
-std::vector<std::string> RecallBackendNames();
+/// The backend names CreateRecallBackend knows, sorted.
+const std::vector<std::string>& RecallBackendNames();
 
-/// The per-snapshot backend bundle: instantiates every registered backend
-/// the context can support at construction time, so request routing is a
-/// lock-free name lookup with no per-request allocation. Backends whose
-/// requirements the context cannot meet (no embeddings trained) are
-/// simply absent and resolve to FailedPrecondition.
+/// The per-snapshot backend bundle, built once per artifact version so
+/// request routing is a lock-free name lookup with no per-request
+/// allocation. "representative" is the caller's CoarseRecall (a serving
+/// snapshot passes its selector's, so unnamed and "representative"
+/// requests share one); the learned backends are built over `context`,
+/// and those it cannot support (no trained embeddings) are simply absent
+/// and resolve to FailedPrecondition.
 class RecallBackendSet {
  public:
-  explicit RecallBackendSet(const RecallBackendContext& context);
+  /// `representative` must outlive the set.
+  RecallBackendSet(const CoarseRecall& representative,
+                   const RecallBackendContext& context);
 
-  /// Resolves a request's backend name. NotFound for names never
-  /// registered, FailedPrecondition for registered backends this
-  /// artifact set cannot serve.
+  /// Resolves a request's backend name. NotFound for names
+  /// CreateRecallBackend does not know, FailedPrecondition for backends
+  /// this artifact set cannot serve.
   StatusOr<const RecallBackend*> Find(const std::string& name) const;
 
   /// Names available under this artifact set, sorted.
   std::vector<std::string> available() const;
 
  private:
-  std::vector<std::unique_ptr<RecallBackend>> backends_;
+  const CoarseRecall& representative_;
+  std::vector<std::unique_ptr<RecallBackend>> learned_;
 };
 
 }  // namespace recall

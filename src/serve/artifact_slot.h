@@ -28,9 +28,11 @@ struct ArtifactSnapshot {
         version(version_in),
         selector(&artifacts.zoo, &artifacts.matrix, &artifacts.clustering,
                  &simulator),
-        backends(recall::RecallBackendContext{
-            &artifacts.zoo, &artifacts.matrix, &artifacts.clustering,
-            artifacts.embeddings.get(), artifacts.embedding_index.get()}) {}
+        backends(selector.coarse_recall(),
+                 recall::RecallBackendContext{
+                     &artifacts.zoo, &artifacts.matrix, &artifacts.clustering,
+                     artifacts.embeddings.get(),
+                     artifacts.embedding_index.get()}) {}
 
   ArtifactSnapshot(const ArtifactSnapshot&) = delete;
   ArtifactSnapshot& operator=(const ArtifactSnapshot&) = delete;
@@ -44,8 +46,9 @@ struct ArtifactSnapshot {
   TwoPhaseSelector selector;
   /// Per-version recall backends ("Recall backends" in DESIGN.md), built
   /// over this snapshot's own artifacts so a request routed to one can
-  /// never mix versions mid-swap. Backends the version cannot support
-  /// (no trained embeddings) are absent, not errors.
+  /// never mix versions mid-swap. "representative" is the selector's own
+  /// CoarseRecall. Backends the version cannot support (no trained
+  /// embeddings) are absent, not errors.
   const recall::RecallBackendSet backends;
 };
 

@@ -18,7 +18,7 @@ namespace serve {
 ///   select (default when "cmd" is absent):
 ///     {"target": "mnli", "k": 10, "threshold": 0.0, "proxy": "leep",
 ///      "proxies": ["leep","nce"], "deadline_ms": 250, "trace": false,
-///      "recall_backend": "embedding"}   // "" = built-in recall path
+///      "recall_backend": "embedding"}   // "" = "representative"
 ///     -> {"ok": true, "target": "mnli", "selected": "...",
 ///         "accuracy": 0.83, "training_epochs": 17, "inference_epochs":
 ///         3.5, "total_epochs": 20.5, "survivors": [10,5,2,1,1],

@@ -283,15 +283,16 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
       options.recall.nprobe = request.nprobe;
       response.index_backend = artifacts.index->name();
     }
-    // Recall backend routing: an empty name is the legacy built-in path
-    // (provably untouched — no backend pointer is even set); a named
-    // backend resolves against this snapshot's own backend set, so the
-    // backend and the artifacts it reads are always the same version.
-    if (!request.recall_backend.empty()) {
-      TPS_ASSIGN_OR_RETURN(options.recall.backend,
-                           snapshot.backends.Find(request.recall_backend));
-      response.recall_backend = request.recall_backend;
-    }
+    // Recall backend routing: the name (empty = "representative", the
+    // selector's own CoarseRecall) resolves against this snapshot's own
+    // backend set, so the backend and the artifacts it reads are always
+    // the same version. Only a named backend is echoed in the reply.
+    TPS_ASSIGN_OR_RETURN(
+        const recall::RecallBackend* backend,
+        snapshot.backends.Find(request.recall_backend.empty()
+                                   ? "representative"
+                                   : request.recall_backend));
+    response.recall_backend = request.recall_backend;
     options.fine_selection.threshold = request.threshold;
     options.metrics = metrics_;
     options.cancel = token;
@@ -301,7 +302,8 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
         TwoPhaseReport report,
         snapshot.selector.Select(
             *target, options,
-            Hyperparams::DefaultsFor(target->spec().domain), pool_.get()));
+            Hyperparams::DefaultsFor(target->spec().domain), pool_.get(),
+            *backend));
     response.selected_model =
         artifacts.zoo.model(report.selection.selected_model).name();
     response.selected_accuracy = report.selection.selected_accuracy;

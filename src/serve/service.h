@@ -78,13 +78,14 @@ struct SelectionRequest {
   /// propagation_neighbors = 0; the default keeps 8 neighbors). No effect
   /// when the artifacts have no index.
   size_t nprobe = 0;
-  /// Recall backend routing ("Recall backends" in DESIGN.md): empty (the
-  /// default) runs the built-in representative path exactly as before the
-  /// backend interface existed; "representative" / "embedding" / "hybrid"
-  /// route phase 1 through the named backend of the admission snapshot.
-  /// Unknown names fail with NotFound, names the published artifacts
-  /// cannot serve (no trained embeddings) with FailedPrecondition. For
-  /// the embedding backend `nprobe` bounds the embedding-space IVF probe.
+  /// Recall backend routing ("Recall backends" in DESIGN.md):
+  /// "representative" / "embedding" / "hybrid" route phase 1 through the
+  /// named backend of the admission snapshot; empty (the default) means
+  /// "representative", the same CoarseRecall, but is not echoed in the
+  /// reply. Unknown names fail with NotFound, names the published
+  /// artifacts cannot serve (no trained embeddings) with
+  /// FailedPrecondition. For the embedding backend `nprobe` bounds the
+  /// embedding-space IVF probe.
   std::string recall_backend;
 };
 

@@ -81,6 +81,27 @@ TEST_F(ClusteringPersistenceTest, LoadRejectsCorruptInput) {
                                                                    // assign.
   }
   EXPECT_TRUE(LoadClustering(path).status().IsInvalidArgument());
+
+  // Counts the text cannot hold are rejected before anything is sized by
+  // them: a model count far past the text's length, and a distance matrix
+  // whose n x n entries could not fit in it.
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& message) {
+    const Status status = DeserializeClustering(text).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_EQ(status.message(), message);
+  };
+  expect_rejected(
+      "tps-model-clustering v1\n5000000000000000000 1\n0 0 5 0 0.1 42\n0\n",
+      "bad clustering dimensions");
+  std::string wide = "tps-model-clustering v1\n4000 1\n0 0 5 0 0.1 42\n";
+  for (int m = 0; m < 4000; ++m) wide += "0 ";
+  wide += "\n0\n4000\n";  // 16M distances promised in ~8 KB.
+  expect_rejected(wide, "bad distance matrix size");
+  // A real clustering cut inside its distances.
+  const std::string full = SerializeClustering(*clustering_);
+  expect_rejected(full.substr(0, full.size() - full.size() / 10),
+                  "truncated distances");
 }
 
 TEST_F(ClusteringPersistenceTest, SaveToUnwritablePathFails) {

@@ -19,11 +19,11 @@ namespace recall {
 namespace {
 
 // The interchangeability contracts of the pluggable recall backends:
-// "representative" is a pure delegation to CoarseRecall (bit-identical
-// ranking AND epoch ledger, serial or pooled, exact or IVF-indexed), routing
-// a TwoPhaseSelector through it changes nothing, "embedding" ranks with
-// dot products only (zero proxies, zero budget), and "hybrid" charges
-// exactly what its representative leg charged.
+// "representative" is a CoarseRecall (bit-identical ranking AND epoch
+// ledger to any other over the same artifacts, serial or pooled, exact or
+// IVF-indexed), handing it to a TwoPhaseSelector changes nothing,
+// "embedding" ranks with dot products only (zero proxies, zero budget),
+// and "hybrid" charges exactly what its representative leg charged.
 
 void ExpectSameRanking(const RecallResult& a, const RecallResult& b) {
   ASSERT_EQ(a.ranked.size(), b.ranked.size());
@@ -148,11 +148,11 @@ TEST_F(BackendEquivalenceTest, RoutedSelectorMatchesUnroutedBitForBit) {
   auto backend = CreateRecallBackend("representative", FullContext());
   ASSERT_TRUE(backend.ok());
   TwoPhaseSelector selector(zoo_, matrix_, clustering_, simulator_);
-  TwoPhaseOptions unrouted;
-  TwoPhaseOptions routed;
-  routed.recall.backend = backend->get();
-  auto want = selector.Select(*target_, unrouted);
-  auto got = selector.Select(*target_, routed);
+  const TwoPhaseOptions options;
+  auto want = selector.Select(*target_, options);
+  auto got = selector.Select(*target_, options,
+                             Hyperparams::DefaultsFor(TaskDomain::kNLP),
+                             /*pool=*/nullptr, **backend);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok()) << got.status().message();
   ExpectSameRanking(want->recall, got->recall);
@@ -262,19 +262,31 @@ TEST_F(BackendEquivalenceTest, RegistryResolvesAndRejects) {
       CreateRecallBackend("embedding", bare).status().IsFailedPrecondition());
   EXPECT_TRUE(
       CreateRecallBackend("hybrid", bare).status().IsFailedPrecondition());
-  const RecallBackendSet set(bare);
+  const CoarseRecall representative(zoo_, matrix_, clustering_);
+  const RecallBackendSet set(representative, bare);
   EXPECT_EQ(set.available(), std::vector<std::string>{"representative"});
   EXPECT_TRUE(set.Find("embedding").status().IsFailedPrecondition());
   EXPECT_TRUE(set.Find("no-such-backend").status().IsNotFound());
   auto found = set.Find("representative");
   ASSERT_TRUE(found.ok());
   EXPECT_EQ((*found)->name(), "representative");
+  EXPECT_EQ(*found, &representative);
 
   // With embeddings, all three serve.
-  const RecallBackendSet full(FullContext());
+  const RecallBackendSet full(representative, FullContext());
   EXPECT_EQ(full.available(),
             (std::vector<std::string>{"embedding", "hybrid",
                                       "representative"}));
+
+  // The paper's ranking needs the clustering: a context without it is
+  // rejected up front rather than failing every request.
+  RecallBackendContext unclustered = FullContext();
+  unclustered.clustering = nullptr;
+  for (const char* name : {"representative", "hybrid"}) {
+    EXPECT_TRUE(
+        CreateRecallBackend(name, unclustered).status().IsInvalidArgument())
+        << name;
+  }
 }
 
 }  // namespace

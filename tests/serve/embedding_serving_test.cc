@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <latch>
 #include <map>
 #include <memory>
 #include <set>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "recall/embed_trainer.h"
+#include "serve/artifact_slot.h"
 #include "serve/artifacts.h"
 #include "serve/service.h"
 
@@ -203,6 +204,20 @@ TEST_F(EmbeddingServingTest, RepresentativeRoutingMatchesUnrouted) {
   ExpectSameAnswer(got, want);
 }
 
+// One CoarseRecall per snapshot: the backend set resolves "representative"
+// to the selector's own, so unnamed and "representative" requests run the
+// very same object.
+TEST_F(EmbeddingServingTest, SnapshotRepresentativeIsTheSelectorsRecall) {
+  for (const ServiceArtifacts* artifacts : {base_, embedded_a_}) {
+    const auto snapshot =
+        std::make_shared<const ArtifactSnapshot>(ServiceArtifacts(*artifacts),
+                                                 1);
+    auto found = snapshot->backends.Find("representative");
+    ASSERT_TRUE(found.ok()) << found.status().message();
+    EXPECT_EQ(*found, &snapshot->selector.coarse_recall());
+  }
+}
+
 TEST_F(EmbeddingServingTest, ReloadIntroducesEmbeddingsToARunningService) {
   auto service =
       SelectionService::Create(ServiceArtifacts(*base_), LightOptions());
@@ -238,29 +253,36 @@ TEST_F(EmbeddingServingTest, SwapBetweenEmbeddingVersionsNeverMixes) {
 
   constexpr int kClients = 8;
   std::atomic<bool> stop{false};
-  std::atomic<int> warmed{0};
+  // Latches, not sleeps: `warmed` opens once every client has answered
+  // once (at version 1), `saw_b` once every client has answered at version
+  // 2, so the second reload cannot land before artifact b was served to
+  // all of them.
+  std::latch warmed(kClients);
+  std::latch saw_b(kClients);
   std::vector<std::vector<SelectionResponse>> responses(kClients);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      size_t i = 0;
-      while (true) {
+      bool counted_b = false;
+      for (size_t i = 0;; ++i) {
         const std::string& target = targets[(c + i) % targets.size()];
         responses[c].push_back(
             service.Submit(EmbeddingRequest(target)).get());
-        if (++i == 1) warmed.fetch_add(1);
+        if (i == 0) warmed.count_down();
+        if (!counted_b && responses[c].back().artifact_version == 2) {
+          counted_b = true;
+          saw_b.count_down();
+        }
         if (stop.load()) break;
       }
     });
   }
 
-  // Both Reloads land while every client is mid-loop.
-  while (warmed.load() < kClients) {
-    std::this_thread::yield();
-  }
+  // Both Reloads land while every client is provably mid-loop.
+  warmed.wait();
   ASSERT_TRUE(service.Reload(ServiceArtifacts(*embedded_b_)).ok());  // v2
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  saw_b.wait();
   ASSERT_TRUE(service.Reload(ServiceArtifacts(*embedded_a_)).ok());  // v3
   stop.store(true);
   for (std::thread& client : clients) client.join();
@@ -287,9 +309,11 @@ TEST_F(EmbeddingServingTest, SwapBetweenEmbeddingVersionsNeverMixes) {
                            .at(response.target));
     }
   }
-  // Every client completed at least its warm-up answer and one more.
+  // Every client completed a request at version 1 and another at version 2.
   EXPECT_GE(total, static_cast<size_t>(kClients) * 2);
-  EXPECT_FALSE(versions_seen.empty());
+  // Version 1 (warm-up), version 2 (the saw_b latch) and version 3 (the
+  // probe) are all guaranteed observed.
+  EXPECT_EQ(versions_seen, (std::set<uint64_t>{1, 2, 3}));
   EXPECT_EQ(service.artifact_version(), 3u);
 }
 

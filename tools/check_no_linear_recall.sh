@@ -131,6 +131,39 @@ else
   echo "ok: coarse_recall.cc has a single, index-based ranking path"
 fi
 
+# 9. One phase-1 entry: TwoPhaseSelector runs phase 1 through exactly one
+#    RecallBackend& (its own CoarseRecall unless the caller names another).
+#    A backend pointer in RecallOptions, a second Recall( call in
+#    two_phase.cc, or a wrapper that only delegates back to CoarseRecall
+#    would bring back a second route to the same ranking.
+HEADER=$SRC/core/coarse_recall.h
+options_body=$(sed -n '/^struct RecallOptions {/,/^};/p' "$HEADER")
+if [[ -z "$options_body" ]]; then
+  fail "coarse_recall.h: struct RecallOptions not found — cannot check it for a backend pointer"
+else
+  backend_field=$(echo "$options_body" | grep -v '^[[:space:]]*//' \
+    | grep -n "RecallBackend[[:space:]]*\*" || true)
+  if [[ -n "$backend_field" ]]; then
+    fail "coarse_recall.h: RecallOptions declares a RecallBackend pointer — pass the backend to TwoPhaseSelector::Select instead" \
+         "$backend_field"
+  else
+    echo "ok: RecallOptions carries no recall backend"
+  fi
+fi
+recall_calls=$(grep -v '^[[:space:]]*//' "$SRC/core/two_phase.cc" | grep -c "\.Recall(\|->Recall(" || true)
+if [[ "$recall_calls" -ne 1 ]]; then
+  fail "two_phase.cc calls Recall( $recall_calls times — phase 1 must have exactly one entry"
+else
+  echo "ok: two_phase.cc enters phase 1 exactly once"
+fi
+wrappers=$(ls "$SRC"/recall/representative_backend.* 2>/dev/null || true)
+if [[ -n "$wrappers" ]]; then
+  fail "src/recall/representative_backend.* exists — CoarseRecall is the representative backend" \
+       "$wrappers"
+else
+  echo "ok: no representative wrapper beside CoarseRecall"
+fi
+
 if [[ $FAILURES -ne 0 ]]; then
   echo "$FAILURES linear-recall regression check(s) failed" >&2
   exit 1
