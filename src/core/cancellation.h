@@ -1,6 +1,7 @@
 #ifndef TPS_CORE_CANCELLATION_H_
 #define TPS_CORE_CANCELLATION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -43,10 +44,16 @@ class CancelToken {
     has_deadline_.store(true, std::memory_order_relaxed);
   }
 
-  /// Arms a deadline `ms` milliseconds from now.
+  /// Arms a deadline `ms` milliseconds from now. A deadline 2^62 ns
+  /// (about 146 years) away or more, or NaN, arms nothing: it would never
+  /// trip, and casting it to the clock's int64 nanoseconds would overflow.
   void SetDeadlineAfterMillis(double ms) {
+    constexpr double kNeverNanos = 4611686018427387904.0;  // 2^62
+    const double ns = ms * 1e6;
+    if (!(ns < kNeverNanos)) return;
     SetDeadline(std::chrono::steady_clock::now() +
-                std::chrono::nanoseconds(static_cast<int64_t>(ms * 1e6)));
+                std::chrono::nanoseconds(
+                    static_cast<int64_t>(std::max(ns, -kNeverNanos))));
   }
 
   /// Test hook: the token trips on the (n+1)-th Check() call (n = 0 trips

@@ -316,11 +316,11 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
 
   // --- Observability (pure recording; the result above is final). ---
   const double wall_ms = phase_timer.ElapsedMillis();
-  metrics->counter("recall.runs").Increment();
-  metrics->counter("recall.proxies_computed")
-      .Increment(result.proxies_computed);
-  metrics->counter("recall.models_ranked").Increment(result.ranked.size());
-  metrics->histogram("recall.wall_us").Record(wall_ms * 1e3);
+  const PipelineInstruments& instruments = metrics->pipeline();
+  instruments.recall_runs.Increment();
+  instruments.recall_proxies_computed.Increment(result.proxies_computed);
+  instruments.recall_models_ranked.Increment(result.ranked.size());
+  instruments.recall_wall_us.Record(wall_ms * 1e3);
   if (trace != nullptr) {
     trace->recall.scored.clear();
     for (size_t i = 0; i < scored_models.size(); ++i) {

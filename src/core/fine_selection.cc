@@ -32,10 +32,7 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
     }
   }
   if (metrics == nullptr) metrics = MetricsRegistry::Default();
-  Counter& stages_counter = metrics->counter("fine.stages");
-  Counter& epoch_steps_counter = metrics->counter("fine.epoch_steps");
-  Counter& trend_prunes_counter = metrics->counter("fine.trend_prunes");
-  Counter& halving_drops_counter = metrics->counter("fine.halving_drops");
+  const PipelineInstruments& instruments = metrics->pipeline();
   TPS_RETURN_NOT_OK(CheckCancel(cancel, "fine selection entry"));
   WallTimer phase_timer;
 
@@ -74,8 +71,8 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
     if (budget != nullptr) {
       budget->ChargeTraining(static_cast<double>(remaining.size()));
     }
-    stages_counter.Increment();
-    epoch_steps_counter.Increment(remaining.size());
+    instruments.fine_stages.Increment();
+    instruments.fine_epoch_steps.Increment(remaining.size());
     if (remaining.size() <= 1) {
       if (trace != nullptr) {
         stage_trace.survivors = zoo_indices(remaining);
@@ -144,7 +141,8 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
       if (!removed[r]) survivors.push_back(remaining[r]);
     }
     TPS_CHECK(!survivors.empty());  // The best-val model is never removed.
-    trend_prunes_counter.Increment(remaining.size() - survivors.size());
+    instruments.fine_trend_prunes.Increment(remaining.size() -
+                                            survivors.size());
 
     // Halving backstop: ensure at least half the stage's pool is gone.
     const size_t keep = std::max<size_t>(1, remaining.size() / 2);
@@ -158,7 +156,7 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
             survivors.begin() + static_cast<ptrdiff_t>(keep),
             survivors.end()));
       }
-      halving_drops_counter.Increment(survivors.size() - keep);
+      instruments.fine_halving_drops.Increment(survivors.size() - keep);
       survivors.resize(keep);
     }
     remaining = std::move(survivors);
@@ -178,8 +176,8 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
   outcome.selected_accuracy = runs[best].final_test();
 
   const double wall_ms = phase_timer.ElapsedMillis();
-  metrics->counter("fine.runs").Increment();
-  metrics->histogram("fine.wall_us").Record(wall_ms * 1e3);
+  instruments.fine_runs.Increment();
+  instruments.fine_wall_us.Record(wall_ms * 1e3);
   if (trace != nullptr) {
     trace->fine_wall_ms = wall_ms;
     trace->selected_model = outcome.selected_model;

@@ -4,8 +4,8 @@
 #include <charconv>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string_view>
+#include <type_traits>
 
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -183,23 +183,58 @@ double PerformanceMatrix::ValAtStage(size_t dataset_index, size_t model_index,
   return r.val_accuracy[static_cast<size_t>(s)];
 }
 
+namespace {
+
+/// Appends `v` as ostream would with precision 17: integers in decimal,
+/// doubles as %.17g (to_chars' general format at that precision).
+template <typename T>
+void AppendText(std::string* out, T v) {
+  char buf[32];
+  const std::to_chars_result written = [&] {
+    if constexpr (std::is_floating_point_v<T>) {
+      return std::to_chars(buf, buf + sizeof(buf), v,
+                           std::chars_format::general, 17);
+    } else {
+      return std::to_chars(buf, buf + sizeof(buf), v);
+    }
+  }();
+  out->append(buf, written.ptr);
+}
+
+}  // namespace
+
 std::string PerformanceMatrix::Serialize() const {
-  std::ostringstream out;
-  out << "tps-performance-matrix v1\n";
-  out << num_datasets() << " " << num_models() << "\n";
-  for (const std::string& name : dataset_names_) out << name << "\n";
-  for (const std::string& name : model_names_) out << name << "\n";
-  out.precision(17);
+  std::string out = "tps-performance-matrix v1\n";
+  AppendText(&out, num_datasets());
+  out.push_back(' ');
+  AppendText(&out, num_models());
+  out.push_back('\n');
+  for (const std::vector<std::string>* names :
+       {&dataset_names_, &model_names_}) {
+    for (const std::string& name : *names) {
+      out.append(name);
+      out.push_back('\n');
+    }
+  }
   for (size_t di = 0; di < num_datasets(); ++di) {
     for (size_t mi = 0; mi < num_models(); ++mi) {
       const TrainingRun& r = run(di, mi);
-      out << di << " " << mi << " " << r.epochs();
-      for (double v : r.val_accuracy) out << " " << v;
-      for (double v : r.test_accuracy) out << " " << v;
-      out << "\n";
+      AppendText(&out, di);
+      out.push_back(' ');
+      AppendText(&out, mi);
+      out.push_back(' ');
+      AppendText(&out, r.epochs());
+      for (const std::vector<double>* curve :
+           {&r.val_accuracy, &r.test_accuracy}) {
+        for (double v : *curve) {
+          out.push_back(' ');
+          AppendText(&out, v);
+        }
+      }
+      out.push_back('\n');
     }
   }
-  return out.str();
+  return out;
 }
 
 Status PerformanceMatrix::SaveToFile(const std::string& path) const {

@@ -74,7 +74,7 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
   TPS_ASSIGN_OR_RETURN(report.selection,
                        fine.Select(candidates, target, hp, &report.budget,
                                    pool, metrics, trace, options.cancel));
-  metrics->counter("two_phase.runs").Increment();
+  metrics->pipeline().two_phase_runs.Increment();
   if (trace != nullptr) trace->total_epochs = report.budget.total_epochs();
   return report;
 }

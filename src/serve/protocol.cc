@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "util/json.h"
@@ -18,27 +19,106 @@ StatusCode CodeFromName(const std::string& name) {
   return StatusCode::kInternal;
 }
 
-json::Value SizeArray(const std::vector<size_t>& values) {
-  json::Value array = json::Value::Array();
-  for (size_t v : values) {
-    array.Append(json::Value::Int(static_cast<int64_t>(v)));
+// [select-codec-begin] The server side of every select. Requests are
+// scanned once with json::VisitMembers and replies written with
+// json::Writer; no document model is built between these markers
+// (tools/check_select_path.sh checks it).
+
+/// The request keys the protocol reads; every other key is scanned and
+/// dropped.
+enum Key {
+  kCmd,
+  kTarget,
+  kK,
+  kThreshold,
+  kProxy,
+  kProxies,
+  kDeadlineMs,
+  kTrace,
+  kNprobe,
+  kRecallBackend,
+  kStore,
+  kId,
+  kMatrix,
+  kClustering,
+  kIndex,
+  kEmbeddings,
+  kNumKeys
+};
+
+constexpr std::string_view kKeyNames[kNumKeys] = {
+    "cmd",   "target",         "k",     "threshold", "proxy",
+    "proxies", "deadline_ms",  "trace", "nprobe",    "recall_backend",
+    "store", "id",             "matrix", "clustering", "index",
+    "embeddings"};
+
+/// The last value a line gave one known key (a later duplicate wins, as
+/// in a parsed JSON object).
+struct Field {
+  bool present = false;
+  json::Value::Type type = json::Value::Type::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  std::string string;    // kString.
+  std::string_view raw;  // The value's text in the line.
+};
+
+Status MemberTypeError(const char* type, Key key) {
+  return Status::InvalidArgument("missing or non-" + std::string(type) +
+                                 " member: " + std::string(kKeyNames[key]));
+}
+
+StatusOr<std::string> TakeString(Field* fields, Key key) {
+  if (!fields[key].present || fields[key].type != json::Value::Type::kString) {
+    return MemberTypeError("string", key);
   }
-  return array;
+  return std::move(fields[key].string);
+}
+
+StatusOr<double> GetNumber(const Field* fields, Key key) {
+  if (!fields[key].present || fields[key].type != json::Value::Type::kNumber) {
+    return MemberTypeError("number", key);
+  }
+  return fields[key].number;
+}
+
+/// Counts of 2^64 and more mean "all"; a plain cast of such a double is
+/// undefined.
+size_t SaturatedCount(double v) {
+  return v >= 18446744073709551616.0 ? SIZE_MAX : static_cast<size_t>(v);
 }
 
 }  // namespace
 
-StatusOr<WireRequest> ParseRequestLine(const std::string& line) {
-  TPS_ASSIGN_OR_RETURN(json::Value doc, json::Parse(line));
-  if (!doc.is_object()) {
+StatusOr<WireRequest> ParseRequestLine(std::string_view line) {
+  Field fields[kNumKeys];
+  TPS_ASSIGN_OR_RETURN(
+      const bool is_object,
+      json::VisitMembers(line, [&fields](std::string_view key,
+                                         const json::Member& value) {
+        for (int k = 0; k < kNumKeys; ++k) {
+          if (key != kKeyNames[k]) continue;
+          Field& field = fields[k];
+          field.present = true;
+          field.type = value.type;
+          field.boolean = value.boolean;
+          field.number = value.number;
+          field.raw = value.raw;
+          if (value.type == json::Value::Type::kString) {
+            field.string.assign(value.string);
+          }
+          return;
+        }
+      }));
+  if (!is_object) {
     return Status::InvalidArgument("request must be a JSON object");
   }
   WireRequest request;
-  if (const json::Value* cmd = doc.Find("cmd"); cmd != nullptr) {
-    if (!cmd->is_string()) {
+  if (const Field& cmd = fields[kCmd]; cmd.present) {
+    if (cmd.type != json::Value::Type::kString) {
       return Status::InvalidArgument("\"cmd\" must be a string");
     }
-    const std::string& name = cmd->string();
+    const std::string& name = cmd.string;
     if (name == "select") {
       request.command = WireCommand::kSelect;
     } else if (name == "ping") {
@@ -49,22 +129,19 @@ StatusOr<WireRequest> ParseRequestLine(const std::string& line) {
       return WireRequest{WireCommand::kShutdown, {}, {}};
     } else if (name == "reload") {
       request.command = WireCommand::kReload;
-      for (const char* key : {"store", "id", "matrix", "clustering",
-                              "index", "embeddings"}) {
-        if (doc.Find(key) == nullptr) continue;
-        TPS_ASSIGN_OR_RETURN(const std::string value, doc.GetString(key));
-        if (key == std::string("store")) request.reload.store = value;
-        if (key == std::string("id")) request.reload.id = value;
-        if (key == std::string("matrix")) request.reload.matrix = value;
-        if (key == std::string("clustering")) {
-          request.reload.clustering = value;
-        }
-        if (key == std::string("index")) request.reload.index = value;
-        if (key == std::string("embeddings")) {
-          request.reload.embeddings = value;
-        }
+      static constexpr std::pair<Key, std::string ArtifactPaths::*>
+          kReloadPaths[] = {{kStore, &ArtifactPaths::store},
+                            {kId, &ArtifactPaths::id},
+                            {kMatrix, &ArtifactPaths::matrix},
+                            {kClustering, &ArtifactPaths::clustering},
+                            {kIndex, &ArtifactPaths::index},
+                            {kEmbeddings, &ArtifactPaths::embeddings}};
+      ArtifactPaths& reload = request.reload;
+      for (const auto& [key, path] : kReloadPaths) {
+        if (!fields[key].present) continue;
+        TPS_ASSIGN_OR_RETURN(reload.*path, TakeString(fields, key));
       }
-      if (request.reload.store.empty() && request.reload.matrix.empty()) {
+      if (reload.store.empty() && reload.matrix.empty()) {
         return Status::InvalidArgument(
             "reload needs \"store\" or \"matrix\"/\"clustering\" paths");
       }
@@ -74,183 +151,212 @@ StatusOr<WireRequest> ParseRequestLine(const std::string& line) {
     }
   }
 
-  // Select fields. Unknown keys are deliberately ignored.
-  TPS_ASSIGN_OR_RETURN(request.select.target, doc.GetString("target"));
-  if (request.select.target.empty()) {
+  // Select fields, validated in a fixed order whatever the line's order.
+  SelectionRequest& select = request.select;
+  TPS_ASSIGN_OR_RETURN(select.target, TakeString(fields, kTarget));
+  if (select.target.empty()) {
     return Status::InvalidArgument("\"target\" must not be empty");
   }
-  if (doc.Find("k") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(const double k, doc.GetNumber("k"));
+  if (fields[kK].present) {
+    TPS_ASSIGN_OR_RETURN(const double k, GetNumber(fields, kK));
     if (k < 1) return Status::InvalidArgument("\"k\" must be >= 1");
-    request.select.top_k = static_cast<size_t>(k);
+    select.top_k = SaturatedCount(k);
   }
-  if (doc.Find("threshold") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(request.select.threshold,
-                         doc.GetNumber("threshold"));
-    if (request.select.threshold < 0.0) {
+  if (fields[kThreshold].present) {
+    TPS_ASSIGN_OR_RETURN(select.threshold, GetNumber(fields, kThreshold));
+    if (select.threshold < 0.0) {
       return Status::InvalidArgument("\"threshold\" must be >= 0");
     }
   }
-  if (doc.Find("proxy") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(request.select.proxy, doc.GetString("proxy"));
+  if (fields[kProxy].present) {
+    TPS_ASSIGN_OR_RETURN(select.proxy, TakeString(fields, kProxy));
   }
-  if (doc.Find("proxies") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(const json::Value* proxies,
-                         doc.GetArray("proxies"));
-    for (const json::Value& item : proxies->items()) {
-      if (!item.is_string()) {
-        return Status::InvalidArgument("\"proxies\" must hold strings");
-      }
-      request.select.proxies.push_back(item.string());
+  if (const Field& proxies = fields[kProxies]; proxies.present) {
+    if (proxies.type != json::Value::Type::kArray) {
+      return MemberTypeError("array", kProxies);
+    }
+    bool all_strings = true;
+    // The array already scanned clean as part of the line.
+    TPS_RETURN_NOT_OK(
+        json::VisitItems(proxies.raw, [&](const json::Member& item) {
+          all_strings = all_strings && item.type == json::Value::Type::kString;
+          if (all_strings) select.proxies.emplace_back(item.string);
+        }).status());
+    if (!all_strings) {
+      return Status::InvalidArgument("\"proxies\" must hold strings");
     }
   }
-  if (doc.Find("deadline_ms") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(request.select.deadline_ms,
-                         doc.GetNumber("deadline_ms"));
-    if (request.select.deadline_ms < 0.0) {
+  if (fields[kDeadlineMs].present) {
+    TPS_ASSIGN_OR_RETURN(select.deadline_ms, GetNumber(fields, kDeadlineMs));
+    if (select.deadline_ms < 0.0) {
       return Status::InvalidArgument("\"deadline_ms\" must be >= 0");
     }
   }
-  if (doc.Find("trace") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(request.select.want_trace, doc.GetBool("trace"));
+  if (const Field& trace = fields[kTrace]; trace.present) {
+    if (trace.type != json::Value::Type::kBool) {
+      return MemberTypeError("bool", kTrace);
+    }
+    select.want_trace = trace.boolean;
   }
-  if (doc.Find("nprobe") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(const double nprobe, doc.GetNumber("nprobe"));
+  if (fields[kNprobe].present) {
+    TPS_ASSIGN_OR_RETURN(const double nprobe, GetNumber(fields, kNprobe));
     if (nprobe < 0) return Status::InvalidArgument("\"nprobe\" must be >= 0");
-    request.select.nprobe = static_cast<size_t>(nprobe);
+    select.nprobe = SaturatedCount(nprobe);
   }
-  if (doc.Find("recall_backend") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(request.select.recall_backend,
-                         doc.GetString("recall_backend"));
+  if (fields[kRecallBackend].present) {
+    TPS_ASSIGN_OR_RETURN(select.recall_backend,
+                         TakeString(fields, kRecallBackend));
   }
   return request;
 }
 
+namespace {
+
+/// One compact line written by `write` into a fresh string.
+template <typename Write>
+std::string Line(Write&& write) {
+  std::string out;
+  json::Writer writer(&out);
+  write(writer);
+  return out;
+}
+
+}  // namespace
+
 std::string RequestToLine(const SelectionRequest& request) {
-  json::Value doc = json::Value::Object();
-  doc.Set("target", json::Value::String(request.target));
-  doc.Set("k", json::Value::Int(static_cast<int64_t>(request.top_k)));
-  doc.Set("threshold", json::Value::Number(request.threshold));
-  doc.Set("proxy", json::Value::String(request.proxy));
-  if (!request.proxies.empty()) {
-    json::Value proxies = json::Value::Array();
-    for (const std::string& p : request.proxies) {
-      proxies.Append(json::Value::String(p));
+  return Line([&](json::Writer& w) {
+    w.BeginObject()
+        .Key("target").String(request.target)
+        .Key("k").Int(static_cast<int64_t>(request.top_k))
+        .Key("threshold").Number(request.threshold)
+        .Key("proxy").String(request.proxy);
+    if (!request.proxies.empty()) {
+      w.Key("proxies").BeginArray();
+      for (const std::string& p : request.proxies) w.String(p);
+      w.EndArray();
     }
-    doc.Set("proxies", std::move(proxies));
+    if (request.deadline_ms > 0.0) {
+      w.Key("deadline_ms").Number(request.deadline_ms);
+    }
+    if (request.want_trace) w.Key("trace").Bool(true);
+    if (request.nprobe != 0) {
+      w.Key("nprobe").Int(static_cast<int64_t>(request.nprobe));
+    }
+    if (!request.recall_backend.empty()) {
+      w.Key("recall_backend").String(request.recall_backend);
+    }
+    w.EndObject();
+  });
+}
+
+void AppendError(const Status& status, std::string* out) {
+  json::Writer(out)
+      .BeginObject()
+      .Key("ok").Bool(false)
+      .Key("code").String(StatusCodeToString(
+          status.ok() ? StatusCode::kInternal : status.code()))
+      .Key("error").String(status.ok() ? "error reply for OK status"
+                                       : status.message())
+      .EndObject();
+}
+
+void AppendResponse(const SelectionResponse& response, std::string* out) {
+  if (!response.status.ok()) {
+    AppendError(response.status, out);
+    return;
   }
-  if (request.deadline_ms > 0.0) {
-    doc.Set("deadline_ms", json::Value::Number(request.deadline_ms));
+  json::Writer w(out);
+  w.BeginObject()
+      .Key("ok").Bool(true)
+      .Key("target").String(response.target)
+      .Key("selected").String(response.selected_model)
+      .Key("accuracy").Number(response.selected_accuracy)
+      .Key("training_epochs").Number(response.training_epochs)
+      .Key("inference_epochs").Number(response.inference_epochs)
+      .Key("total_epochs").Number(response.total_epochs)
+      .Key("survivors").BeginArray();
+  for (size_t v : response.survivors_per_stage) {
+    w.Int(static_cast<int64_t>(v));
   }
-  if (request.want_trace) doc.Set("trace", json::Value::Bool(true));
-  if (request.nprobe != 0) {
-    doc.Set("nprobe", json::Value::Int(static_cast<int64_t>(request.nprobe)));
+  w.EndArray()
+      .Key("artifact_version")
+      .Int(static_cast<int64_t>(response.artifact_version))
+      .Key("wall_ms").Number(response.wall_ms)
+      .Key("cache_hits").Int(static_cast<int64_t>(response.cache_hits))
+      .Key("cache_misses").Int(static_cast<int64_t>(response.cache_misses));
+  if (!response.index_backend.empty()) {
+    w.Key("index_backend").String(response.index_backend);
   }
-  if (!request.recall_backend.empty()) {
-    doc.Set("recall_backend", json::Value::String(request.recall_backend));
+  if (!response.recall_backend.empty()) {
+    w.Key("recall_backend").String(response.recall_backend);
   }
-  return doc.Dump(-1);
+  // The trace codec already writes deterministic compact JSON; splice it.
+  if (response.has_trace) w.Key("trace").Raw(response.trace.ToJson(-1));
+  w.EndObject();
 }
 
 std::string ResponseToLine(const SelectionResponse& response) {
-  if (!response.status.ok()) return ErrorToLine(response.status);
-  json::Value doc = json::Value::Object();
-  doc.Set("ok", json::Value::Bool(true));
-  doc.Set("target", json::Value::String(response.target));
-  doc.Set("selected", json::Value::String(response.selected_model));
-  doc.Set("accuracy", json::Value::Number(response.selected_accuracy));
-  doc.Set("training_epochs", json::Value::Number(response.training_epochs));
-  doc.Set("inference_epochs",
-          json::Value::Number(response.inference_epochs));
-  doc.Set("total_epochs", json::Value::Number(response.total_epochs));
-  doc.Set("survivors", SizeArray(response.survivors_per_stage));
-  doc.Set("artifact_version", json::Value::Int(static_cast<int64_t>(
-                                  response.artifact_version)));
-  doc.Set("wall_ms", json::Value::Number(response.wall_ms));
-  doc.Set("cache_hits",
-          json::Value::Int(static_cast<int64_t>(response.cache_hits)));
-  doc.Set("cache_misses",
-          json::Value::Int(static_cast<int64_t>(response.cache_misses)));
-  if (!response.index_backend.empty()) {
-    doc.Set("index_backend", json::Value::String(response.index_backend));
-  }
-  if (!response.recall_backend.empty()) {
-    doc.Set("recall_backend", json::Value::String(response.recall_backend));
-  }
-  if (response.has_trace) {
-    // The trace codec already emits deterministic JSON; parse it into the
-    // reply document rather than duplicating the schema here.
-    auto trace_or = json::Parse(response.trace.ToJson(-1));
-    if (trace_or.ok()) doc.Set("trace", std::move(*trace_or));
-  }
-  return doc.Dump(-1);
+  std::string out;
+  out.reserve(512);  // A select reply without a trace is about 300 bytes.
+  AppendResponse(response, &out);
+  return out;
 }
 
 std::string ErrorToLine(const Status& status) {
-  json::Value doc = json::Value::Object();
-  doc.Set("ok", json::Value::Bool(false));
-  doc.Set("code",
-          json::Value::String(std::string(StatusCodeToString(
-              status.ok() ? StatusCode::kInternal : status.code()))));
-  doc.Set("error", json::Value::String(
-                       status.ok() ? "error reply for OK status"
-                                   : status.message()));
-  return doc.Dump(-1);
+  std::string out;
+  AppendError(status, &out);
+  return out;
 }
 
 std::string PongLine() {
-  json::Value doc = json::Value::Object();
-  doc.Set("ok", json::Value::Bool(true));
-  doc.Set("pong", json::Value::Bool(true));
-  return doc.Dump(-1);
+  return Line([](json::Writer& w) {
+    w.BeginObject().Key("ok").Bool(true).Key("pong").Bool(true).EndObject();
+  });
 }
 
 std::string StatsToLine(const ServiceStats& stats) {
-  json::Value inner = json::Value::Object();
-  inner.Set("queue_depth",
-            json::Value::Int(static_cast<int64_t>(stats.queue_depth)));
-  inner.Set("artifact_version", json::Value::Int(static_cast<int64_t>(
-                                    stats.artifact_version)));
-  inner.Set("reloads",
-            json::Value::Int(static_cast<int64_t>(stats.reloads)));
-  inner.Set("admitted",
-            json::Value::Int(static_cast<int64_t>(stats.admitted)));
-  inner.Set("rejected",
-            json::Value::Int(static_cast<int64_t>(stats.rejected)));
-  inner.Set("completed",
-            json::Value::Int(static_cast<int64_t>(stats.completed)));
-  inner.Set("deadline_exceeded", json::Value::Int(static_cast<int64_t>(
-                                     stats.deadline_exceeded)));
-  inner.Set("errors", json::Value::Int(static_cast<int64_t>(stats.errors)));
-  inner.Set("cache_hits",
-            json::Value::Int(static_cast<int64_t>(stats.cache_hits)));
-  inner.Set("cache_misses",
-            json::Value::Int(static_cast<int64_t>(stats.cache_misses)));
-  inner.Set("cache_evictions", json::Value::Int(static_cast<int64_t>(
-                                   stats.cache_evictions)));
-  inner.Set("cache_entries",
-            json::Value::Int(static_cast<int64_t>(stats.cache_entries)));
-  json::Value doc = json::Value::Object();
-  doc.Set("ok", json::Value::Bool(true));
-  doc.Set("stats", std::move(inner));
-  return doc.Dump(-1);
+  return Line([&](json::Writer& w) {
+    auto count = [](uint64_t v) { return static_cast<int64_t>(v); };
+    w.BeginObject()
+        .Key("ok").Bool(true)
+        .Key("stats").BeginObject()
+        .Key("queue_depth").Int(count(stats.queue_depth))
+        .Key("artifact_version").Int(count(stats.artifact_version))
+        .Key("reloads").Int(count(stats.reloads))
+        .Key("admitted").Int(count(stats.admitted))
+        .Key("rejected").Int(count(stats.rejected))
+        .Key("completed").Int(count(stats.completed))
+        .Key("deadline_exceeded").Int(count(stats.deadline_exceeded))
+        .Key("errors").Int(count(stats.errors))
+        .Key("cache_hits").Int(count(stats.cache_hits))
+        .Key("cache_misses").Int(count(stats.cache_misses))
+        .Key("cache_evictions").Int(count(stats.cache_evictions))
+        .Key("cache_entries").Int(count(stats.cache_entries))
+        .EndObject()
+        .EndObject();
+  });
 }
 
 std::string ShutdownAckLine() {
-  json::Value doc = json::Value::Object();
-  doc.Set("ok", json::Value::Bool(true));
-  doc.Set("shutting_down", json::Value::Bool(true));
-  return doc.Dump(-1);
+  return Line([](json::Writer& w) {
+    w.BeginObject()
+        .Key("ok").Bool(true)
+        .Key("shutting_down").Bool(true)
+        .EndObject();
+  });
 }
 
 std::string ReloadAckLine(uint64_t artifact_version) {
-  json::Value doc = json::Value::Object();
-  doc.Set("ok", json::Value::Bool(true));
-  doc.Set("reloaded", json::Value::Bool(true));
-  doc.Set("artifact_version",
-          json::Value::Int(static_cast<int64_t>(artifact_version)));
-  return doc.Dump(-1);
+  return Line([&](json::Writer& w) {
+    w.BeginObject()
+        .Key("ok").Bool(true)
+        .Key("reloaded").Bool(true)
+        .Key("artifact_version").Int(static_cast<int64_t>(artifact_version))
+        .EndObject();
+  });
 }
+
+// [select-codec-end]
 
 StatusOr<SelectionResponse> ParseResponseLine(const std::string& line) {
   TPS_ASSIGN_OR_RETURN(json::Value doc, json::Parse(line));

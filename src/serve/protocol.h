@@ -1,7 +1,9 @@
 #ifndef TPS_SERVE_PROTOCOL_H_
 #define TPS_SERVE_PROTOCOL_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "serve/service.h"
 #include "util/statusor.h"
@@ -59,8 +61,11 @@ struct WireRequest {
 
 /// Parses one request line. InvalidArgument on malformed JSON, a non-object
 /// document, an unknown "cmd", bad field types, or a missing target for
-/// select. Unknown keys are ignored (forward compatibility).
-StatusOr<WireRequest> ParseRequestLine(const std::string& line);
+/// select. Unknown keys are ignored (forward compatibility); a duplicate
+/// key's last value wins. "k" and "nprobe" of 2^64 or more saturate to
+/// SIZE_MAX ("all"). The line is scanned once with json::VisitMembers — no
+/// document is built.
+StatusOr<WireRequest> ParseRequestLine(std::string_view line);
 
 /// Serializes a select request (the client side of the protocol).
 std::string RequestToLine(const SelectionRequest& request);
@@ -70,6 +75,12 @@ std::string ResponseToLine(const SelectionResponse& response);
 
 /// One-line `{"ok": false, ...}` reply for protocol-level failures.
 std::string ErrorToLine(const Status& status);
+
+/// Append forms of ResponseToLine / ErrorToLine: the same bytes, written
+/// straight into `*out` with json::Writer (no newline). The server reuses
+/// one reply buffer per connection through these.
+void AppendResponse(const SelectionResponse& response, std::string* out);
+void AppendError(const Status& status, std::string* out);
 
 /// {"ok": true, "pong": true}
 std::string PongLine();

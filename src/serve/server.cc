@@ -99,15 +99,22 @@ size_t SelectionServer::tracked_connections() const {
 
 void SelectionServer::HandleConnection(std::shared_ptr<Socket> socket) {
   std::string buffer;
+  // One reply buffer per connection: replies are written into it, newline
+  // included, so a warm reply reuses its capacity instead of allocating.
+  std::string reply;
+  const auto send_error = [&](const Status& status) {
+    reply.clear();
+    AppendError(status, &reply);
+    reply.push_back('\n');
+    return socket->SendAll(reply).ok();
+  };
   for (;;) {
     StatusOr<std::string> line_or = socket->RecvLine(&buffer, max_line_bytes_);
     if (!line_or.ok()) {
       // An oversized line was discarded by RecvLine with the stream left
       // framed on the next line: answer the error and keep the session.
       if (line_or.status().IsInvalidArgument()) {
-        if (!socket->SendAll(ErrorToLine(line_or.status()) + "\n").ok()) {
-          return;
-        }
+        if (!send_error(line_or.status())) return;
         continue;
       }
       return;  // Peer closed (or we were shut down).
@@ -116,22 +123,20 @@ void SelectionServer::HandleConnection(std::shared_ptr<Socket> socket) {
     StatusOr<WireRequest> request_or = ParseRequestLine(*line_or);
     if (!request_or.ok()) {
       // One bad line never tears down the session.
-      if (!socket->SendAll(ErrorToLine(request_or.status()) + "\n").ok()) {
-        return;
-      }
+      if (!send_error(request_or.status())) return;
       continue;
     }
-    std::string reply;
+    reply.clear();
     bool shutdown_after = false;
     switch (request_or->command) {
       case WireCommand::kPing:
-        reply = PongLine();
+        reply += PongLine();
         break;
       case WireCommand::kStats:
-        reply = StatsToLine(service_->Stats());
+        reply += StatsToLine(service_->Stats());
         break;
       case WireCommand::kShutdown:
-        reply = ShutdownAckLine();
+        reply += ShutdownAckLine();
         shutdown_after = true;
         break;
       case WireCommand::kReload: {
@@ -140,20 +145,25 @@ void SelectionServer::HandleConnection(std::shared_ptr<Socket> socket) {
         ArtifactPaths source = std::move(request_or->reload);
         source.domain = service_->snapshot()->artifacts.domain;
         const Status status = service_->Reload(source);
-        reply = status.ok() ? ReloadAckLine(service_->artifact_version())
-                            : ErrorToLine(status);
+        if (status.ok()) {
+          reply += ReloadAckLine(service_->artifact_version());
+        } else {
+          AppendError(status, &reply);
+        }
         break;
       }
       case WireCommand::kSelect: {
         // Serve, not Handle: socket traffic goes through the same
         // admission control and deadline accounting as embedded callers,
         // and runs right here when a run slot is free.
-        reply = ResponseToLine(service_->Serve(std::move(request_or->select)));
+        AppendResponse(service_->Serve(std::move(request_or->select)),
+                       &reply);
         break;
       }
     }
+    reply.push_back('\n');
     if (pre_reply_hook_) pre_reply_hook_();
-    const bool reply_sent = socket->SendAll(reply + "\n").ok();
+    const bool reply_sent = socket->SendAll(reply).ok();
     if (shutdown_after) {
       // The shutdown was ACCEPTED when the command parsed; the ack is
       // best-effort. A client that sends `shutdown` and disconnects

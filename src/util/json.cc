@@ -1,8 +1,8 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -159,152 +159,237 @@ bool Value::operator==(const Value& other) const {
   return false;
 }
 
-std::string EscapeString(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    const unsigned char byte = static_cast<unsigned char>(c);
-    switch (c) {
+namespace {
+
+/// Appends `s` as a quoted JSON string literal, copying runs of plain bytes
+/// in bulk and escaping the rest in place.
+void AppendEscaped(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  size_t run = 0;  // Start of the pending run of verbatim bytes.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char byte = static_cast<unsigned char>(s[i]);
+    if (byte >= 0x20 && byte != '"' && byte != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (byte) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\b':
-        out += "\\b";
+        out->append("\\b");
         break;
       case '\f':
-        out += "\\f";
+        out->append("\\f");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
-      default:
-        if (byte < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                               kHex[byte & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
-  out += '"';
-  return out;
+  out->append(s.data() + run, s.size() - run);
+  out->push_back('"');
 }
-
-namespace {
 
 void AppendNumber(std::string* out, double d) {
   if (!std::isfinite(d)) {  // inf/NaN have no JSON spelling.
-    *out += "null";
+    out->append("null");
     return;
   }
   // Integral doubles in the exact range print as integers — this keeps
-  // counters and indices readable and byte-stable.
+  // counters and indices readable and byte-stable. Everything else is
+  // %.17g, which to_chars spells exactly as printf does.
   constexpr double kExactIntBound = 9007199254740992.0;  // 2^53
-  if (d == std::floor(d) && std::fabs(d) < kExactIntBound) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(d));
-    *out += buf;
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  *out += buf;
-}
-
-void AppendIndent(std::string* out, int indent, int depth) {
-  out->push_back('\n');
-  out->append(static_cast<size_t>(indent) * static_cast<size_t>(depth), ' ');
+  char buf[32];
+  const std::to_chars_result written =
+      d == std::floor(d) && std::fabs(d) < kExactIntBound
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d))
+          : std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::general, 17);
+  out->append(buf, written.ptr);
 }
 
 }  // namespace
 
-void Value::DumpTo(std::string* out, int indent, int depth) const {
+std::string EscapeString(std::string_view s) {
+  std::string out;
+  AppendEscaped(&out, s);
+  return out;
+}
+
+void Writer::BeforeValue() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (need_comma_) out_->push_back(',');
+  if (indent_ >= 0 && depth_ > 0) {
+    out_->push_back('\n');
+    out_->append(static_cast<size_t>(indent_) * static_cast<size_t>(depth_),
+                 ' ');
+  }
+}
+
+void Writer::Open(char bracket) {
+  BeforeValue();
+  out_->push_back(bracket);
+  ++depth_;
+  need_comma_ = false;
+}
+
+void Writer::Close(char bracket) {
+  --depth_;
+  if (need_comma_ && indent_ >= 0) {  // Non-empty: close on its own line.
+    out_->push_back('\n');
+    out_->append(static_cast<size_t>(indent_) * static_cast<size_t>(depth_),
+                 ' ');
+  }
+  out_->push_back(bracket);
+  need_comma_ = true;
+}
+
+Writer& Writer::Key(std::string_view key) {
+  BeforeValue();
+  AppendEscaped(out_, key);
+  out_->append(indent_ >= 0 ? ": " : ":");
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::String(std::string_view s) {
+  BeforeValue();
+  AppendEscaped(out_, s);
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::Number(double d) {
+  BeforeValue();
+  AppendNumber(out_, d);
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::Bool(bool b) {
+  BeforeValue();
+  out_->append(b ? "true" : "false");
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::Null() {
+  BeforeValue();
+  out_->append("null");
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::Raw(std::string_view json) {
+  BeforeValue();
+  out_->append(json);
+  need_comma_ = true;
+  return *this;
+}
+
+void Value::WriteTo(Writer* writer) const {
   switch (type_) {
     case Type::kNull:
-      *out += "null";
+      writer->Null();
       return;
     case Type::kBool:
-      *out += bool_ ? "true" : "false";
+      writer->Bool(bool_);
       return;
     case Type::kNumber:
-      AppendNumber(out, number_);
+      writer->Number(number_);
       return;
     case Type::kString:
-      *out += EscapeString(string_);
+      writer->String(string_);
       return;
-    case Type::kArray: {
-      if (array_.empty()) {
-        *out += "[]";
-        return;
-      }
-      out->push_back('[');
-      for (size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) out->push_back(',');
-        if (indent >= 0) AppendIndent(out, indent, depth + 1);
-        array_[i].DumpTo(out, indent, depth + 1);
-      }
-      if (indent >= 0) AppendIndent(out, indent, depth);
-      out->push_back(']');
+    case Type::kArray:
+      writer->BeginArray();
+      for (const Value& item : array_) item.WriteTo(writer);
+      writer->EndArray();
       return;
-    }
-    case Type::kObject: {
-      if (object_.empty()) {
-        *out += "{}";
-        return;
+    case Type::kObject:
+      writer->BeginObject();
+      for (const auto& [key, value] : object_) {
+        writer->Key(key);
+        value.WriteTo(writer);
       }
-      out->push_back('{');
-      for (size_t i = 0; i < object_.size(); ++i) {
-        if (i > 0) out->push_back(',');
-        if (indent >= 0) AppendIndent(out, indent, depth + 1);
-        *out += EscapeString(object_[i].first);
-        *out += indent >= 0 ? ": " : ":";
-        object_[i].second.DumpTo(out, indent, depth + 1);
-      }
-      if (indent >= 0) AppendIndent(out, indent, depth);
-      out->push_back('}');
+      writer->EndObject();
       return;
-    }
   }
 }
 
 std::string Value::Dump(int indent) const {
   std::string out;
-  DumpTo(&out, indent, 0);
+  Writer writer(&out, indent);
+  WriteTo(&writer);
   return out;
 }
 
 namespace {
 
-/// Recursive-descent parser over a bounded cursor. Every path returns a
-/// Status instead of crashing; depth is capped so hostile nesting cannot
-/// blow the stack.
+/// The one recursive-descent scanner behind Parse, VisitMembers and
+/// VisitItems. Each Scan* checks one value and builds it into `out` when
+/// `out` is non-null, so building and visiting share every byte of the
+/// grammar and every error message. Every path returns a Status instead of
+/// crashing; depth is capped so hostile nesting cannot blow the stack.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   StatusOr<Value> ParseDocument() {
-    SkipWhitespace();
-    TPS_ASSIGN_OR_RETURN(Value v, ParseValue(0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing bytes after JSON document");
-    }
+    Value v;
+    TPS_RETURN_NOT_OK(ScanDocument(&v, nullptr, nullptr));
     return v;
+  }
+
+  /// Scans the whole document; visits the members of a top-level object
+  /// or the items of a top-level array when the matching visitor is set.
+  /// Returns whether the root had the visited type.
+  StatusOr<bool> VisitDocument(const MemberVisitor* members,
+                               const ItemVisitor* items) {
+    TPS_RETURN_NOT_OK(ScanDocument(nullptr, members, items));
+    return root_visited_;
   }
 
  private:
   bool AtEnd() const { return pos_ >= text_.size(); }
   char Peek() const { return text_[pos_]; }
+
+  Status ScanDocument(Value* out, const MemberVisitor* members,
+                      const ItemVisitor* items) {
+    SkipWhitespace();
+    if (!AtEnd() && Peek() == '{' && members != nullptr) {
+      root_visited_ = true;
+      TPS_RETURN_NOT_OK(ScanObject(0, nullptr, members));
+    } else if (!AtEnd() && Peek() == '[' && items != nullptr) {
+      root_visited_ = true;
+      TPS_RETURN_NOT_OK(ScanArray(0, nullptr, items));
+    } else {
+      TPS_RETURN_NOT_OK(ScanValue(0, out));
+    }
+    SkipWhitespace();
+    if (pos_ != text_.size()) {
+      return Status::InvalidArgument("trailing bytes after JSON document");
+    }
+    return Status::OK();
+  }
 
   void SkipWhitespace() {
     while (!AtEnd()) {
@@ -324,15 +409,44 @@ class Parser {
     return Status::OK();
   }
 
-  bool ConsumeLiteral(const char* literal) {
-    size_t len = 0;
-    while (literal[len] != '\0') ++len;
-    if (text_.compare(pos_, len, literal) != 0) return false;
-    pos_ += len;
+  bool ConsumeLiteral(std::string_view literal) {
+    if (text_.substr(pos_, literal.size()) != literal) return false;
+    pos_ += literal.size();
     return true;
   }
 
-  StatusOr<Value> ParseValue(int depth) {
+  /// Scans one value into `member` (scalars decoded, `raw` always set);
+  /// containers are checked and dropped.
+  Status ScanMember(int depth, Member* member) {
+    SkipWhitespace();
+    const size_t start = pos_;
+    if (depth >= kMaxParseDepth || AtEnd()) {
+      return ScanValue(depth, nullptr);  // The matching error.
+    }
+    switch (Peek()) {
+      case '"':
+        member->type = Value::Type::kString;
+        TPS_RETURN_NOT_OK(ScanString(&visited_value_, &member->string));
+        break;
+      case '[':
+      case '{':
+        member->type =
+            Peek() == '[' ? Value::Type::kArray : Value::Type::kObject;
+        TPS_RETURN_NOT_OK(ScanValue(depth, nullptr));
+        break;
+      default: {  // Literals and numbers hold no heap state.
+        Value v;
+        TPS_RETURN_NOT_OK(ScanValue(depth, &v));
+        member->type = v.type();
+        member->boolean = v.is_bool() && v.bool_value();
+        member->number = v.is_number() ? v.number() : 0.0;
+      }
+    }
+    member->raw = text_.substr(start, pos_ - start);
+    return Status::OK();
+  }
+
+  Status ScanValue(int depth, Value* out) {
     // depth is the nesting level of the value being parsed (document
     // root = 0), so rejecting at == kMaxParseDepth admits documents up to
     // exactly kMaxParseDepth levels deep.
@@ -343,38 +457,62 @@ class Parser {
     if (AtEnd()) return Status::InvalidArgument("unexpected end of JSON");
     switch (Peek()) {
       case 'n':
-        if (ConsumeLiteral("null")) return Value::Null();
-        return Status::InvalidArgument("bad literal");
+        if (!ConsumeLiteral("null")) {
+          return Status::InvalidArgument("bad literal");
+        }
+        if (out != nullptr) *out = Value::Null();
+        return Status::OK();
       case 't':
-        if (ConsumeLiteral("true")) return Value::Bool(true);
-        return Status::InvalidArgument("bad literal");
+        if (!ConsumeLiteral("true")) {
+          return Status::InvalidArgument("bad literal");
+        }
+        if (out != nullptr) *out = Value::Bool(true);
+        return Status::OK();
       case 'f':
-        if (ConsumeLiteral("false")) return Value::Bool(false);
-        return Status::InvalidArgument("bad literal");
+        if (!ConsumeLiteral("false")) {
+          return Status::InvalidArgument("bad literal");
+        }
+        if (out != nullptr) *out = Value::Bool(false);
+        return Status::OK();
       case '"': {
-        TPS_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return Value::String(std::move(s));
+        std::string_view s;
+        TPS_RETURN_NOT_OK(ScanString(&scratch_, &s));
+        if (out != nullptr) *out = Value::String(std::string(s));
+        return Status::OK();
       }
       case '[':
-        return ParseArray(depth);
+        return ScanArray(depth, out, nullptr);
       case '{':
-        return ParseObject(depth);
-      default:
-        return ParseNumber();
+        return ScanObject(depth, out, nullptr);
+      default: {
+        double d = 0.0;
+        TPS_RETURN_NOT_OK(ScanNumber(&d));
+        if (out != nullptr) *out = Value::Number(d);
+        return Status::OK();
+      }
     }
   }
 
-  StatusOr<Value> ParseArray(int depth) {
+  Status ScanArray(int depth, Value* out, const ItemVisitor* visit) {
     TPS_RETURN_NOT_OK(Expect('['));
-    Value array = Value::Array();
+    if (out != nullptr) *out = Value::Array();
     SkipWhitespace();
     if (!AtEnd() && Peek() == ']') {
       ++pos_;
-      return array;
+      return Status::OK();
     }
     for (;;) {
-      TPS_ASSIGN_OR_RETURN(Value element, ParseValue(depth + 1));
-      array.Append(std::move(element));
+      if (visit != nullptr) {
+        Member item;
+        TPS_RETURN_NOT_OK(ScanMember(depth + 1, &item));
+        (*visit)(item);
+      } else if (out != nullptr) {
+        Value element;
+        TPS_RETURN_NOT_OK(ScanValue(depth + 1, &element));
+        out->Append(std::move(element));
+      } else {
+        TPS_RETURN_NOT_OK(ScanValue(depth + 1, nullptr));
+      }
       SkipWhitespace();
       if (AtEnd()) return Status::InvalidArgument("unterminated array");
       if (Peek() == ',') {
@@ -383,30 +521,42 @@ class Parser {
       }
       if (Peek() == ']') {
         ++pos_;
-        return array;
+        return Status::OK();
       }
       return Status::InvalidArgument("expected ',' or ']' in array");
     }
   }
 
-  StatusOr<Value> ParseObject(int depth) {
+  Status ScanObject(int depth, Value* out, const MemberVisitor* visit) {
     TPS_RETURN_NOT_OK(Expect('{'));
-    Value object = Value::Object();
+    if (out != nullptr) *out = Value::Object();
     SkipWhitespace();
     if (!AtEnd() && Peek() == '}') {
       ++pos_;
-      return object;
+      return Status::OK();
     }
     for (;;) {
       SkipWhitespace();
       if (AtEnd() || Peek() != '"') {
         return Status::InvalidArgument("expected object key string");
       }
-      TPS_ASSIGN_OR_RETURN(std::string key, ParseString());
+      std::string_view key;
+      TPS_RETURN_NOT_OK(
+          ScanString(visit != nullptr ? &visited_key_ : &scratch_, &key));
       SkipWhitespace();
       TPS_RETURN_NOT_OK(Expect(':'));
-      TPS_ASSIGN_OR_RETURN(Value value, ParseValue(depth + 1));
-      object.Set(key, std::move(value));
+      if (visit != nullptr) {
+        Member member;
+        TPS_RETURN_NOT_OK(ScanMember(depth + 1, &member));
+        (*visit)(key, member);
+      } else if (out != nullptr) {
+        const std::string owned_key(key);  // The value reuses scratch_.
+        Value value;
+        TPS_RETURN_NOT_OK(ScanValue(depth + 1, &value));
+        out->Set(owned_key, std::move(value));
+      } else {
+        TPS_RETURN_NOT_OK(ScanValue(depth + 1, nullptr));
+      }
       SkipWhitespace();
       if (AtEnd()) return Status::InvalidArgument("unterminated object");
       if (Peek() == ',') {
@@ -415,49 +565,62 @@ class Parser {
       }
       if (Peek() == '}') {
         ++pos_;
-        return object;
+        return Status::OK();
       }
       return Status::InvalidArgument("expected ',' or '}' in object");
     }
   }
 
-  StatusOr<std::string> ParseString() {
+  /// Scans a string literal. `*out` views the input when the literal has
+  /// no escapes, and the decoded bytes in `*scratch` otherwise.
+  Status ScanString(std::string* scratch, std::string_view* out) {
     TPS_RETURN_NOT_OK(Expect('"'));
-    std::string out;
+    const size_t start = pos_;
+    while (!AtEnd() && Peek() != '"' && Peek() != '\\') ++pos_;
+    if (AtEnd()) return Status::InvalidArgument("unterminated string");
+    if (Peek() == '"') {
+      *out = text_.substr(start, pos_ - start);
+      ++pos_;
+      return Status::OK();
+    }
+    scratch->assign(text_.data() + start, pos_ - start);
     for (;;) {
       if (AtEnd()) return Status::InvalidArgument("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') {
+        *out = *scratch;
+        return Status::OK();
+      }
       if (c != '\\') {
-        out.push_back(c);
+        scratch->push_back(c);
         continue;
       }
       if (AtEnd()) return Status::InvalidArgument("dangling escape");
       const char esc = text_[pos_++];
       switch (esc) {
         case '"':
-          out.push_back('"');
+          scratch->push_back('"');
           break;
         case '\\':
-          out.push_back('\\');
+          scratch->push_back('\\');
           break;
         case '/':
-          out.push_back('/');
+          scratch->push_back('/');
           break;
         case 'b':
-          out.push_back('\b');
+          scratch->push_back('\b');
           break;
         case 'f':
-          out.push_back('\f');
+          scratch->push_back('\f');
           break;
         case 'n':
-          out.push_back('\n');
+          scratch->push_back('\n');
           break;
         case 'r':
-          out.push_back('\r');
+          scratch->push_back('\r');
           break;
         case 't':
-          out.push_back('\t');
+          scratch->push_back('\t');
           break;
         case 'u': {
           if (pos_ + 4 > text_.size()) {
@@ -481,14 +644,15 @@ class Parser {
           // rather than rejected — the parser's job here is to never
           // crash, not to police Unicode.
           if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
+            scratch->push_back(static_cast<char>(code));
           } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            scratch->push_back(static_cast<char>(0xC0 | (code >> 6)));
+            scratch->push_back(static_cast<char>(0x80 | (code & 0x3F)));
           } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            scratch->push_back(static_cast<char>(0xE0 | (code >> 12)));
+            scratch->push_back(
+                static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            scratch->push_back(static_cast<char>(0x80 | (code & 0x3F)));
           }
           break;
         }
@@ -512,7 +676,7 @@ class Parser {
   /// ("1.") and dotless exponents ("1e") are all rejected — the codecs in
   /// this repo only ever parse numbers their own Dump produced, and Dump
   /// never emits those forms.
-  StatusOr<Value> ParseNumber() {
+  Status ScanNumber(double* out) {
     const size_t start = pos_;
     if (!AtEnd() && Peek() == '-') ++pos_;
     if (AtEnd() || Peek() < '0' || Peek() > '9') {
@@ -540,7 +704,7 @@ class Parser {
                                        "digits");
       }
     }
-    const std::string token = text_.substr(start, pos_ - start);
+    const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
@@ -549,18 +713,37 @@ class Parser {
     if (!std::isfinite(value)) {
       return Status::InvalidArgument("number overflows double: " + token);
     }
-    return Value::Number(value);
+    *out = value;
+    return Status::OK();
   }
 
-  const std::string& text_;
+  const std::string_view text_;
   size_t pos_ = 0;
+  bool root_visited_ = false;
+  // Decoded escaped strings. Only the visited level writes visited_key_
+  // and visited_value_, so a visitor's views survive the scan of a nested
+  // value, which decodes into scratch_.
+  std::string visited_key_;
+  std::string visited_value_;
+  std::string scratch_;
 };
 
 }  // namespace
 
-StatusOr<Value> Parse(const std::string& text) {
+StatusOr<Value> Parse(std::string_view text) {
   Parser parser(text);
   return parser.ParseDocument();
+}
+
+StatusOr<bool> VisitMembers(std::string_view text,
+                            const MemberVisitor& visit) {
+  Parser parser(text);
+  return parser.VisitDocument(&visit, nullptr);
+}
+
+StatusOr<bool> VisitItems(std::string_view text, const ItemVisitor& visit) {
+  Parser parser(text);
+  return parser.VisitDocument(nullptr, &visit);
 }
 
 }  // namespace json

@@ -160,11 +160,24 @@ std::string MetricsRegistry::ToJson(int indent) const {
   return root.Dump(indent);
 }
 
-void MetricsRegistry::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
+PipelineInstruments::PipelineInstruments(MetricsRegistry& registry)
+    : recall_runs(registry.counter("recall.runs")),
+      recall_proxies_computed(registry.counter("recall.proxies_computed")),
+      recall_models_ranked(registry.counter("recall.models_ranked")),
+      recall_wall_us(registry.histogram("recall.wall_us")),
+      fine_stages(registry.counter("fine.stages")),
+      fine_epoch_steps(registry.counter("fine.epoch_steps")),
+      fine_trend_prunes(registry.counter("fine.trend_prunes")),
+      fine_halving_drops(registry.counter("fine.halving_drops")),
+      fine_runs(registry.counter("fine.runs")),
+      fine_wall_us(registry.histogram("fine.wall_us")),
+      two_phase_runs(registry.counter("two_phase.runs")) {}
+
+const PipelineInstruments& MetricsRegistry::pipeline() {
+  std::call_once(pipeline_once_, [this] {
+    pipeline_ = std::make_unique<const PipelineInstruments>(*this);
+  });
+  return *pipeline_;
 }
 
 }  // namespace tps

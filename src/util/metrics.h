@@ -107,6 +107,28 @@ class Histogram {
   std::atomic<double> max_;
 };
 
+class MetricsRegistry;
+
+/// The instruments every two-phase select records into — coarse recall,
+/// fine selection and the selector itself — resolved by name once per
+/// registry (`MetricsRegistry::pipeline()`), so a select records through
+/// references and never takes the registry lock or builds a name.
+struct PipelineInstruments {
+  explicit PipelineInstruments(MetricsRegistry& registry);
+
+  Counter& recall_runs;
+  Counter& recall_proxies_computed;
+  Counter& recall_models_ranked;
+  Histogram& recall_wall_us;
+  Counter& fine_stages;
+  Counter& fine_epoch_steps;
+  Counter& fine_trend_prunes;
+  Counter& fine_halving_drops;
+  Counter& fine_runs;
+  Histogram& fine_wall_us;
+  Counter& two_phase_runs;
+};
+
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
@@ -131,17 +153,18 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        std::vector<double> bucket_bounds);
 
+  /// The pipeline's instruments, resolved on the first call (under
+  /// std::call_once) and valid for the registry's lifetime.
+  const PipelineInstruments& pipeline();
+
   /// JSON snapshot of every instrument, keys sorted by name:
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   std::string ToJson(int indent = 2) const;
 
-  /// Zeroes nothing — instead drops all instruments. Callers holding
-  /// cached pointers must not use them afterwards; intended for tests and
-  /// CLI runs that want a clean slate before a measured section.
-  void Clear();
-
  private:
   const bool enabled_;
+  std::once_flag pipeline_once_;
+  std::unique_ptr<const PipelineInstruments> pipeline_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reference_matrix_text.h"
 #include "data/registry.h"
 #include "model/paper_zoo.h"
+#include "model/zoo_gen.h"
 
 namespace tps {
 namespace {
@@ -269,6 +271,33 @@ TEST(PerformanceMatrixBuildTest, RejectsEmptyInputs) {
   EXPECT_TRUE(PerformanceMatrix::Build(zoo2, {}, simulator, Hyperparams())
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(PerformanceMatrixSerializeTest, MatchesTheStreamWriterByteForByte) {
+  const DatasetRegistry inventory = *DatasetRegistry::CreatePaperInventory();
+  FineTuneSimulator simulator;
+  auto check = [&](const std::vector<ModelSpec>& specs, TaskDomain domain) {
+    const ModelZoo zoo = *ModelZoo::Create(specs);
+    const PerformanceMatrix matrix = *PerformanceMatrix::Build(
+        zoo, inventory.Benchmarks(domain), simulator,
+        Hyperparams::DefaultsFor(domain));
+    EXPECT_EQ(matrix.Serialize(), ReferenceSerializeMatrix(matrix));
+  };
+  check(NlpPaperZooSpecs(), TaskDomain::kNLP);
+  check(CvPaperZooSpecs(), TaskDomain::kCV);
+  ZooGenSpec spec;
+  spec.num_models = 300;
+  check(*GenerateZooSpecs(spec), TaskDomain::kNLP);
+
+  // Values no simulator produces: signed zero, subnormals, extremes, the
+  // %g fixed/exponent switch points and integral values.
+  const std::string text =
+      "tps-performance-matrix v1\n1 2\nd\nm0\nm1\n"
+      "0 0 3 -0 4.9406564584124654e-324 1e+300 0.0001 1e-05 "
+      "1.7976931348623157e+308\n"
+      "0 1 2 1e+16 1e+17 0.33333333333333331 2\n";
+  const PerformanceMatrix edge = *PerformanceMatrix::Deserialize(text);
+  EXPECT_EQ(edge.Serialize(), ReferenceSerializeMatrix(edge));
 }
 
 TEST(PerformanceMatrixBuildTest, RejectsDomainMismatch) {

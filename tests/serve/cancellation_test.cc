@@ -5,6 +5,7 @@
 
 #include "core/cancellation.h"
 
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -45,6 +46,22 @@ TEST(CancelTokenTest, FutureDeadlinePassesNow) {
   token.SetDeadlineAfterMillis(60'000.0);
   EXPECT_FALSE(token.cancelled());
   EXPECT_TRUE(token.Check("entry").ok());
+}
+
+TEST(CancelTokenTest, DeadlinesPastTheClockRangeNeverTrip) {
+  // 1e13 ms is about 317 years: ms * 1e6 no longer fits the clock's int64
+  // nanoseconds, and a wrapped cast would put the deadline in the past.
+  for (const double ms : {1e13, 1e300, std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    CancelToken token;
+    token.SetDeadlineAfterMillis(ms);
+    EXPECT_FALSE(token.cancelled()) << ms;
+    EXPECT_TRUE(token.Check("entry").ok()) << ms;
+  }
+  CancelToken past;
+  past.SetDeadlineAfterMillis(-1e300);
+  EXPECT_TRUE(past.Check("entry").IsDeadlineExceeded());
 }
 
 TEST(CancelTokenTest, CountdownTripsOnExactCheck) {

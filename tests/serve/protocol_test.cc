@@ -113,6 +113,34 @@ TEST(ParseRequestLineTest, MalformedInputRejected) {
   }
 }
 
+TEST(ParseRequestLineTest, HugeCountsSaturateToAll) {
+  // 2^64 and beyond have no size_t; they mean "all", never a wrapped or
+  // undefined cast.
+  auto huge = ParseRequestLine(
+      R"({"target": "mnli", "k": 1e300, "nprobe": 18446744073709551616})");
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  EXPECT_EQ(huge->select.top_k, SIZE_MAX);
+  EXPECT_EQ(huge->select.nprobe, SIZE_MAX);
+  // The largest double below 2^64 still converts exactly.
+  auto below = ParseRequestLine(
+      R"({"target": "mnli", "k": 18446744073709549568, "nprobe": 3.9})");
+  ASSERT_TRUE(below.ok()) << below.status().ToString();
+  EXPECT_EQ(below->select.top_k, 18446744073709549568u);
+  EXPECT_EQ(below->select.nprobe, 3u);
+}
+
+TEST(ParseRequestLineTest, DuplicateKeysKeepTheLastValue) {
+  auto request = ParseRequestLine(
+      R"({"target": 7, "k": "x", "t\u0061rget": "mnli", "k": 4})");
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_EQ(request->select.target, "mnli");
+  EXPECT_EQ(request->select.top_k, 4u);
+  auto last_bad = ParseRequestLine(R"({"target": "mnli", "target": 7})");
+  ASSERT_FALSE(last_bad.ok());
+  EXPECT_EQ(last_bad.status().message(),
+            "missing or non-string member: target");
+}
+
 TEST(ParseRequestLineTest, UnknownKeysIgnored) {
   auto request = ParseRequestLine(
       R"({"target": "mnli", "future_field": {"a": 1}, "v": 2})");

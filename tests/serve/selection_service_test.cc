@@ -106,6 +106,21 @@ TEST_F(SelectionServiceTest, HandleMatchesDirectSelector) {
   EXPECT_GT(response.wall_ms, 0.0);
 }
 
+TEST_F(SelectionServiceTest, HugeDeadlineMeansNoDeadline) {
+  // A wire "deadline_ms" of 1e13 or more used to overflow the token's
+  // nanosecond cast and expire at the first checkpoint.
+  ServiceOptions options;
+  options.worker_threads = 0;
+  auto service = MakeService(options);
+  for (const double ms : {1e13, 1e300}) {
+    SelectionRequest request = Request("mnli");
+    request.deadline_ms = ms;
+    const SelectionResponse response = service->Handle(request);
+    EXPECT_TRUE(response.status.ok()) << ms << ": "
+                                      << response.status.ToString();
+  }
+}
+
 TEST_F(SelectionServiceTest, UnknownTargetAndWrongDomainFailCleanly) {
   MetricsRegistry metrics;
   ServiceOptions options;

@@ -1,10 +1,15 @@
 #include "util/json.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "util/rng.h"
 
 namespace tps {
 namespace json {
@@ -144,6 +149,157 @@ TEST(JsonGetTest, FallibleAccessorsReturnStatus) {
   EXPECT_FALSE(parsed->GetBool("missing").ok());
   EXPECT_FALSE(parsed->GetNumber("s").ok());
   EXPECT_FALSE(parsed->GetArray("o").ok());
+}
+
+TEST(JsonWriterTest, NumbersMatchThePrintfRule) {
+  // The rule Dump always had, spelled with printf: integral doubles below
+  // 2^53 in magnitude as %lld, other finite doubles as %.17g.
+  auto printf_spelling = [](double d) -> std::string {
+    if (!std::isfinite(d)) return "null";
+    char buf[40];
+    if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0) {
+      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.17g", d);
+    }
+    return buf;
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 9007199254740991.0, -9007199254740991.0,
+      9007199254740992.0, -9007199254740992.0, 1e16, 1e17, 1e-4, 1e-5,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::infinity(), std::nan("")};
+  Rng rng(0x70C4A25);
+  for (int i = 0; i < 200000; ++i) {
+    const uint64_t bits = rng.Next();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    values.push_back(d);
+    values.push_back(rng.Uniform() *
+                     std::pow(10.0, rng.UniformInt(int64_t{-20},
+                                                   int64_t{20})));
+  }
+  for (double d : values) {
+    ASSERT_EQ(Value::Number(d).Dump(), printf_spelling(d)) << d;
+  }
+}
+
+TEST(JsonWriterTest, DirectWritesMatchDumpCompactAndPretty) {
+  Value root = Value::Object();
+  root.Set("s", Value::String("q\"\\\x1f\x7f"));
+  root.Set("empty_a", Value::Array());
+  root.Set("empty_o", Value::Object());
+  Value nested = Value::Array();
+  nested.Append(Value::Number(-0.0));
+  nested.Append(Value::Object());
+  Value inner = Value::Object();
+  inner.Set("n", Value::Null());
+  inner.Set("b", Value::Bool(false));
+  nested.Append(std::move(inner));
+  root.Set("a", std::move(nested));
+  for (int indent : {-1, 0, 2}) {
+    std::string direct = "x";  // Appends; never clears.
+    Writer w(&direct, indent);
+    w.BeginObject()
+        .Key("s").String("q\"\\\x1f\x7f")
+        .Key("empty_a").BeginArray().EndArray()
+        .Key("empty_o").BeginObject().EndObject()
+        .Key("a").BeginArray()
+        .Number(-0.0)
+        .BeginObject().EndObject()
+        .BeginObject().Key("n").Null().Key("b").Bool(false).EndObject()
+        .EndArray()
+        .EndObject();
+    EXPECT_EQ(direct, "x" + root.Dump(indent)) << indent;
+  }
+  std::string spliced;
+  Writer(&spliced)
+      .BeginArray()
+      .Raw(root.Dump())
+      .Int(-7)
+      .EndArray();
+  EXPECT_EQ(spliced, "[" + root.Dump() + ",-7]");
+}
+
+/// Every member a visitor saw, as (key, type, scalar text, raw).
+std::vector<std::string> Visited(const std::string& text, bool* is_object) {
+  std::vector<std::string> seen;
+  auto visited = VisitMembers(text, [&](std::string_view key,
+                                        const Member& value) {
+    std::string entry(key);
+    entry += "|" + std::to_string(static_cast<int>(value.type)) + "|";
+    if (value.type == Value::Type::kString) entry += value.string;
+    if (value.type == Value::Type::kNumber) {
+      entry += Value::Number(value.number).Dump();
+    }
+    if (value.type == Value::Type::kBool) entry += value.boolean ? "T" : "F";
+    entry += "|" + std::string(value.raw);
+    seen.push_back(entry);
+  });
+  EXPECT_TRUE(visited.ok()) << visited.status().ToString();
+  *is_object = visited.ok() && *visited;
+  return seen;
+}
+
+TEST(JsonVisitTest, MembersInTextOrderWithDecodedKeysAndValues) {
+  bool is_object = false;
+  const std::vector<std::string> seen = Visited(
+      R"( {"k\u0065y": {"n\u0065sted": ["\u0041"]}, "s": "v\u0061l",)"
+      R"( "n": -1.5e2, "b": true, "z": null, "s": "again"} )",
+      &is_object);
+  EXPECT_TRUE(is_object);
+  // The escaped key survives its value's nested escaped key and string.
+  const std::vector<std::string> want = {
+      R"(key|5||{"n\u0065sted": ["\u0041"]})",
+      R"(s|3|val|"v\u0061l")",
+      "n|2|-150|-1.5e2",
+      "b|1|T|true",
+      "z|0||null",
+      R"(s|3|again|"again")"};
+  EXPECT_EQ(seen, want);
+
+  EXPECT_TRUE(Visited("{}", &is_object).empty());
+  EXPECT_TRUE(is_object);
+  EXPECT_TRUE(Visited(R"([{"a":1}])", &is_object).empty());
+  EXPECT_FALSE(is_object);
+  EXPECT_TRUE(Visited(R"("str")", &is_object).empty());
+  EXPECT_FALSE(is_object);
+}
+
+TEST(JsonVisitTest, ItemsOfATopLevelArray) {
+  std::vector<std::string> items;
+  auto visited = VisitItems(R"(["a", 1, ["x"], "b\n"])",
+                            [&](const Member& item) {
+                              items.emplace_back(item.raw);
+                            });
+  ASSERT_TRUE(visited.ok());
+  EXPECT_TRUE(*visited);
+  EXPECT_EQ(items, (std::vector<std::string>{R"("a")", "1", R"(["x"])",
+                                             R"("b\n")"}));
+  EXPECT_FALSE(*VisitItems("{}", [](const Member&) {}));
+}
+
+TEST(JsonVisitTest, ErrorsMatchParseExactly) {
+  std::string deep = "{\"a\":" + std::string(kMaxParseDepth, '[') +
+                     std::string(kMaxParseDepth, ']') + "}";
+  const std::string bad[] = {
+      "",           "{",          "{\"a\":}",   "{\"a\" 1}",   "{\"a\":1,}",
+      "{\"a\":1e999}", "{\"a\":[1 2]}", "{\"a\":\"\\x\"}",
+      "{\"\\u12\":1}", "{\"a\":tru}", "{\"a\":01}", "{} x", "[1,",
+      "{\"a\":{\"b\":}}", "{\"a\":\"unterminated", "{1:2}", deep};
+  for (const std::string& text : bad) {
+    const auto parsed = Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    const auto members = VisitMembers(text, [](std::string_view,
+                                               const Member&) {});
+    ASSERT_FALSE(members.ok()) << text;
+    EXPECT_EQ(members.status().ToString(), parsed.status().ToString())
+        << text;
+    const auto items = VisitItems(text, [](const Member&) {});
+    ASSERT_FALSE(items.ok()) << text;
+    EXPECT_EQ(items.status().ToString(), parsed.status().ToString()) << text;
+  }
 }
 
 }  // namespace

@@ -127,11 +127,17 @@ TEST(MetricsRegistryTest, ToJsonIsValidAndSorted) {
   EXPECT_DOUBLE_EQ(h->Find("count")->number(), 1.0);
 }
 
-TEST(MetricsRegistryTest, ClearDropsInstruments) {
+TEST(MetricsRegistryTest, PipelineInstrumentsResolveOnceToTheNamedOnes) {
   MetricsRegistry registry;
-  registry.counter("x.count").Increment();
-  registry.Clear();
-  EXPECT_EQ(registry.counter("x.count").value(), 0u);
+  const PipelineInstruments& pipeline = registry.pipeline();
+  EXPECT_EQ(&registry.pipeline(), &pipeline);
+  EXPECT_EQ(&pipeline.recall_runs, &registry.counter("recall.runs"));
+  EXPECT_EQ(&pipeline.recall_wall_us, &registry.histogram("recall.wall_us"));
+  EXPECT_EQ(&pipeline.fine_halving_drops,
+            &registry.counter("fine.halving_drops"));
+  EXPECT_EQ(&pipeline.two_phase_runs, &registry.counter("two_phase.runs"));
+  pipeline.fine_runs.Increment(3);
+  EXPECT_EQ(registry.counter("fine.runs").value(), 3u);
 }
 
 TEST(MetricsRegistryTest, DefaultIsEnabledSingleton) {
