@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "matrix/vector_ops.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -64,6 +65,11 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
                                             const CancelToken* cancel) const {
   if (metrics == nullptr) metrics = MetricsRegistry::Default();
   TPS_RETURN_NOT_OK(CheckCancel(cancel, "coarse recall entry"));
+  if (options.score_cache != nullptr && options.flight_group == nullptr) {
+    return Status::InvalidArgument(
+        "a proxy score cache needs a flight group: the group is its only "
+        "writer");
+  }
   WallTimer phase_timer;
   const size_t n = zoo_->size();
   if (n == 0) return Status::FailedPrecondition("empty model zoo");
@@ -139,8 +145,11 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
   // scored model. Each representative's forward pass is independent, so
   // they fan out over the pool into index-addressed slots; normalization
   // and averaging reduce the slots serially in model-index order.
-  // The fingerprint half of the flight/cache key is shared by every scored
-  // model, so it is hashed once per recall, not once per proxy.
+  // Each proxy comes one of two ways: through the flight group (which
+  // looks the cache up, when set, and coalesces concurrent computes of one
+  // key), or straight from the scorer when neither is set. The
+  // fingerprint half of the flight key is shared by every scored model, so
+  // it is hashed once per recall, not once per proxy.
   // Raw scores accumulate per wave (one wave everywhere except the
   // adaptive probe); normalization always runs once, over the final set.
   const uint64_t target_fingerprint =
@@ -149,10 +158,6 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
   // This call's own cache lookups, one per fetch that consults the cache.
   std::atomic<size_t> cache_hits{0};
   std::atomic<size_t> cache_misses{0};
-  auto count_lookup = [&](bool hit) {
-    if (options.score_cache == nullptr) return;
-    (hit ? cache_hits : cache_misses).fetch_add(1, std::memory_order_relaxed);
-  };
   auto score_wave = [&](const std::vector<size_t>& wave) -> Status {
     for (size_t si = 0; si < scorers.size(); ++si) {
       const std::unique_ptr<ProxyScorer>& scorer = scorers[si];
@@ -164,34 +169,28 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
           pool, wave.size(), [&](size_t i) -> Status {
             TPS_RETURN_NOT_OK(CheckCancel(cancel, "proxy fan-out"));
             const PretrainedModel& model = zoo_->model(wave[i]);
-            bool hit = false;
-            if (options.flight_group != nullptr) {
-              ProxyCacheKey key;
-              key.dataset_fingerprint = target_fingerprint;
-              key.model = model.name();
-              key.scorer = scorer->name();
-              key.artifact_epoch = options.artifact_epoch;
-              TPS_ASSIGN_OR_RETURN(
-                  raw_scores[i],
-                  options.flight_group->GetOrCompute(
-                      options.score_cache, key,
-                      /*poll_cancel=*/
-                      [&]() {
-                        return CheckCancel(cancel, "proxy flight wait");
-                      },
-                      /*compute=*/
-                      [&]() { return scorer->Score(model, target); },
-                      &hit));
-            } else if (options.score_cache != nullptr) {
-              TPS_ASSIGN_OR_RETURN(
-                  raw_scores[i],
-                  options.score_cache->GetOrCompute(
-                      *scorer, model, target, options.artifact_epoch, &hit));
-            } else {
-              TPS_ASSIGN_OR_RETURN(raw_scores[i],
-                                   scorer->Score(model, target));
+            auto compute = [&]() { return scorer->Score(model, target); };
+            if (options.flight_group == nullptr) {
+              TPS_ASSIGN_OR_RETURN(raw_scores[i], compute());
+              return Status::OK();
             }
-            count_lookup(hit);
+            ProxyCacheKey key;
+            key.dataset_fingerprint = target_fingerprint;
+            key.model = model.name();
+            key.scorer = scorer->name();
+            key.artifact_epoch = options.artifact_epoch;
+            bool hit = false;
+            TPS_ASSIGN_OR_RETURN(
+                raw_scores[i],
+                options.flight_group->GetOrCompute(
+                    options.score_cache, key,
+                    /*poll_cancel=*/
+                    [&]() { return CheckCancel(cancel, "proxy flight wait"); },
+                    compute, &hit));
+            if (options.score_cache != nullptr) {
+              (hit ? cache_hits : cache_misses)
+                  .fetch_add(1, std::memory_order_relaxed);
+            }
             return Status::OK();
           }));
       raw_per_scorer[si].insert(raw_per_scorer[si].end(), raw_scores.begin(),
@@ -206,7 +205,7 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
     std::vector<double> combined(raw_per_scorer[0].size(), 0.0);
     for (size_t si = 0; si < scorers.size(); ++si) {
       const std::vector<double> normalized =
-          MinMaxNormalize(raw_per_scorer[si]);
+          vec::MinMaxNormalize(raw_per_scorer[si]);
       for (size_t i = 0; i < combined.size(); ++i) {
         combined[i] +=
             normalized[i] / static_cast<double>(scorers.size());

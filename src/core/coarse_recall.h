@@ -39,24 +39,26 @@ struct RecallOptions {
   /// Ablation switch: when false, drop the acc(m) prior from Eq. 2 and use
   /// the proxy component alone.
   bool use_accuracy_prior = true;
-  /// Optional LRU proxy-score cache ("Serving" in DESIGN.md). When
-  /// non-null, every representative's (target, model, scorer) proxy score
-  /// is looked up before computing and inserted after, so repeated and
-  /// overlapping queries skip the forward pass. Scores are deterministic,
-  /// so the ranking is bit-identical with the cache on or off; the epoch
-  /// budget still charges every scored representative (the paper's cost
-  /// model counts logical inferences, and keeping the ledger
+  /// Optional LRU proxy-score cache ("Serving" in DESIGN.md), read and
+  /// filled only through `flight_group`: a cache without a flight group is
+  /// InvalidArgument, before any proxy is computed, because the group is
+  /// the cache's one writer. Each representative's (target, model, scorer)
+  /// proxy is looked up in the same step that joins or leads its flight, so
+  /// repeated and overlapping queries skip the forward pass. Scores are
+  /// deterministic, so the ranking is bit-identical with the cache on or
+  /// off; the epoch budget still charges every scored representative (the
+  /// paper's cost model counts logical inferences, and keeping the ledger
   /// cache-independent is what lets the inertness tests compare runs).
-  /// nullptr disables caching. The cache must be thread-safe when a pool
-  /// is passed (ProxyScoreCache is).
+  /// nullptr disables caching.
   ProxyScoreCache* score_cache = nullptr;
-  /// Optional cross-request proxy coalescing. When non-null, concurrent
-  /// requests computing the same (target, model, scorer) proxy collapse
-  /// into one flight: the first arrival computes (inserting into
-  /// `score_cache` when set, before the flight retires), the rest share
-  /// the result. Scores are pure functions of the key, so coalescing is
-  /// bit-identical to computing independently — see
-  /// tests/serve/coalescing_test.cc. nullptr disables coalescing.
+  /// Optional cross-request proxy coalescing. When non-null, every proxy
+  /// is fetched through it: concurrent requests computing the same
+  /// (target, model, scorer) proxy collapse into one flight whose leader
+  /// computes (inserting into `score_cache` when set, before the flight
+  /// retires) and the rest share the result. Scores are pure functions of
+  /// the key, so coalescing is bit-identical to computing independently —
+  /// see tests/serve/coalescing_test.cc. nullptr (with no cache) computes
+  /// every proxy directly.
   ProxyFlightGroup* flight_group = nullptr;
   /// Artifact version this request was admitted against ("Serving: hot
   /// artifact swap" in DESIGN.md). Tagged into every cache/flight key so

@@ -89,6 +89,18 @@ std::vector<double> Softmax(const std::vector<double>& logits) {
   return out;
 }
 
+std::vector<double> MinMaxNormalize(const std::vector<double>& values) {
+  std::vector<double> out(values.size(), 0.5);
+  if (values.empty()) return out;
+  const double lo = *std::min_element(values.begin(), values.end());
+  const double hi = *std::max_element(values.begin(), values.end());
+  if (hi <= lo) return out;
+  for (size_t i = 0; i < values.size(); ++i) {
+    out[i] = (values[i] - lo) / (hi - lo);
+  }
+  return out;
+}
+
 void SoftmaxInPlace(double* values, size_t n) {
   if (n == 0) return;
   const double max_logit = *std::max_element(values, values + n);

@@ -51,6 +51,14 @@ void NormalizeInPlace(std::vector<double>& a);
 /// Softmax (numerically stabilized by max subtraction).
 std::vector<double> Softmax(const std::vector<double>& logits);
 
+/// Min-max normalizes `values` into [0, 1] (the paper normalizes LEEP
+/// before combining it with the prior accuracy in the recall score; the
+/// learned recall backends normalize their scores the same way). A
+/// constant vector maps to all 0.5. NaN propagates: a NaN entry maps to
+/// NaN, and a NaN first entry, which then bounds the range, maps every
+/// entry to NaN.
+std::vector<double> MinMaxNormalize(const std::vector<double>& values);
+
 // --- Batch kernels (SoA hot path; see DESIGN.md "Hot-path kernels") ---
 //
 // Raw-pointer variants of the allocating helpers above, for inner loops

@@ -85,27 +85,23 @@ StatusOr<PretrainedModel> PretrainedModel::Create(const ModelSpec& spec) {
   vec::NormalizeInPlace(affinity);
   model.affinity_ = std::move(affinity);
 
-  model.source_prototypes_.reserve(
-      static_cast<size_t>(spec.num_source_labels));
-  for (int z = 0; z < spec.num_source_labels; ++z) {
-    std::vector<double> proto = latent::LabelVector(
-        latent::CombineSeeds(model.seed_, latent::HashString("head")), z);
-    // Head prototype = affinity-anchored + label-specific direction, same
-    // mixture shape as dataset examples.
-    std::vector<double> psi(latent::kDims);
+  // Head prototype z = affinity-anchored + label-specific direction, the
+  // same mixture shape as dataset examples, stored dimension-major for the
+  // forward pass.
+  const size_t num_protos = static_cast<size_t>(spec.num_source_labels);
+  model.proto_soa_.resize(latent::kDims * num_protos);
+  std::vector<double> psi(latent::kDims);
+  for (size_t z = 0; z < num_protos; ++z) {
+    const std::vector<double> proto = latent::LabelVector(
+        latent::CombineSeeds(model.seed_, latent::HashString("head")),
+        static_cast<int>(z));
     for (size_t d = 0; d < latent::kDims; ++d) {
       psi[d] = kHeadAffinityWeight * model.affinity_[d] +
                kHeadLabelWeight * proto[d];
     }
     vec::NormalizeInPlace(psi);
-    model.source_prototypes_.push_back(std::move(psi));
-  }
-  // Dimension-major transpose of the prototypes for the SoA forward pass.
-  const size_t num_protos = model.source_prototypes_.size();
-  model.proto_soa_.resize(latent::kDims * num_protos);
-  for (size_t z = 0; z < num_protos; ++z) {
     for (size_t d = 0; d < latent::kDims; ++d) {
-      model.proto_soa_[d * num_protos + z] = model.source_prototypes_[z][d];
+      model.proto_soa_[d * num_protos + z] = psi[d];
     }
   }
   return model;
@@ -141,7 +137,8 @@ PretrainedModel::HeadParams PretrainedModel::ComputeHeadParams(
   // Model-specific routing of target labels onto source labels. The offset
   // is a deterministic function of (model, dataset) so predictions stay
   // consistent across calls.
-  params.route_offset = rng.Next() % source_prototypes_.size();
+  params.route_offset =
+      rng.Next() % static_cast<size_t>(spec_.num_source_labels);
   return params;
 }
 
@@ -149,13 +146,13 @@ StatusOr<Matrix> PretrainedModel::ExtractFeatures(
     const Dataset& dataset) const {
   TPS_RETURN_NOT_OK(CheckDomain(dataset));
   const HeadParams params = ComputeHeadParams(dataset);
-  const size_t num_labels = source_prototypes_.size();
+  const size_t num_labels = static_cast<size_t>(spec_.num_source_labels);
 
   // SoA forward pass: the reduction dimension d is the OUTER loop, the Z
   // independent accumulators the inner one, streaming the dimension-major
   // prototype rows contiguously. Each logit still accumulates its d terms
   // in ascending order — exactly vec::Dot's order — so the result is
-  // bit-identical to ExtractFeaturesReference.
+  // bit-identical to the per-example vec::Dot loop.
   const std::vector<Example>& examples = dataset.examples();
   Matrix logits(examples.size(), num_labels);
   double* out = logits.data().data();
@@ -179,25 +176,6 @@ StatusOr<Matrix> PretrainedModel::ExtractFeatures(
   return logits;
 }
 
-StatusOr<Matrix> PretrainedModel::ExtractFeaturesReference(
-    const Dataset& dataset) const {
-  TPS_RETURN_NOT_OK(CheckDomain(dataset));
-  const HeadParams params = ComputeHeadParams(dataset);
-  const size_t num_labels = source_prototypes_.size();
-  Matrix logits(dataset.size(), num_labels);
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    const Example& ex = dataset.examples()[i];
-    const size_t routed =
-        (static_cast<size_t>(ex.label) + params.route_offset) % num_labels;
-    for (size_t z = 0; z < num_labels; ++z) {
-      logits.At(i, z) =
-          params.beta * vec::Dot(ex.features, source_prototypes_[z]) +
-          (z == routed ? params.separation : 0.0);
-    }
-  }
-  return logits;
-}
-
 StatusOr<Matrix> PretrainedModel::PredictDistributions(
     const Dataset& dataset) const {
   TPS_ASSIGN_OR_RETURN(Matrix logits, ExtractFeatures(dataset));
@@ -209,19 +187,6 @@ StatusOr<Matrix> PretrainedModel::PredictDistributions(
     vec::SoftmaxInPlace(data + i * cols, cols);
   }
   return logits;
-}
-
-StatusOr<Matrix> PretrainedModel::PredictDistributionsReference(
-    const Dataset& dataset) const {
-  TPS_ASSIGN_OR_RETURN(Matrix logits, ExtractFeaturesReference(dataset));
-  Matrix predictions(logits.rows(), logits.cols());
-  for (size_t i = 0; i < logits.rows(); ++i) {
-    const std::vector<double> probs = vec::Softmax(logits.Row(i));
-    for (size_t z = 0; z < logits.cols(); ++z) {
-      predictions.At(i, z) = probs[z];
-    }
-  }
-  return predictions;
 }
 
 }  // namespace tps

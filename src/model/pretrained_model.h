@@ -57,33 +57,33 @@ class PretrainedModel {
   /// "features" consumed by feature-based proxies (LogME, kNN).
   /// PredictDistributions is the row-wise softmax of this matrix.
   ///
-  /// This is the SoA batch entry point of the forward pass (the inner loop
-  /// streams dimension-major prototypes). The *Reference variants below
-  /// retain the straightforward AoS loops; both pairs are bit-identical
-  /// and the differential kernel harness pins it.
+  /// The forward pass streams the dimension-major prototypes (see
+  /// prototypes_soa()); the differential kernel harness diffs it bit for
+  /// bit against the scalar per-example vec::Dot oracle in
+  /// tests/transfer/reference_kernels.*.
   StatusOr<Matrix> ExtractFeatures(const Dataset& dataset) const;
 
-  /// Reference (AoS, per-example vec::Dot) forward pass. Test-only: kept
-  /// so the kernel-equivalence suite can diff the SoA path against the
-  /// original loop structure forever.
-  StatusOr<Matrix> ExtractFeaturesReference(const Dataset& dataset) const;
-
-  /// Reference predictions: ExtractFeaturesReference + allocating per-row
-  /// softmax. Test-only counterpart of PredictDistributions.
-  StatusOr<Matrix> PredictDistributionsReference(const Dataset& dataset) const;
-
- private:
+  /// The per-(model, dataset) parameters of the simulated head: logit z of
+  /// an example with label y is beta * <features, prototype z>, plus
+  /// `separation` when z == (y + route_offset) mod num_source_labels.
   struct HeadParams {
     double beta = 0.0;
     double separation = 0.0;
     size_t route_offset = 0;
   };
 
-  PretrainedModel() = default;
-
-  /// Deterministic per-(model, dataset) head parameters, shared by the SoA
-  /// and reference forward passes (identical Rng draw order).
+  /// Deterministic head parameters for `dataset` (a fixed Rng draw order
+  /// seeded by the model and the dataset).
   HeadParams ComputeHeadParams(const Dataset& dataset) const;
+
+  /// Source-label prototype directions (unit norm), dimension-major:
+  /// element [d * Z + z] is component d of prototype z, with
+  /// Z = num_source_labels, so the forward pass accumulates all Z logits
+  /// with a contiguous inner loop.
+  const std::vector<double>& prototypes_soa() const { return proto_soa_; }
+
+ private:
+  PretrainedModel() = default;
 
   Status CheckDomain(const Dataset& dataset) const;
 
@@ -91,11 +91,6 @@ class PretrainedModel {
   uint64_t seed_ = 0;
   double capability_ = 0.0;
   std::vector<double> affinity_;
-  /// Source-label prototype directions, one per source label (unit norm).
-  std::vector<std::vector<double>> source_prototypes_;
-  /// The same prototypes transposed to dimension-major SoA layout
-  /// (proto_soa_[d * Z + z] = source_prototypes_[z][d]), so the batch
-  /// forward pass accumulates all Z logits with a contiguous inner loop.
   std::vector<double> proto_soa_;
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "recall/normalize.h"
+#include "matrix/vector_ops.h"
 
 namespace tps {
 namespace recall {
@@ -60,7 +60,7 @@ class EmbeddingBackend : public RecallBackend {
     }
     // [embedding-recall-end]
 
-    const std::vector<double> normalized = MinMaxNormalized(dots);
+    const std::vector<double> normalized = vec::MinMaxNormalize(dots);
     const std::vector<double>& prior = embeddings_->prior();
     RecallResult result;
     result.ranked.resize(candidates.size());

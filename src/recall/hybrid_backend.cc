@@ -4,8 +4,8 @@
 #include <map>
 #include <utility>
 
+#include "matrix/vector_ops.h"
 #include "recall/embedding_backend.h"
-#include "recall/normalize.h"
 
 namespace tps {
 namespace recall {
@@ -59,8 +59,8 @@ class HybridBackend : public RecallBackend {
     for (size_t i = 0; i < emb.ranked.size(); ++i) {
       emb_scores[i] = emb.ranked[i].recall_score;
     }
-    const std::vector<double> rep_norm = MinMaxNormalized(rep_scores);
-    const std::vector<double> emb_norm = MinMaxNormalized(emb_scores);
+    const std::vector<double> rep_norm = vec::MinMaxNormalize(rep_scores);
+    const std::vector<double> emb_norm = vec::MinMaxNormalize(emb_scores);
 
     std::map<size_t, FusedEntry> fused;  // Keyed by model index, ascending.
     for (size_t i = 0; i < rep.ranked.size(); ++i) {

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -358,6 +359,20 @@ std::string ReloadAckLine(uint64_t artifact_version) {
 
 // [select-codec-end]
 
+namespace {
+
+/// A count in a reply: `v` must be integral and in [0, 2^64), the range a
+/// cast to uint64_t is defined on.
+StatusOr<uint64_t> ReplyCount(double v, const char* key) {
+  if (!(v >= 0.0 && v < 18446744073709551616.0) || v != std::floor(v)) {
+    return Status::InvalidArgument(std::string("\"") + key +
+                                   "\" must hold integers in [0, 2^64)");
+  }
+  return static_cast<uint64_t>(v);
+}
+
+}  // namespace
+
 StatusOr<SelectionResponse> ParseResponseLine(const std::string& line) {
   TPS_ASSIGN_OR_RETURN(json::Value doc, json::Parse(line));
   if (!doc.is_object()) {
@@ -384,22 +399,23 @@ StatusOr<SelectionResponse> ParseResponseLine(const std::string& line) {
   TPS_ASSIGN_OR_RETURN(const json::Value* survivors,
                        doc.GetArray("survivors"));
   for (const json::Value& item : survivors->items()) {
-    if (!item.is_number() || item.number() < 0) {
-      return Status::InvalidArgument("\"survivors\" must hold counts");
-    }
-    response.survivors_per_stage.push_back(
-        static_cast<size_t>(item.number()));
+    TPS_ASSIGN_OR_RETURN(
+        const uint64_t count,
+        ReplyCount(item.is_number() ? item.number() : -1.0, "survivors"));
+    response.survivors_per_stage.push_back(count);
   }
   if (doc.Find("artifact_version") != nullptr) {
     TPS_ASSIGN_OR_RETURN(const double version,
                          doc.GetNumber("artifact_version"));
-    response.artifact_version = static_cast<uint64_t>(version);
+    TPS_ASSIGN_OR_RETURN(response.artifact_version,
+                         ReplyCount(version, "artifact_version"));
   }
   TPS_ASSIGN_OR_RETURN(response.wall_ms, doc.GetNumber("wall_ms"));
   TPS_ASSIGN_OR_RETURN(const double hits, doc.GetNumber("cache_hits"));
   TPS_ASSIGN_OR_RETURN(const double misses, doc.GetNumber("cache_misses"));
-  response.cache_hits = static_cast<uint64_t>(hits);
-  response.cache_misses = static_cast<uint64_t>(misses);
+  TPS_ASSIGN_OR_RETURN(response.cache_hits, ReplyCount(hits, "cache_hits"));
+  TPS_ASSIGN_OR_RETURN(response.cache_misses,
+                       ReplyCount(misses, "cache_misses"));
   if (doc.Find("index_backend") != nullptr) {
     TPS_ASSIGN_OR_RETURN(response.index_backend,
                          doc.GetString("index_backend"));

@@ -55,13 +55,14 @@ class ProxyFlightGroup {
   ProxyFlightGroup(const ProxyFlightGroup&) = delete;
   ProxyFlightGroup& operator=(const ProxyFlightGroup&) = delete;
 
-  /// The serving seam: one cache lookup (when `cache` is non-null), then
-  /// coalesced compute. The leader inserts a successful score into the
-  /// cache BEFORE the flight is retired, so any request arriving after the
-  /// flight hits the cache — compute runs exactly once per key, provided
-  /// every insert for the key goes through this group. Each caller passes
-  /// its own closures; whichever member ends up leading runs its own
-  /// `compute`, without any flight lock held. `poll_cancel` (may be null)
+  /// The one proxy-fetch seam of coarse recall: one cache lookup (when
+  /// `cache` is non-null), then coalesced compute. The leader inserts a
+  /// successful score into the cache BEFORE the flight is retired, so any
+  /// request arriving after the flight hits the cache. Flight leaders are
+  /// the cache's only writers in the library, so compute runs exactly once
+  /// per key while the key stays cached. Each caller passes its own
+  /// closures; whichever member ends up leading runs its own `compute`,
+  /// without any flight lock held. `poll_cancel` (may be null)
   /// is this caller's own cancellation check, polled while waiting.
   /// `cache_hit` (may be null) receives whether the arrival's cache lookup
   /// hit — its own outcome, whatever other callers do meanwhile.
@@ -80,7 +81,7 @@ class ProxyFlightGroup {
     return handoffs_.load(std::memory_order_relaxed);
   }
 
-  /// In-flight key count (0 when idle; for tests and stats).
+  /// In-flight key count (0 when idle; for tests).
   size_t InFlight() const;
 
  private:

@@ -146,21 +146,6 @@ StatusOr<std::unique_ptr<ProxyScorer>> MakeProxyScorer(
   return Status::InvalidArgument("unknown proxy scorer: " + name);
 }
 
-std::vector<double> MinMaxNormalize(const std::vector<double>& scores) {
-  if (scores.empty()) return {};
-  const double lo = *std::min_element(scores.begin(), scores.end());
-  const double hi = *std::max_element(scores.begin(), scores.end());
-  std::vector<double> out(scores.size());
-  if (hi <= lo) {
-    std::fill(out.begin(), out.end(), 0.5);
-    return out;
-  }
-  for (size_t i = 0; i < scores.size(); ++i) {
-    out[i] = (scores[i] - lo) / (hi - lo);
-  }
-  return out;
-}
-
 std::vector<int> TargetLabels(const Dataset& target) {
   const std::vector<Example>& examples = target.examples();
   std::vector<int> labels(examples.size());

@@ -79,11 +79,6 @@ StatusOr<double> KnnLeaveOneOutAccuracy(const Matrix& features,
                                         const std::vector<int>& labels,
                                         int k);
 
-/// Min-max normalizes scores to [0, 1] (the paper normalizes LEEP before
-/// combining it with the prior accuracy in the recall score). A constant
-/// vector maps to all 0.5.
-std::vector<double> MinMaxNormalize(const std::vector<double>& scores);
-
 /// The per-example labels of `target`, in example order — the shared
 /// second input of every proxy kernel.
 std::vector<int> TargetLabels(const Dataset& target);

@@ -114,31 +114,6 @@ void ProxyScoreCache::Insert(const ProxyCacheKey& key, double score) {
   entries_gauge_.Set(static_cast<double>(lru_.size()));
 }
 
-StatusOr<double> ProxyScoreCache::GetOrCompute(const ProxyScorer& scorer,
-                                               const PretrainedModel& model,
-                                               const Dataset& target,
-                                               uint64_t artifact_epoch,
-                                               bool* hit) {
-  ProxyCacheKey key;
-  key.dataset_fingerprint = DatasetFingerprint(target);
-  key.model = model.name();
-  key.scorer = scorer.name();
-  key.artifact_epoch = artifact_epoch;
-  std::optional<double> cached = Lookup(key);
-  if (hit != nullptr) *hit = cached.has_value();
-  if (cached.has_value()) return *cached;
-  TPS_ASSIGN_OR_RETURN(double score, scorer.Score(model, target));
-  Insert(key, score);
-  return score;
-}
-
-void ProxyScoreCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  entries_gauge_.Set(0.0);
-}
-
 size_t ProxyScoreCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();

@@ -12,10 +12,7 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "model/pretrained_model.h"
-#include "transfer/proxy_scorer.h"
 #include "util/metrics.h"
-#include "util/statusor.h"
 
 namespace tps {
 
@@ -59,8 +56,9 @@ struct ProxyCacheKeyHash {
 /// Inertness contract: proxy scores are pure functions of (dataset, model,
 /// scorer), so serving a cached double is bit-identical to recomputing it —
 /// tests/serve/cache_inertness_test.cc proves cache-on == cache-off for
-/// whole selection reports, serial and parallel. Only successful scores
-/// are cached; Status errors always propagate live.
+/// whole selection reports, serial and parallel. Recall reads and fills
+/// the cache only through ProxyFlightGroup::GetOrCompute, whose leaders
+/// insert successful scores; Status errors always propagate live.
 ///
 /// Eviction is strict LRU over a doubly-linked list guarded by one mutex,
 /// so the eviction order is a deterministic function of the access
@@ -89,19 +87,6 @@ class ProxyScoreCache {
   /// entry when at capacity. No-op when capacity is 0.
   void Insert(const ProxyCacheKey& key, double score);
 
-  /// The seam used by coarse recall: cache hit, or compute via
-  /// `scorer.Score(model, target)` and cache the successful result.
-  /// `artifact_epoch` tags the key (see ProxyCacheKey). `hit` (may be
-  /// null) receives whether this call's one lookup hit.
-  StatusOr<double> GetOrCompute(const ProxyScorer& scorer,
-                                const PretrainedModel& model,
-                                const Dataset& target,
-                                uint64_t artifact_epoch = 0,
-                                bool* hit = nullptr);
-
-  /// Drops every entry (counters are retained).
-  void Clear();
-
   size_t capacity() const { return capacity_; }
   size_t size() const;
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -113,7 +98,7 @@ class ProxyScoreCache {
   }
 
   /// Keys in most- to least-recently-used order (for eviction-order
-  /// tests and the serve stats endpoint).
+  /// tests).
   std::vector<ProxyCacheKey> KeysByRecency() const;
 
  private:

@@ -223,11 +223,11 @@ TEST_F(CoarseRecallTest, WorksWithAllProxyScorers) {
 
 TEST_F(CoarseRecallTest, ProxyLookupsEqualProxiesTimesScorers) {
   // Every fetch that consults the cache counts exactly one hit or one
-  // miss, whatever carries it — the cache alone or a flight group in front
-  // of it, serial or pooled, one scorer or two, one probe wave or the
+  // miss, serial or pooled, one scorer or two, one probe wave or the
   // adaptive two-wave probe of a novel target: hits + misses ==
-  // proxies_computed x scorers. Without a cache nothing is counted, with a
-  // flight group or without.
+  // proxies_computed x scorers. The cache is consulted only through a
+  // flight group, so a cache without one is InvalidArgument. Without a
+  // cache nothing is counted, with a flight group or without.
   auto ivf = IvfIndex::Build(matrix_->ModelVectors(),
                              matrix_->ModelAverageAccuracies(),
                              IvfIndexOptions());
@@ -274,6 +274,13 @@ TEST_F(CoarseRecallTest, ProxyLookupsEqualProxiesTimesScorers) {
             for (int round = 0; round < 2; ++round) {  // Cold, then warm.
               auto result = recall.Recall(*probe.target, options, nullptr,
                                           pool, &metrics);
+              if (with_cache && !with_flight) {
+                // Refused up front: no proxy computed, no lookup made.
+                EXPECT_TRUE(result.status().IsInvalidArgument());
+                EXPECT_EQ(cache.misses(), 0u);
+                EXPECT_EQ(metrics.pipeline().recall_runs.value(), 0u);
+                continue;
+              }
               ASSERT_TRUE(result.ok()) << result.status().message();
               EXPECT_EQ(result->proxies_computed, probe.expected_proxies);
               if (!with_cache) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "clustering/distance.h"
+#include "matrix/vector_ops.h"
 #include "transfer/reference_kernels.h"
 
 namespace tps {
@@ -54,7 +55,7 @@ StatusOr<RecallResult> ReferenceRecall(const ModelZoo& zoo,
                            scorer->Score(zoo.model(m), target));
       raw.push_back(score);
     }
-    const std::vector<double> normalized = MinMaxNormalize(raw);
+    const std::vector<double> normalized = vec::MinMaxNormalize(raw);
     for (size_t i = 0; i < norm.size(); ++i) {
       norm[i] += normalized[i] / static_cast<double>(scorers.size());
     }

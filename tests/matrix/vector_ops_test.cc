@@ -76,6 +76,28 @@ TEST(VectorOpsTest, SoftmaxUniformForEqualLogits) {
   for (double p : probs) EXPECT_NEAR(p, 0.25, 1e-12);
 }
 
+TEST(VectorOpsTest, MinMaxNormalize) {
+  EXPECT_EQ(MinMaxNormalize({2.0, 4.0, 3.0}),
+            (std::vector<double>{0.0, 1.0, 0.5}));
+  EXPECT_EQ(MinMaxNormalize({7.0, 7.0}), (std::vector<double>{0.5, 0.5}));
+  EXPECT_TRUE(MinMaxNormalize({}).empty());
+  EXPECT_EQ(MinMaxNormalize({-1.0}), (std::vector<double>{0.5}));
+
+  // The one NaN rule: a NaN entry maps to NaN and leaves the others'
+  // range alone...
+  const double nan = std::nan("");
+  const std::vector<double> inner = MinMaxNormalize({1.0, nan, 3.0});
+  ASSERT_EQ(inner.size(), 3u);
+  EXPECT_EQ(inner[0], 0.0);
+  EXPECT_TRUE(std::isnan(inner[1]));
+  EXPECT_EQ(inner[2], 1.0);
+  // ...but a NaN first entry bounds the range, so every entry is NaN.
+  for (double v : MinMaxNormalize({nan, 1.0, 3.0})) {
+    EXPECT_TRUE(std::isnan(v));
+  }
+  for (double v : MinMaxNormalize({nan})) EXPECT_TRUE(std::isnan(v));
+}
+
 }  // namespace
 }  // namespace vec
 }  // namespace tps

@@ -1,13 +1,16 @@
 // Proof that the proxy-score cache is inert: a selection served from the
 // cache is bit-identical to one that recomputes every proxy, serially and
-// on a thread pool, cold and warm. This is what makes it safe to leave the
-// cache on in production — it can only change latency, never answers.
+// on a thread pool, cold and warm. Every run uses the served configuration,
+// the cache behind a flight group (its one writer). This is what makes it
+// safe to leave the cache on in production — it can only change latency,
+// never answers.
 
 #include <gtest/gtest.h>
 
 #include "core/two_phase.h"
 #include "data/registry.h"
 #include "model/paper_zoo.h"
+#include "transfer/proxy_flight.h"
 #include "transfer/score_cache.h"
 #include "util/thread_pool.h"
 
@@ -68,11 +71,13 @@ TEST_F(CacheInertnessTest, CacheOnEqualsCacheOffSerial) {
   TwoPhaseSelector selector(zoo_, matrix_, clustering_, simulator_);
   MetricsRegistry metrics;
   ProxyScoreCache cache(4096, &metrics);
+  ProxyFlightGroup flight(&metrics);
   for (const char* name : {"mnli", "boolq", "tweet_eval"}) {
     const Dataset& target = **registry_->Find(name);
     TwoPhaseOptions off;
     TwoPhaseOptions on;
     on.recall.score_cache = &cache;
+    on.recall.flight_group = &flight;
     const TwoPhaseReport baseline = *selector.Select(target, off);
     // Cold pass fills the cache, warm pass serves from it; both must match
     // the uncached baseline exactly.
@@ -87,6 +92,7 @@ TEST_F(CacheInertnessTest, CacheOnEqualsCacheOffParallel) {
   TwoPhaseSelector selector(zoo_, matrix_, clustering_, simulator_);
   MetricsRegistry metrics;
   ProxyScoreCache cache(4096, &metrics);
+  ProxyFlightGroup flight(&metrics);
   ThreadPool pool(3);
   const Hyperparams hp = Hyperparams::DefaultsFor(TaskDomain::kNLP);
   const Dataset& target = **registry_->Find("mnli");
@@ -94,6 +100,7 @@ TEST_F(CacheInertnessTest, CacheOnEqualsCacheOffParallel) {
   TwoPhaseOptions off;
   TwoPhaseOptions on;
   on.recall.score_cache = &cache;
+  on.recall.flight_group = &flight;
   const TwoPhaseReport baseline = *selector.Select(target, off, hp, &pool);
   // Cold and warm parallel passes: the cache is shared by every pool
   // thread and still cannot perturb the ranking.
@@ -107,15 +114,20 @@ TEST_F(CacheInertnessTest, BudgetChargesEveryProxyEvenOnCacheHit) {
   TwoPhaseSelector selector(zoo_, matrix_, clustering_, simulator_);
   MetricsRegistry metrics;
   ProxyScoreCache cache(4096, &metrics);
+  ProxyFlightGroup flight(&metrics);
   TwoPhaseOptions on;
   on.recall.score_cache = &cache;
+  on.recall.flight_group = &flight;
   const Dataset& target = **registry_->Find("mnli");
 
   const TwoPhaseReport cold = *selector.Select(target, on);
   const uint64_t misses_after_cold = cache.misses();
+  // With no concurrent arrivals every miss leads a flight that computes.
+  EXPECT_EQ(flight.computes(), misses_after_cold);
   const TwoPhaseReport warm = *selector.Select(target, on);
   // The warm run computed nothing new...
   EXPECT_EQ(cache.misses(), misses_after_cold);
+  EXPECT_EQ(flight.computes(), misses_after_cold);
   EXPECT_GT(cache.hits(), 0u);
   // ...but the ledger still charges the same logical inference cost (the
   // paper's cost model counts proxies, and a cache-independent ledger is
@@ -130,9 +142,11 @@ TEST_F(CacheInertnessTest, TinyCacheThrashingIsStillInert) {
   TwoPhaseSelector selector(zoo_, matrix_, clustering_, simulator_);
   MetricsRegistry metrics;
   ProxyScoreCache cache(2, &metrics);
+  ProxyFlightGroup flight(&metrics);
   TwoPhaseOptions off;
   TwoPhaseOptions on;
   on.recall.score_cache = &cache;
+  on.recall.flight_group = &flight;
   for (const char* name : {"mnli", "boolq"}) {
     const Dataset& target = **registry_->Find(name);
     const TwoPhaseReport baseline = *selector.Select(target, off);

@@ -315,6 +315,32 @@ TEST(ParseResponseLineTest, MalformedReplyRejected) {
       R"({"ok": false, "code": "NoSuchCode", "error": "x"})");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kInternal);
+
+  // Counts must be integers in [0, 2^64), the range their casts are
+  // defined on; anything else is refused, naming the key.
+  const char* const kKeys[] = {"survivors", "artifact_version", "cache_hits",
+                               "cache_misses"};
+  const auto reply = [&](int bad_key, const std::string& bad) {
+    const auto count = [&](int key) { return key == bad_key ? bad : "3"; };
+    return R"({"ok":true,"target":"mnli","selected":"m","accuracy":0.5,)"
+           R"("training_epochs":1,"inference_epochs":1,"total_epochs":2,)"
+           R"("survivors":[2,)" + count(0) + R"(],"artifact_version":)" +
+           count(1) + R"(,"wall_ms":1,"cache_hits":)" + count(2) +
+           R"(,"cache_misses":)" + count(3) + "}";
+  };
+  for (int key = 0; key < 4; ++key) {
+    SCOPED_TRACE(kKeys[key]);
+    // The largest double below 2^64 is still a count.
+    auto largest = ParseResponseLine(reply(key, "18446744073709549568"));
+    ASSERT_TRUE(largest.ok()) << largest.status().message();
+    for (const char* bad : {"-1", "1.5", "18446744073709551616", "1e300"}) {
+      auto parsed = ParseResponseLine(reply(key, bad));
+      ASSERT_TRUE(parsed.status().IsInvalidArgument()) << bad;
+      EXPECT_NE(parsed.status().message().find(kKeys[key]),
+                std::string::npos)
+          << parsed.status().message();
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "data/registry.h"
 #include "model/paper_zoo.h"
 #include "model/zoo.h"
+#include "transfer/proxy_flight.h"
 #include "transfer/proxy_scorer.h"
 
 namespace tps {
@@ -130,35 +131,36 @@ TEST(ProxyScoreCacheTest, InsertRefreshesExistingEntry) {
   EXPECT_FALSE(cache.Lookup(Key(2, "b")).has_value());
 }
 
-TEST(ProxyScoreCacheTest, ClearDropsEntriesKeepsCounters) {
-  MetricsRegistry metrics;
-  ProxyScoreCache cache(8, &metrics);
-  cache.Insert(Key(1, "a"), 0.1);
-  EXPECT_TRUE(cache.Lookup(Key(1, "a")).has_value());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup(Key(1, "a")).has_value());
-  EXPECT_EQ(cache.hits(), 1u);  // Retained across Clear.
-}
-
+// The cache is filled only through its one writer, the flight group: a
+// leader's successful score is cached bit for bit, and the next arrival
+// hits it without computing.
 TEST(ProxyScoreCacheTest, GetOrComputeCachesBitIdenticalScores) {
   DatasetRegistry registry = *DatasetRegistry::CreatePaperInventory();
   ModelZoo zoo = *ModelZoo::Create(NlpPaperZooSpecs());
   const Dataset* target = *registry.Find("mnli");
   auto scorer = MakeProxyScorer("leep").value();
+  const ProxyCacheKey key =
+      Key(DatasetFingerprint(*target), zoo.model(0).name());
+  const auto compute = [&]() { return scorer->Score(zoo.model(0), *target); };
 
   MetricsRegistry metrics;
   ProxyScoreCache cache(8, &metrics);
-  auto first = cache.GetOrCompute(*scorer, zoo.model(0), *target);
+  ProxyFlightGroup flight(&metrics);
+  bool hit = true;
+  auto first = flight.GetOrCompute(&cache, key, nullptr, compute, &hit);
   ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(hit);
   auto direct = scorer->Score(zoo.model(0), *target);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*first, *direct);  // Bit-identical, not approximately equal.
+  EXPECT_EQ(*cache.Lookup(key), *direct);
 
-  auto second = cache.GetOrCompute(*scorer, zoo.model(0), *target);
+  auto second = flight.GetOrCompute(&cache, key, nullptr, compute, &hit);
   ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(hit);
   EXPECT_EQ(*second, *first);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(flight.computes(), 1u);
+  EXPECT_EQ(cache.hits(), 2u);  // The second fetch and the Lookup above.
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -169,14 +171,25 @@ TEST(ProxyScoreCacheTest, GetOrComputeDoesNotCacheErrors) {
   ModelZoo zoo = *ModelZoo::Create(CvPaperZooSpecs());
   const Dataset* target = *registry.Find("mnli");
   auto scorer = MakeProxyScorer("leep").value();
+  const ProxyCacheKey key =
+      Key(DatasetFingerprint(*target), zoo.model(0).name());
+  size_t calls = 0;
+  const auto compute = [&]() {
+    ++calls;
+    return scorer->Score(zoo.model(0), *target);
+  };
 
   MetricsRegistry metrics;
   ProxyScoreCache cache(8, &metrics);
-  EXPECT_FALSE(cache.GetOrCompute(*scorer, zoo.model(0), *target).ok());
+  ProxyFlightGroup flight(&metrics);
+  EXPECT_FALSE(flight.GetOrCompute(&cache, key, nullptr, compute).ok());
   EXPECT_EQ(cache.size(), 0u);
-  // The failure stays live: a later call fails again instead of serving a
-  // stale cached error.
-  EXPECT_FALSE(cache.GetOrCompute(*scorer, zoo.model(0), *target).ok());
+  // The failure stays live: a later call computes and fails again instead
+  // of serving a stale cached error.
+  EXPECT_FALSE(flight.GetOrCompute(&cache, key, nullptr, compute).ok());
+  EXPECT_EQ(calls, 2u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(flight.computes(), 0u);
 }
 
 }  // namespace

@@ -323,18 +323,31 @@ TEST(ForwardPassEquivalenceTest, SoAForwardPassMatchesReference) {
       ASSERT_TRUE(model.ok());
 
       auto features = model->ExtractFeatures(*target);
-      auto features_ref = model->ExtractFeaturesReference(*target);
+      auto features_ref = ExtractFeaturesReference(*model, *target);
       ASSERT_TRUE(features.ok());
       ASSERT_TRUE(features_ref.ok());
       ExpectMatricesBitIdentical(*features, *features_ref);
 
       auto predictions = model->PredictDistributions(*target);
-      auto predictions_ref = model->PredictDistributionsReference(*target);
+      auto predictions_ref = PredictDistributionsReference(*model, *target);
       ASSERT_TRUE(predictions.ok());
       ASSERT_TRUE(predictions_ref.ok());
       ExpectMatricesBitIdentical(*predictions, *predictions_ref);
     }
   }
+  // Both passes refuse a dataset from another domain.
+  DatasetSpec cv_spec;
+  cv_spec.name = "kernel-diff-cv-target";
+  cv_spec.domain = TaskDomain::kCV;
+  cv_spec.tags = {"natural"};
+  auto cv_target = Dataset::Create(cv_spec);
+  ASSERT_TRUE(cv_target.ok());
+  auto model = MakeModel(5);
+  ASSERT_TRUE(model.ok());
+  EXPECT_TRUE(model->ExtractFeatures(*cv_target).status().IsInvalidArgument());
+  EXPECT_TRUE(ExtractFeaturesReference(*model, *cv_target)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(VectorHelperEquivalenceTest, InPlaceHelpersMatchAllocatingOnes) {

@@ -78,13 +78,5 @@ TEST(ProxyScorerTest, FactoryKnowsAllScorers) {
   EXPECT_TRUE(MakeProxyScorer("bogus").status().IsInvalidArgument());
 }
 
-TEST(ProxyScorerTest, MinMaxNormalize) {
-  EXPECT_EQ(MinMaxNormalize({2.0, 4.0, 3.0}),
-            (std::vector<double>{0.0, 1.0, 0.5}));
-  EXPECT_EQ(MinMaxNormalize({7.0, 7.0}), (std::vector<double>{0.5, 0.5}));
-  EXPECT_TRUE(MinMaxNormalize({}).empty());
-  EXPECT_EQ(MinMaxNormalize({-1.0}), (std::vector<double>{0.5}));
-}
-
 }  // namespace
 }  // namespace tps

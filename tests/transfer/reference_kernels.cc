@@ -6,7 +6,9 @@
 #include <string>
 #include <utility>
 
+#include "data/latent.h"
 #include "matrix/eigen.h"
+#include "matrix/vector_ops.h"
 #include "transfer/kernels.h"
 
 namespace tps {
@@ -170,6 +172,49 @@ double KnnReference(const Matrix& features, const std::vector<int>& labels,
 
 }  // namespace kernels
 
+StatusOr<Matrix> ExtractFeaturesReference(const PretrainedModel& model,
+                                          const Dataset& dataset) {
+  if (dataset.spec().domain != model.domain()) {
+    return Status::InvalidArgument("model " + model.name() +
+                                   " cannot embed dataset " + dataset.name());
+  }
+  const PretrainedModel::HeadParams params = model.ComputeHeadParams(dataset);
+  const size_t num_labels =
+      static_cast<size_t>(model.spec().num_source_labels);
+  const std::vector<double>& soa = model.prototypes_soa();
+  std::vector<std::vector<double>> prototypes(
+      num_labels, std::vector<double>(latent::kDims));
+  for (size_t z = 0; z < num_labels; ++z) {
+    for (size_t d = 0; d < latent::kDims; ++d) {
+      prototypes[z][d] = soa[d * num_labels + z];
+    }
+  }
+  Matrix logits(dataset.size(), num_labels);
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    const Example& ex = dataset.examples()[i];
+    const size_t routed =
+        (static_cast<size_t>(ex.label) + params.route_offset) % num_labels;
+    for (size_t z = 0; z < num_labels; ++z) {
+      logits.At(i, z) = params.beta * vec::Dot(ex.features, prototypes[z]) +
+                        (z == routed ? params.separation : 0.0);
+    }
+  }
+  return logits;
+}
+
+StatusOr<Matrix> PredictDistributionsReference(const PretrainedModel& model,
+                                               const Dataset& dataset) {
+  TPS_ASSIGN_OR_RETURN(Matrix logits, ExtractFeaturesReference(model, dataset));
+  Matrix predictions(logits.rows(), logits.cols());
+  for (size_t i = 0; i < logits.rows(); ++i) {
+    const std::vector<double> probs = vec::Softmax(logits.Row(i));
+    for (size_t z = 0; z < logits.cols(); ++z) {
+      predictions.At(i, z) = probs[z];
+    }
+  }
+  return predictions;
+}
+
 namespace {
 
 class ReferenceScorer : public ProxyScorer {
@@ -187,13 +232,13 @@ class ReferenceScorer : public ProxyScorer {
     const size_t num_target = static_cast<size_t>(num_labels);
     if (name_ == "leep" || name_ == "nce") {
       TPS_ASSIGN_OR_RETURN(Matrix predictions,
-                           model.PredictDistributionsReference(target));
+                           PredictDistributionsReference(model, target));
       return name_ == "leep"
                  ? kernels::LeepReference(predictions, labels, num_target)
                  : kernels::NceReference(predictions, labels, num_target);
     }
     TPS_ASSIGN_OR_RETURN(Matrix features,
-                         model.ExtractFeaturesReference(target));
+                         ExtractFeaturesReference(model, target));
     if (name_ == "logme") {
       return kernels::LogMeReference(features, labels, num_target);
     }

@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "data/dataset.h"
 #include "matrix/matrix.h"
+#include "model/pretrained_model.h"
 #include "transfer/proxy_scorer.h"
 #include "util/statusor.h"
 
@@ -35,10 +37,24 @@ double KnnReference(const Matrix& features, const std::vector<int>& labels,
 
 }  // namespace kernels
 
+/// Test-only oracle of PretrainedModel::ExtractFeatures: the scalar
+/// forward pass the SoA one was derived from. Each prototype row is
+/// gathered from the model's dimension-major layout, and every logit is
+/// beta * vec::Dot(example features, prototype) plus the routed
+/// separation, one example at a time. InvalidArgument when the domains
+/// differ, as the model.
+StatusOr<Matrix> ExtractFeaturesReference(const PretrainedModel& model,
+                                          const Dataset& dataset);
+
+/// Oracle of PretrainedModel::PredictDistributions:
+/// ExtractFeaturesReference and an allocating vec::Softmax per row.
+StatusOr<Matrix> PredictDistributionsReference(const PretrainedModel& model,
+                                               const Dataset& dataset);
+
 /// A fully scalar scorer for `name` ("leep", "nce", "logme", "knn"; kNN
-/// with k = 5, as MakeProxyScorer): the model's
-/// PredictDistributionsReference / ExtractFeaturesReference forward pass
-/// feeding the oracle kernel above. InvalidArgument for unknown names.
+/// with k = 5, as MakeProxyScorer): the PredictDistributionsReference /
+/// ExtractFeaturesReference forward pass feeding the oracle kernel above.
+/// InvalidArgument for unknown names.
 StatusOr<std::unique_ptr<ProxyScorer>> MakeReferenceProxyScorer(
     const std::string& name);
 

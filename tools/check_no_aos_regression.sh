@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
-# Static guard against AoS regressions on the proxy-scoring hot path.
+# Static guard against AoS regressions and second paths on the
+# proxy-scoring hot path.
 #
 # The vectorized kernels (src/transfer/kernels.cc) own all per-element
 # math over contiguous rows and columns; the validating functions and
 # scorers in proxy_scorer.cc check shapes and dispatch, and the
 # recall-side call sites consume SoA layouts through the vec:: helpers.
-# The scalar, element-at-a-time loops live only in the test oracle
-# (tests/transfer/reference_kernels.*). This script greps for the patterns
-# that would quietly reintroduce them — it is a tripwire, not a proof, and
-# it runs exit-code-audit style as the `no_aos_regression` ctest. A file
-# it checks that is missing is a failure, never a pass.
+# The scalar, element-at-a-time loops — the proxy kernels and the model's
+# forward pass — live only in the test oracle
+# (tests/transfer/reference_kernels.*). Phase 1 fetches each proxy one
+# way (the flight group, which alone writes the score cache, or the
+# scorer directly) and normalizes it with one min-max function. This
+# script greps for the patterns that would quietly reintroduce a second
+# copy of any of these — it is a tripwire, not a proof, and it runs
+# exit-code-audit style as the `no_aos_regression` ctest. A file it
+# checks that is missing is a failure, never a pass.
 #
 #   usage: check_no_aos_regression.sh <repo-root>
 
@@ -52,34 +57,24 @@ for f in kernels.cc proxy_scorer.cc; do
   fi
 done
 
-# 2. The SoA forward pass: vec::Dot (the AoS row-by-row dot) must appear in
-#    pretrained_model.cc only inside the retained *Reference section.
-ref_line=""
+# 2. The SoA forward pass: pretrained_model.cc never calls vec::Dot (the
+#    AoS row-by-row dot); the per-example loop is the oracle in tests/.
 if require "$SRC/model/pretrained_model.cc"; then
-  ref_line=$(grep -n "ExtractFeaturesReference(" \
-    "$SRC/model/pretrained_model.cc" | head -1 | cut -d: -f1)
-fi
-if [[ -z "$ref_line" ]]; then
-  fail "pretrained_model.cc: ExtractFeaturesReference definition not found"
-else
-  early=$(grep -n "vec::Dot(" "$SRC/model/pretrained_model.cc" \
-    | awk -F: -v ref="$ref_line" '$1 < ref')
-  if [[ -n "$early" ]]; then
-    fail "pretrained_model.cc calls vec::Dot on the hot path (before the Reference section at line $ref_line)" \
-         "$early"
+  hits=$(grep -n "vec::Dot(" "$SRC/model/pretrained_model.cc")
+  if [[ -n "$hits" ]]; then
+    fail "pretrained_model.cc calls vec::Dot — the forward pass streams the SoA prototypes" \
+         "$hits"
   else
-    echo "ok: pretrained_model.cc keeps vec::Dot inside the Reference section"
+    echo "ok: pretrained_model.cc stays on the SoA forward pass"
   fi
 fi
 
 # 3. The reference kernels are a test oracle in tests/transfer/: no
-#    *Reference( function exists anywhere in src/ except the model's own
-#    Reference forward-pass pair (check 2).
+#    *Reference( function exists anywhere in src/.
 require "$SRC/transfer"
-callers=$(grep -rn "Reference(" "$SRC" --include='*.cc' --include='*.h' \
-  | grep -v "^$SRC/model/pretrained_model\.\(h\|cc\):")
+callers=$(grep -rn "Reference(" "$SRC" --include='*.cc' --include='*.h')
 if [[ -n "$callers" ]]; then
-  fail "a *Reference( function in src/ outside the model's Reference pair — oracles belong in tests/" \
+  fail "a *Reference( function in src/ — oracles belong in tests/" \
        "$callers"
 else
   echo "ok: no reference kernel in src/ (oracles live in tests/)"
@@ -96,6 +91,70 @@ for f in core/coarse_recall.cc core/task_similarity.cc; do
     echo "ok: src/$f stays on the SoA/row-pointer form"
   fi
 done
+
+# Code lines of a file: comment lines dropped, so prose may name what the
+# checks below forbid.
+code_lines() {
+  grep -vnE '^[[:space:]]*(//|#)' "$1"
+}
+
+# 5. PretrainedModel keeps its prototypes once (dimension-major) and
+#    carries no test-only forward pass.
+if require "$SRC/model/pretrained_model.h"; then
+  hits=$(code_lines "$SRC/model/pretrained_model.h" \
+    | grep -E '[A-Za-z_]*Reference[A-Za-z_]*|source_prototypes_')
+  if [[ -n "$hits" ]]; then
+    fail "PretrainedModel declares a *Reference member or source_prototypes_ — one SoA copy, oracles in tests/" \
+         "$hits"
+  else
+    echo "ok: PretrainedModel keeps one prototype layout and no oracle"
+  fi
+fi
+
+# 6. The flight group is the score cache's only writer: ProxyScoreCache has
+#    no compute-and-insert seam of its own and no test-only Clear.
+for f in transfer/score_cache.h transfer/score_cache.cc; do
+  require "$SRC/$f" || continue
+  hits=$(code_lines "$SRC/$f" | grep -E '\b(GetOrCompute|Clear)[[:space:]]*\(')
+  if [[ -n "$hits" ]]; then
+    fail "src/$f declares GetOrCompute or Clear on ProxyScoreCache — fill the cache through ProxyFlightGroup" \
+         "$hits"
+  else
+    echo "ok: src/$f leaves filling the cache to the flight group"
+  fi
+done
+
+# 7. One proxy fetch in coarse recall: exactly one GetOrCompute( call (the
+#    flight group's), and no direct read of the cache.
+if require "$SRC/core/coarse_recall.cc"; then
+  hits=$(code_lines "$SRC/core/coarse_recall.cc" | grep -F "score_cache->")
+  fetches=$(code_lines "$SRC/core/coarse_recall.cc" | grep -c "GetOrCompute(")
+  if [[ -n "$hits" ]]; then
+    fail "coarse_recall.cc reads the score cache directly — fetch through the flight group" \
+         "$hits"
+  elif [[ "$fetches" -ne 1 ]]; then
+    fail "coarse_recall.cc has $fetches GetOrCompute( calls — want exactly one (the flight group's)"
+  else
+    echo "ok: coarse_recall.cc fetches proxies through one flight-group call"
+  fi
+fi
+
+# 8. One min-max normalization in src/: vec::MinMaxNormalize in
+#    src/matrix/vector_ops.cc. A definition is a column-0 line naming a
+#    MinMax* function that is not a one-line declaration; call sites are
+#    indented.
+if [[ -e "$SRC/recall/normalize.h" ]]; then
+  fail "src/recall/normalize.h is back — use vec::MinMaxNormalize"
+fi
+defs=$(grep -rnE '^[A-Za-z].*\bMinMax[A-Za-z]*[[:space:]]*\(' "$SRC" \
+  --include='*.cc' --include='*.h' | grep -vE ';[[:space:]]*$')
+count=$(printf '%s' "$defs" | grep -c .)
+if [[ "$count" -ne 1 || "$defs" != "$SRC/matrix/vector_ops.cc:"* ]]; then
+  fail "src/ holds $count min-max normalization definitions — want exactly one, in src/matrix/vector_ops.cc" \
+       "$defs"
+else
+  echo "ok: one min-max normalization in src/ (vec::MinMaxNormalize)"
+fi
 
 if [[ $FAILURES -ne 0 ]]; then
   echo "$FAILURES AoS regression check(s) failed" >&2
