@@ -24,20 +24,6 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
 
 StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
     const Dataset& target, const TwoPhaseOptions& options,
-    const Hyperparams& hp) const {
-  if (options.num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
-  if (options.num_threads == 1) return Select(target, options, hp, nullptr);
-  // One pool for the whole call, shared by both phases. Never more
-  // workers than the widest fan-out (all models scored directly).
-  ThreadPool pool(ThreadPool::ClampThreads(options.num_threads,
-                                           zoo_->size()));
-  return Select(target, options, hp, &pool);
-}
-
-StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
-    const Dataset& target, const TwoPhaseOptions& options,
     const Hyperparams& hp, ThreadPool* pool) const {
   return Select(target, options, hp, pool, recall_);
 }

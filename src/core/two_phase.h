@@ -22,11 +22,6 @@ namespace tps {
 struct TwoPhaseOptions {
   RecallOptions recall;
   FineSelectionOptions fine_selection;
-  /// Worker threads for the online pipeline. 1 (the default) runs fully
-  /// serial; > 1 fans the proxy forward passes and per-survivor epoch
-  /// steps over one shared ThreadPool. Output is bit-identical for every
-  /// value (see "Threading model" in DESIGN.md). Values < 1 are an error.
-  int num_threads = 1;
   /// Observability sinks ("Observability" in DESIGN.md). Neither affects
   /// the selection result in any way — tests/core/metrics_inertness_test.cc
   /// proves the report is bit-identical with them on, off, or disabled.
@@ -80,20 +75,15 @@ class TwoPhaseSelector {
   StatusOr<TwoPhaseReport> Select(const Dataset& target,
                                   const TwoPhaseOptions& options) const;
 
-  /// As above with explicit hyperparameters. When options.num_threads > 1
-  /// a pool of that size is created for the call and shared by both
-  /// phases.
-  StatusOr<TwoPhaseReport> Select(const Dataset& target,
-                                  const TwoPhaseOptions& options,
-                                  const Hyperparams& hp) const;
-
-  /// As above on a caller-owned pool (shared across Select calls, e.g. by
-  /// a server handling many targets). `pool` may be null for serial;
-  /// options.num_threads is ignored on this overload.
+  /// As above with explicit hyperparameters, on a caller-owned pool that
+  /// both phases share (and that may be shared across Select calls, e.g.
+  /// by a server handling many targets). `pool` null runs serially; the
+  /// report is bit-identical either way (see "Threading model" in
+  /// DESIGN.md).
   StatusOr<TwoPhaseReport> Select(const Dataset& target,
                                   const TwoPhaseOptions& options,
                                   const Hyperparams& hp,
-                                  ThreadPool* pool) const;
+                                  ThreadPool* pool = nullptr) const;
 
   /// As above with phase 1 run by `recall` (e.g. a learned backend from
   /// src/recall/, or this selector's own coarse_recall()). The backend

@@ -296,6 +296,15 @@ std::vector<ModelSpec> CvPaperZooSpecs() {
   return specs;
 }
 
+StatusOr<ModelZoo> PaperZoo(TaskDomain domain) {
+  if (domain == TaskDomain::kNLP) {
+    static const StatusOr<ModelZoo> nlp = ModelZoo::Create(NlpPaperZooSpecs());
+    return nlp;
+  }
+  static const StatusOr<ModelZoo> cv = ModelZoo::Create(CvPaperZooSpecs());
+  return cv;
+}
+
 ZooTagVocabulary SyntheticTagVocabulary(TaskDomain domain) {
   const bool nlp = domain == TaskDomain::kNLP;
   ZooTagVocabulary vocab;

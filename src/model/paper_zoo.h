@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "model/model_spec.h"
+#include "model/zoo.h"
+#include "util/statusor.h"
 
 namespace tps {
 
@@ -31,6 +33,11 @@ struct ZooTagVocabulary {
 /// being hard-coded.
 std::vector<ModelSpec> NlpPaperZooSpecs();
 std::vector<ModelSpec> CvPaperZooSpecs();
+
+/// The domain's paper zoo over the specs above, built once per process
+/// (thread-safe static init); every call returns a copy sharing the same
+/// models.
+StatusOr<ModelZoo> PaperZoo(TaskDomain domain);
 
 /// The domain's tag vocabulary (shared by SyntheticZooSpecs and the
 /// parameterized generator in model/zoo_gen.h).

@@ -13,17 +13,6 @@ namespace serve {
 
 namespace {
 
-/// The domain's paper zoo, built once per process (thread-safe static
-/// init); every call returns a copy sharing the same models.
-StatusOr<ModelZoo> ZooFor(TaskDomain domain) {
-  if (domain == TaskDomain::kNLP) {
-    static const StatusOr<ModelZoo> nlp = ModelZoo::Create(NlpPaperZooSpecs());
-    return nlp;
-  }
-  static const StatusOr<ModelZoo> cv = ModelZoo::Create(CvPaperZooSpecs());
-  return cv;
-}
-
 std::string EffectiveId(const ArtifactPaths& paths) {
   if (!paths.id.empty()) return paths.id;
   return paths.domain == TaskDomain::kNLP ? "nlp" : "cv";
@@ -35,7 +24,7 @@ StatusOr<ServiceArtifacts> ServiceArtifacts::Load(
     const ArtifactPaths& paths) {
   TPS_ASSIGN_OR_RETURN(DatasetRegistry registry,
                        DatasetRegistry::CreatePaperInventory());
-  TPS_ASSIGN_OR_RETURN(ModelZoo zoo, ZooFor(paths.domain));
+  TPS_ASSIGN_OR_RETURN(ModelZoo zoo, PaperZoo(paths.domain));
 
   // Store mode opens the log once (each Open replays and checksums the
   // whole log) and reads every artifact from that one handle; the store
@@ -180,7 +169,7 @@ StatusOr<ServiceArtifacts> ServiceArtifacts::Build(TaskDomain domain,
   }
   TPS_ASSIGN_OR_RETURN(DatasetRegistry registry,
                        DatasetRegistry::CreatePaperInventory());
-  TPS_ASSIGN_OR_RETURN(ModelZoo zoo, ZooFor(domain));
+  TPS_ASSIGN_OR_RETURN(ModelZoo zoo, PaperZoo(domain));
   FineTuneSimulator simulator;
   TPS_ASSIGN_OR_RETURN(
       PerformanceMatrix matrix,

@@ -12,8 +12,6 @@
 namespace tps {
 namespace serve {
 
-namespace {
-
 int Fail(const Status& status) {
   std::cerr << "error: " << status.ToString() << std::endl;
   return 1;
@@ -28,7 +26,11 @@ StatusOr<TaskDomain> DomainFromFlag(const FlagParser& flags) {
                                  domain + "'");
 }
 
-}  // namespace
+StatusOr<int> ThreadsFromFlag(const FlagParser& flags) {
+  TPS_ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 1));
+  if (threads < 1) return Status::InvalidArgument("--threads must be >= 1");
+  return static_cast<int>(threads);
+}
 
 StatusOr<ArtifactPaths> ArtifactPathsFromFlags(const FlagParser& flags) {
   ArtifactPaths paths;
@@ -54,9 +56,7 @@ StatusOr<ServiceOptions> ServiceOptionsFromFlags(const FlagParser& flags) {
       flags.GetInt("queue", static_cast<int64_t>(options.max_queue)));
   if (queue < 1) return Status::InvalidArgument("--queue must be >= 1");
   options.max_queue = static_cast<size_t>(queue);
-  TPS_ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 1));
-  if (threads < 1) return Status::InvalidArgument("--threads must be >= 1");
-  options.pipeline_threads = static_cast<int>(threads);
+  TPS_ASSIGN_OR_RETURN(options.pipeline_threads, ThreadsFromFlag(flags));
   TPS_ASSIGN_OR_RETURN(
       int64_t cache,
       flags.GetInt("cache", static_cast<int64_t>(options.cache_capacity)));
@@ -73,9 +73,6 @@ StatusOr<ServiceOptions> ServiceOptionsFromFlags(const FlagParser& flags) {
 StatusOr<SelectionRequest> RequestFromFlags(const FlagParser& flags) {
   SelectionRequest request;
   request.target = flags.GetString("target");
-  if (request.target.empty()) {
-    return Status::InvalidArgument("--target is required");
-  }
   TPS_ASSIGN_OR_RETURN(int64_t k, flags.GetInt("k", 10));
   if (k < 1) return Status::InvalidArgument("--k must be >= 1");
   request.top_k = static_cast<size_t>(k);
@@ -87,7 +84,6 @@ StatusOr<SelectionRequest> RequestFromFlags(const FlagParser& flags) {
   if (request.deadline_ms < 0.0) {
     return Status::InvalidArgument("--deadline must be >= 0");
   }
-  TPS_ASSIGN_OR_RETURN(request.want_trace, flags.GetBool("trace", false));
   TPS_ASSIGN_OR_RETURN(int64_t nprobe, flags.GetInt("nprobe", 0));
   if (nprobe < 0) return Status::InvalidArgument("--nprobe must be >= 0");
   request.nprobe = static_cast<size_t>(nprobe);
@@ -181,6 +177,12 @@ int RunQueryImpl(const FlagParser& flags, const std::string& forced_cmd) {
   if (cmd == "select") {
     auto request_or = RequestFromFlags(flags);
     if (!request_or.ok()) return Fail(request_or.status());
+    if (request_or->target.empty()) {
+      return Fail(Status::InvalidArgument("--target is required"));
+    }
+    auto trace_or = flags.GetBool("trace", false);
+    if (!trace_or.ok()) return Fail(trace_or.status());
+    request_or->want_trace = *trace_or;
     line = RequestToLine(*request_or);
   } else if (cmd == "ping" || cmd == "stats" || cmd == "shutdown") {
     json::Value doc = json::Value::Object();

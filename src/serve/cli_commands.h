@@ -9,19 +9,32 @@
 namespace tps {
 namespace serve {
 
-/// Flag plumbing shared by `tps_serve` and the `tps_cli serve`/`query`
-/// subcommands, so the standalone daemon and the multiplexed CLI accept
-/// identical flags and print identical output.
+/// Flag plumbing shared by `tps_serve` and every `tps_cli` subcommand, so
+/// the standalone daemon, the in-process `recall`/`trace`/`select` and the
+/// wire `query` accept identical flags and print identical output.
 
-/// --domain/--store/--id/--matrix/--clustering -> ArtifactPaths.
+/// Prints "error: <status>" on stderr and returns exit code 1.
+int Fail(const Status& status);
+
+/// --domain (nlp) -> TaskDomain; anything but nlp/cv is InvalidArgument.
+StatusOr<TaskDomain> DomainFromFlag(const FlagParser& flags);
+
+/// --threads (1) -> a thread count >= 1.
+StatusOr<int> ThreadsFromFlag(const FlagParser& flags);
+
+/// --domain/--store/--id/--matrix/--clustering/--index/--embeddings ->
+/// ArtifactPaths.
 StatusOr<ArtifactPaths> ArtifactPathsFromFlags(const FlagParser& flags);
 
 /// --workers (2) / --queue (64) / --threads (1) / --cache (4096) /
 /// --deadline (ms, 0 = none) -> ServiceOptions.
 StatusOr<ServiceOptions> ServiceOptionsFromFlags(const FlagParser& flags);
 
-/// --target / --k (10) / --threshold (0) / --proxy (leep) / --proxies /
-/// --deadline (ms) / --trace (bool) -> SelectionRequest.
+/// --target / --k (10, >= 1) / --threshold (0) / --proxy (leep) /
+/// --proxies / --deadline (ms) / --nprobe (0) / --backend ->
+/// SelectionRequest. An absent --target leaves `target` empty for the
+/// caller to reject (`select` may name --targets instead); `want_trace`
+/// is left to the caller, whose --trace means a bool or a path.
 StatusOr<SelectionRequest> RequestFromFlags(const FlagParser& flags);
 
 /// `serve`: load artifacts, start a SelectionService plus its socket front
@@ -31,7 +44,8 @@ int RunServe(const FlagParser& flags);
 
 /// `query`: connect to a running server (--socket=PATH or --port=N), send
 /// one request (--cmd=select|ping|stats|reload|shutdown, default select),
-/// print the raw NDJSON reply line on stdout. For --cmd=reload the
+/// print the raw NDJSON reply line on stdout. A select needs --target and
+/// takes --trace (bool) to ask for the trace. For --cmd=reload the
 /// artifact source flags (--store/--id or --matrix/--clustering) name the
 /// new artifacts to hot-swap in. Exit 0 iff the reply has "ok": true.
 int RunQuery(const FlagParser& flags);

@@ -142,6 +142,17 @@ expect 0 "trace success" -- trace "${ARTIFACTS[@]}"
 expect 0 "datasets success" -- datasets --domain=cv
 expect 0 "models success" -- models --domain=nlp
 
+### One --k rule: recall, trace and select reject --k < 1 with
+### InvalidArgument, as `query` and the wire protocol do.
+
+for cmd in select recall trace; do
+  for k in 0 -1; do
+    expect 1 "$cmd with --k=$k" -- $cmd "${ARTIFACTS[@]}" --k=$k
+    require_stderr_contains "InvalidArgument" "$cmd with --k=$k"
+    require_stdout_empty "$cmd with --k=$k"
+  done
+done
+
 expect 1 "select with unknown target" -- select --domain=nlp \
   --matrix="$SCRATCH/m.txt" --clustering="$SCRATCH/c.txt" \
   --target=no-such-dataset

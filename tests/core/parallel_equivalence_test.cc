@@ -210,6 +210,8 @@ TEST_P(ParallelEquivalenceTest, TwoPhaseReportBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(ParallelEquivalenceTest, NumThreadsOptionMatchesExplicitPool) {
+  // The default overload (no pool: serial) against one caller-owned
+  // 7-worker pool, the way a server shares its pool across requests.
   const RandomConfig config = MakeRandomConfig(GetParam());
   FineTuneSimulator simulator;
   TwoPhaseSelector selector(&config.zoo, &config.matrix, &config.clustering,
@@ -217,12 +219,11 @@ TEST_P(ParallelEquivalenceTest, NumThreadsOptionMatchesExplicitPool) {
 
   const TwoPhaseReport serial =
       *selector.Select(config.target, config.options, config.hp);
-  TwoPhaseOptions threaded = config.options;
-  threaded.num_threads = 7;
+  ThreadPool pool(7);
   const TwoPhaseReport parallel =
-      *selector.Select(config.target, threaded, config.hp);
+      *selector.Select(config.target, config.options, config.hp, &pool);
   ExpectBitIdentical(serial, parallel,
-                     "num_threads option, config " +
+                     "7-worker caller pool, config " +
                          std::to_string(GetParam()));
 }
 
@@ -369,18 +370,6 @@ TEST_P(ParallelEquivalenceTest, RepeatedParallelRunsOnOnePoolAreStable) {
 // counts — the acceptance bar of this test suite.
 INSTANTIATE_TEST_SUITE_P(RandomZoos, ParallelEquivalenceTest,
                          testing::Values(11, 29, 47, 83, 131));
-
-TEST(ParallelEquivalenceEdgeTest, RejectsNonPositiveNumThreads) {
-  const RandomConfig config = MakeRandomConfig(3);
-  FineTuneSimulator simulator;
-  TwoPhaseSelector selector(&config.zoo, &config.matrix, &config.clustering,
-                            &simulator);
-  TwoPhaseOptions bad = config.options;
-  bad.num_threads = 0;
-  EXPECT_TRUE(selector.Select(config.target, bad, config.hp)
-                  .status()
-                  .IsInvalidArgument());
-}
 
 TEST(ParallelEquivalenceEdgeTest, PaperInventoryMatchesSerialToo) {
   // Spot-check the real paper zoo (40 NLP models), not just random ones.

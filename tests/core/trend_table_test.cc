@@ -20,6 +20,7 @@
 #include "model/paper_zoo.h"
 #include "sim/finetune_simulator.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace tps {
 namespace {
@@ -215,17 +216,20 @@ TEST_P(TrendTableTest, WarmSelectMatchesColdSelectBitForBit) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     const TwoPhaseSelector selector(&w.zoo, &w.matrix, &w.clustering,
                                     &simulator);
+    ThreadPool workers(threads);
+    ThreadPool* pool = threads > 1 ? &workers : nullptr;
     TwoPhaseOptions options;
-    options.num_threads = threads;
     options.metrics = &quiet;
     for (const Dataset* target : w.registry.Targets(GetParam())) {
       SCOPED_TRACE(target->name());
       SelectionTrace cold_trace;
       options.trace = &cold_trace;
-      const TwoPhaseReport cold = *selector.Select(*target, options, w.hp);
+      const TwoPhaseReport cold =
+          *selector.Select(*target, options, w.hp, pool);
       SelectionTrace warm_trace;
       options.trace = &warm_trace;
-      const TwoPhaseReport warm = *selector.Select(*target, options, w.hp);
+      const TwoPhaseReport warm =
+          *selector.Select(*target, options, w.hp, pool);
 
       EXPECT_EQ(warm.selection.selected_model, cold.selection.selected_model);
       EXPECT_EQ(warm.selection.selected_accuracy,

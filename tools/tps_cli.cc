@@ -21,22 +21,25 @@
 //
 //   tps_cli recall   --domain=nlp --matrix=m.txt --clustering=c.txt ...
 //                    --target=mnli [--k=10] [--proxy=leep | --proxies=a,b]
-//                    [--index=i.txt|store [--nprobe=N]]
-//       Load the artifacts and print the coarse-recall ranking for a
-//       target dataset. --index routes recall through the IVF index
-//       (--index=store loads it from the --store artifact id).
+//                    [--index=i.txt] [--nprobe=N]
+//       Print the coarse-recall ranking for a target dataset, its proxy
+//       cost and, when the artifacts carry a recall index, how many of
+//       its partitions were probed.
 //
 //   tps_cli select   --domain=nlp --matrix=m.txt --clustering=c.txt ...
 //                    --target=mnli [--k=10] [--threshold=0.0]
 //                    [--repeat=N] [--targets=a,b,c] [--cache=4096]
 //                    [--deadline=MS] [--backend=representative|embedding|
-//                    hybrid] [--embeddings=e.txt]
-//       Run the full two-phase selection and print the report. Runs
-//       through an in-process SelectionService, so artifacts are loaded
-//       once and --repeat / --targets reuse them (and the proxy-score
-//       cache) across requests. --backend routes recall phase 1 through a
-//       named RecallBackend (embedding/hybrid need trained embeddings from
-//       `train-embed`, via the --store or --embeddings=PATH).
+//                    hybrid] [--embeddings=e.txt] [--report=r.md]
+//                    [--trace=t.json]
+//       Run the full two-phase selection and print the selected model,
+//       its accuracy, the survivors per epoch and the epoch cost.
+//       --repeat / --targets reuse the loaded artifacts (and the proxy-
+//       score cache) across requests. --backend routes recall phase 1
+//       through a named RecallBackend (embedding/hybrid need trained
+//       embeddings from `train-embed`, via the --store or
+//       --embeddings=PATH). --report writes a markdown report, --trace the
+//       SelectionTrace JSON that `trace` prints.
 //
 //   tps_cli train-embed --domain=nlp --matrix=m.txt | --store=store.log
 //                    [--dim=16] [--epochs=300] [--lr=0.5]
@@ -68,8 +71,19 @@
 //       Run the full two-phase selection and emit the structured
 //       SelectionTrace as JSON (per-cluster recall scores, recalled set,
 //       every rung's survivors and prunes, epoch totals) to stdout or
-//       --out. `select` also accepts --trace=PATH to write the same JSON
-//       alongside its human-readable report.
+//       --out.
+//
+//   `recall`, `select` and `trace` are one pipeline: each loads the
+//   artifacts into an in-process SelectionService (the one `serve` runs)
+//   and runs its request through it, so for the same flags they recall,
+//   select and charge identically and differ only in what they print.
+//   Artifacts come from a model store (--store=s.log [--id=nlp]) or from
+//   files (--matrix + --clustering [--index=i.txt] [--embeddings=e.txt]).
+//   The artifacts pick the recall index: a store's IVF when it holds one,
+//   the --index file in file mode, else the exact index over the
+//   clustering. All three take the request flags (--k >= 1, --threshold,
+//   --proxy/--proxies, --nprobe, --backend, --deadline) and --threads /
+//   --cache.
 //
 //   tps_cli serve    --domain=nlp --store=store.log
 //                    --socket=/tmp/tps.sock | --port=0 [--workers=2]
@@ -96,9 +110,10 @@
 //       `tps_cli query --cmd=reload`.
 //
 // All subcommands are deterministic; no flags are required beyond the ones
-// shown (defaults in brackets). `offline`, `recall` and `select` accept
-// --threads=N (default 1) to fan independent simulator/proxy work over a
-// shared thread pool — output is bit-identical for every thread count.
+// shown (defaults in brackets). `offline`, `recall`, `select`, `trace` and
+// `train-embed` accept --threads=N (default 1) to fan independent
+// simulator/proxy work over a shared thread pool — output is bit-identical
+// for every thread count.
 //
 // Any invocation additionally accepts --metrics[=PATH]: after the
 // subcommand finishes, the process-wide MetricsRegistry (counters, gauges,
@@ -106,15 +121,16 @@
 // to stdout or PATH. Observability never changes results or exit codes of
 // a successful command.
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/baselines.h"
-#include "core/evaluation.h"
 #include "core/report.h"
 #include "core/two_phase.h"
 #include "data/registry.h"
@@ -136,10 +152,9 @@ namespace tps {
 namespace cli {
 namespace {
 
-int Fail(const Status& status) {
-  std::cerr << "error: " << status.ToString() << std::endl;
-  return 1;
-}
+using serve::DomainFromFlag;
+using serve::Fail;
+using serve::ThreadsFromFlag;
 
 int Usage() {
   std::cerr
@@ -167,105 +182,30 @@ int EmitText(const std::string& text, const std::string& path,
   return 0;
 }
 
-StatusOr<int> ThreadsFromFlag(const FlagParser& flags) {
-  TPS_ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 1));
-  if (threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
-  }
-  return static_cast<int>(threads);
-}
-
-StatusOr<TaskDomain> DomainFromFlag(const FlagParser& flags) {
-  const std::string domain = strings::ToLower(
-      flags.GetString("domain", "nlp"));
-  if (domain == "nlp") return TaskDomain::kNLP;
-  if (domain == "cv") return TaskDomain::kCV;
-  return Status::InvalidArgument("--domain must be nlp or cv, got '" +
-                                 domain + "'");
-}
-
-StatusOr<ModelZoo> ZooFor(TaskDomain domain) {
-  return ModelZoo::Create(domain == TaskDomain::kNLP ? NlpPaperZooSpecs()
-                                                     : CvPaperZooSpecs());
-}
-
-struct LoadedWorld {
-  DatasetRegistry registry;
-  ModelZoo zoo;
-  PerformanceMatrix matrix;
-  ModelClustering clustering;
-  TaskDomain domain;
+/// The one pipeline of `recall`, `trace` and `select`: the request the
+/// flags describe and a SelectionService over the artifacts they name.
+struct Pipeline {
+  serve::SelectionRequest request;
+  std::unique_ptr<serve::SelectionService> service;
 };
 
-/// Loads previously persisted offline artifacts and validates they match
-/// the paper zoo for the domain.
-StatusOr<LoadedWorld> LoadWorld(const FlagParser& flags) {
-  TPS_ASSIGN_OR_RETURN(TaskDomain domain, DomainFromFlag(flags));
-  TPS_ASSIGN_OR_RETURN(DatasetRegistry registry,
-                       DatasetRegistry::CreatePaperInventory());
-  TPS_ASSIGN_OR_RETURN(ModelZoo zoo, ZooFor(domain));
-
-  // Artifacts come either from a model store (--store + --id) or from the
-  // plain-file pair (--matrix + --clustering).
-  const std::string store_path = flags.GetString("store");
-  auto load_matrix = [&]() -> StatusOr<PerformanceMatrix> {
-    if (!store_path.empty()) {
-      const std::string id =
-          flags.GetString("id", domain == TaskDomain::kNLP ? "nlp" : "cv");
-      TPS_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(store_path));
-      return store.GetPerformanceMatrix(id);
-    }
-    const std::string matrix_path = flags.GetString("matrix");
-    if (matrix_path.empty()) {
-      return Status::InvalidArgument(
-          "--store or --matrix/--clustering paths are required (run "
-          "`tps_cli offline` first)");
-    }
-    return PerformanceMatrix::LoadFromFile(matrix_path);
-  };
-  auto load_clustering = [&]() -> StatusOr<ModelClustering> {
-    if (!store_path.empty()) {
-      const std::string id =
-          flags.GetString("id", domain == TaskDomain::kNLP ? "nlp" : "cv");
-      TPS_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(store_path));
-      return store.GetClustering(id);
-    }
-    const std::string clustering_path = flags.GetString("clustering");
-    if (clustering_path.empty()) {
-      return Status::InvalidArgument(
-          "--store or --matrix/--clustering paths are required (run "
-          "`tps_cli offline` first)");
-    }
-    return LoadClustering(clustering_path);
-  };
-  TPS_ASSIGN_OR_RETURN(PerformanceMatrix matrix, load_matrix());
-  TPS_ASSIGN_OR_RETURN(ModelClustering clustering, load_clustering());
-  // Artifacts over a generated zoo (`tps_cli offline --gen=N`): rebuild
-  // the zoo from the store's registered specs, in matrix column order.
-  if (matrix.num_models() != zoo.size() && !store_path.empty()) {
-    TPS_ASSIGN_OR_RETURN(ModelStore store, ModelStore::Open(store_path));
-    std::vector<ModelSpec> specs;
-    specs.reserve(matrix.num_models());
-    for (const std::string& name : matrix.model_names()) {
-      auto spec = store.GetModelSpec(name);
-      if (!spec.ok()) {
-        return Status(spec.status().code(),
-                      "matrix model '" + name +
-                          "' is not registered in the store: " +
-                          spec.status().message());
-      }
-      specs.push_back(std::move(spec).value());
-    }
-    TPS_ASSIGN_OR_RETURN(zoo, ModelZoo::Create(specs));
+StatusOr<Pipeline> LoadPipeline(const FlagParser& flags) {
+  TPS_ASSIGN_OR_RETURN(serve::ArtifactPaths paths,
+                       serve::ArtifactPathsFromFlags(flags));
+  TPS_ASSIGN_OR_RETURN(serve::SelectionRequest request,
+                       serve::RequestFromFlags(flags));
+  if (request.target.empty() && !flags.Has("targets")) {
+    return Status::InvalidArgument("--target is required");
   }
-  if (matrix.num_models() != zoo.size() ||
-      clustering.clusters.assignments.size() != zoo.size()) {
-    return Status::FailedPrecondition(
-        "artifacts do not match the " + std::string(ToString(domain)) +
-        " paper zoo; rebuild with `tps_cli offline`");
-  }
-  return LoadedWorld{std::move(registry), std::move(zoo), std::move(matrix),
-                     std::move(clustering), domain};
+  TPS_ASSIGN_OR_RETURN(serve::ServiceOptions options,
+                       serve::ServiceOptionsFromFlags(flags));
+  options.worker_threads = 0;  // Handle() runs on this thread.
+  TPS_ASSIGN_OR_RETURN(serve::ServiceArtifacts artifacts,
+                       serve::ServiceArtifacts::Load(paths));
+  TPS_ASSIGN_OR_RETURN(
+      std::unique_ptr<serve::SelectionService> service,
+      serve::SelectionService::Create(std::move(artifacts), options));
+  return Pipeline{std::move(request), std::move(service)};
 }
 
 int RunOffline(const FlagParser& flags) {
@@ -307,7 +247,7 @@ int RunOffline(const FlagParser& flags) {
     if (!specs_or.ok()) return Fail(specs_or.status());
     zoo_or = ModelZoo::Create(*specs_or);
   } else {
-    zoo_or = ZooFor(domain);
+    zoo_or = PaperZoo(domain);
   }
   if (!zoo_or.ok()) return Fail(zoo_or.status());
 
@@ -480,153 +420,51 @@ int RunZooGen(const FlagParser& flags) {
 }
 
 int RunRecall(const FlagParser& flags) {
-  auto world_or = LoadWorld(flags);
-  if (!world_or.ok()) return Fail(world_or.status());
-  LoadedWorld& world = *world_or;
-  const std::string target_name = flags.GetString("target");
-  auto target_or = world.registry.Find(target_name);
-  if (!target_or.ok()) return Fail(target_or.status());
-
-  RecallOptions options;
-  auto k_or = flags.GetInt("k", 10);
-  if (!k_or.ok()) return Fail(k_or.status());
-  options.top_k_models = static_cast<size_t>(*k_or);
-  options.proxy = flags.GetString("proxy", "leep");
-  options.proxies = flags.GetList("proxies");
-
-  // --index=PATH loads a serialized IvfIndex; --index=store fetches it
-  // from the --store under the artifact id. Either way recall probes that
-  // index instead of the exact index over the clustering.
-  std::optional<IvfIndex> index;
-  const std::string index_flag = flags.GetString("index");
-  if (!index_flag.empty()) {
-    StatusOr<IvfIndex> index_or = Status::Internal("unreachable");
-    if (index_flag == "store") {
-      const std::string store_path = flags.GetString("store");
-      if (store_path.empty()) {
-        return Fail(Status::InvalidArgument(
-            "--index=store needs --store=PATH"));
-      }
-      auto store_or = ModelStore::Open(store_path);
-      if (!store_or.ok()) return Fail(store_or.status());
-      const std::string id = flags.GetString(
-          "id", world.domain == TaskDomain::kNLP ? "nlp" : "cv");
-      index_or = store_or->GetRecallIndex(id);
-    } else {
-      index_or = IvfIndex::LoadFromFile(index_flag);
-    }
-    if (!index_or.ok()) return Fail(index_or.status());
-    index = std::move(index_or).value();
-    options.index = &*index;
-    auto nprobe_or = flags.GetInt("nprobe", 0);
-    if (!nprobe_or.ok()) return Fail(nprobe_or.status());
-    if (*nprobe_or < 0) {
-      return Fail(Status::InvalidArgument("--nprobe must be >= 0"));
-    }
-    options.nprobe = static_cast<size_t>(*nprobe_or);
-  }
-
-  auto threads_or = ThreadsFromFlag(flags);
-  if (!threads_or.ok()) return Fail(threads_or.status());
-
-  CoarseRecall recall(&world.zoo, &world.matrix, &world.clustering);
-  EpochBudget budget;
-  StatusOr<RecallResult> result_or = Status::Internal("unreachable");
-  if (*threads_or == 1) {
-    result_or = recall.Recall(**target_or, options, &budget);
-  } else {
-    ThreadPool pool(ThreadPool::ClampThreads(*threads_or, world.zoo.size()));
-    result_or = recall.Recall(**target_or, options, &budget, &pool);
-  }
-  if (!result_or.ok()) return Fail(result_or.status());
+  auto pipeline_or = LoadPipeline(flags);
+  if (!pipeline_or.ok()) return Fail(pipeline_or.status());
+  const serve::SelectionRequest& request = pipeline_or->request;
+  const serve::SelectionResponse response =
+      pipeline_or->service->Handle(request);
+  if (!response.status.ok()) return Fail(response.status);
+  const auto snapshot = pipeline_or->service->snapshot();
+  const serve::ServiceArtifacts& artifacts = snapshot->artifacts;
+  const RecallResult& recall = response.report.recall;
 
   TablePrinter table({"rank", "model", "recall score", "prior acc",
                       "proxy", "propagated"});
-  for (size_t r = 0; r < options.top_k_models &&
-                     r < result_or->ranked.size();
-       ++r) {
-    const RecallEntry& entry = result_or->ranked[r];
+  for (size_t r = 0; r < request.top_k && r < recall.ranked.size(); ++r) {
+    const RecallEntry& entry = recall.ranked[r];
     table.AddRow({std::to_string(r),
-                  world.zoo.model(entry.model_index).name(),
+                  artifacts.zoo.model(entry.model_index).name(),
                   strings::FormatDouble(entry.recall_score, 4),
                   strings::FormatDouble(entry.prior_accuracy, 4),
                   strings::FormatDouble(entry.proxy_component, 4),
                   entry.via_propagation ? "yes" : "no"});
   }
   table.Print(std::cout);
-  std::cout << "proxy inference cost: " << budget.inference_epochs()
-            << " epoch-equivalents (" << result_or->proxies_computed
+  std::cout << "proxy inference cost: " << response.inference_epochs
+            << " epoch-equivalents (" << recall.proxies_computed
             << " forward passes)\n";
-  if (index.has_value()) {
-    std::cout << "recall index: " << index->name() << ", probed "
-              << index->ProbePartitions(options.nprobe).size() << " of "
-              << index->num_partitions() << " partitions\n";
+  if (artifacts.index != nullptr) {
+    std::cout << "recall index: " << artifacts.index->name() << ", probed "
+              << artifacts.index->ProbePartitions(request.nprobe).size()
+              << " of " << artifacts.index->num_partitions()
+              << " partitions\n";
   }
   return 0;
 }
 
-/// Parses the flags shared by `select` and `trace` (--k, --threshold,
-/// --threads).
-StatusOr<TwoPhaseOptions> TwoPhaseOptionsFromFlags(const FlagParser& flags) {
-  TwoPhaseOptions options;
-  TPS_ASSIGN_OR_RETURN(int64_t k, flags.GetInt("k", 10));
-  options.recall.top_k_models = static_cast<size_t>(k);
-  TPS_ASSIGN_OR_RETURN(options.fine_selection.threshold,
-                       flags.GetDouble("threshold", 0.0));
-  TPS_ASSIGN_OR_RETURN(options.num_threads, ThreadsFromFlag(flags));
-  return options;
-}
-
 int RunSelect(const FlagParser& flags) {
-  // Routed through an in-process SelectionService: artifacts load once and
-  // every request in this process (--repeat x --targets) reuses them plus
-  // the shared proxy-score cache.
-  auto paths_or = serve::ArtifactPathsFromFlags(flags);
-  if (!paths_or.ok()) return Fail(paths_or.status());
-  auto artifacts_or = serve::ServiceArtifacts::Load(*paths_or);
-  if (!artifacts_or.ok()) return Fail(artifacts_or.status());
-
-  serve::ServiceOptions service_options;
-  service_options.worker_threads = 0;  // Handle() runs on this thread.
-  auto threads_or = ThreadsFromFlag(flags);
-  if (!threads_or.ok()) return Fail(threads_or.status());
-  service_options.pipeline_threads = *threads_or;
-  auto cache_or = flags.GetInt(
-      "cache", static_cast<int64_t>(service_options.cache_capacity));
-  if (!cache_or.ok()) return Fail(cache_or.status());
-  if (*cache_or < 0) {
-    return Fail(Status::InvalidArgument("--cache must be >= 0"));
-  }
-  service_options.cache_capacity = static_cast<size_t>(*cache_or);
-  auto deadline_or = flags.GetDouble("deadline", 0.0);
-  if (!deadline_or.ok()) return Fail(deadline_or.status());
-  if (*deadline_or < 0.0) {
-    return Fail(Status::InvalidArgument("--deadline must be >= 0"));
-  }
-  service_options.default_deadline_ms = *deadline_or;
-
-  auto service_or = serve::SelectionService::Create(std::move(*artifacts_or),
-                                                    service_options);
-  if (!service_or.ok()) return Fail(service_or.status());
-  serve::SelectionService& service = **service_or;
-
-  std::vector<std::string> targets = flags.GetList("targets");
-  if (targets.empty()) {
-    const std::string target = flags.GetString("target");
-    if (target.empty()) {
-      return Fail(
-          Status::InvalidArgument("--target or --targets is required"));
-    }
-    targets.push_back(target);
-  }
+  // Artifacts load once and every request in this process (--repeat x
+  // --targets) reuses them plus the shared proxy-score cache.
   auto repeat_or = flags.GetInt("repeat", 1);
   if (!repeat_or.ok()) return Fail(repeat_or.status());
   if (*repeat_or < 1) {
     return Fail(Status::InvalidArgument("--repeat must be >= 1"));
   }
   const size_t repeat = static_cast<size_t>(*repeat_or);
-  const size_t total = targets.size() * repeat;
-
+  std::vector<std::string> targets = flags.GetList("targets");
+  const size_t total = std::max<size_t>(targets.size(), 1) * repeat;
   const std::string trace_path = flags.GetString("trace");
   const std::string report_path = flags.GetString("report");
   if (total > 1 && (flags.Has("trace") || !report_path.empty())) {
@@ -634,24 +472,18 @@ int RunSelect(const FlagParser& flags) {
         "--trace/--report apply to a single request; drop --repeat/"
         "--targets"));
   }
-
-  serve::SelectionRequest request;
-  auto k_or = flags.GetInt("k", 10);
-  if (!k_or.ok()) return Fail(k_or.status());
-  request.top_k = static_cast<size_t>(*k_or);
-  auto threshold_or = flags.GetDouble("threshold", 0.0);
-  if (!threshold_or.ok()) return Fail(threshold_or.status());
-  request.threshold = *threshold_or;
-  request.proxy = flags.GetString("proxy", "leep");
-  request.proxies = flags.GetList("proxies");
-  request.want_trace = flags.Has("trace");
-  auto nprobe_or = flags.GetInt("nprobe", 0);
-  if (!nprobe_or.ok()) return Fail(nprobe_or.status());
-  if (*nprobe_or < 0) {
-    return Fail(Status::InvalidArgument("--nprobe must be >= 0"));
+  if (flags.Has("trace") && trace_path.empty()) {
+    return Fail(Status::InvalidArgument(
+        "--trace needs a file path (use `tps_cli trace` to print the "
+        "trace to stdout)"));
   }
-  request.nprobe = static_cast<size_t>(*nprobe_or);
-  request.recall_backend = flags.GetString("backend");
+
+  auto pipeline_or = LoadPipeline(flags);
+  if (!pipeline_or.ok()) return Fail(pipeline_or.status());
+  serve::SelectionRequest& request = pipeline_or->request;
+  serve::SelectionService& service = *pipeline_or->service;
+  if (targets.empty()) targets.push_back(request.target);
+  request.want_trace = !trace_path.empty();
 
   serve::SelectionResponse response;
   for (size_t run = 0; run < repeat; ++run) {
@@ -684,8 +516,7 @@ int RunSelect(const FlagParser& flags) {
 
   if (!report_path.empty()) {
     const auto snapshot = service.snapshot();
-    auto target_or =
-        snapshot->artifacts.registry.Find(flags.GetString("target"));
+    auto target_or = snapshot->artifacts.registry.Find(request.target);
     if (!target_or.ok()) return Fail(target_or.status());
     std::ofstream out(report_path);
     if (!out) {
@@ -696,37 +527,19 @@ int RunSelect(const FlagParser& flags) {
     std::cout << "markdown report -> " << report_path << "\n";
   }
   if (request.want_trace) {
-    if (trace_path.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--trace needs a file path (use `tps_cli trace` to print the "
-          "trace to stdout)"));
-    }
-    const int code = EmitText(response.trace.ToJson(2), trace_path,
-                              "selection trace");
-    if (code != 0) return code;
+    return EmitText(response.trace.ToJson(2), trace_path, "selection trace");
   }
   return 0;
 }
 
 int RunTrace(const FlagParser& flags) {
-  auto world_or = LoadWorld(flags);
-  if (!world_or.ok()) return Fail(world_or.status());
-  LoadedWorld& world = *world_or;
-  auto target_or = world.registry.Find(flags.GetString("target"));
-  if (!target_or.ok()) return Fail(target_or.status());
-
-  auto options_or = TwoPhaseOptionsFromFlags(flags);
-  if (!options_or.ok()) return Fail(options_or.status());
-  TwoPhaseOptions options = *options_or;
-  SelectionTrace trace;
-  options.trace = &trace;
-
-  FineTuneSimulator simulator;
-  TwoPhaseSelector selector(&world.zoo, &world.matrix, &world.clustering,
-                            &simulator);
-  auto report_or = selector.Select(**target_or, options);
-  if (!report_or.ok()) return Fail(report_or.status());
-  return EmitText(trace.ToJson(2), flags.GetString("out"),
+  auto pipeline_or = LoadPipeline(flags);
+  if (!pipeline_or.ok()) return Fail(pipeline_or.status());
+  pipeline_or->request.want_trace = true;
+  const serve::SelectionResponse response =
+      pipeline_or->service->Handle(pipeline_or->request);
+  if (!response.status.ok()) return Fail(response.status);
+  return EmitText(response.trace.ToJson(2), flags.GetString("out"),
                   "selection trace");
 }
 
@@ -844,56 +657,48 @@ int RunTrainEmbed(const FlagParser& flags) {
 int RunBaselines(const FlagParser& flags) {
   auto domain_or = DomainFromFlag(flags);
   if (!domain_or.ok()) return Fail(domain_or.status());
-  const TaskDomain domain = *domain_or;
-  auto registry_or = DatasetRegistry::CreatePaperInventory();
-  if (!registry_or.ok()) return Fail(registry_or.status());
-  auto target_or = registry_or->Find(flags.GetString("target"));
+  auto artifacts_or = serve::ServiceArtifacts::Build(*domain_or);
+  if (!artifacts_or.ok()) return Fail(artifacts_or.status());
+  const serve::ServiceArtifacts& artifacts = *artifacts_or;
+  const ModelZoo& zoo = artifacts.zoo;
+  auto target_or = artifacts.registry.Find(flags.GetString("target"));
   if (!target_or.ok()) return Fail(target_or.status());
-  auto zoo_or = ZooFor(domain);
-  if (!zoo_or.ok()) return Fail(zoo_or.status());
 
   FineTuneSimulator simulator;
-  const Hyperparams hp = Hyperparams::DefaultsFor(domain);
-  auto matrix_or = PerformanceMatrix::Build(
-      *zoo_or, registry_or->Benchmarks(domain), simulator, hp);
-  if (!matrix_or.ok()) return Fail(matrix_or.status());
-  auto clustering_or =
-      ClusterModels(*matrix_or, *zoo_or, ModelClusteringOptions());
-  if (!clustering_or.ok()) return Fail(clustering_or.status());
-
-  std::vector<size_t> all(zoo_or->size());
+  const Hyperparams hp = Hyperparams::DefaultsFor(*domain_or);
+  std::vector<size_t> all(zoo.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
 
   TablePrinter table({"method", "epochs", "selected model", "accuracy"});
   {
-    BruteForceSelector bf(&*zoo_or, &simulator);
+    BruteForceSelector bf(&zoo, &simulator);
     EpochBudget budget;
     auto outcome = bf.Select(all, **target_or, hp, &budget);
     if (!outcome.ok()) return Fail(outcome.status());
     table.AddRow({"brute force",
                   strings::FormatDouble(budget.total_epochs(), 1),
-                  zoo_or->model(outcome->selected_model).name(),
+                  zoo.model(outcome->selected_model).name(),
                   strings::FormatDouble(outcome->selected_accuracy, 4)});
   }
   {
-    SuccessiveHalvingSelector sh(&*zoo_or, &simulator);
+    SuccessiveHalvingSelector sh(&zoo, &simulator);
     EpochBudget budget;
     auto outcome = sh.Select(all, **target_or, hp, &budget);
     if (!outcome.ok()) return Fail(outcome.status());
     table.AddRow({"successive halving",
                   strings::FormatDouble(budget.total_epochs(), 1),
-                  zoo_or->model(outcome->selected_model).name(),
+                  zoo.model(outcome->selected_model).name(),
                   strings::FormatDouble(outcome->selected_accuracy, 4)});
   }
   {
-    TwoPhaseSelector selector(&*zoo_or, &*matrix_or, &*clustering_or,
+    TwoPhaseSelector selector(&zoo, &artifacts.matrix, &artifacts.clustering,
                               &simulator);
     auto report = selector.Select(**target_or, TwoPhaseOptions(), hp);
     if (!report.ok()) return Fail(report.status());
     table.AddRow(
         {"two-phase (CR+FS)",
          strings::FormatDouble(report->budget.total_epochs(), 1),
-         zoo_or->model(report->selection.selected_model).name(),
+         zoo.model(report->selection.selected_model).name(),
          strings::FormatDouble(report->selection.selected_accuracy, 4)});
   }
   table.Print(std::cout);
@@ -920,7 +725,7 @@ int RunDatasets(const FlagParser& flags) {
 int RunModels(const FlagParser& flags) {
   auto domain_or = DomainFromFlag(flags);
   if (!domain_or.ok()) return Fail(domain_or.status());
-  auto zoo_or = ZooFor(*domain_or);
+  auto zoo_or = PaperZoo(*domain_or);
   if (!zoo_or.ok()) return Fail(zoo_or.status());
   TablePrinter table({"model", "family", "params (M)", "capability",
                       "fine-tune tags"});
@@ -940,7 +745,7 @@ int RunCard(const FlagParser& flags) {
     return Fail(Status::InvalidArgument("--model is required"));
   }
   for (TaskDomain domain : {TaskDomain::kNLP, TaskDomain::kCV}) {
-    auto zoo_or = ZooFor(domain);
+    auto zoo_or = PaperZoo(domain);
     if (!zoo_or.ok()) return Fail(zoo_or.status());
     auto model_or = zoo_or->Find(name);
     if (model_or.ok()) {

@@ -16,16 +16,11 @@
 // stops the server. Identical to `tps_cli serve` — this binary exists so a
 // deployment can ship the server without the rest of the CLI.
 
-#include <iostream>
-
 #include "serve/cli_commands.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
   auto flags_or = tps::FlagParser::Parse(argc, argv);
-  if (!flags_or.ok()) {
-    std::cerr << "error: " << flags_or.status().ToString() << std::endl;
-    return 1;
-  }
+  if (!flags_or.ok()) return tps::serve::Fail(flags_or.status());
   return tps::serve::RunServe(*flags_or);
 }
