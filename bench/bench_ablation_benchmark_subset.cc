@@ -10,10 +10,10 @@
 #include <iostream>
 
 #include "bench/harness.h"
+#include "bench/lib/benchmark_selection.h"
+#include "bench/lib/rand_index.h"
 #include "clustering/distance.h"
 #include "clustering/hierarchical.h"
-#include "clustering/rand_index.h"
-#include "core/benchmark_selection.h"
 #include "core/model_clusterer.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"

@@ -7,10 +7,10 @@
 #include <iostream>
 
 #include "bench/harness.h"
+#include "bench/lib/ensemble.h"
 #include "core/coarse_recall.h"
 #include "core/evaluation.h"
 #include "core/two_phase.h"
-#include "sim/ensemble.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 

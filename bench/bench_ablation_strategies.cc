@@ -13,12 +13,12 @@
 #include <numeric>
 
 #include "bench/harness.h"
+#include "bench/lib/hyperband.h"
+#include "bench/lib/planner.h"
+#include "bench/lib/task_similarity.h"
 #include "core/baselines.h"
 #include "core/coarse_recall.h"
 #include "core/evaluation.h"
-#include "core/hyperband.h"
-#include "core/planner.h"
-#include "core/task_similarity.h"
 #include "core/two_phase.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"

@@ -11,8 +11,8 @@
 #include <iostream>
 
 #include "bench/harness.h"
+#include "bench/lib/silhouette.h"
 #include "clustering/distance.h"
-#include "clustering/silhouette.h"
 #include "core/convergence_trend.h"
 #include "util/rng.h"
 #include "util/stats.h"

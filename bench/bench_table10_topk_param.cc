@@ -8,9 +8,9 @@
 #include <iostream>
 
 #include "bench/harness.h"
+#include "bench/lib/silhouette.h"
 #include "clustering/distance.h"
 #include "clustering/hierarchical.h"
-#include "clustering/silhouette.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench/harness.h"
-#include "clustering/silhouette.h"
+#include "bench/lib/silhouette.h"
 #include "core/model_clusterer.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"

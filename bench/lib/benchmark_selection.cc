@@ -1,4 +1,4 @@
-#include "core/benchmark_selection.h"
+#include "bench/lib/benchmark_selection.h"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "sim/ensemble.h"
+#include "bench/lib/ensemble.h"
 
 #include <cmath>
 

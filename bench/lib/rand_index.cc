@@ -1,4 +1,4 @@
-#include "clustering/rand_index.h"
+#include "bench/lib/rand_index.h"
 
 namespace tps {
 

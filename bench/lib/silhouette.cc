@@ -1,4 +1,4 @@
-#include "clustering/silhouette.h"
+#include "bench/lib/silhouette.h"
 
 #include <algorithm>
 #include <limits>

@@ -44,13 +44,6 @@ class PerformanceMatrix {
       const FineTuneSimulator& simulator, const Hyperparams& hp,
       int num_threads);
 
-  /// As BuildParallel on a caller-owned pool shared with the rest of the
-  /// pipeline. `pool` may be null for the serial path.
-  static StatusOr<PerformanceMatrix> BuildOnPool(
-      const ModelZoo& zoo, const std::vector<const Dataset*>& benchmarks,
-      const FineTuneSimulator& simulator, const Hyperparams& hp,
-      ThreadPool* pool);
-
   size_t num_models() const { return model_names_.size(); }
   size_t num_datasets() const { return dataset_names_.size(); }
 
@@ -101,6 +94,13 @@ class PerformanceMatrix {
 
  private:
   PerformanceMatrix() = default;
+
+  /// Build and BuildParallel's shared body: fans the runs over `pool`, or
+  /// runs them serially when `pool` is null.
+  static StatusOr<PerformanceMatrix> BuildOnPool(
+      const ModelZoo& zoo, const std::vector<const Dataset*>& benchmarks,
+      const FineTuneSimulator& simulator, const Hyperparams& hp,
+      ThreadPool* pool);
 
   std::vector<std::string> model_names_;
   std::vector<std::string> dataset_names_;

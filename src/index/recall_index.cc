@@ -8,6 +8,10 @@
 
 namespace tps {
 
+namespace {
+
+/// BruteForceRecallIndex::Create's input check: vectors rectangular, prior
+/// sized like vectors, every assignment in range.
 Status ValidateIndexInputs(const std::vector<std::vector<double>>& vectors,
                            const std::vector<double>& prior,
                            const std::vector<int>& assignments,
@@ -42,6 +46,8 @@ Status ValidateIndexInputs(const std::vector<std::vector<double>>& vectors,
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Status FinalizeIndexStructure(IndexStructure* s,
                               size_t propagation_neighbors) {

@@ -164,13 +164,6 @@ class BruteForceRecallIndex : public RecallIndex {
   BruteForceRecallIndex() = default;
 };
 
-/// Shared validation for index builders: vectors rectangular, prior sized
-/// like vectors, every assignment in range.
-Status ValidateIndexInputs(const std::vector<std::vector<double>>& vectors,
-                           const std::vector<double>& prior,
-                           const std::vector<int>& assignments,
-                           int num_partitions);
-
 /// The first `count` entries of `s.pilot_order`, returned ascending — the
 /// exploration wave of the recall phase's adaptive probe for a novel
 /// target (one whose proxy scores no stored column predicts). `count` is

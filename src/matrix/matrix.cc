@@ -52,44 +52,6 @@ void Matrix::SetRow(size_t r, const std::vector<double>& values) {
   for (size_t c = 0; c < cols_; ++c) At(r, c) = values[c];
 }
 
-Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) t.At(c, r) = At(r, c);
-  }
-  return t;
-}
-
-StatusOr<Matrix> Matrix::Multiply(const Matrix& other) const {
-  if (cols_ != other.rows_) {
-    return Status::InvalidArgument(strings::Format(
-        "matrix shape mismatch: (%zu x %zu) * (%zu x %zu)", rows_, cols_,
-        other.rows_, other.cols_));
-  }
-  Matrix out(rows_, other.cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = 0; k < cols_; ++k) {
-      const double v = At(r, k);
-      if (v == 0.0) continue;
-      for (size_t c = 0; c < other.cols_; ++c) {
-        out.At(r, c) += v * other.At(k, c);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<double> Matrix::RowMeans() const {
-  std::vector<double> means(rows_, 0.0);
-  if (cols_ == 0) return means;
-  for (size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (size_t c = 0; c < cols_; ++c) sum += At(r, c);
-    means[r] = sum / static_cast<double>(cols_);
-  }
-  return means;
-}
-
 std::vector<double> Matrix::ColMeans() const {
   std::vector<double> means(cols_, 0.0);
   if (rows_ == 0) return means;

@@ -54,15 +54,6 @@ class Matrix {
   /// Overwrites row r. `values.size()` must equal cols().
   void SetRow(size_t r, const std::vector<double>& values);
 
-  /// Matrix transpose.
-  Matrix Transposed() const;
-
-  /// Matrix product; this->cols() must equal other.rows().
-  StatusOr<Matrix> Multiply(const Matrix& other) const;
-
-  /// Per-row means (length rows()).
-  std::vector<double> RowMeans() const;
-
   /// Per-column means (length cols()).
   std::vector<double> ColMeans() const;
 

@@ -17,12 +17,6 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 double Norm(const std::vector<double>& a) { return std::sqrt(Dot(a, a)); }
 
-double L1Norm(const std::vector<double>& a) {
-  double sum = 0.0;
-  for (double v : a) sum += std::fabs(v);
-  return sum;
-}
-
 double EuclideanDistance(const std::vector<double>& a,
                          const std::vector<double>& b) {
   TPS_CHECK(a.size() == b.size());
@@ -48,14 +42,6 @@ std::vector<double> Add(const std::vector<double>& a,
   TPS_CHECK(a.size() == b.size());
   std::vector<double> out(a.size());
   for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-std::vector<double> Subtract(const std::vector<double>& a,
-                             const std::vector<double>& b) {
-  TPS_CHECK(a.size() == b.size());
-  std::vector<double> out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
   return out;
 }
 

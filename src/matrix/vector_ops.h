@@ -16,8 +16,6 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b);
 /// Euclidean (L2) norm.
 double Norm(const std::vector<double>& a);
 
-double L1Norm(const std::vector<double>& a);
-
 double EuclideanDistance(const std::vector<double>& a,
                          const std::vector<double>& b);
 
@@ -28,10 +26,6 @@ double CosineSimilarity(const std::vector<double>& a,
 /// a + b elementwise.
 std::vector<double> Add(const std::vector<double>& a,
                         const std::vector<double>& b);
-
-/// a - b elementwise.
-std::vector<double> Subtract(const std::vector<double>& a,
-                             const std::vector<double>& b);
 
 /// a * s elementwise.
 std::vector<double> Scale(const std::vector<double>& a, double s);

@@ -48,16 +48,4 @@ StatusOr<const PretrainedModel*> ModelZoo::Find(
   return &models()[index];
 }
 
-StatusOr<ModelZoo> ModelZoo::Subset(const std::vector<size_t>& indices) const {
-  std::vector<PretrainedModel> subset;
-  subset.reserve(indices.size());
-  for (size_t index : indices) {
-    if (index >= size()) {
-      return Status::OutOfRange("model index out of range in Subset");
-    }
-    subset.push_back(models()[index]);
-  }
-  return ModelZoo(std::move(subset));
-}
-
 }  // namespace tps

@@ -35,9 +35,6 @@ class ModelZoo {
   /// valid while any copy of the zoo lives.
   StatusOr<const PretrainedModel*> Find(const std::string& name) const;
 
-  /// A sub-zoo containing only the models at `indices` (in that order).
-  StatusOr<ModelZoo> Subset(const std::vector<size_t>& indices) const;
-
  private:
   explicit ModelZoo(std::vector<PretrainedModel> models);
 

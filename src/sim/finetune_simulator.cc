@@ -93,9 +93,4 @@ StatusOr<TrainingRun> FineTuneSimulator::Run(const PretrainedModel& model,
   return run;
 }
 
-StatusOr<TrainingRun> FineTuneSimulator::RunWithDefaults(
-    const PretrainedModel& model, const Dataset& dataset) const {
-  return Run(model, dataset, Hyperparams::DefaultsFor(dataset.spec().domain));
-}
-
 }  // namespace tps

@@ -49,10 +49,6 @@ class FineTuneSimulator {
                             const Dataset& dataset,
                             const Hyperparams& hp) const;
 
-  /// Runs with the paper's per-domain default hyperparameters.
-  StatusOr<TrainingRun> RunWithDefaults(const PretrainedModel& model,
-                                        const Dataset& dataset) const;
-
   const TransferOracle& oracle() const { return oracle_; }
 
  private:

@@ -37,10 +37,6 @@ StatusOr<ModelSpec> ModelStore::GetModelSpec(const std::string& name) const {
   return DeserializeModelSpec(payload);
 }
 
-Status ModelStore::DeleteModelSpec(const std::string& name) {
-  return kv_.Delete(kModelPrefix + name);
-}
-
 std::vector<std::string> ModelStore::ListModels() const {
   return StripPrefix(kv_.ScanPrefix(kModelPrefix),
                      sizeof(kModelPrefix) - 1);
@@ -52,17 +48,6 @@ Status ModelStore::PutDatasetSpec(const DatasetSpec& spec) {
   }
   TPS_ASSIGN_OR_RETURN(std::string payload, SerializeDatasetSpec(spec));
   return kv_.Put(kDatasetPrefix + spec.name, payload);
-}
-
-StatusOr<DatasetSpec> ModelStore::GetDatasetSpec(
-    const std::string& name) const {
-  TPS_ASSIGN_OR_RETURN(std::string payload,
-                       kv_.Get(kDatasetPrefix + name));
-  return DeserializeDatasetSpec(payload);
-}
-
-Status ModelStore::DeleteDatasetSpec(const std::string& name) {
-  return kv_.Delete(kDatasetPrefix + name);
 }
 
 std::vector<std::string> ModelStore::ListDatasets() const {

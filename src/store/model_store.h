@@ -44,14 +44,11 @@ class ModelStore {
   // --- Model specs. ---
   Status PutModelSpec(const ModelSpec& spec);
   StatusOr<ModelSpec> GetModelSpec(const std::string& name) const;
-  Status DeleteModelSpec(const std::string& name);
   /// Registered model names, sorted.
   std::vector<std::string> ListModels() const;
 
   // --- Dataset specs. ---
   Status PutDatasetSpec(const DatasetSpec& spec);
-  StatusOr<DatasetSpec> GetDatasetSpec(const std::string& name) const;
-  Status DeleteDatasetSpec(const std::string& name);
   std::vector<std::string> ListDatasets() const;
 
   // --- Offline selection artifacts. ---

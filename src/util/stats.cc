@@ -16,18 +16,6 @@ double Mean(const std::vector<double>& values) {
   return Sum(values) / static_cast<double>(values.size());
 }
 
-double Variance(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  const double mean = Mean(values);
-  double accum = 0.0;
-  for (double v : values) accum += (v - mean) * (v - mean);
-  return accum / static_cast<double>(values.size());
-}
-
-double StdDev(const std::vector<double>& values) {
-  return std::sqrt(Variance(values));
-}
-
 double Min(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return *std::min_element(values.begin(), values.end());
@@ -42,12 +30,6 @@ size_t ArgMax(const std::vector<double>& values) {
   if (values.empty()) return 0;
   return static_cast<size_t>(
       std::max_element(values.begin(), values.end()) - values.begin());
-}
-
-size_t ArgMin(const std::vector<double>& values) {
-  if (values.empty()) return 0;
-  return static_cast<size_t>(
-      std::min_element(values.begin(), values.end()) - values.begin());
 }
 
 double Median(std::vector<double> values) {

@@ -14,17 +14,12 @@ namespace stats {
 double Sum(const std::vector<double>& values);
 double Mean(const std::vector<double>& values);
 
-/// Population variance (divide by N).
-double Variance(const std::vector<double>& values);
-double StdDev(const std::vector<double>& values);
-
 double Min(const std::vector<double>& values);
 double Max(const std::vector<double>& values);
 
 /// Index of the maximum element; 0 on empty input. Ties break to the
 /// earliest index.
 size_t ArgMax(const std::vector<double>& values);
-size_t ArgMin(const std::vector<double>& values);
 
 /// Median via sorting a copy.
 double Median(std::vector<double> values);

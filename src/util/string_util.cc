@@ -22,24 +22,6 @@ std::vector<std::string> Split(std::string_view text, char delimiter) {
   return parts;
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view text) {
-  std::vector<std::string> parts;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    size_t start = i;
-    while (i < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    if (i > start) parts.emplace_back(text.substr(start, i - start));
-  }
-  return parts;
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator) {
   std::string result;
@@ -63,27 +45,8 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 bool Contains(std::string_view text, std::string_view needle) {
   return text.find(needle) != std::string_view::npos;
-}
-
-std::string Trim(std::string_view text) {
-  size_t begin = 0;
-  size_t end = text.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return std::string(text.substr(begin, end - begin));
 }
 
 std::string Format(const char* fmt, ...) {

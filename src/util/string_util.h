@@ -11,9 +11,6 @@ namespace strings {
 /// Splits on a single-character delimiter; empty tokens are kept.
 std::vector<std::string> Split(std::string_view text, char delimiter);
 
-/// Splits on any whitespace run; empty tokens are dropped.
-std::vector<std::string> SplitWhitespace(std::string_view text);
-
 /// Joins with the given separator.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator);
@@ -21,11 +18,7 @@ std::string Join(const std::vector<std::string>& parts,
 std::string ToLower(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 bool Contains(std::string_view text, std::string_view needle);
-
-/// Strips leading and trailing whitespace.
-std::string Trim(std::string_view text);
 
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -210,6 +210,12 @@ expect 1 "train-embed with bad dim" -- train-embed --domain=nlp \
   --matrix="$SCRATCH/m.txt" --out="$SCRATCH/e.txt" --dim=0
 require_stderr_contains "error:" "train-embed with bad dim"
 
+# A missing sink is refused before the matrix is even read.
+expect 1 "train-embed without sink, unreadable matrix" -- train-embed \
+  --domain=nlp --matrix="$SCRATCH/no/such/m.txt"
+require_stderr_contains "nowhere to persist" \
+  "train-embed without sink, unreadable matrix"
+
 expect 1 "select with unknown backend" -- select "${ARTIFACTS[@]}" \
   --backend=no-such-backend
 require_stderr_contains "error:" "select with unknown backend"
@@ -225,6 +231,32 @@ expect 0 "train-embed into store" -- train-embed --domain=nlp \
   --store="$SCRATCH/store.log" --out="$SCRATCH/e.txt" --epochs=50
 if [[ ! -s $SCRATCH/e.txt ]]; then
   echo "FAIL: train-embed --out=PATH did not write the embeddings file" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
+# Training is deterministic across thread counts, pool or no pool.
+expect 0 "train-embed on three threads" -- train-embed --domain=nlp \
+  --matrix="$SCRATCH/m.txt" --out="$SCRATCH/e3.txt" --epochs=50 --threads=3
+if ! cmp -s "$SCRATCH/e.txt" "$SCRATCH/e3.txt"; then
+  echo "FAIL: train-embed --threads=3 wrote different embeddings" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
+# store-info lists every namespace: its rows add up to the live entries,
+# trained embeddings included.
+expect 0 "store-info after train-embed" -- store-info \
+  --store="$SCRATCH/store.log"
+live=$(sed -n 's/^log records: [0-9]* (\([0-9]*\) live entries)$/\1/p' \
+  "$STDOUT")
+rows=$(awk -F'|' '$3 ~ /^ *[0-9]+ *$/ { sum += $3 } END { print sum + 0 }' \
+  "$STDOUT")
+if [[ -z $live || $live -ne $rows ]]; then
+  echo "FAIL: store-info rows sum to $rows, not the ${live:-?} live entries" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+if ! grep -q '^| embed *| 1 *| nlp ' "$STDOUT"; then
+  echo "FAIL: store-info does not list the trained embeddings" >&2
+  sed 's/^/  stdout: /' "$STDOUT" >&2
   FAILURES=$((FAILURES + 1))
 fi
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "clustering/rand_index.h"
+#include "bench/lib/rand_index.h"
 #include "core/model_clusterer.h"
 #include "data/registry.h"
 #include "model/zoo.h"

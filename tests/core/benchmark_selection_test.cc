@@ -1,12 +1,12 @@
-#include "core/benchmark_selection.h"
+#include "bench/lib/benchmark_selection.h"
 
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/rand_index.h"
 #include "clustering/distance.h"
 #include "clustering/hierarchical.h"
-#include "clustering/rand_index.h"
 #include "core/model_clusterer.h"
 #include "data/registry.h"
 #include "model/paper_zoo.h"

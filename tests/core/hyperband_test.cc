@@ -1,4 +1,4 @@
-#include "core/hyperband.h"
+#include "bench/lib/hyperband.h"
 
 #include <numeric>
 

@@ -1,4 +1,4 @@
-#include "core/planner.h"
+#include "bench/lib/planner.h"
 
 #include <gtest/gtest.h>
 

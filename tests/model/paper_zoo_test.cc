@@ -127,7 +127,6 @@ TEST(ZooSharingTest, DefaultAndMovedFromZoosAreEmpty) {
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_TRUE(empty.models().empty());
   EXPECT_TRUE(empty.Find("bert-base-uncased").status().IsNotFound());
-  EXPECT_TRUE(empty.Subset({0}).status().IsOutOfRange());
 
   ModelZoo source = *ModelZoo::Create(NlpPaperZooSpecs());
   ModelZoo moved = std::move(source);
@@ -139,17 +138,11 @@ TEST(ZooSharingTest, DefaultAndMovedFromZoosAreEmpty) {
   EXPECT_TRUE(moved.models().empty());
 }
 
-TEST(ZooSharingTest, CopiesShareModelsAndSubsetsOwnTheirs) {
+TEST(ZooSharingTest, CopiesShareModels) {
   const ModelZoo zoo = *ModelZoo::Create(CvPaperZooSpecs());
   const ModelZoo copy = zoo;
   EXPECT_EQ(&copy.model(0), &zoo.model(0));
   EXPECT_EQ(*copy.Find(zoo.model(3).name()), &zoo.model(3));
-
-  const ModelZoo subset = *zoo.Subset({3, 1});
-  ASSERT_EQ(subset.size(), 2u);
-  EXPECT_EQ(subset.model(0).name(), zoo.model(3).name());
-  EXPECT_EQ(subset.model(1).name(), zoo.model(1).name());
-  EXPECT_NE(&subset.model(0), &zoo.model(3));
 }
 
 // The paper zoo and dataset inventory are per process: two loads of the

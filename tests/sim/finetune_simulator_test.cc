@@ -129,11 +129,6 @@ TEST_F(FineTuneSimulatorTest, RejectsDomainMismatch) {
                   .IsInvalidArgument());
 }
 
-TEST_F(FineTuneSimulatorTest, DefaultsMatchDomain) {
-  auto run = *simulator_.RunWithDefaults(model_, dataset_);
-  EXPECT_EQ(run.epochs(), 5);  // NLP default.
-}
-
 TEST_F(FineTuneSimulatorTest, BestValHelper) {
   TrainingRun run;
   EXPECT_DOUBLE_EQ(run.best_val(), 0.0);

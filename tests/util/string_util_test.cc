@@ -14,13 +14,6 @@ TEST(StringUtilTest, SplitKeepsEmptyTokens) {
   EXPECT_EQ(Split(",", ','), (std::vector<std::string>{"", ""}));
 }
 
-TEST(StringUtilTest, SplitWhitespaceDropsEmptyTokens) {
-  EXPECT_EQ(SplitWhitespace("  a \t b\nc  "),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_TRUE(SplitWhitespace("   ").empty());
-  EXPECT_TRUE(SplitWhitespace("").empty());
-}
-
 TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
@@ -34,18 +27,9 @@ TEST(StringUtilTest, ToLower) {
 TEST(StringUtilTest, StartsEndsContains) {
   EXPECT_TRUE(StartsWith("prefix-rest", "prefix"));
   EXPECT_FALSE(StartsWith("pre", "prefix"));
-  EXPECT_TRUE(EndsWith("file.csv", ".csv"));
-  EXPECT_FALSE(EndsWith("csv", ".csv"));
   EXPECT_TRUE(Contains("haystack", "stack"));
   EXPECT_FALSE(Contains("haystack", "needle"));
   EXPECT_TRUE(StartsWith("anything", ""));
-}
-
-TEST(StringUtilTest, Trim) {
-  EXPECT_EQ(Trim("  padded \t\n"), "padded");
-  EXPECT_EQ(Trim("nothing"), "nothing");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim(""), "");
 }
 
 TEST(StringUtilTest, FormatBehavesLikePrintf) {

@@ -81,14 +81,15 @@ else
 fi
 
 # 4. The recall-side call sites that were converted to SoA / row-pointer
-#    form must not regrow Matrix::At loops.
-for f in core/coarse_recall.cc core/task_similarity.cc; do
-  require "$SRC/$f" || continue
-  hits=$(grep -n "\.At(" "$SRC/$f")
+#    form must not regrow Matrix::At loops (task_similarity.cc is the
+#    Task2Vec-style ablation baseline the benches run).
+for f in src/core/coarse_recall.cc bench/lib/task_similarity.cc; do
+  require "$ROOT/$f" || continue
+  hits=$(grep -n "\.At(" "$ROOT/$f")
   if [[ -n "$hits" ]]; then
-    fail "src/$f reintroduced Matrix::At on the recall hot path" "$hits"
+    fail "$f reintroduced Matrix::At on the recall hot path" "$hits"
   else
-    echo "ok: src/$f stays on the SoA/row-pointer form"
+    echo "ok: $f stays on the SoA/row-pointer form"
   fi
 done
 

@@ -551,23 +551,30 @@ int RunTrainEmbed(const FlagParser& flags) {
   if (!registry_or.ok()) return Fail(registry_or.status());
 
   // Matrix comes from a model store (--store [+ --id]) or a plain file
-  // (--matrix), same convention as `recall`/`select`.
+  // (--matrix), same convention as `recall`/`select`; the embeddings go
+  // back into that store and/or to --out. Both ends are checked before
+  // anything is loaded or trained.
   const std::string store_path = flags.GetString("store");
+  const std::string matrix_path = flags.GetString("matrix");
+  const std::string out_path = flags.GetString("out");
   const std::string id =
       flags.GetString("id", domain == TaskDomain::kNLP ? "nlp" : "cv");
-  StatusOr<PerformanceMatrix> matrix_or = Status::Internal("unreachable");
+  if (store_path.empty() && matrix_path.empty()) {
+    return Fail(Status::InvalidArgument(
+        "--store or --matrix is required (run `tps_cli offline` first)"));
+  }
+  if (store_path.empty() && out_path.empty()) {
+    return Fail(Status::InvalidArgument(
+        "nowhere to persist: pass --store and/or --out=PATH"));
+  }
+  std::optional<ModelStore> store;
   if (!store_path.empty()) {
     auto store_or = ModelStore::Open(store_path);
     if (!store_or.ok()) return Fail(store_or.status());
-    matrix_or = store_or->GetPerformanceMatrix(id);
-  } else {
-    const std::string matrix_path = flags.GetString("matrix");
-    if (matrix_path.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--store or --matrix is required (run `tps_cli offline` first)"));
-    }
-    matrix_or = PerformanceMatrix::LoadFromFile(matrix_path);
+    store.emplace(std::move(store_or).value());
   }
+  auto matrix_or = store ? store->GetPerformanceMatrix(id)
+                         : PerformanceMatrix::LoadFromFile(matrix_path);
   if (!matrix_or.ok()) return Fail(matrix_or.status());
   const PerformanceMatrix& matrix = *matrix_or;
 
@@ -611,28 +618,18 @@ int RunTrainEmbed(const FlagParser& flags) {
   auto threads_or = ThreadsFromFlag(flags);
   if (!threads_or.ok()) return Fail(threads_or.status());
 
-  StatusOr<recall::EmbedTrainingResult> trained_or =
-      Status::Internal("unreachable");
-  if (*threads_or == 1) {
-    trained_or = recall::TrainRecallEmbeddings(matrix, benchmarks, config);
-  } else {
-    ThreadPool pool(ThreadPool::ClampThreads(*threads_or,
-                                             matrix.num_datasets()));
-    trained_or =
-        recall::TrainRecallEmbeddings(matrix, benchmarks, config, &pool);
+  std::unique_ptr<ThreadPool> pool;
+  if (*threads_or > 1) {
+    pool = std::make_unique<ThreadPool>(
+        ThreadPool::ClampThreads(*threads_or, matrix.num_datasets()));
   }
+  auto trained_or =
+      recall::TrainRecallEmbeddings(matrix, benchmarks, config, pool.get());
   if (!trained_or.ok()) return Fail(trained_or.status());
   const recall::EmbedTrainingResult& trained = *trained_or;
 
-  const std::string out_path = flags.GetString("out");
-  if (store_path.empty() && out_path.empty()) {
-    return Fail(Status::InvalidArgument(
-        "nowhere to persist: pass --store and/or --out=PATH"));
-  }
-  if (!store_path.empty()) {
-    auto store_or = ModelStore::Open(store_path);
-    if (!store_or.ok()) return Fail(store_or.status());
-    Status put = store_or->PutRecallEmbeddings(id, trained.embeddings);
+  if (store) {
+    Status put = store->PutRecallEmbeddings(id, trained.embeddings);
     if (!put.ok()) return Fail(put);
     std::cout << "recall embeddings -> " << store_path << " (id " << id
               << ")\n";
@@ -795,6 +792,7 @@ int RunStoreInfo(const FlagParser& flags) {
   row("matrix", store.ListMatrices());
   row("clustering", store.ListClusterings());
   row("index", store.ListIndexes());
+  row("embed", store.ListEmbeddings());
   table.Print(std::cout);
   return 0;
 }
