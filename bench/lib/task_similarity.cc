@@ -22,18 +22,25 @@ StatusOr<std::vector<double>> TaskSimilaritySelector::EmbedTask(
     const Dataset& task) const {
   TPS_ASSIGN_OR_RETURN(Matrix features, probe_->ExtractFeatures(task));
   const size_t dims = features.cols();
+  const double rows = static_cast<double>(features.rows());
   std::vector<double> embedding;
   embedding.reserve(2 * dims);
-  // Feature means.
-  const std::vector<double> means = features.ColMeans();
-  embedding.insert(embedding.end(), means.begin(), means.end());
-  // Per-dimension standard deviations (within-task feature dispersion, the
-  // cheap Fisher-diagonal stand-in). Row-outer so the matrix streams once
-  // in storage order; each dimension's accumulation still visits rows in
-  // ascending order, so the sums are bit-identical to the column-strided
-  // loop.
-  std::vector<double> accum(dims, 0.0);
+  // Feature means, then per-dimension standard deviations (within-task
+  // feature dispersion, the cheap Fisher-diagonal stand-in). Both passes
+  // run row-outer so the matrix streams in storage order; each dimension
+  // still sums its rows in ascending order, so the sums are bit-identical
+  // to column-strided loops.
+  std::vector<double> means(dims, 0.0);
   const double* row_data = features.data().data();
+  for (size_t i = 0; i < features.rows(); ++i, row_data += dims) {
+    for (size_t d = 0; d < dims; ++d) means[d] += row_data[d];
+  }
+  if (features.rows() > 0) {
+    for (double& mean : means) mean /= rows;
+  }
+  embedding.insert(embedding.end(), means.begin(), means.end());
+  std::vector<double> accum(dims, 0.0);
+  row_data = features.data().data();
   for (size_t i = 0; i < features.rows(); ++i, row_data += dims) {
     for (size_t d = 0; d < dims; ++d) {
       const double diff = row_data[d] - means[d];
@@ -42,7 +49,7 @@ StatusOr<std::vector<double>> TaskSimilaritySelector::EmbedTask(
   }
   for (size_t d = 0; d < dims; ++d) {
     embedding.push_back(
-        std::sqrt(accum[d] / static_cast<double>(features.rows())));
+        std::sqrt(accum[d] / rows));
   }
   return embedding;
 }

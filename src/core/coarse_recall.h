@@ -60,11 +60,14 @@ struct RecallOptions {
   /// see tests/serve/coalescing_test.cc. nullptr (with no cache) computes
   /// every proxy directly.
   ProxyFlightGroup* flight_group = nullptr;
-  /// Artifact version this request was admitted against ("Serving: hot
-  /// artifact swap" in DESIGN.md). Tagged into every cache/flight key so
-  /// scores computed under one artifact version are never observed by a
-  /// request running against another, even mid-swap. 0 (the default) is
-  /// the never-swapped epoch used by embedded callers.
+  /// Cache epoch of the artifact snapshot this request was admitted
+  /// against ("Serving: hot artifact swap" in DESIGN.md): the version that
+  /// first published its zoo object. Tagged into every cache/flight key,
+  /// so versions serving one zoo share scores and a score computed over
+  /// one zoo is never observed by a request against another, even
+  /// mid-swap. Any version number is a correct epoch too, private to that
+  /// version. 0 (the default) is the never-swapped epoch used by embedded
+  /// callers.
   uint64_t artifact_epoch = 0;
   /// Optional sub-linear recall index ("Sub-linear recall index" in
   /// DESIGN.md). Recall always ranks through a RecallIndex: this one when

@@ -217,7 +217,9 @@ std::vector<size_t> RouteByPilotScores(const IndexStructure& s,
   // weighted by the Eq. 4 decay kernel — the same notion of "performs
   // like" that propagation uses, sharp enough that near pilots dominate
   // and far pilots fade. O(scored x pilots) kernel evaluations per query,
-  // a few flops each — noise next to one forward pass.
+  // each a top-k mean of |difference| over two performance vectors. That
+  // is not free: about 9% of a cold select's CPU on a 10k zoo (ROADMAP's
+  // profile), though no similarity here depends on the target.
   std::vector<std::pair<double, size_t>> ranked;
   std::vector<double> scratch;
   for (size_t p : s.scored_partitions) {

@@ -1,6 +1,5 @@
 #include "matrix/matrix.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "util/string_util.h"
@@ -50,25 +49,6 @@ void Matrix::SetRow(size_t r, const std::vector<double>& values) {
   TPS_CHECK(r < rows_);
   TPS_CHECK(values.size() == cols_);
   for (size_t c = 0; c < cols_; ++c) At(r, c) = values[c];
-}
-
-std::vector<double> Matrix::ColMeans() const {
-  std::vector<double> means(cols_, 0.0);
-  if (rows_ == 0) return means;
-  for (size_t c = 0; c < cols_; ++c) {
-    double sum = 0.0;
-    for (size_t r = 0; r < rows_; ++r) sum += At(r, c);
-    means[c] = sum / static_cast<double>(rows_);
-  }
-  return means;
-}
-
-bool Matrix::ApproxEquals(const Matrix& other, double tolerance) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) return false;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    if (std::fabs(data_[i] - other.data_[i]) > tolerance) return false;
-  }
-  return true;
 }
 
 std::string Matrix::ToString(int decimals) const {

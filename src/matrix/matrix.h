@@ -54,12 +54,6 @@ class Matrix {
   /// Overwrites row r. `values.size()` must equal cols().
   void SetRow(size_t r, const std::vector<double>& values);
 
-  /// Per-column means (length cols()).
-  std::vector<double> ColMeans() const;
-
-  /// True if shapes match and all elements are within `tolerance`.
-  bool ApproxEquals(const Matrix& other, double tolerance = 1e-12) const;
-
   /// Multi-line debug rendering with fixed precision.
   std::string ToString(int decimals = 4) const;
 

@@ -23,9 +23,11 @@ namespace serve {
 /// holds pointers into this object's own members, so the snapshot must
 /// never be moved or copied after construction.
 struct ArtifactSnapshot {
-  ArtifactSnapshot(ServiceArtifacts artifacts_in, uint64_t version_in)
+  ArtifactSnapshot(ServiceArtifacts artifacts_in, uint64_t version_in,
+                   uint64_t cache_epoch_in)
       : artifacts(std::move(artifacts_in)),
         version(version_in),
+        cache_epoch(cache_epoch_in),
         selector(&artifacts.zoo, &artifacts.matrix, &artifacts.clustering,
                  &simulator),
         backends(selector.coarse_recall(),
@@ -39,9 +41,14 @@ struct ArtifactSnapshot {
 
   const ServiceArtifacts artifacts;
   /// Monotonic artifact version, starting at 1 for the artifacts the
-  /// service was created with. Doubles as the cache/flight epoch
-  /// (ProxyCacheKey::artifact_epoch).
+  /// service was created with.
   const uint64_t version;
+  /// The proxy cache/flight epoch (ProxyCacheKey::artifact_epoch) this
+  /// version's requests score under: the version that first published
+  /// this snapshot's zoo object. A reload that keeps the zoo (the same
+  /// shared model vector) inherits the served epoch, so its proxy scores
+  /// stay warm; any other zoo starts a fresh epoch equal to its version.
+  const uint64_t cache_epoch;
   FineTuneSimulator simulator;
   TwoPhaseSelector selector;
   /// Per-version recall backends ("Recall backends" in DESIGN.md), built

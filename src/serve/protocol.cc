@@ -1,7 +1,10 @@
 #include "serve/protocol.h"
 
-#include <cmath>
+#include <charconv>
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "util/json.h"
@@ -56,6 +59,7 @@ constexpr std::string_view kKeyNames[kNumKeys] = {
 /// The last value a line gave one known key (a later duplicate wins, as
 /// in a parsed JSON object).
 struct Field {
+  std::string_view name;
   bool present = false;
   json::Value::Type type = json::Value::Type::kNull;
   bool boolean = false;
@@ -64,23 +68,48 @@ struct Field {
   std::string_view raw;  // The value's text in the line.
 };
 
-Status MemberTypeError(const char* type, Key key) {
+/// Scans `line` once: `fields[k]` gets the last value of key `names[k]`,
+/// and every other key is scanned and dropped. False when the line is
+/// well-formed JSON but not an object.
+template <size_t N>
+StatusOr<bool> ScanFields(std::string_view line,
+                          const std::string_view (&names)[N],
+                          Field (&fields)[N]) {
+  for (size_t k = 0; k < N; ++k) fields[k].name = names[k];
+  return json::VisitMembers(
+      line, [&fields](std::string_view key, const json::Member& value) {
+        for (Field& field : fields) {
+          if (key != field.name) continue;
+          field.present = true;
+          field.type = value.type;
+          field.boolean = value.boolean;
+          field.number = value.number;
+          field.raw = value.raw;
+          if (value.type == json::Value::Type::kString) {
+            field.string.assign(value.string);
+          }
+          return;
+        }
+      });
+}
+
+Status MemberTypeError(const char* type, const Field& field) {
   return Status::InvalidArgument("missing or non-" + std::string(type) +
-                                 " member: " + std::string(kKeyNames[key]));
+                                 " member: " + std::string(field.name));
 }
 
-StatusOr<std::string> TakeString(Field* fields, Key key) {
-  if (!fields[key].present || fields[key].type != json::Value::Type::kString) {
-    return MemberTypeError("string", key);
+StatusOr<std::string> TakeString(Field& field) {
+  if (!field.present || field.type != json::Value::Type::kString) {
+    return MemberTypeError("string", field);
   }
-  return std::move(fields[key].string);
+  return std::move(field.string);
 }
 
-StatusOr<double> GetNumber(const Field* fields, Key key) {
-  if (!fields[key].present || fields[key].type != json::Value::Type::kNumber) {
-    return MemberTypeError("number", key);
+StatusOr<double> GetNumber(const Field& field) {
+  if (!field.present || field.type != json::Value::Type::kNumber) {
+    return MemberTypeError("number", field);
   }
-  return fields[key].number;
+  return field.number;
 }
 
 /// Counts of 2^64 and more mean "all"; a plain cast of such a double is
@@ -93,24 +122,8 @@ size_t SaturatedCount(double v) {
 
 StatusOr<WireRequest> ParseRequestLine(std::string_view line) {
   Field fields[kNumKeys];
-  TPS_ASSIGN_OR_RETURN(
-      const bool is_object,
-      json::VisitMembers(line, [&fields](std::string_view key,
-                                         const json::Member& value) {
-        for (int k = 0; k < kNumKeys; ++k) {
-          if (key != kKeyNames[k]) continue;
-          Field& field = fields[k];
-          field.present = true;
-          field.type = value.type;
-          field.boolean = value.boolean;
-          field.number = value.number;
-          field.raw = value.raw;
-          if (value.type == json::Value::Type::kString) {
-            field.string.assign(value.string);
-          }
-          return;
-        }
-      }));
+  TPS_ASSIGN_OR_RETURN(const bool is_object,
+                       ScanFields(line, kKeyNames, fields));
   if (!is_object) {
     return Status::InvalidArgument("request must be a JSON object");
   }
@@ -140,7 +153,7 @@ StatusOr<WireRequest> ParseRequestLine(std::string_view line) {
       ArtifactPaths& reload = request.reload;
       for (const auto& [key, path] : kReloadPaths) {
         if (!fields[key].present) continue;
-        TPS_ASSIGN_OR_RETURN(reload.*path, TakeString(fields, key));
+        TPS_ASSIGN_OR_RETURN(reload.*path, TakeString(fields[key]));
       }
       if (reload.store.empty() && reload.matrix.empty()) {
         return Status::InvalidArgument(
@@ -154,27 +167,27 @@ StatusOr<WireRequest> ParseRequestLine(std::string_view line) {
 
   // Select fields, validated in a fixed order whatever the line's order.
   SelectionRequest& select = request.select;
-  TPS_ASSIGN_OR_RETURN(select.target, TakeString(fields, kTarget));
+  TPS_ASSIGN_OR_RETURN(select.target, TakeString(fields[kTarget]));
   if (select.target.empty()) {
     return Status::InvalidArgument("\"target\" must not be empty");
   }
   if (fields[kK].present) {
-    TPS_ASSIGN_OR_RETURN(const double k, GetNumber(fields, kK));
+    TPS_ASSIGN_OR_RETURN(const double k, GetNumber(fields[kK]));
     if (k < 1) return Status::InvalidArgument("\"k\" must be >= 1");
     select.top_k = SaturatedCount(k);
   }
   if (fields[kThreshold].present) {
-    TPS_ASSIGN_OR_RETURN(select.threshold, GetNumber(fields, kThreshold));
+    TPS_ASSIGN_OR_RETURN(select.threshold, GetNumber(fields[kThreshold]));
     if (select.threshold < 0.0) {
       return Status::InvalidArgument("\"threshold\" must be >= 0");
     }
   }
   if (fields[kProxy].present) {
-    TPS_ASSIGN_OR_RETURN(select.proxy, TakeString(fields, kProxy));
+    TPS_ASSIGN_OR_RETURN(select.proxy, TakeString(fields[kProxy]));
   }
   if (const Field& proxies = fields[kProxies]; proxies.present) {
     if (proxies.type != json::Value::Type::kArray) {
-      return MemberTypeError("array", kProxies);
+      return MemberTypeError("array", proxies);
     }
     bool all_strings = true;
     // The array already scanned clean as part of the line.
@@ -188,25 +201,25 @@ StatusOr<WireRequest> ParseRequestLine(std::string_view line) {
     }
   }
   if (fields[kDeadlineMs].present) {
-    TPS_ASSIGN_OR_RETURN(select.deadline_ms, GetNumber(fields, kDeadlineMs));
+    TPS_ASSIGN_OR_RETURN(select.deadline_ms, GetNumber(fields[kDeadlineMs]));
     if (select.deadline_ms < 0.0) {
       return Status::InvalidArgument("\"deadline_ms\" must be >= 0");
     }
   }
   if (const Field& trace = fields[kTrace]; trace.present) {
     if (trace.type != json::Value::Type::kBool) {
-      return MemberTypeError("bool", kTrace);
+      return MemberTypeError("bool", trace);
     }
     select.want_trace = trace.boolean;
   }
   if (fields[kNprobe].present) {
-    TPS_ASSIGN_OR_RETURN(const double nprobe, GetNumber(fields, kNprobe));
+    TPS_ASSIGN_OR_RETURN(const double nprobe, GetNumber(fields[kNprobe]));
     if (nprobe < 0) return Status::InvalidArgument("\"nprobe\" must be >= 0");
     select.nprobe = SaturatedCount(nprobe);
   }
   if (fields[kRecallBackend].present) {
     TPS_ASSIGN_OR_RETURN(select.recall_backend,
-                         TakeString(fields, kRecallBackend));
+                         TakeString(fields[kRecallBackend]));
   }
   return request;
 }
@@ -228,7 +241,7 @@ std::string RequestToLine(const SelectionRequest& request) {
   return Line([&](json::Writer& w) {
     w.BeginObject()
         .Key("target").String(request.target)
-        .Key("k").Int(static_cast<int64_t>(request.top_k))
+        .Key("k").Uint(request.top_k)
         .Key("threshold").Number(request.threshold)
         .Key("proxy").String(request.proxy);
     if (!request.proxies.empty()) {
@@ -241,7 +254,7 @@ std::string RequestToLine(const SelectionRequest& request) {
     }
     if (request.want_trace) w.Key("trace").Bool(true);
     if (request.nprobe != 0) {
-      w.Key("nprobe").Int(static_cast<int64_t>(request.nprobe));
+      w.Key("nprobe").Uint(request.nprobe);
     }
     if (!request.recall_backend.empty()) {
       w.Key("recall_backend").String(request.recall_backend);
@@ -276,15 +289,12 @@ void AppendResponse(const SelectionResponse& response, std::string* out) {
       .Key("inference_epochs").Number(response.inference_epochs)
       .Key("total_epochs").Number(response.total_epochs)
       .Key("survivors").BeginArray();
-  for (size_t v : response.survivors_per_stage) {
-    w.Int(static_cast<int64_t>(v));
-  }
+  for (size_t v : response.survivors_per_stage) w.Uint(v);
   w.EndArray()
-      .Key("artifact_version")
-      .Int(static_cast<int64_t>(response.artifact_version))
+      .Key("artifact_version").Uint(response.artifact_version)
       .Key("wall_ms").Number(response.wall_ms)
-      .Key("cache_hits").Int(static_cast<int64_t>(response.cache_hits))
-      .Key("cache_misses").Int(static_cast<int64_t>(response.cache_misses));
+      .Key("cache_hits").Uint(response.cache_hits)
+      .Key("cache_misses").Uint(response.cache_misses);
   if (!response.index_backend.empty()) {
     w.Key("index_backend").String(response.index_backend);
   }
@@ -317,22 +327,21 @@ std::string PongLine() {
 
 std::string StatsToLine(const ServiceStats& stats) {
   return Line([&](json::Writer& w) {
-    auto count = [](uint64_t v) { return static_cast<int64_t>(v); };
     w.BeginObject()
         .Key("ok").Bool(true)
         .Key("stats").BeginObject()
-        .Key("queue_depth").Int(count(stats.queue_depth))
-        .Key("artifact_version").Int(count(stats.artifact_version))
-        .Key("reloads").Int(count(stats.reloads))
-        .Key("admitted").Int(count(stats.admitted))
-        .Key("rejected").Int(count(stats.rejected))
-        .Key("completed").Int(count(stats.completed))
-        .Key("deadline_exceeded").Int(count(stats.deadline_exceeded))
-        .Key("errors").Int(count(stats.errors))
-        .Key("cache_hits").Int(count(stats.cache_hits))
-        .Key("cache_misses").Int(count(stats.cache_misses))
-        .Key("cache_evictions").Int(count(stats.cache_evictions))
-        .Key("cache_entries").Int(count(stats.cache_entries))
+        .Key("queue_depth").Uint(stats.queue_depth)
+        .Key("artifact_version").Uint(stats.artifact_version)
+        .Key("reloads").Uint(stats.reloads)
+        .Key("admitted").Uint(stats.admitted)
+        .Key("rejected").Uint(stats.rejected)
+        .Key("completed").Uint(stats.completed)
+        .Key("deadline_exceeded").Uint(stats.deadline_exceeded)
+        .Key("errors").Uint(stats.errors)
+        .Key("cache_hits").Uint(stats.cache_hits)
+        .Key("cache_misses").Uint(stats.cache_misses)
+        .Key("cache_evictions").Uint(stats.cache_evictions)
+        .Key("cache_entries").Uint(stats.cache_entries)
         .EndObject()
         .EndObject();
   });
@@ -352,7 +361,7 @@ std::string ReloadAckLine(uint64_t artifact_version) {
     w.BeginObject()
         .Key("ok").Bool(true)
         .Key("reloaded").Bool(true)
-        .Key("artifact_version").Int(static_cast<int64_t>(artifact_version))
+        .Key("artifact_version").Uint(artifact_version)
         .EndObject();
   });
 }
@@ -361,72 +370,127 @@ std::string ReloadAckLine(uint64_t artifact_version) {
 
 namespace {
 
-/// A count in a reply: `v` must be integral and in [0, 2^64), the range a
-/// cast to uint64_t is defined on.
-StatusOr<uint64_t> ReplyCount(double v, const char* key) {
-  if (!(v >= 0.0 && v < 18446744073709551616.0) || v != std::floor(v)) {
-    return Status::InvalidArgument(std::string("\"") + key +
-                                   "\" must hold integers in [0, 2^64)");
+/// The reply keys ParseResponseLine reads.
+namespace reply {
+enum Key {
+  kOk,
+  kCode,
+  kError,
+  kTarget,
+  kSelected,
+  kAccuracy,
+  kTrainingEpochs,
+  kInferenceEpochs,
+  kTotalEpochs,
+  kSurvivors,
+  kArtifactVersion,
+  kWallMs,
+  kCacheHits,
+  kCacheMisses,
+  kIndexBackend,
+  kRecallBackend,
+  kTrace,
+  kNumKeys
+};
+
+constexpr std::string_view kKeyNames[kNumKeys] = {
+    "ok",           "code",           "error",           "target",
+    "selected",     "accuracy",       "training_epochs", "inference_epochs",
+    "total_epochs", "survivors",      "artifact_version", "wall_ms",
+    "cache_hits",   "cache_misses",   "index_backend",   "recall_backend",
+    "trace"};
+}  // namespace reply
+
+/// A count in a reply, read from its text rather than a double (which
+/// rounds past 2^53): the plain decimal digits of a value in [0, 2^64).
+StatusOr<uint64_t> ReplyCount(json::Value::Type type, std::string_view raw,
+                              std::string_view key) {
+  uint64_t count = 0;
+  const char* end = raw.data() + raw.size();
+  if (type == json::Value::Type::kNumber) {
+    const std::from_chars_result read = std::from_chars(raw.data(), end, count);
+    if (read.ec == std::errc() && read.ptr == end) return count;
   }
-  return static_cast<uint64_t>(v);
+  return Status::InvalidArgument("\"" + std::string(key) +
+                                 "\" must hold integers in [0, 2^64)");
+}
+
+StatusOr<uint64_t> GetCount(const Field& field) {
+  TPS_RETURN_NOT_OK(GetNumber(field).status());
+  return ReplyCount(field.type, field.raw, field.name);
 }
 
 }  // namespace
 
 StatusOr<SelectionResponse> ParseResponseLine(const std::string& line) {
-  TPS_ASSIGN_OR_RETURN(json::Value doc, json::Parse(line));
-  if (!doc.is_object()) {
+  Field fields[reply::kNumKeys];
+  TPS_ASSIGN_OR_RETURN(const bool is_object,
+                       ScanFields(line, reply::kKeyNames, fields));
+  if (!is_object) {
     return Status::InvalidArgument("response must be a JSON object");
   }
-  TPS_ASSIGN_OR_RETURN(const bool ok, doc.GetBool("ok"));
-  if (!ok) {
-    TPS_ASSIGN_OR_RETURN(const std::string code, doc.GetString("code"));
-    TPS_ASSIGN_OR_RETURN(const std::string error, doc.GetString("error"));
+  const Field& ok = fields[reply::kOk];
+  if (!ok.present || ok.type != json::Value::Type::kBool) {
+    return MemberTypeError("bool", ok);
+  }
+  if (!ok.boolean) {
+    TPS_ASSIGN_OR_RETURN(const std::string code,
+                         TakeString(fields[reply::kCode]));
+    TPS_ASSIGN_OR_RETURN(const std::string error,
+                         TakeString(fields[reply::kError]));
     return Status(CodeFromName(code), error);
   }
   SelectionResponse response;
   response.status = Status::OK();
-  TPS_ASSIGN_OR_RETURN(response.target, doc.GetString("target"));
-  TPS_ASSIGN_OR_RETURN(response.selected_model, doc.GetString("selected"));
+  TPS_ASSIGN_OR_RETURN(response.target, TakeString(fields[reply::kTarget]));
+  TPS_ASSIGN_OR_RETURN(response.selected_model,
+                       TakeString(fields[reply::kSelected]));
   TPS_ASSIGN_OR_RETURN(response.selected_accuracy,
-                       doc.GetNumber("accuracy"));
+                       GetNumber(fields[reply::kAccuracy]));
   TPS_ASSIGN_OR_RETURN(response.training_epochs,
-                       doc.GetNumber("training_epochs"));
+                       GetNumber(fields[reply::kTrainingEpochs]));
   TPS_ASSIGN_OR_RETURN(response.inference_epochs,
-                       doc.GetNumber("inference_epochs"));
+                       GetNumber(fields[reply::kInferenceEpochs]));
   TPS_ASSIGN_OR_RETURN(response.total_epochs,
-                       doc.GetNumber("total_epochs"));
-  TPS_ASSIGN_OR_RETURN(const json::Value* survivors,
-                       doc.GetArray("survivors"));
-  for (const json::Value& item : survivors->items()) {
-    TPS_ASSIGN_OR_RETURN(
-        const uint64_t count,
-        ReplyCount(item.is_number() ? item.number() : -1.0, "survivors"));
-    response.survivors_per_stage.push_back(count);
+                       GetNumber(fields[reply::kTotalEpochs]));
+  const Field& survivors = fields[reply::kSurvivors];
+  if (!survivors.present || survivors.type != json::Value::Type::kArray) {
+    return MemberTypeError("array", survivors);
   }
-  if (doc.Find("artifact_version") != nullptr) {
-    TPS_ASSIGN_OR_RETURN(const double version,
-                         doc.GetNumber("artifact_version"));
+  Status survivors_status;
+  // The array already scanned clean as part of the line.
+  TPS_RETURN_NOT_OK(
+      json::VisitItems(survivors.raw, [&](const json::Member& item) {
+        if (!survivors_status.ok()) return;
+        StatusOr<uint64_t> count =
+            ReplyCount(item.type, item.raw, survivors.name);
+        if (count.ok()) {
+          response.survivors_per_stage.push_back(*count);
+        } else {
+          survivors_status = count.status();
+        }
+      }).status());
+  TPS_RETURN_NOT_OK(survivors_status);
+  if (fields[reply::kArtifactVersion].present) {
     TPS_ASSIGN_OR_RETURN(response.artifact_version,
-                         ReplyCount(version, "artifact_version"));
+                         GetCount(fields[reply::kArtifactVersion]));
   }
-  TPS_ASSIGN_OR_RETURN(response.wall_ms, doc.GetNumber("wall_ms"));
-  TPS_ASSIGN_OR_RETURN(const double hits, doc.GetNumber("cache_hits"));
-  TPS_ASSIGN_OR_RETURN(const double misses, doc.GetNumber("cache_misses"));
-  TPS_ASSIGN_OR_RETURN(response.cache_hits, ReplyCount(hits, "cache_hits"));
+  TPS_ASSIGN_OR_RETURN(response.wall_ms, GetNumber(fields[reply::kWallMs]));
+  TPS_ASSIGN_OR_RETURN(response.cache_hits,
+                       GetCount(fields[reply::kCacheHits]));
   TPS_ASSIGN_OR_RETURN(response.cache_misses,
-                       ReplyCount(misses, "cache_misses"));
-  if (doc.Find("index_backend") != nullptr) {
+                       GetCount(fields[reply::kCacheMisses]));
+  if (fields[reply::kIndexBackend].present) {
     TPS_ASSIGN_OR_RETURN(response.index_backend,
-                         doc.GetString("index_backend"));
+                         TakeString(fields[reply::kIndexBackend]));
   }
-  if (doc.Find("recall_backend") != nullptr) {
+  if (fields[reply::kRecallBackend].present) {
     TPS_ASSIGN_OR_RETURN(response.recall_backend,
-                         doc.GetString("recall_backend"));
+                         TakeString(fields[reply::kRecallBackend]));
   }
-  if (const json::Value* trace = doc.Find("trace"); trace != nullptr) {
+  if (const Field& trace = fields[reply::kTrace]; trace.present) {
     TPS_ASSIGN_OR_RETURN(response.trace,
-                         SelectionTrace::FromJson(trace->Dump(-1)));
+                         SelectionTrace::FromJson(std::string(trace.raw)));
     response.has_trace = true;
   }
   return response;

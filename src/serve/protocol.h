@@ -70,6 +70,10 @@ StatusOr<WireRequest> ParseRequestLine(std::string_view line);
 /// Serializes a select request (the client side of the protocol).
 std::string RequestToLine(const SelectionRequest& request);
 
+/// Every writer below and RequestToLine write counts (sizes, versions,
+/// hits, misses) with json::Writer::Uint: their exact decimal digits over
+/// the whole uint64_t range.
+
 /// One-line JSON reply for a handled selection (ok or error form).
 std::string ResponseToLine(const SelectionResponse& response);
 
@@ -96,7 +100,11 @@ std::string ReloadAckLine(uint64_t artifact_version);
 
 /// Client-side decode of a reply line: OK and the parsed object when
 /// `"ok": true`; the transported Status (code restored from "code")
-/// otherwise.
+/// otherwise. The line is scanned once with json::VisitMembers. Counts
+/// (survivors, artifact_version, cache_hits, cache_misses) are read from
+/// their text as uint64_t, so every value the writers emit round-trips
+/// exactly; a count that is not the plain digits of a value in [0, 2^64)
+/// is InvalidArgument.
 StatusOr<SelectionResponse> ParseResponseLine(const std::string& line);
 
 }  // namespace serve

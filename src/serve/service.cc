@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <memory>
 #include <utility>
 
 #include "util/timer.h"
@@ -32,8 +33,8 @@ SelectionService::SelectionService(ServiceArtifacts artifacts,
     : options_(options),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : MetricsRegistry::Default()),
-      slot_(std::make_shared<const ArtifactSnapshot>(std::move(artifacts),
-                                                     /*version=*/1)),
+      slot_(std::make_shared<const ArtifactSnapshot>(
+          std::move(artifacts), /*version=*/1, /*cache_epoch=*/1)),
       flight_(metrics_),
       requests_counter_(metrics_->counter("serve.requests")),
       admitted_counter_(metrics_->counter("serve.admitted")),
@@ -87,11 +88,21 @@ Status SelectionService::Reload(ServiceArtifacts artifacts) {
   TPS_RETURN_NOT_OK(artifacts.Validate());
   {
     std::lock_guard<std::mutex> lock(reload_mu_);
-    const uint64_t next_version = slot_.version() + 1;
+    const std::shared_ptr<const ArtifactSnapshot> served = slot_.Acquire();
+    const uint64_t next_version = served->version + 1;
+    // Proxy scores are pure functions of (target, model, scorer), and one
+    // zoo object maps each name to one model: a reload that keeps the
+    // served zoo object keeps its scores. Any other zoo, even one over the
+    // same specs, opens a fresh epoch named by its first version.
+    const bool same_zoo =
+        artifacts.zoo.size() > 0 &&
+        &artifacts.zoo.models() == &served->artifacts.zoo.models();
     slot_.Publish(std::make_shared<const ArtifactSnapshot>(
-        std::move(artifacts), next_version));
-    // The retired snapshot (Publish's return value) is dropped here; it is
-    // destroyed once the last in-flight request releases its reference.
+        std::move(artifacts), next_version,
+        same_zoo ? served->cache_epoch : next_version));
+    // The retired snapshot (`served`, and Publish's return value) is
+    // dropped here; it is destroyed once the last in-flight request
+    // releases its reference.
   }
   reloads_.fetch_add(1, std::memory_order_relaxed);
   reloads_counter_.Increment();
@@ -272,9 +283,10 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
     options.recall.proxies = request.proxies;
     options.recall.score_cache = cache_.get();
     options.recall.flight_group = &flight_;
-    // Cache/flight entries are tagged with the snapshot's version, so two
-    // versions never exchange scores — even for requests racing a swap.
-    options.recall.artifact_epoch = snapshot.version;
+    // Cache/flight entries are tagged with the snapshot's cache epoch:
+    // versions that serve the same zoo object share scores, and no other
+    // two versions ever exchange one, even for requests racing a swap.
+    options.recall.artifact_epoch = snapshot.cache_epoch;
     // Sub-linear recall: serve through the snapshot's index when it has
     // one. The index lives inside the snapshot, so it stays alive for the
     // whole request even if a Reload retires this version mid-flight.

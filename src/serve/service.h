@@ -171,8 +171,9 @@ struct ServiceStats {
 /// acquires an ArtifactSnapshot at admission and runs entirely against it;
 /// Reload validates the new artifacts, publishes them RCU-style, and the
 /// old version is destroyed when its last in-flight request finishes. The
-/// proxy-score cache and flight group are epoch-tagged by artifact
-/// version, so no response ever mixes scores from two versions.
+/// proxy-score cache and flight group are tagged by the snapshot's cache
+/// epoch, which a reload keeps only when it keeps the served zoo object,
+/// so no response ever reads a score computed over another zoo.
 ///
 /// Shutdown: the destructor stops the workers; requests still queued are
 /// answered with Unavailable("service shutting down") rather than dropped.
@@ -212,7 +213,9 @@ class SelectionService {
   /// version they were admitted against; requests admitted after Reload
   /// returns see the new one. Never blocks the serving path beyond the
   /// slot's pointer swap. On validation failure nothing is published and
-  /// the current version keeps serving.
+  /// the current version keeps serving. Artifacts whose zoo shares the
+  /// served zoo's model vector keep the served cache epoch, so cached
+  /// proxy scores survive the swap.
   Status Reload(ServiceArtifacts artifacts);
 
   /// As above, loading the artifacts from a store or plain files first —

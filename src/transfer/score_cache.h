@@ -25,15 +25,17 @@ namespace tps {
 uint64_t DatasetFingerprint(const Dataset& dataset);
 
 /// Cache key: which proxy number is this? One entry per (artifact epoch,
-/// target dataset, model, scorer kind) tuple. `artifact_epoch` is the
-/// serving layer's artifact version ("Serving: hot artifact swap" in
-/// DESIGN.md): proxy scores depend on the loaded model zoo, so scores
-/// computed under version V must never answer a request admitted against
-/// version V+1. Epoch-tagging the key (instead of flushing the cache on
-/// swap) keeps in-flight old-version requests correct too — they keep
-/// hitting their own epoch's entries while new requests warm the next
-/// epoch, and retired epochs age out through normal LRU eviction.
-/// Embedded callers that never swap artifacts leave it 0.
+/// target dataset, model, scorer kind) tuple. `artifact_epoch` names the
+/// model zoo the score was computed over ("Serving: hot artifact swap" in
+/// DESIGN.md): the serving layer stamps the snapshot's cache epoch, the
+/// version that first published its zoo object, so versions that serve
+/// the same zoo share scores and a score computed over one zoo never
+/// answers a request against another. Epoch-tagging the key (instead of
+/// flushing the cache on swap) keeps in-flight requests on a retired zoo
+/// correct too — they keep hitting their own epoch's entries while new
+/// requests warm the next epoch, and retired epochs age out through
+/// normal LRU eviction. Embedded callers that never swap artifacts leave
+/// it 0.
 struct ProxyCacheKey {
   uint64_t dataset_fingerprint = 0;
   std::string model;   // PretrainedModel name (unique within a zoo).

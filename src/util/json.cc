@@ -26,6 +26,16 @@ Value Value::Number(double d) {
 
 Value Value::Int(int64_t i) { return Number(static_cast<double>(i)); }
 
+Value Value::Uint(uint64_t u) {
+  Value v = Number(static_cast<double>(u));
+  // Below 2^53 the double is exact and Number writes its digits.
+  if (u >= (uint64_t{1} << 53)) {
+    v.exact_uint_ = true;
+    v.uint_ = u;
+  }
+  return v;
+}
+
 Value Value::String(std::string s) {
   Value v;
   v.type_ = Type::kString;
@@ -148,7 +158,8 @@ bool Value::operator==(const Value& other) const {
     case Type::kBool:
       return bool_ == other.bool_;
     case Type::kNumber:
-      return number_ == other.number_;
+      return exact_uint_ == other.exact_uint_ &&
+             (exact_uint_ ? uint_ == other.uint_ : number_ == other.number_);
     case Type::kString:
       return string_ == other.string_;
     case Type::kArray:
@@ -284,6 +295,14 @@ Writer& Writer::Number(double d) {
   return *this;
 }
 
+Writer& Writer::Uint(uint64_t u) {
+  BeforeValue();
+  char buf[20];  // UINT64_MAX has 20 digits.
+  out_->append(buf, std::to_chars(buf, buf + sizeof(buf), u).ptr);
+  need_comma_ = true;
+  return *this;
+}
+
 Writer& Writer::Bool(bool b) {
   BeforeValue();
   out_->append(b ? "true" : "false");
@@ -314,7 +333,11 @@ void Value::WriteTo(Writer* writer) const {
       writer->Bool(bool_);
       return;
     case Type::kNumber:
-      writer->Number(number_);
+      if (exact_uint_) {
+        writer->Uint(uint_);
+      } else {
+        writer->Number(number_);
+      }
       return;
     case Type::kString:
       writer->String(string_);

@@ -48,6 +48,9 @@ class Value {
   static Value Bool(bool b);
   static Value Number(double d);
   static Value Int(int64_t i);
+  /// The exact integer `u`: dumps as every digit, as Writer::Uint does,
+  /// even past 2^53 where the double `number()` returns is rounded.
+  static Value Uint(uint64_t u);
   static Value String(std::string s);
   static Value Array();
   static Value Object();
@@ -102,6 +105,8 @@ class Value {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  bool exact_uint_ = false;  // A Uint past 2^53: written from `uint_`.
+  uint64_t uint_ = 0;
   std::string string_;
   std::vector<Value> array_;
   std::vector<std::pair<std::string, Value>> object_;
@@ -175,6 +180,9 @@ class Writer {
   Writer& Number(double d);
   /// As Value::Int: the number `static_cast<double>(i)`.
   Writer& Int(int64_t i) { return Number(static_cast<double>(i)); }
+  /// The decimal digits of `u`, exact over the whole range (a double holds
+  /// integers exactly only up to 2^53). Below 2^53, the bytes of Int.
+  Writer& Uint(uint64_t u);
   Writer& Bool(bool b);
   Writer& Null();
   /// Splices one complete, compact JSON value (e.g. another codec's

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "matrix/matrix_testing.h"
+
 namespace tps {
 namespace {
 
@@ -56,7 +58,7 @@ TEST(DistanceTest, PairwiseFromMatrixRowsMatchesVectors) {
   auto from_vectors = *PairwiseDistances(
       std::vector<std::vector<double>>{{0.1, 0.2}, {0.5, 0.1}},
       DistanceMetric::kEuclidean);
-  EXPECT_TRUE(from_matrix.ApproxEquals(from_vectors));
+  EXPECT_TRUE(ApproxEquals(from_matrix, from_vectors));
 }
 
 TEST(DistanceTest, PairwiseRejectsEmptyAndRagged) {

@@ -4,6 +4,7 @@
 
 #include "core/model_clusterer.h"
 #include "data/registry.h"
+#include "matrix/matrix_testing.h"
 #include "model/paper_zoo.h"
 
 namespace tps {
@@ -44,7 +45,7 @@ TEST_F(ClusteringPersistenceTest, SaveLoadRoundTrips) {
   EXPECT_EQ(loaded->options.algorithm, clustering_->options.algorithm);
   EXPECT_NEAR(loaded->options.distance_threshold,
               clustering_->options.distance_threshold, 1e-15);
-  EXPECT_TRUE(loaded->distances.ApproxEquals(clustering_->distances, 1e-12));
+  EXPECT_TRUE(ApproxEquals(loaded->distances, clustering_->distances, 1e-12));
 }
 
 TEST_F(ClusteringPersistenceTest, LoadedClusteringDrivesRecallIdentically) {

@@ -9,6 +9,7 @@
 
 #include "core/reference_matrix_text.h"
 #include "data/registry.h"
+#include "matrix/matrix_testing.h"
 #include "model/paper_zoo.h"
 #include "model/zoo_gen.h"
 
@@ -101,7 +102,7 @@ TEST_F(PerformanceMatrixTest, SaveLoadRoundTrips) {
   EXPECT_EQ(loaded->num_datasets(), matrix_->num_datasets());
   EXPECT_EQ(loaded->model_names(), matrix_->model_names());
   EXPECT_EQ(loaded->dataset_names(), matrix_->dataset_names());
-  EXPECT_TRUE(loaded->accuracy().ApproxEquals(matrix_->accuracy()));
+  EXPECT_TRUE(ApproxEquals(loaded->accuracy(), matrix_->accuracy()));
   for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
     for (size_t m = 0; m < matrix_->num_models(); ++m) {
       EXPECT_EQ(loaded->run(d, m).val_accuracy,
@@ -193,7 +194,7 @@ TEST_F(PerformanceMatrixTest, ParallelBuildIsBitIdenticalToSerial) {
         *zoo_, registry_->Benchmarks(TaskDomain::kNLP), *simulator_,
         Hyperparams::DefaultsFor(TaskDomain::kNLP), threads);
     ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
-    EXPECT_TRUE(parallel->accuracy().ApproxEquals(matrix_->accuracy(), 0.0))
+    EXPECT_TRUE(ApproxEquals(parallel->accuracy(), matrix_->accuracy(), 0.0))
         << "threads=" << threads;
     for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
       for (size_t m = 0; m < matrix_->num_models(); ++m) {

@@ -51,6 +51,25 @@ TEST_F(TaskSimilarityTest, EmbeddingHasMeanAndDispersionParts) {
   }
 }
 
+// The mean half is each feature column's mean, summed down the rows in
+// order: bit for bit what a column-strided loop gives.
+TEST_F(TaskSimilarityTest, MeanHalfIsTheFeatureColumnMeans) {
+  const Dataset& mnli = **registry_->Find("mnli");
+  TaskSimilaritySelector selector(probe_, matrix_, *benchmarks_);
+  auto embedding = selector.EmbedTask(mnli);
+  ASSERT_TRUE(embedding.ok());
+  auto features = probe_->ExtractFeatures(mnli);
+  ASSERT_TRUE(features.ok());
+  ASSERT_GT(features->rows(), 0u);
+  ASSERT_EQ(embedding->size(), 2 * features->cols());
+  for (size_t c = 0; c < features->cols(); ++c) {
+    double sum = 0.0;
+    for (size_t r = 0; r < features->rows(); ++r) sum += features->At(r, c);
+    EXPECT_EQ((*embedding)[c], sum / static_cast<double>(features->rows()))
+        << "column " << c;
+  }
+}
+
 TEST_F(TaskSimilarityTest, TaskIsNearestToItself) {
   TaskSimilaritySelector selector(probe_, matrix_, *benchmarks_);
   // Use a benchmark dataset as the "target": its nearest benchmark must be

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "matrix/matrix_testing.h"
 #include "util/rng.h"
 
 namespace tps {
@@ -75,7 +76,7 @@ TEST_P(EigenPropertyTest, ReconstructsMatrixAndOrthonormalVectors) {
       reconstructed.At(i, j) = sum;
     }
   }
-  EXPECT_TRUE(a.ApproxEquals(reconstructed, 1e-8));
+  EXPECT_TRUE(ApproxEquals(a, reconstructed, 1e-8));
 
   // Columns are orthonormal: V^T V == I.
   for (size_t c1 = 0; c1 < a.cols(); ++c1) {

@@ -211,7 +211,7 @@ TEST_F(EmbeddingServingTest, SnapshotRepresentativeIsTheSelectorsRecall) {
   for (const ServiceArtifacts* artifacts : {base_, embedded_a_}) {
     const auto snapshot =
         std::make_shared<const ArtifactSnapshot>(ServiceArtifacts(*artifacts),
-                                                 1);
+                                                 1, 1);
     auto found = snapshot->backends.Find("representative");
     ASSERT_TRUE(found.ok()) << found.status().message();
     EXPECT_EQ(*found, &snapshot->selector.coarse_recall());

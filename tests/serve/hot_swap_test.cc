@@ -3,9 +3,10 @@
 // ISSUE's: under >= 8 concurrent clients with reloads landing mid-flight,
 // zero requests fail or drop, and every single response is bit-identical —
 // selected model, accuracy, and the full epoch ledger — to an oracle
-// service pinned at the version the request was admitted against. A
-// request admitted at version V never observes state (proxy scores
-// included) from version V+1.
+// service pinned at the version the request was admitted against. Proxy
+// scores cross a swap only between versions that serve the same zoo
+// object (one cache epoch); a request never observes a score computed
+// over another zoo, even one built from the same specs.
 
 #include <atomic>
 #include <future>
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/model_clusterer.h"
+#include "model/paper_zoo.h"
 #include "serve/artifact_slot.h"
 #include "serve/service.h"
 #include "util/metrics.h"
@@ -45,6 +47,14 @@ class HotSwapTest : public testing::Test {
     ASSERT_TRUE(clustering.ok()) << clustering.status().ToString();
     variant.clustering = std::move(*clustering);
     variant_ = new ServiceArtifacts(std::move(variant));
+    // The same variant over a separately created zoo: equal specs, so
+    // equal answers, but a distinct model vector and hence a fresh cache
+    // epoch on reload.
+    auto other_zoo = ModelZoo::Create(NlpPaperZooSpecs());
+    ASSERT_TRUE(other_zoo.ok()) << other_zoo.status().ToString();
+    other_zoo_variant_ = new ServiceArtifacts(*variant_);
+    other_zoo_variant_->zoo = std::move(*other_zoo);
+    ASSERT_NE(&other_zoo_variant_->zoo.models(), &variant_->zoo.models());
     ASSERT_NE(base_->clustering.clusters.num_clusters,
               variant_->clustering.clusters.num_clusters)
         << "variant must differ from base or the mixing checks are vacuous";
@@ -58,6 +68,7 @@ class HotSwapTest : public testing::Test {
   /// Fresh copies — SelectionService::Create and Reload take ownership.
   static ServiceArtifacts Base() { return *base_; }
   static ServiceArtifacts Variant() { return *variant_; }
+  static ServiceArtifacts OtherZooVariant() { return *other_zoo_variant_; }
 
   static std::vector<std::string> TargetNames() {
     std::vector<std::string> names;
@@ -115,30 +126,33 @@ class HotSwapTest : public testing::Test {
   static const std::map<std::string, SelectionResponse>& OracleFor(
       uint64_t version) {
     // Versions 1 and 3 serve the base artifacts in these tests; version 2
-    // serves the variant.
+    // serves the variant (over either zoo object: same specs, same
+    // answers).
     return version == 2 ? *variant_oracle_ : *base_oracle_;
   }
 
   static ServiceArtifacts* base_;
   static ServiceArtifacts* variant_;
+  static ServiceArtifacts* other_zoo_variant_;
   static std::map<std::string, SelectionResponse>* base_oracle_;
   static std::map<std::string, SelectionResponse>* variant_oracle_;
 };
 
 ServiceArtifacts* HotSwapTest::base_ = nullptr;
 ServiceArtifacts* HotSwapTest::variant_ = nullptr;
+ServiceArtifacts* HotSwapTest::other_zoo_variant_ = nullptr;
 std::map<std::string, SelectionResponse>* HotSwapTest::base_oracle_ = nullptr;
 std::map<std::string, SelectionResponse>* HotSwapTest::variant_oracle_ =
     nullptr;
 
 TEST_F(HotSwapTest, SlotRetiresOldVersionOnlyAfterLastReaderDrops) {
-  ArtifactSlot slot(std::make_shared<const ArtifactSnapshot>(Base(), 1));
+  ArtifactSlot slot(std::make_shared<const ArtifactSnapshot>(Base(), 1, 1));
   auto pinned = slot.Acquire();  // An "in-flight request" at version 1.
   EXPECT_EQ(pinned->version, 1u);
   EXPECT_EQ(slot.version(), 1u);
 
   auto retired =
-      slot.Publish(std::make_shared<const ArtifactSnapshot>(Variant(), 2));
+      slot.Publish(std::make_shared<const ArtifactSnapshot>(Variant(), 2, 1));
   EXPECT_EQ(slot.version(), 2u);
   EXPECT_EQ(slot.Acquire()->version, 2u);
   // Publish hands back exactly the snapshot it displaced...
@@ -216,10 +230,11 @@ TEST_F(HotSwapTest, ReloadValidatesBeforePublishing) {
 }
 
 // A request admitted at version V runs entirely against V even when the
-// reload lands while it sits dequeued-but-unstarted — and the proxy cache
-// it fills under epoch V is invisible to the version-V+1 request that runs
-// right after it on the same target (satellite e: the epoch tag in
-// ProxyCacheKey, not wall-clock luck, is what keeps versions apart).
+// reload lands while it sits dequeued-but-unstarted — and when the reload
+// brings another zoo object, the proxy cache the straggler fills under
+// V's epoch is invisible to the version-V+1 request that runs right after
+// it on the same target (the epoch tag in ProxyCacheKey, not wall-clock
+// luck, is what keeps zoos apart).
 TEST_F(HotSwapTest, StragglerKeepsAdmissionVersionAndEpochsNeverMix) {
   std::promise<void> picked_up;
   std::promise<void> release;
@@ -245,9 +260,13 @@ TEST_F(HotSwapTest, StragglerKeepsAdmissionVersionAndEpochsNeverMix) {
   std::future<SelectionResponse> straggler = service.Submit(Request("mnli"));
   picked_up.get_future().wait();
 
-  // Reload lands while the straggler is parked: version 2 published.
-  ASSERT_TRUE(service.Reload(Variant()).ok());
-  ASSERT_EQ(service.artifact_version(), 2u);
+  // Reload lands while the straggler is parked: version 2 published, over
+  // a zoo object of its own. EXPECT, not ASSERT, until the worker is
+  // released: returning early would leave it parked and hang the test in
+  // the service's destructor.
+  EXPECT_TRUE(service.Reload(OtherZooVariant()).ok());
+  EXPECT_EQ(service.artifact_version(), 2u);
+  EXPECT_EQ(service.snapshot()->cache_epoch, 2u);
 
   // Same target, admitted AFTER the reload — queued behind the straggler
   // on the single worker, so it runs after version-1 scores were cached.
@@ -266,6 +285,68 @@ TEST_F(HotSwapTest, StragglerKeepsAdmissionVersionAndEpochsNeverMix) {
   // version-2 request scored was a miss.
   EXPECT_EQ(fresh_response.cache_hits, 0u);
   EXPECT_GT(fresh_response.cache_misses, 0u);
+}
+
+// A reload that keeps the served zoo object keeps the cache epoch: the
+// next version's request hits every score the previous version computed,
+// runs no proxy, and still answers exactly as its own oracle does.
+TEST_F(HotSwapTest, SameZooReloadKeepsProxyScores) {
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.worker_threads = 0;
+  options.metrics = &metrics;
+  auto service_or = SelectionService::Create(Variant(), options);
+  ASSERT_TRUE(service_or.ok());
+  SelectionService& service = **service_or;
+  EXPECT_EQ(service.snapshot()->cache_epoch, 1u);
+
+  const SelectionResponse warm = service.Handle(Request("mnli"));
+  ExpectSameAnswer(warm, variant_oracle_->at("mnli"));
+  EXPECT_EQ(warm.cache_hits, 0u);
+  ASSERT_GT(warm.cache_misses, 0u);
+  const uint64_t computes = service.flight_group()->computes();
+
+  // A separate copy of the artifacts, sharing the zoo object.
+  ASSERT_TRUE(service.Reload(Variant()).ok());
+  ASSERT_EQ(service.artifact_version(), 2u);
+  EXPECT_EQ(service.snapshot()->cache_epoch, 1u);
+
+  const SelectionResponse fresh = service.Handle(Request("mnli"));
+  EXPECT_EQ(fresh.artifact_version, 2u);
+  ExpectSameAnswer(fresh, variant_oracle_->at("mnli"));
+  EXPECT_EQ(fresh.cache_hits, warm.cache_misses);
+  EXPECT_EQ(fresh.cache_misses, 0u);
+  EXPECT_EQ(service.flight_group()->computes(), computes);
+}
+
+// Epochs name zoo objects by the version that first published them, so a
+// zoo that comes back after another one was served starts over: A -> B ->
+// A gives epochs 1, 2, 3, and the third version sees none of the first's
+// scores.
+TEST_F(HotSwapTest, ReturningZooGetsAFreshEpoch) {
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.worker_threads = 0;
+  options.metrics = &metrics;
+  auto service_or = SelectionService::Create(Base(), options);
+  ASSERT_TRUE(service_or.ok());
+  SelectionService& service = **service_or;
+
+  const SelectionResponse first = service.Handle(Request("mnli"));
+  ExpectSameAnswer(first, base_oracle_->at("mnli"));
+  ASSERT_GT(first.cache_misses, 0u);
+
+  ASSERT_TRUE(service.Reload(OtherZooVariant()).ok());
+  EXPECT_EQ(service.snapshot()->cache_epoch, 2u);
+  ASSERT_TRUE(service.Reload(Base()).ok());
+  EXPECT_EQ(service.artifact_version(), 3u);
+  EXPECT_EQ(service.snapshot()->cache_epoch, 3u);
+
+  const SelectionResponse third = service.Handle(Request("mnli"));
+  EXPECT_EQ(third.artifact_version, 3u);
+  ExpectSameAnswer(third, base_oracle_->at("mnli"));
+  EXPECT_EQ(third.cache_hits, 0u);
+  EXPECT_EQ(third.cache_misses, first.cache_misses);
 }
 
 // The ISSUE's acceptance test: >= 8 concurrent clients in a closed Submit

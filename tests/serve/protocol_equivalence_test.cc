@@ -73,12 +73,17 @@ double RandomDouble(Rng& rng) {
   }
 }
 
+/// Counts over the whole uint64_t range, with the edges where a double
+/// stops holding every integer (2^53) and where int64_t ends (2^63).
 uint64_t RandomCount(Rng& rng) {
-  switch (rng.UniformInt(uint64_t{4})) {
+  switch (rng.UniformInt(uint64_t{5})) {
     case 0:
-      return rng.Next();  // Past INT64_MAX too: both cast the same way.
+      return rng.Next();
     case 1:
       return (uint64_t{1} << 53) + rng.UniformInt(uint64_t{5}) - 2;
+    case 2:
+      return (rng.Bernoulli(0.5) ? uint64_t{1} << 63 : 0) -
+             rng.UniformInt(uint64_t{3});
     default:
       return rng.UniformInt(uint64_t{100});
   }
@@ -251,6 +256,28 @@ TEST(ProtocolEquivalenceTest, ReplyLinesAreByteIdentical) {
   // Both branches were exercised often enough to mean something.
   EXPECT_GT(traced, kResponses / 10);
   EXPECT_GT(errors, kResponses / 20);
+}
+
+// The client reads back every count of a reply exactly.
+TEST(ProtocolEquivalenceTest, ReplyCountsRoundTripExactly) {
+  Rng rng(0xC0C0A);
+  for (int i = 0; i < kResponses; ++i) {
+    SelectionResponse response;
+    response.status = Status::OK();
+    const size_t stages = rng.UniformInt(uint64_t{6});
+    for (size_t s = 0; s < stages; ++s) {
+      response.survivors_per_stage.push_back(RandomCount(rng));
+    }
+    response.artifact_version = RandomCount(rng);
+    response.cache_hits = RandomCount(rng);
+    response.cache_misses = RandomCount(rng);
+    auto parsed = ParseResponseLine(ResponseToLine(response));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed->survivors_per_stage, response.survivors_per_stage);
+    ASSERT_EQ(parsed->artifact_version, response.artifact_version);
+    ASSERT_EQ(parsed->cache_hits, response.cache_hits);
+    ASSERT_EQ(parsed->cache_misses, response.cache_misses);
+  }
 }
 
 /// Every field of a parse outcome, doubles by bit pattern, so two outcomes

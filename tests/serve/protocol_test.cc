@@ -127,6 +127,15 @@ TEST(ParseRequestLineTest, HugeCountsSaturateToAll) {
   ASSERT_TRUE(below.ok()) << below.status().ToString();
   EXPECT_EQ(below->select.top_k, 18446744073709549568u);
   EXPECT_EQ(below->select.nprobe, 3u);
+  // The client writes SIZE_MAX as its digits, which read back as "all".
+  SelectionRequest all;
+  all.target = "mnli";
+  all.top_k = SIZE_MAX;
+  all.nprobe = SIZE_MAX;
+  auto round_trip = ParseRequestLine(RequestToLine(all));
+  ASSERT_TRUE(round_trip.ok()) << round_trip.status().ToString();
+  EXPECT_EQ(round_trip->select.top_k, SIZE_MAX);
+  EXPECT_EQ(round_trip->select.nprobe, SIZE_MAX);
 }
 
 TEST(ParseRequestLineTest, DuplicateKeysKeepTheLastValue) {
@@ -340,6 +349,39 @@ TEST(ParseResponseLineTest, MalformedReplyRejected) {
                 std::string::npos)
           << parsed.status().message();
     }
+  }
+}
+
+// Counts go out as their decimal digits and come back from that text, so
+// values a double would round (past 2^53) or an int64_t would turn
+// negative (from 2^63) round-trip exactly.
+TEST(ResponseRoundTripTest, CountsRoundTripExactly) {
+  for (const uint64_t count :
+       {(uint64_t{1} << 53) + 1, uint64_t{1} << 63, ~uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    SelectionResponse response;
+    response.status = Status::OK();
+    response.target = "mnli";
+    response.selected_model = "m";
+    response.survivors_per_stage = {count, 1};
+    response.artifact_version = count;
+    response.cache_hits = count;
+    response.cache_misses = count - 1;
+
+    const std::string line = ResponseToLine(response);
+    EXPECT_NE(line.find("\"cache_hits\":" + std::to_string(count)),
+              std::string::npos)
+        << line;
+    auto parsed = ParseResponseLine(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->survivors_per_stage, response.survivors_per_stage);
+    EXPECT_EQ(parsed->artifact_version, count);
+    EXPECT_EQ(parsed->cache_hits, count);
+    EXPECT_EQ(parsed->cache_misses, count - 1);
+
+    EXPECT_EQ(ReloadAckLine(count),
+              R"({"ok":true,"reloaded":true,"artifact_version":)" +
+                  std::to_string(count) + "}");
   }
 }
 

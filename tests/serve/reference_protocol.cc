@@ -13,9 +13,7 @@ namespace {
 
 json::Value SizeArray(const std::vector<size_t>& values) {
   json::Value array = json::Value::Array();
-  for (size_t v : values) {
-    array.Append(json::Value::Int(static_cast<int64_t>(v)));
-  }
+  for (size_t v : values) array.Append(json::Value::Uint(v));
   return array;
 }
 
@@ -128,7 +126,7 @@ StatusOr<WireRequest> ParseRequestLine(const std::string& line) {
 std::string RequestToLine(const SelectionRequest& request) {
   json::Value doc = json::Value::Object();
   doc.Set("target", json::Value::String(request.target));
-  doc.Set("k", json::Value::Int(static_cast<int64_t>(request.top_k)));
+  doc.Set("k", json::Value::Uint(request.top_k));
   doc.Set("threshold", json::Value::Number(request.threshold));
   doc.Set("proxy", json::Value::String(request.proxy));
   if (!request.proxies.empty()) {
@@ -143,7 +141,7 @@ std::string RequestToLine(const SelectionRequest& request) {
   }
   if (request.want_trace) doc.Set("trace", json::Value::Bool(true));
   if (request.nprobe != 0) {
-    doc.Set("nprobe", json::Value::Int(static_cast<int64_t>(request.nprobe)));
+    doc.Set("nprobe", json::Value::Uint(request.nprobe));
   }
   if (!request.recall_backend.empty()) {
     doc.Set("recall_backend", json::Value::String(request.recall_backend));
@@ -163,13 +161,10 @@ std::string ResponseToLine(const SelectionResponse& response) {
           json::Value::Number(response.inference_epochs));
   doc.Set("total_epochs", json::Value::Number(response.total_epochs));
   doc.Set("survivors", SizeArray(response.survivors_per_stage));
-  doc.Set("artifact_version", json::Value::Int(static_cast<int64_t>(
-                                  response.artifact_version)));
+  doc.Set("artifact_version", json::Value::Uint(response.artifact_version));
   doc.Set("wall_ms", json::Value::Number(response.wall_ms));
-  doc.Set("cache_hits",
-          json::Value::Int(static_cast<int64_t>(response.cache_hits)));
-  doc.Set("cache_misses",
-          json::Value::Int(static_cast<int64_t>(response.cache_misses)));
+  doc.Set("cache_hits", json::Value::Uint(response.cache_hits));
+  doc.Set("cache_misses", json::Value::Uint(response.cache_misses));
   if (!response.index_backend.empty()) {
     doc.Set("index_backend", json::Value::String(response.index_backend));
   }
@@ -206,29 +201,18 @@ std::string PongLine() {
 
 std::string StatsToLine(const ServiceStats& stats) {
   json::Value inner = json::Value::Object();
-  inner.Set("queue_depth",
-            json::Value::Int(static_cast<int64_t>(stats.queue_depth)));
-  inner.Set("artifact_version", json::Value::Int(static_cast<int64_t>(
-                                    stats.artifact_version)));
-  inner.Set("reloads",
-            json::Value::Int(static_cast<int64_t>(stats.reloads)));
-  inner.Set("admitted",
-            json::Value::Int(static_cast<int64_t>(stats.admitted)));
-  inner.Set("rejected",
-            json::Value::Int(static_cast<int64_t>(stats.rejected)));
-  inner.Set("completed",
-            json::Value::Int(static_cast<int64_t>(stats.completed)));
-  inner.Set("deadline_exceeded", json::Value::Int(static_cast<int64_t>(
-                                     stats.deadline_exceeded)));
-  inner.Set("errors", json::Value::Int(static_cast<int64_t>(stats.errors)));
-  inner.Set("cache_hits",
-            json::Value::Int(static_cast<int64_t>(stats.cache_hits)));
-  inner.Set("cache_misses",
-            json::Value::Int(static_cast<int64_t>(stats.cache_misses)));
-  inner.Set("cache_evictions", json::Value::Int(static_cast<int64_t>(
-                                   stats.cache_evictions)));
-  inner.Set("cache_entries",
-            json::Value::Int(static_cast<int64_t>(stats.cache_entries)));
+  inner.Set("queue_depth", json::Value::Uint(stats.queue_depth));
+  inner.Set("artifact_version", json::Value::Uint(stats.artifact_version));
+  inner.Set("reloads", json::Value::Uint(stats.reloads));
+  inner.Set("admitted", json::Value::Uint(stats.admitted));
+  inner.Set("rejected", json::Value::Uint(stats.rejected));
+  inner.Set("completed", json::Value::Uint(stats.completed));
+  inner.Set("deadline_exceeded", json::Value::Uint(stats.deadline_exceeded));
+  inner.Set("errors", json::Value::Uint(stats.errors));
+  inner.Set("cache_hits", json::Value::Uint(stats.cache_hits));
+  inner.Set("cache_misses", json::Value::Uint(stats.cache_misses));
+  inner.Set("cache_evictions", json::Value::Uint(stats.cache_evictions));
+  inner.Set("cache_entries", json::Value::Uint(stats.cache_entries));
   json::Value doc = json::Value::Object();
   doc.Set("ok", json::Value::Bool(true));
   doc.Set("stats", std::move(inner));
@@ -246,8 +230,7 @@ std::string ReloadAckLine(uint64_t artifact_version) {
   json::Value doc = json::Value::Object();
   doc.Set("ok", json::Value::Bool(true));
   doc.Set("reloaded", json::Value::Bool(true));
-  doc.Set("artifact_version",
-          json::Value::Int(static_cast<int64_t>(artifact_version)));
+  doc.Set("artifact_version", json::Value::Uint(artifact_version));
   return doc.Dump(-1);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/registry.h"
+#include "matrix/matrix_testing.h"
 #include "model/paper_zoo.h"
 #include "sim/finetune_simulator.h"
 #include "store/spec_serialization.h"
@@ -107,7 +108,7 @@ TEST(ModelStoreTest, OfflineArtifactsRoundTripThroughStore) {
   auto store = std::move(ModelStore::Open(path)).value();
   auto matrix2 = store.GetPerformanceMatrix("cv-v1");
   ASSERT_TRUE(matrix2.ok()) << matrix2.status().ToString();
-  EXPECT_TRUE(matrix2->accuracy().ApproxEquals(matrix.accuracy()));
+  EXPECT_TRUE(ApproxEquals(matrix2->accuracy(), matrix.accuracy()));
   EXPECT_EQ(matrix2->model_names(), matrix.model_names());
 
   auto clustering2 = store.GetClustering("cv-v1");

@@ -57,6 +57,30 @@ TEST(JsonDumpTest, IntegralDoublesPrintAsIntegers) {
   EXPECT_EQ(Value::Int(1234567890123).Dump(), "1234567890123");
 }
 
+TEST(JsonDumpTest, UnsignedIntegersPrintEveryDigit) {
+  // Below 2^53 the bytes of Int; past it, every digit, where Int rounds.
+  for (uint64_t u : {uint64_t{0}, uint64_t{42}, (uint64_t{1} << 53) - 1}) {
+    std::string exact;
+    std::string rounded;
+    Writer(&exact).Uint(u);
+    Writer(&rounded).Int(static_cast<int64_t>(u));
+    EXPECT_EQ(exact, rounded) << u;
+    EXPECT_EQ(Value::Uint(u).Dump(), exact) << u;
+    EXPECT_EQ(Value::Uint(u), Value::Int(static_cast<int64_t>(u))) << u;
+  }
+  for (uint64_t u : {(uint64_t{1} << 53) + 1, uint64_t{1} << 63,
+                     std::numeric_limits<uint64_t>::max()}) {
+    std::string exact;
+    Writer(&exact).BeginArray().Uint(u).Uint(u).EndArray();
+    EXPECT_EQ(exact, "[" + std::to_string(u) + "," + std::to_string(u) + "]");
+    EXPECT_EQ(Value::Uint(u).Dump(), std::to_string(u));
+    EXPECT_EQ(Value::Uint(u).number(), static_cast<double>(u));
+    // Equal values dump alike: the rounded double is another value.
+    EXPECT_NE(Value::Uint(u), Value::Number(static_cast<double>(u)));
+    EXPECT_NE(Value::Uint(u), Value::Uint(u - 1));
+  }
+}
+
 TEST(JsonDumpTest, DoublesRoundTripLosslessly) {
   const double values[] = {0.1, 1.0 / 3.0, 6.02214076e23, 5e-324,
                            -2.2250738585072014e-308,

@@ -11,6 +11,11 @@
 #     of src/serve/protocol.cc — scans requests with json::VisitMembers and
 #     writes replies with json::Writer. A json::Value built there, or a
 #     json::Parse call, puts a document model back on every request.
+#  3. SelectionService::Run keys the proxy cache and flight group by the
+#     snapshot's cache_epoch, which a reload that keeps the zoo object
+#     inherits. Keying by the snapshot's version instead drops every warm
+#     proxy score on every reload, and the answers stay the same, so no
+#     answer check notices.
 #
 # A tripwire, not a proof; it runs as the `select_path_guard` ctest.
 #
@@ -25,6 +30,7 @@ fi
 
 SRC=$1/src
 PROTOCOL=$SRC/serve/protocol.cc
+SERVICE=$SRC/serve/service.cc
 FAILURES=0
 
 fail() {
@@ -69,7 +75,7 @@ else
       fi
     done
     hits=$(echo "$section" \
-      | grep -n 'json::Parse(\|json::Value[ *&({]\|json::Value::\(Null\|Bool\|Number\|Int\|String\|Array\|Object\)(\|\.Dump(' \
+      | grep -n 'json::Parse(\|json::Value[ *&({]\|json::Value::\(Null\|Bool\|Number\|Int\|Uint\|String\|Array\|Object\)(\|\.Dump(' \
       || true)
     if [[ -n "$hits" ]]; then
       fail "protocol.cc select codec builds or parses a json::Value — use json::VisitMembers / json::Writer (offsets relative to line $begin_line)" \
@@ -77,6 +83,21 @@ else
     else
       echo "ok: the select codec builds no json::Value and calls no json::Parse"
     fi
+  fi
+fi
+
+# 3. The proxy cache epoch survives reloads that keep the zoo.
+if [[ ! -f "$SERVICE" ]]; then
+  fail "src/serve/service.cc is missing — cannot check it"
+else
+  hits=$(grep -n 'artifact_epoch *=.*version' "$SERVICE" || true)
+  if [[ -n "$hits" ]]; then
+    fail "service.cc keys the proxy cache by the artifact version — stamp snapshot.cache_epoch" \
+         "$hits"
+  elif ! grep -q 'artifact_epoch = snapshot\.cache_epoch;' "$SERVICE"; then
+    fail "service.cc does not stamp options.recall.artifact_epoch = snapshot.cache_epoch"
+  else
+    echo "ok: service.cc keys the proxy cache by the snapshot's cache epoch"
   fi
 fi
 
