@@ -3,14 +3,15 @@
 // the full workflow the paper describes:
 //   1. offline: build the performance matrix on 24 benchmark datasets and
 //      cluster the repository (done once, reused for every future task);
-//   2. persist the offline artifacts to disk and reload them (the "model
-//      store" workflow);
+//   2. persist the performance matrix in a model store and read it back
+//      (the store the CLI and server load every artifact from);
 //   3. online: coarse-recall 10 candidates with LEEP, then fine-select with
 //      convergence-trend-accelerated successive halving;
 //   4. sanity-check the pick against exhaustive search.
 //
 // Usage: nlp_model_selection [target-name]   (default: boolq)
 
+#include <cstdio>
 #include <iostream>
 #include <string>
 
@@ -19,6 +20,7 @@
 #include "core/two_phase.h"
 #include "data/registry.h"
 #include "model/paper_zoo.h"
+#include "store/model_store.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -41,9 +43,16 @@ int main(int argc, char** argv) {
 
   // Persist and reload — the performance matrix is the repository's stored
   // metadata, not a per-task computation.
-  const std::string store_path = "/tmp/tps_nlp_performance_matrix.txt";
-  TPS_CHECK_OK(matrix->SaveToFile(store_path));
-  auto loaded = PerformanceMatrix::LoadFromFile(store_path);
+  const std::string store_path = "/tmp/tps_nlp_model_store.log";
+  std::remove(store_path.c_str());  // Start from an empty log.
+  {
+    auto store = ModelStore::Open(store_path);
+    TPS_CHECK_OK(store.status());
+    TPS_CHECK_OK(store->PutPerformanceMatrix("nlp", *matrix));
+  }
+  auto store = ModelStore::OpenReadOnly(store_path);
+  TPS_CHECK_OK(store.status());
+  auto loaded = store->GetPerformanceMatrix("nlp");
   TPS_CHECK_OK(loaded.status());
   std::cout << "Offline store: " << loaded->num_models() << " models x "
             << loaded->num_datasets() << " benchmarks saved to "

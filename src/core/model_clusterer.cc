@@ -1,7 +1,6 @@
 #include "core/model_clusterer.h"
 
 #include <algorithm>
-#include <fstream>
 #include <iterator>
 #include <sstream>
 
@@ -237,15 +236,6 @@ std::string SerializeClustering(const ModelClustering& clustering) {
   return out.str();
 }
 
-Status SaveClustering(const ModelClustering& clustering,
-                      const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << SerializeClustering(clustering);
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
 StatusOr<ModelClustering> DeserializeClustering(const std::string& text) {
   std::istringstream in(text);
   std::string header;
@@ -308,19 +298,6 @@ StatusOr<ModelClustering> DeserializeClustering(const std::string& text) {
     if (!in) return Status::InvalidArgument("truncated distances");
   }
   return clustering;
-}
-
-StatusOr<ModelClustering> LoadClustering(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto result = DeserializeClustering(text);
-  if (!result.ok()) {
-    return Status(result.status().code(),
-                  result.status().message() + " in " + path);
-  }
-  return result;
 }
 
 }  // namespace tps

@@ -99,20 +99,12 @@ std::string FormatClusters(const ModelClustering& clustering,
                            const ModelZoo& zoo, bool include_singletons);
 
 /// Serializes a clustering (assignments, representatives, options,
-/// distance matrix) to the line-oriented text format (also used by the
-/// model store).
+/// distance matrix) to the line-oriented text format the model store
+/// persists.
 std::string SerializeClustering(const ModelClustering& clustering);
 
 /// Parses a clustering produced by SerializeClustering.
 StatusOr<ModelClustering> DeserializeClustering(const std::string& text);
-
-/// SerializeClustering to a file, so the offline artifact can be reused
-/// across processes (see the tps_cli tool).
-Status SaveClustering(const ModelClustering& clustering,
-                      const std::string& path);
-
-/// Restores a clustering written by SaveClustering.
-StatusOr<ModelClustering> LoadClustering(const std::string& path);
 
 }  // namespace tps
 

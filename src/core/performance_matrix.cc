@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <iterator>
 #include <string_view>
 #include <type_traits>
@@ -237,14 +236,6 @@ std::string PerformanceMatrix::Serialize() const {
   return out;
 }
 
-Status PerformanceMatrix::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << Serialize();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
 StatusOr<PerformanceMatrix> PerformanceMatrix::Deserialize(
     const std::string& text) {
   TextCursor in(text);
@@ -309,20 +300,6 @@ StatusOr<PerformanceMatrix> PerformanceMatrix::Deserialize(
     pm.runs_[di * num_models + mi] = std::move(run);
   }
   return pm;
-}
-
-StatusOr<PerformanceMatrix> PerformanceMatrix::LoadFromFile(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto result = Deserialize(text);
-  if (!result.ok()) {
-    return Status(result.status().code(),
-                  result.status().message() + " in " + path);
-  }
-  return result;
 }
 
 }  // namespace tps

@@ -79,18 +79,12 @@ class PerformanceMatrix {
   double ValAtStage(size_t dataset_index, size_t model_index,
                     int stage) const;
 
-  /// Serializes to the line-oriented text format (also used by the model
-  /// store).
+  /// Serializes to the line-oriented text format the model store
+  /// persists.
   std::string Serialize() const;
 
   /// Parses a matrix previously produced by Serialize.
   static StatusOr<PerformanceMatrix> Deserialize(const std::string& text);
-
-  /// Serialize() to a file.
-  Status SaveToFile(const std::string& path) const;
-
-  /// Restores a matrix previously written by SaveToFile.
-  static StatusOr<PerformanceMatrix> LoadFromFile(const std::string& path);
 
  private:
   PerformanceMatrix() = default;

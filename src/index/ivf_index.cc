@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -334,27 +333,6 @@ StatusOr<IvfIndex> IvfIndex::Deserialize(const std::string& text) {
   TPS_RETURN_NOT_OK(
       FinalizeIndexStructure(&s, options.propagation_neighbors));
   return index;
-}
-
-Status IvfIndex::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << Serialize();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-StatusOr<IvfIndex> IvfIndex::LoadFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto result = Deserialize(text);
-  if (!result.ok()) {
-    return Status(result.status().code(),
-                  result.status().message() + " in " + path);
-  }
-  return result;
 }
 
 }  // namespace tps

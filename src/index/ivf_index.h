@@ -112,8 +112,6 @@ class IvfIndex : public RecallIndex {
   /// from the build rules.
   std::string Serialize() const;
   static StatusOr<IvfIndex> Deserialize(const std::string& text);
-  Status SaveToFile(const std::string& path) const;
-  static StatusOr<IvfIndex> LoadFromFile(const std::string& path);
 
  private:
   IvfIndex() = default;

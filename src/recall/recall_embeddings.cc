@@ -1,6 +1,5 @@
 #include "recall/recall_embeddings.h"
 
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -164,28 +163,6 @@ StatusOr<RecallEmbeddings> RecallEmbeddings::Deserialize(
   if (!in) return Status::InvalidArgument("truncated recall embeddings");
   return Create(config, std::move(dataset_map), std::move(model_embeddings),
                 std::move(prior), std::move(model_names));
-}
-
-Status RecallEmbeddings::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out << Serialize();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-StatusOr<RecallEmbeddings> RecallEmbeddings::LoadFromFile(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto result = Deserialize(text);
-  if (!result.ok()) {
-    return Status(result.status().code(),
-                  result.status().message() + " in " + path);
-  }
-  return result;
 }
 
 }  // namespace recall

@@ -89,8 +89,6 @@ class RecallEmbeddings {
   /// Deserialize(Serialize()) reproduces the artifact bit for bit.
   std::string Serialize() const;
   static StatusOr<RecallEmbeddings> Deserialize(const std::string& text);
-  Status SaveToFile(const std::string& path) const;
-  static StatusOr<RecallEmbeddings> LoadFromFile(const std::string& path);
 
  private:
   EmbeddingConfig config_;

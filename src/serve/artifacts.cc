@@ -1,6 +1,5 @@
 #include "serve/artifacts.h"
 
-#include <optional>
 #include <utility>
 
 #include "model/paper_zoo.h"
@@ -11,51 +10,30 @@
 namespace tps {
 namespace serve {
 
-namespace {
-
-std::string EffectiveId(const ArtifactPaths& paths) {
-  if (!paths.id.empty()) return paths.id;
-  return paths.domain == TaskDomain::kNLP ? "nlp" : "cv";
-}
-
-}  // namespace
-
 StatusOr<ServiceArtifacts> ServiceArtifacts::Load(
     const ArtifactPaths& paths) {
   TPS_ASSIGN_OR_RETURN(DatasetRegistry registry,
                        DatasetRegistry::CreatePaperInventory());
   TPS_ASSIGN_OR_RETURN(ModelZoo zoo, PaperZoo(paths.domain));
 
-  // Store mode opens the log once (each Open replays and checksums the
-  // whole log) and reads every artifact from that one handle; the store
-  // closes when Load returns.
-  std::optional<ModelStore> store;
-  if (!paths.store.empty()) {
-    TPS_ASSIGN_OR_RETURN(store, ModelStore::Open(paths.store));
-  }
-  const std::string id = EffectiveId(paths);
-  const Status missing_paths = Status::InvalidArgument(
-      "--store or --matrix/--clustering paths are required (run "
-      "`tps_cli offline` first)");
-
-  if (!store && paths.matrix.empty()) return missing_paths;
+  // One read-only replay (it checksums the whole log); every artifact is
+  // read from that one handle, which closes when Load returns.
+  TPS_ASSIGN_OR_RETURN(const ModelStore store,
+                       ModelStore::OpenReadOnly(paths.store));
+  const std::string id = paths.artifact_id();
   TPS_ASSIGN_OR_RETURN(PerformanceMatrix matrix,
-                       store ? store->GetPerformanceMatrix(id)
-                             : PerformanceMatrix::LoadFromFile(paths.matrix));
-  if (!store && paths.clustering.empty()) return missing_paths;
-  TPS_ASSIGN_OR_RETURN(ModelClustering clustering,
-                       store ? store->GetClustering(id)
-                             : LoadClustering(paths.clustering));
+                       store.GetPerformanceMatrix(id));
+  TPS_ASSIGN_OR_RETURN(ModelClustering clustering, store.GetClustering(id));
 
   // Artifacts built over a generated zoo (tps_cli zoo-gen) do not match
-  // the paper zoo. When the store carries the generating specs, rebuild
-  // the zoo from them, in matrix column order, so serving covers exactly
-  // the models the artifacts were computed over.
-  if (matrix.num_models() != zoo.size() && store) {
+  // the paper zoo: rebuild the zoo from the stored generating specs, in
+  // matrix column order, so serving covers exactly the models the
+  // artifacts were computed over.
+  if (matrix.num_models() != zoo.size()) {
     std::vector<ModelSpec> specs;
     specs.reserve(matrix.num_models());
     for (const std::string& name : matrix.model_names()) {
-      auto spec = store->GetModelSpec(name);
+      auto spec = store.GetModelSpec(name);
       if (!spec.ok()) {
         return Status(spec.status().code(),
                       "matrix model '" + name +
@@ -67,19 +45,12 @@ StatusOr<ServiceArtifacts> ServiceArtifacts::Load(
     TPS_ASSIGN_OR_RETURN(zoo, ModelZoo::Create(specs));
   }
 
-  // The recall index is optional: absent-is-OK in store mode.
+  // The recall index is optional: absent from the store is not an error.
   std::shared_ptr<const IvfIndex> index;
-  if (store) {
-    auto loaded = store->GetRecallIndex(id);
-    if (loaded.ok()) {
-      index = std::make_shared<const IvfIndex>(std::move(loaded).value());
-    } else if (!loaded.status().IsNotFound()) {
-      return loaded.status();
-    }
-  } else if (!paths.index.empty()) {
-    TPS_ASSIGN_OR_RETURN(IvfIndex loaded,
-                         IvfIndex::LoadFromFile(paths.index));
-    index = std::make_shared<const IvfIndex>(std::move(loaded));
+  if (auto loaded = store.GetRecallIndex(id); loaded.ok()) {
+    index = std::make_shared<const IvfIndex>(std::move(loaded).value());
+  } else if (!loaded.status().IsNotFound()) {
+    return loaded.status();
   }
 
   ServiceArtifacts artifacts{std::move(registry),   std::move(zoo),
@@ -87,21 +58,12 @@ StatusOr<ServiceArtifacts> ServiceArtifacts::Load(
                              paths.domain,          std::move(index),
                              nullptr,               nullptr};
 
-  // Trained recall embeddings: like the recall index, absent-is-OK in
-  // store mode (the embedding backend is simply unavailable then).
-  if (store) {
-    auto loaded = store->GetRecallEmbeddings(id);
-    if (loaded.ok()) {
-      TPS_RETURN_NOT_OK(
-          artifacts.AttachEmbeddings(std::move(loaded).value()));
-    } else if (!loaded.status().IsNotFound()) {
-      return loaded.status();
-    }
-  } else if (!paths.embeddings.empty()) {
-    TPS_ASSIGN_OR_RETURN(
-        recall::RecallEmbeddings loaded,
-        recall::RecallEmbeddings::LoadFromFile(paths.embeddings));
-    TPS_RETURN_NOT_OK(artifacts.AttachEmbeddings(std::move(loaded)));
+  // Trained recall embeddings: optional like the index (the embedding
+  // backend is simply unavailable without them).
+  if (auto loaded = store.GetRecallEmbeddings(id); loaded.ok()) {
+    TPS_RETURN_NOT_OK(artifacts.AttachEmbeddings(std::move(loaded).value()));
+  } else if (!loaded.status().IsNotFound()) {
+    return loaded.status();
   }
 
   TPS_RETURN_NOT_OK(artifacts.Validate());

@@ -15,25 +15,18 @@
 namespace tps {
 namespace serve {
 
-/// Where to load the offline artifacts from: either a model store (`store`
-/// + `id`) or the plain-file pair (`matrix` + `clustering`). `id` defaults
-/// to the domain name ("nlp" / "cv") when empty.
+/// Where to load the offline artifacts from: the model store at `store`,
+/// under artifact id `id` (the domain name, "nlp" / "cv", when empty).
 struct ArtifactPaths {
   TaskDomain domain = TaskDomain::kNLP;
   std::string store;
   std::string id;
-  std::string matrix;
-  std::string clustering;
-  /// Optional sub-linear recall index. In file mode this is the path of a
-  /// serialized IvfIndex; in store mode the index is looked up under the
-  /// same artifact id and is simply absent (never an error) when the store
-  /// has none. Leave empty for index-free file-mode serving.
-  std::string index;
-  /// Optional trained recall embeddings (src/recall/). File mode: the path
-  /// of a serialized RecallEmbeddings; store mode: looked up under the
-  /// artifact id, absent-is-OK like the index. Without embeddings the
-  /// embedding/hybrid recall backends are simply unavailable.
-  std::string embeddings;
+
+  /// `id`, or the domain name when `id` is empty.
+  std::string artifact_id() const {
+    if (!id.empty()) return id;
+    return domain == TaskDomain::kNLP ? "nlp" : "cv";
+  }
 };
 
 /// Everything the online pipeline reads: the dataset inventory, the model
@@ -74,16 +67,19 @@ struct ServiceArtifacts {
   /// Internal-consistency check run before artifacts are served: the
   /// matrix and clustering must cover exactly this zoo. Load() runs it on
   /// every load; SelectionService::Reload runs it again before publishing,
-  /// so a bad artifact file can never replace a good serving version.
+  /// so a bad artifact set can never replace a good serving version.
   Status Validate() const;
 
-  /// Loads previously persisted artifacts (store or files) and validates
-  /// they cover exactly one zoo: the paper zoo for the domain or, when a
-  /// store carries a differently-sized matrix, the generated zoo
-  /// reconstructed from the store's model specs in matrix column order.
-  /// The store is opened read-only-in-spirit: it is opened once, read, and
-  /// closed before this returns, so a long-lived service holds no lock on
-  /// the log file.
+  /// Loads the artifacts stored under one id and validates they cover
+  /// exactly one zoo: the paper zoo for the domain or, when the stored
+  /// matrix is differently sized, the generated zoo reconstructed from the
+  /// store's model specs in matrix column order. The recall index and the
+  /// trained embeddings are optional (absent from the store = not served).
+  /// The store is opened read-only (ModelStore::OpenReadOnly): a missing
+  /// store is NotFound and no file is created, a torn tail (say, a record
+  /// a writer is still appending) is ignored and left on disk, and the log
+  /// is closed before this returns, so a long-lived service holds no
+  /// handle on it.
   static StatusOr<ServiceArtifacts> Load(const ArtifactPaths& paths);
 
   /// Builds fresh artifacts in-process (registry + zoo + matrix +

@@ -36,11 +36,12 @@ StatusOr<ArtifactPaths> ArtifactPathsFromFlags(const FlagParser& flags) {
   ArtifactPaths paths;
   TPS_ASSIGN_OR_RETURN(paths.domain, DomainFromFlag(flags));
   paths.store = flags.GetString("store");
+  if (paths.store.empty()) {
+    return Status::InvalidArgument(
+        "--store=PATH is required (write one with `tps_cli offline "
+        "--store=PATH`)");
+  }
   paths.id = flags.GetString("id");
-  paths.matrix = flags.GetString("matrix");
-  paths.clustering = flags.GetString("clustering");
-  paths.index = flags.GetString("index");
-  paths.embeddings = flags.GetString("embeddings");
   return paths;
 }
 
@@ -189,18 +190,14 @@ int RunQueryImpl(const FlagParser& flags, const std::string& forced_cmd) {
     doc.Set("cmd", json::Value::String(cmd));
     line = doc.Dump(-1);
   } else if (cmd == "reload") {
-    // Same source flags as `serve` (--store/--id or --matrix/--clustering);
-    // the server supplies the domain itself.
+    // The server supplies the domain itself.
+    auto paths_or = ArtifactPathsFromFlags(flags);
+    if (!paths_or.ok()) return Fail(paths_or.status());
     json::Value doc = json::Value::Object();
     doc.Set("cmd", json::Value::String(cmd));
-    for (const char* key : {"store", "id", "matrix", "clustering",
-                            "index", "embeddings"}) {
-      const std::string value = flags.GetString(key);
-      if (!value.empty()) doc.Set(key, json::Value::String(value));
-    }
-    if (doc.Find("store") == nullptr && doc.Find("matrix") == nullptr) {
-      return Fail(Status::InvalidArgument(
-          "--cmd=reload needs --store or --matrix/--clustering"));
+    doc.Set("store", json::Value::String(paths_or->store));
+    if (!paths_or->id.empty()) {
+      doc.Set("id", json::Value::String(paths_or->id));
     }
     line = doc.Dump(-1);
   } else {

@@ -22,8 +22,8 @@ StatusOr<TaskDomain> DomainFromFlag(const FlagParser& flags);
 /// --threads (1) -> a thread count >= 1.
 StatusOr<int> ThreadsFromFlag(const FlagParser& flags);
 
-/// --domain/--store/--id/--matrix/--clustering/--index/--embeddings ->
-/// ArtifactPaths.
+/// --domain/--store/--id -> ArtifactPaths. --store is required: every
+/// artifact is served from a model store.
 StatusOr<ArtifactPaths> ArtifactPathsFromFlags(const FlagParser& flags);
 
 /// --workers (2) / --queue (64) / --threads (1) / --cache (4096) /
@@ -45,14 +45,13 @@ int RunServe(const FlagParser& flags);
 /// `query`: connect to a running server (--socket=PATH or --port=N), send
 /// one request (--cmd=select|ping|stats|reload|shutdown, default select),
 /// print the raw NDJSON reply line on stdout. A select needs --target and
-/// takes --trace (bool) to ask for the trace. For --cmd=reload the
-/// artifact source flags (--store/--id or --matrix/--clustering) name the
-/// new artifacts to hot-swap in. Exit 0 iff the reply has "ok": true.
+/// takes --trace (bool) to ask for the trace. For --cmd=reload --store
+/// (and optional --id) name the new artifacts to hot-swap in. Exit 0 iff
+/// the reply has "ok": true.
 int RunQuery(const FlagParser& flags);
 
 /// `reload`: shorthand for `query --cmd=reload` — hot-swap a running
-/// server onto the artifacts named by --store/--id or
-/// --matrix/--clustering.
+/// server onto the artifacts named by --store/--id.
 int RunReload(const FlagParser& flags);
 
 }  // namespace serve

@@ -43,18 +43,13 @@ enum Key {
   kRecallBackend,
   kStore,
   kId,
-  kMatrix,
-  kClustering,
-  kIndex,
-  kEmbeddings,
   kNumKeys
 };
 
 constexpr std::string_view kKeyNames[kNumKeys] = {
     "cmd",   "target",         "k",     "threshold", "proxy",
     "proxies", "deadline_ms",  "trace", "nprobe",    "recall_backend",
-    "store", "id",             "matrix", "clustering", "index",
-    "embeddings"};
+    "store", "id"};
 
 /// The last value a line gave one known key (a later duplicate wins, as
 /// in a parsed JSON object).
@@ -143,21 +138,15 @@ StatusOr<WireRequest> ParseRequestLine(std::string_view line) {
       return WireRequest{WireCommand::kShutdown, {}, {}};
     } else if (name == "reload") {
       request.command = WireCommand::kReload;
-      static constexpr std::pair<Key, std::string ArtifactPaths::*>
-          kReloadPaths[] = {{kStore, &ArtifactPaths::store},
-                            {kId, &ArtifactPaths::id},
-                            {kMatrix, &ArtifactPaths::matrix},
-                            {kClustering, &ArtifactPaths::clustering},
-                            {kIndex, &ArtifactPaths::index},
-                            {kEmbeddings, &ArtifactPaths::embeddings}};
       ArtifactPaths& reload = request.reload;
-      for (const auto& [key, path] : kReloadPaths) {
-        if (!fields[key].present) continue;
-        TPS_ASSIGN_OR_RETURN(reload.*path, TakeString(fields[key]));
+      if (fields[kStore].present) {
+        TPS_ASSIGN_OR_RETURN(reload.store, TakeString(fields[kStore]));
       }
-      if (reload.store.empty() && reload.matrix.empty()) {
-        return Status::InvalidArgument(
-            "reload needs \"store\" or \"matrix\"/\"clustering\" paths");
+      if (fields[kId].present) {
+        TPS_ASSIGN_OR_RETURN(reload.id, TakeString(fields[kId]));
+      }
+      if (reload.store.empty()) {
+        return Status::InvalidArgument("reload needs a \"store\" path");
       }
       return request;
     } else {

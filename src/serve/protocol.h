@@ -33,9 +33,9 @@ namespace serve {
 ///   {"cmd": "shutdown"} -> {"ok": true, "shutting_down": true}, then the
 ///                          server stops accepting and drains.
 ///
-///   reload (zero-downtime artifact hot swap):
-///     {"cmd": "reload", "store": "PATH", "id": "nlp"}        // or
-///     {"cmd": "reload", "matrix": "PATH", "clustering": "PATH"}
+///   reload (zero-downtime artifact hot swap from a model store; "id"
+///   defaults to the domain name):
+///     {"cmd": "reload", "store": "PATH", "id": "nlp"}
 ///     -> {"ok": true, "reloaded": true, "artifact_version": 2}
 ///     The artifacts load and validate on the connection thread, entirely
 ///     off the serving path; on any failure nothing is published and the

@@ -37,7 +37,8 @@ SelectionServer::SelectionServer(SelectionService* service,
     : service_(service),
       listeners_(std::move(listeners)),
       max_line_bytes_(options.max_line_bytes),
-      pre_reply_hook_(options.pre_reply_hook) {
+      pre_reply_hook_(options.pre_reply_hook),
+      connection_done_hook_(options.connection_done_hook) {
   for (ServerSocket& listener : listeners_) {
     if (!listener.unix_path().empty()) unix_path_ = listener.unix_path();
     if (listener.port() > 0) tcp_port_ = listener.port();
@@ -67,8 +68,11 @@ void SelectionServer::AcceptLoop(ServerSocket* listener) {
     connection.socket = socket;
     connection.thread = std::thread([this, socket, id] {
       HandleConnection(std::move(socket));
-      std::lock_guard<std::mutex> done_lock(mu_);
-      finished_.push_back(id);
+      {
+        std::lock_guard<std::mutex> done_lock(mu_);
+        finished_.push_back(id);
+      }
+      if (connection_done_hook_) connection_done_hook_();
     });
     connections_.emplace(id, std::move(connection));
   }

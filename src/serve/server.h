@@ -34,6 +34,11 @@ struct ServerOptions {
   /// acted (e.g. closed its end) to make send-failure paths
   /// deterministic. Never set in production.
   std::function<void()> pre_reply_hook;
+  /// Test-only hook: invoked by a connection thread after its handler
+  /// returned and the connection joined the done-list, so the next accept
+  /// reaps it. Lets tests wait for closed sessions instead of polling.
+  /// Never set in production.
+  std::function<void()> connection_done_hook;
 };
 
 /// NDJSON socket front end for a SelectionService (see protocol.h).
@@ -117,6 +122,7 @@ class SelectionServer {
   std::string unix_path_;
   const size_t max_line_bytes_;
   const std::function<void()> pre_reply_hook_;
+  const std::function<void()> connection_done_hook_;
 
   mutable std::mutex mu_;
   std::condition_variable stopped_cv_;

@@ -218,7 +218,7 @@ class SelectionService {
   /// proxy scores survive the swap.
   Status Reload(ServiceArtifacts artifacts);
 
-  /// As above, loading the artifacts from a store or plain files first —
+  /// As above, loading the artifacts from a model store first —
   /// the whole load runs off the serving path (on the caller's thread).
   Status Reload(const ArtifactPaths& source);
 

@@ -63,58 +63,77 @@ std::string RecoveryStats::ToString() const {
   return out;
 }
 
+Status KvStore::Replay(const RecordLogContents& contents) {
+  for (const std::string& record : contents.records) {
+    char op = 0;
+    std::string key, value;
+    TPS_RETURN_NOT_OK(DecodeMutation(record, &op, &key, &value));
+    if (op == kOpPut) {
+      table_[key] = std::move(value);
+    } else if (op == kOpDelete) {
+      table_.erase(key);
+    } else {
+      return Status::Internal("unknown mutation op in log");
+    }
+    ++log_records_;
+  }
+  recovery_stats_.records_replayed = contents.records.size();
+  recovery_stats_.valid_prefix_bytes = contents.valid_prefix_bytes;
+  recovery_stats_.tail_was_torn = contents.truncated_tail;
+  MetricsRegistry& metrics = *MetricsRegistry::Default();
+  metrics.counter("store.opens").Increment();
+  metrics.counter("store.records_replayed")
+      .Increment(recovery_stats_.records_replayed);
+  return Status::OK();
+}
+
 StatusOr<KvStore> KvStore::Open(const std::string& path, Env* env) {
   KvStore store(path, env);
 
   // Replay an existing log; a missing file just means a fresh store.
+  RecordLogContents contents;
   if (env->FileExists(path)) {
-    TPS_ASSIGN_OR_RETURN(RecordLogContents contents,
-                         ReadRecordLog(path, env));
-    for (const std::string& record : contents.records) {
-      char op = 0;
-      std::string key, value;
-      TPS_RETURN_NOT_OK(DecodeMutation(record, &op, &key, &value));
-      if (op == kOpPut) {
-        store.table_[key] = std::move(value);
-      } else if (op == kOpDelete) {
-        store.table_.erase(key);
-      } else {
-        return Status::Internal("unknown mutation op in log");
-      }
-      ++store.log_records_;
-    }
-    store.recovery_stats_.records_replayed = contents.records.size();
-    store.recovery_stats_.valid_prefix_bytes = contents.valid_prefix_bytes;
-    store.recovery_stats_.tail_was_torn = contents.truncated_tail;
-    if (contents.truncated_tail) {
-      // Drop the torn tail before reopening for append. Without this,
-      // records appended after recovery sit behind the corrupt bytes and
-      // are silently discarded by the next replay.
-      TPS_ASSIGN_OR_RETURN(uint64_t file_size, env->FileSize(path));
-      store.recovery_stats_.bytes_truncated =
-          file_size - contents.valid_prefix_bytes;
-      TPS_RETURN_NOT_OK(
-          env->TruncateFile(path, contents.valid_prefix_bytes));
-    }
+    TPS_ASSIGN_OR_RETURN(contents, ReadRecordLog(path, env));
+  }
+  TPS_RETURN_NOT_OK(store.Replay(contents));
+  if (contents.truncated_tail) {
+    // Drop the torn tail before reopening for append. Without this,
+    // records appended after recovery sit behind the corrupt bytes and
+    // are silently discarded by the next replay.
+    TPS_ASSIGN_OR_RETURN(uint64_t file_size, env->FileSize(path));
+    store.recovery_stats_.bytes_truncated =
+        file_size - contents.valid_prefix_bytes;
+    TPS_RETURN_NOT_OK(env->TruncateFile(path, contents.valid_prefix_bytes));
+    MetricsRegistry& metrics = *MetricsRegistry::Default();
+    metrics.counter("store.torn_tails_recovered").Increment();
+    metrics.counter("store.bytes_truncated")
+        .Increment(store.recovery_stats_.bytes_truncated);
   }
 
   TPS_ASSIGN_OR_RETURN(RecordLogWriter writer,
                        RecordLogWriter::Open(path, env));
   store.log_ = std::make_unique<RecordLogWriter>(std::move(writer));
-  MetricsRegistry& metrics = *MetricsRegistry::Default();
-  metrics.counter("store.opens").Increment();
-  metrics.counter("store.records_replayed")
-      .Increment(store.recovery_stats_.records_replayed);
-  if (store.recovery_stats_.tail_was_torn) {
-    metrics.counter("store.torn_tails_recovered").Increment();
-    metrics.counter("store.bytes_truncated")
-        .Increment(store.recovery_stats_.bytes_truncated);
-  }
   return store;
+}
+
+StatusOr<KvStore> KvStore::OpenReadOnly(const std::string& path, Env* env) {
+  if (!env->FileExists(path)) {
+    return Status::NotFound("no store at " + path);
+  }
+  KvStore store(path, env);
+  TPS_ASSIGN_OR_RETURN(RecordLogContents contents, ReadRecordLog(path, env));
+  TPS_RETURN_NOT_OK(store.Replay(contents));
+  return store;
+}
+
+Status KvStore::CheckWritable() const {
+  if (log_ != nullptr) return Status::OK();
+  return Status::FailedPrecondition("store opened read-only: " + path_);
 }
 
 Status KvStore::AppendMutation(char op, const std::string& key,
                                const std::string& value) {
+  TPS_RETURN_NOT_OK(CheckWritable());
   TPS_RETURN_NOT_OK(log_->Append(EncodeMutation(op, key, value)));
   ++log_records_;
   return Status::OK();
@@ -156,6 +175,7 @@ std::vector<std::string> KvStore::ScanPrefix(
 }
 
 Status KvStore::Compact() {
+  TPS_RETURN_NOT_OK(CheckWritable());
   const std::string temp_path = path_ + ".compact";
   {
     // Write all live entries into a fresh temp log (truncating any stale

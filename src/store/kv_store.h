@@ -23,7 +23,8 @@ struct RecoveryStats {
   /// Byte offset of the end of the last valid record (the log's size
   /// after recovery).
   uint64_t valid_prefix_bytes = 0;
-  /// Torn/corrupt tail bytes dropped by truncation (0 on a clean open).
+  /// Torn/corrupt tail bytes dropped by truncation (0 on a clean or a
+  /// read-only open).
   uint64_t bytes_truncated = 0;
   /// True when the log ended in a torn or corrupt record.
   bool tail_was_torn = false;
@@ -45,7 +46,10 @@ struct RecoveryStats {
 ///    append — so post-recovery writes land on a clean boundary and
 ///    survive the next replay (crash safety);
 ///  - Compact() rewrites the log with only live entries and atomically
-///    swaps it in, reclaiming space from overwrites and deletes.
+///    swaps it in, reclaiming space from overwrites and deletes;
+///  - OpenReadOnly() replays the log with no writer: it never creates,
+///    truncates or appends to the file, so readers can load a store that
+///    a writer may still be appending to.
 ///
 /// Keys and values are arbitrary byte strings (values may contain \0).
 /// Single-threaded by design; callers serialize access. All file access
@@ -56,6 +60,14 @@ class KvStore {
   /// `env` must outlive the store.
   static StatusOr<KvStore> Open(const std::string& path,
                                 Env* env = Env::Default());
+
+  /// Replays the log at `path` without opening it for writing. A missing
+  /// file is NotFound and nothing is created; a torn tail is read up to
+  /// its valid prefix and left on disk (`recovery_stats().tail_was_torn`
+  /// reports it, `bytes_truncated` stays 0). Put, Delete and Compact on
+  /// the returned store are FailedPrecondition.
+  static StatusOr<KvStore> OpenReadOnly(const std::string& path,
+                                        Env* env = Env::Default());
 
   KvStore(KvStore&&) = default;
   KvStore& operator=(KvStore&&) = default;
@@ -83,7 +95,7 @@ class KvStore {
   /// policy.
   size_t log_records() const { return log_records_; }
 
-  /// What the last Open() replayed and truncated.
+  /// What the open replayed and truncated.
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
   /// Rewrites the log with only live entries (atomic rename swap).
@@ -95,13 +107,17 @@ class KvStore {
   KvStore(std::string path, Env* env)
       : path_(std::move(path)), env_(env) {}
 
+  /// Rebuilds the table from a read log and records what it replayed.
+  Status Replay(const RecordLogContents& contents);
+  /// FailedPrecondition on a store opened read-only.
+  Status CheckWritable() const;
   Status AppendMutation(char op, const std::string& key,
                         const std::string& value);
 
   std::string path_;
   Env* env_ = nullptr;
   std::map<std::string, std::string> table_;
-  std::unique_ptr<RecordLogWriter> log_;
+  std::unique_ptr<RecordLogWriter> log_;  // Null when read-only.
   size_t log_records_ = 0;
   RecoveryStats recovery_stats_;
 };

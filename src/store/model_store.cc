@@ -24,6 +24,12 @@ StatusOr<ModelStore> ModelStore::Open(const std::string& path, Env* env) {
   return ModelStore(std::move(kv));
 }
 
+StatusOr<ModelStore> ModelStore::OpenReadOnly(const std::string& path,
+                                              Env* env) {
+  TPS_ASSIGN_OR_RETURN(KvStore kv, KvStore::OpenReadOnly(path, env));
+  return ModelStore(std::move(kv));
+}
+
 Status ModelStore::PutModelSpec(const ModelSpec& spec) {
   if (spec.name.empty()) {
     return Status::InvalidArgument("model spec needs a name");

@@ -38,6 +38,13 @@ class ModelStore {
   static StatusOr<ModelStore> Open(const std::string& path,
                                    Env* env = Env::Default());
 
+  /// Opens the store at `path` for reading only (KvStore::OpenReadOnly):
+  /// a missing store is NotFound naming the path, no file is created, and
+  /// a torn tail is ignored rather than truncated. Every Put and Compact
+  /// on the result is FailedPrecondition.
+  static StatusOr<ModelStore> OpenReadOnly(const std::string& path,
+                                           Env* env = Env::Default());
+
   ModelStore(ModelStore&&) = default;
   ModelStore& operator=(ModelStore&&) = default;
 
@@ -80,7 +87,7 @@ class ModelStore {
   /// Log records written since Open (live + dead).
   size_t log_records() const { return kv_.log_records(); }
 
-  /// What the last Open() replayed and truncated (torn-tail recovery).
+  /// What the open replayed and truncated (torn-tail recovery).
   const RecoveryStats& recovery_stats() const {
     return kv_.recovery_stats();
   }

@@ -78,10 +78,32 @@ require_stdout_empty "bad domain"
 expect 1 "select without artifacts" -- select --domain=nlp --target=mnli
 require_stderr_contains "error:" "select without artifacts"
 
-expect 1 "non-integer threads" -- offline --threads=many
+# Artifacts load from a model store only: the retired file flags name no
+# source, and the diagnostic points at --store.
+expect 1 "select with a matrix file but no store" -- select --domain=nlp \
+  --matrix="$SCRATCH/m.txt" --target=mnli
+require_stderr_contains "\-\-store" "select with a matrix file but no store"
+require_stdout_empty "select with a matrix file but no store"
+
+expect 1 "offline without store" -- offline --domain=nlp
+require_stderr_contains "\-\-store" "offline without store"
+
+# Loading reads the store without writing it: a mistyped path fails and
+# leaves no file behind.
+expect 1 "select with a missing store" -- select --domain=nlp \
+  --store="$SCRATCH/typo.log" --target=mnli
+require_stderr_contains "NotFound" "select with a missing store"
+if [[ -e $SCRATCH/typo.log ]]; then
+  echo "FAIL: select --store=<missing> created $SCRATCH/typo.log" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
+expect 1 "non-integer threads" -- offline --store="$SCRATCH/unused.log" \
+  --threads=many
 require_stderr_contains "error:" "non-integer threads"
 
-expect 1 "threads below one" -- offline --threads=0
+expect 1 "threads below one" -- offline --store="$SCRATCH/unused.log" \
+  --threads=0
 require_stderr_contains "error:" "threads below one"
 
 expect 1 "card without model" -- card
@@ -106,16 +128,17 @@ require_stderr_contains "error:" "baselines with unknown target"
 
 ### Serving subcommands: flag validation fails before anything listens.
 
-expect 1 "serve without endpoint" -- serve --domain=nlp
+expect 1 "serve without endpoint" -- serve --domain=nlp \
+  --store="$SCRATCH/store.log"
 require_stderr_contains "error:" "serve without endpoint"
 require_stdout_empty "serve without endpoint"
 
 expect 1 "serve with zero workers" -- serve --socket="$SCRATCH/s.sock" \
-  --workers=0
+  --store="$SCRATCH/store.log" --workers=0
 require_stderr_contains "error:" "serve with zero workers"
 
 expect 1 "serve with negative cache" -- serve --socket="$SCRATCH/s.sock" \
-  --cache=-1
+  --store="$SCRATCH/store.log" --cache=-1
 require_stderr_contains "error:" "serve with negative cache"
 
 expect 1 "query without endpoint" -- query --cmd=ping
@@ -130,11 +153,14 @@ require_stderr_contains "error:" "query against dead socket"
 ### the commands that need them.
 
 expect 0 "offline build" -- offline --domain=nlp \
-  --matrix="$SCRATCH/m.txt" --clustering="$SCRATCH/c.txt" \
   --store="$SCRATCH/store.log"
+if [[ -e $SCRATCH/unused.log ]]; then
+  echo "FAIL: a failed offline run created $SCRATCH/unused.log" >&2
+  FAILURES=$((FAILURES + 1))
+fi
 
-ARTIFACTS=(--domain=nlp --matrix="$SCRATCH/m.txt"
-  --clustering="$SCRATCH/c.txt" --target=mnli)
+ARTIFACTS=(--domain=nlp --store="$SCRATCH/store.log" --target=mnli)
+cp "$SCRATCH/store.log" "$SCRATCH/store3.log"
 
 expect 0 "recall success" -- recall "${ARTIFACTS[@]}" --k=5
 expect 0 "select success" -- select "${ARTIFACTS[@]}"
@@ -154,8 +180,7 @@ for cmd in select recall trace; do
 done
 
 expect 1 "select with unknown target" -- select --domain=nlp \
-  --matrix="$SCRATCH/m.txt" --clustering="$SCRATCH/c.txt" \
-  --target=no-such-dataset
+  --store="$SCRATCH/store.log" --target=no-such-dataset
 require_stderr_contains "error:" "select with unknown target"
 
 ### select via the in-process SelectionService: --repeat/--targets reuse
@@ -168,8 +193,7 @@ if ! grep -q "served 2 requests; proxy cache:" "$STDOUT"; then
 fi
 
 expect 0 "select with target list" -- select --domain=nlp \
-  --matrix="$SCRATCH/m.txt" --clustering="$SCRATCH/c.txt" \
-  --targets=mnli,boolq
+  --store="$SCRATCH/store.log" --targets=mnli,boolq
 if ! grep -q "served 2 requests" "$STDOUT"; then
   echo "FAIL: select --targets=a,b did not serve both" >&2
   FAILURES=$((FAILURES + 1))
@@ -200,21 +224,21 @@ fi
 ### fail loudly; after training, every backend must serve.
 
 expect 1 "train-embed without artifacts" -- train-embed --domain=nlp
-require_stderr_contains "error:" "train-embed without artifacts"
-
-expect 1 "train-embed without sink" -- train-embed --domain=nlp \
-  --matrix="$SCRATCH/m.txt"
-require_stderr_contains "error:" "train-embed without sink"
+require_stderr_contains "\-\-store" "train-embed without artifacts"
 
 expect 1 "train-embed with bad dim" -- train-embed --domain=nlp \
-  --matrix="$SCRATCH/m.txt" --out="$SCRATCH/e.txt" --dim=0
+  --store="$SCRATCH/store.log" --dim=0
 require_stderr_contains "error:" "train-embed with bad dim"
 
-# A missing sink is refused before the matrix is even read.
-expect 1 "train-embed without sink, unreadable matrix" -- train-embed \
-  --domain=nlp --matrix="$SCRATCH/no/such/m.txt"
-require_stderr_contains "nowhere to persist" \
-  "train-embed without sink, unreadable matrix"
+# A missing store is refused before anything is trained, and no file is
+# created.
+expect 1 "train-embed with a missing store" -- train-embed --domain=nlp \
+  --store="$SCRATCH/no-such-store.log"
+require_stderr_contains "NotFound" "train-embed with a missing store"
+if [[ -e $SCRATCH/no-such-store.log ]]; then
+  echo "FAIL: train-embed --store=<missing> created a store file" >&2
+  FAILURES=$((FAILURES + 1))
+fi
 
 expect 1 "select with unknown backend" -- select "${ARTIFACTS[@]}" \
   --backend=no-such-backend
@@ -227,17 +251,21 @@ require_stderr_contains "error:" "select embedding backend before training"
 expect 0 "select representative backend" -- select "${ARTIFACTS[@]}" \
   --backend=representative
 
-expect 0 "train-embed into store" -- train-embed --domain=nlp \
-  --store="$SCRATCH/store.log" --out="$SCRATCH/e.txt" --epochs=50
-if [[ ! -s $SCRATCH/e.txt ]]; then
-  echo "FAIL: train-embed --out=PATH did not write the embeddings file" >&2
+# Every command above only read store.log: it is still byte-identical to
+# the copy taken after the offline build.
+if ! cmp -s "$SCRATCH/store.log" "$SCRATCH/store3.log"; then
+  echo "FAIL: reading commands modified the model store" >&2
   FAILURES=$((FAILURES + 1))
 fi
 
+# The two identical stores train, one serially and one on three threads.
+expect 0 "train-embed into store" -- train-embed --domain=nlp \
+  --store="$SCRATCH/store.log" --epochs=50
+
 # Training is deterministic across thread counts, pool or no pool.
 expect 0 "train-embed on three threads" -- train-embed --domain=nlp \
-  --matrix="$SCRATCH/m.txt" --out="$SCRATCH/e3.txt" --epochs=50 --threads=3
-if ! cmp -s "$SCRATCH/e.txt" "$SCRATCH/e3.txt"; then
+  --store="$SCRATCH/store3.log" --epochs=50 --threads=3
+if ! cmp -s "$SCRATCH/store.log" "$SCRATCH/store3.log"; then
   echo "FAIL: train-embed --threads=3 wrote different embeddings" >&2
   FAILURES=$((FAILURES + 1))
 fi
@@ -263,8 +291,8 @@ fi
 expect 0 "select embedding backend from store" -- select --domain=nlp \
   --store="$SCRATCH/store.log" --target=mnli --backend=embedding
 
-expect 0 "select hybrid backend from files" -- select "${ARTIFACTS[@]}" \
-  --embeddings="$SCRATCH/e.txt" --backend=hybrid
+expect 0 "select hybrid backend from store" -- select "${ARTIFACTS[@]}" \
+  --backend=hybrid
 
 ### --metrics: dumps after success (exit 0), never masks a failure's code,
 ### and an unwritable dump path fails a successful command.

@@ -34,8 +34,7 @@ run() {
   fi
 }
 
-run "offline build" -- offline --domain=nlp --index="$SCRATCH/i.txt" \
-  --matrix="$SCRATCH/m.txt" --clustering="$SCRATCH/c.txt" \
+run "offline build" -- offline --domain=nlp --index \
   --store="$SCRATCH/store.log"
 
 STORE=(--domain=nlp --store="$SCRATCH/store.log")

@@ -1,11 +1,10 @@
-#include <fstream>
-
 #include <gtest/gtest.h>
 
 #include "core/model_clusterer.h"
 #include "data/registry.h"
 #include "matrix/matrix_testing.h"
 #include "model/paper_zoo.h"
+#include "store/model_store.h"
 
 namespace tps {
 namespace {
@@ -31,9 +30,7 @@ ModelZoo* ClusteringPersistenceTest::zoo_ = nullptr;
 ModelClustering* ClusteringPersistenceTest::clustering_ = nullptr;
 
 TEST_F(ClusteringPersistenceTest, SaveLoadRoundTrips) {
-  const std::string path = testing::TempDir() + "/tps_clustering.txt";
-  ASSERT_TRUE(SaveClustering(*clustering_, path).ok());
-  auto loaded = LoadClustering(path);
+  auto loaded = DeserializeClustering(SerializeClustering(*clustering_));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->clusters.assignments,
             clustering_->clusters.assignments);
@@ -51,9 +48,7 @@ TEST_F(ClusteringPersistenceTest, SaveLoadRoundTrips) {
 TEST_F(ClusteringPersistenceTest, LoadedClusteringDrivesRecallIdentically) {
   // The persisted artifact must be behaviourally identical, not just
   // field-equal: NonSingletonClusters and representative lookups agree.
-  const std::string path = testing::TempDir() + "/tps_clustering2.txt";
-  ASSERT_TRUE(SaveClustering(*clustering_, path).ok());
-  auto loaded = *LoadClustering(path);
+  auto loaded = *DeserializeClustering(SerializeClustering(*clustering_));
   EXPECT_EQ(loaded.NonSingletonClusters(),
             clustering_->NonSingletonClusters());
   for (size_t m = 0; m < zoo_->size(); ++m) {
@@ -64,24 +59,17 @@ TEST_F(ClusteringPersistenceTest, LoadedClusteringDrivesRecallIdentically) {
 }
 
 TEST_F(ClusteringPersistenceTest, LoadRejectsCorruptInput) {
-  EXPECT_TRUE(LoadClustering("/no/such/file").status().IsIOError());
-  const std::string path = testing::TempDir() + "/tps_bad_clustering.txt";
-  {
-    std::ofstream out(path);
-    out << "wrong header\n";
-  }
-  EXPECT_TRUE(LoadClustering(path).status().IsInvalidArgument());
-  {
-    std::ofstream out(path);
-    out << "tps-model-clustering v1\n5 9\n";  // More clusters than models.
-  }
-  EXPECT_TRUE(LoadClustering(path).status().IsInvalidArgument());
-  {
-    std::ofstream out(path);
-    out << "tps-model-clustering v1\n2 2\n0 0 5 0 0.1 42\n0 7\n";  // Bad
-                                                                   // assign.
-  }
-  EXPECT_TRUE(LoadClustering(path).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      DeserializeClustering("wrong header\n").status().IsInvalidArgument());
+  // More clusters than models.
+  EXPECT_TRUE(DeserializeClustering("tps-model-clustering v1\n5 9\n")
+                  .status()
+                  .IsInvalidArgument());
+  // An assignment outside the cluster range.
+  EXPECT_TRUE(DeserializeClustering(
+                  "tps-model-clustering v1\n2 2\n0 0 5 0 0.1 42\n0 7\n")
+                  .status()
+                  .IsInvalidArgument());
 
   // Counts the text cannot hold are rejected before anything is sized by
   // them: a model count far past the text's length, and a distance matrix
@@ -106,8 +94,9 @@ TEST_F(ClusteringPersistenceTest, LoadRejectsCorruptInput) {
 }
 
 TEST_F(ClusteringPersistenceTest, SaveToUnwritablePathFails) {
-  EXPECT_TRUE(
-      SaveClustering(*clustering_, "/no-dir/x.txt").IsIOError());
+  // A clustering persists through the model store; a store under a
+  // missing directory cannot be opened for writing.
+  EXPECT_TRUE(ModelStore::Open("/no-dir/x.log").status().IsIOError());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "core/performance_matrix.h"
 
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <string>
 
@@ -94,9 +93,7 @@ TEST_F(PerformanceMatrixTest, MatchesDirectSimulation) {
 }
 
 TEST_F(PerformanceMatrixTest, SaveLoadRoundTrips) {
-  const std::string path = testing::TempDir() + "/tps_perf_matrix.txt";
-  ASSERT_TRUE(matrix_->SaveToFile(path).ok());
-  auto loaded = PerformanceMatrix::LoadFromFile(path);
+  auto loaded = PerformanceMatrix::Deserialize(matrix_->Serialize());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_models(), matrix_->num_models());
   EXPECT_EQ(loaded->num_datasets(), matrix_->num_datasets());
@@ -112,17 +109,9 @@ TEST_F(PerformanceMatrixTest, SaveLoadRoundTrips) {
 }
 
 TEST_F(PerformanceMatrixTest, LoadRejectsCorruptFiles) {
-  const std::string path = testing::TempDir() + "/tps_bad_matrix.txt";
-  {
-    std::ofstream out(path);
-    out << "not a matrix header\n";
-  }
-  EXPECT_TRUE(PerformanceMatrix::LoadFromFile(path)
+  EXPECT_TRUE(PerformanceMatrix::Deserialize("not a matrix header\n")
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(PerformanceMatrix::LoadFromFile("/no/such/file")
-                  .status()
-                  .IsIOError());
 }
 
 // Serialize writes 17 significant digits and Deserialize parses with

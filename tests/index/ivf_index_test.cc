@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "store/model_store.h"
 
 namespace tps {
 namespace {
@@ -283,16 +286,24 @@ TEST(IvfIndexTest, SerializeRoundTripsBitForBit) {
 }
 
 TEST(IvfIndexTest, SaveLoadFileRoundTrip) {
+  // The index persists through the model store: Put serializes it into
+  // the log, and a read-only reopen deserializes it back.
   const TestInputs inputs = MakeInputs(5, 6, 4, 10);
   const IvfIndex index = BuildOrDie(inputs, IvfIndexOptions());
-  const std::string path = testing::TempDir() + "/ivf_index_test.idx";
-  ASSERT_TRUE(index.SaveToFile(path).ok());
-  auto loaded = IvfIndex::LoadFromFile(path);
+  const std::string path = testing::TempDir() + "/ivf_index_test.log";
+  std::remove(path.c_str());
+  {
+    auto writer = ModelStore::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().message();
+    ASSERT_TRUE(writer->PutRecallIndex("nlp", index).ok());
+  }
+  auto store = ModelStore::OpenReadOnly(path);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  auto loaded = store->GetRecallIndex("nlp");
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded->Serialize(), index.Serialize());
 
-  auto missing = IvfIndex::LoadFromFile(testing::TempDir() + "/absent.idx");
-  EXPECT_FALSE(missing.ok());
+  EXPECT_TRUE(store->GetRecallIndex("absent").status().IsNotFound());
 }
 
 TEST(IvfIndexTest, DeserializeRejectsCorruptInput) {

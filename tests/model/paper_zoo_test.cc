@@ -1,14 +1,15 @@
 #include "model/paper_zoo.h"
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
-#include "core/model_clusterer.h"
 #include "model/zoo.h"
 #include "serve/artifacts.h"
+#include "store/model_store.h"
 #include "util/string_util.h"
 
 namespace tps {
@@ -153,10 +154,14 @@ TEST(ZooSharingTest, PaperZooLoadsShareModels) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   serve::ArtifactPaths paths;
   paths.domain = TaskDomain::kNLP;
-  paths.matrix = testing::TempDir() + "/tps_zoo_sharing_matrix.txt";
-  paths.clustering = testing::TempDir() + "/tps_zoo_sharing_clustering.txt";
-  ASSERT_TRUE(built->matrix.SaveToFile(paths.matrix).ok());
-  ASSERT_TRUE(SaveClustering(built->clustering, paths.clustering).ok());
+  paths.store = testing::TempDir() + "/tps_zoo_sharing_store.log";
+  std::remove(paths.store.c_str());
+  {
+    auto store = ModelStore::Open(paths.store);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(store->PutPerformanceMatrix("nlp", built->matrix).ok());
+    ASSERT_TRUE(store->PutClustering("nlp", built->clustering).ok());
+  }
 
   const auto a = serve::ServiceArtifacts::Load(paths);
   const auto b = serve::ServiceArtifacts::Load(paths);

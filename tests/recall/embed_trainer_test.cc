@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "data/registry.h"
 #include "model/paper_zoo.h"
 #include "sim/finetune_simulator.h"
+#include "store/model_store.h"
 #include "util/thread_pool.h"
 
 namespace tps {
@@ -105,11 +107,20 @@ TEST_F(EmbedTrainerTest, CodecRoundTripIsLossless) {
 }
 
 TEST_F(EmbedTrainerTest, FileRoundTripIsLossless) {
+  // Trained embeddings persist through the model store: Put serializes
+  // them into the log, and a read-only reopen deserializes them back.
   auto result = TrainRecallEmbeddings(*matrix_, *benchmarks_, FastConfig());
   ASSERT_TRUE(result.ok());
-  const std::string path = testing::TempDir() + "/embeddings.txt";
-  ASSERT_TRUE(result->embeddings.SaveToFile(path).ok());
-  auto loaded = RecallEmbeddings::LoadFromFile(path);
+  const std::string path = testing::TempDir() + "/embeddings.log";
+  std::remove(path.c_str());
+  {
+    auto writer = ModelStore::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().message();
+    ASSERT_TRUE(writer->PutRecallEmbeddings("nlp", result->embeddings).ok());
+  }
+  auto store = ModelStore::OpenReadOnly(path);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  auto loaded = store->GetRecallEmbeddings("nlp");
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded->Serialize(), result->embeddings.Serialize());
 }

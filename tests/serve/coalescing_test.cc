@@ -5,9 +5,9 @@
 // cache or flight group (coalescing changes cost, never answers).
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -233,18 +233,26 @@ TEST(ProxyFlightGroupTest, CancelledLeaderHandsOffToLiveWaiter) {
 
   leader_in_compute.get_future().wait();
   // Waiter: joins while the leader is mid-compute; after promotion it runs
-  // its OWN compute closure and must succeed.
+  // its OWN compute closure and must succeed. Its cancellation poll runs
+  // only inside the flight's wait loop, so the first poll opens the latch
+  // once the waiter has joined.
+  std::latch waiting(1);
+  std::atomic<bool> polled{false};
   std::thread waiter([&] {
     auto result = group.GetOrCompute(
-        nullptr, key, nullptr, [&]() -> StatusOr<double> { return 42.0; });
+        nullptr, key,
+        [&] {
+          if (!polled.exchange(true)) waiting.count_down();
+          return Status::OK();
+        },
+        [&]() -> StatusOr<double> { return 42.0; });
     EXPECT_TRUE(result.ok());
     if (result.ok()) {
       EXPECT_EQ(*result, 42.0);
     }
   });
-  while (group.waiters() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  waiting.wait();
+  EXPECT_EQ(group.waiters(), 1u);
   waiter_joined.set_value();
   leader.join();
   waiter.join();

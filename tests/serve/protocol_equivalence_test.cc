@@ -300,9 +300,7 @@ std::string Describe(const StatusOr<WireRequest>& outcome) {
          " backend[" + s.recall_backend + "]";
   const ArtifactPaths& p = r.reload;
   out += " domain " + std::to_string(static_cast<int>(p.domain)) + " store[" +
-         p.store + "] id[" + p.id + "] matrix[" + p.matrix + "] clustering[" +
-         p.clustering + "] index[" + p.index + "] embeddings[" +
-         p.embeddings + "]";
+         p.store + "] id[" + p.id + "]";
   return out;
 }
 

@@ -46,24 +46,14 @@ StatusOr<WireRequest> ParseRequestLine(const std::string& line) {
       return WireRequest{WireCommand::kShutdown, {}, {}};
     } else if (name == "reload") {
       request.command = WireCommand::kReload;
-      for (const char* key : {"store", "id", "matrix", "clustering",
-                              "index", "embeddings"}) {
+      for (const char* key : {"store", "id"}) {
         if (doc.Find(key) == nullptr) continue;
         TPS_ASSIGN_OR_RETURN(const std::string value, doc.GetString(key));
         if (key == std::string("store")) request.reload.store = value;
         if (key == std::string("id")) request.reload.id = value;
-        if (key == std::string("matrix")) request.reload.matrix = value;
-        if (key == std::string("clustering")) {
-          request.reload.clustering = value;
-        }
-        if (key == std::string("index")) request.reload.index = value;
-        if (key == std::string("embeddings")) {
-          request.reload.embeddings = value;
-        }
       }
-      if (request.reload.store.empty() && request.reload.matrix.empty()) {
-        return Status::InvalidArgument(
-            "reload needs \"store\" or \"matrix\"/\"clustering\" paths");
+      if (request.reload.store.empty()) {
+        return Status::InvalidArgument("reload needs a \"store\" path");
       }
       return request;
     } else {

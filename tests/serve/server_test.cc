@@ -8,7 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <future>
 #include <latch>
 #include <mutex>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "serve/protocol.h"
+#include "store/model_store.h"
 #include "util/json.h"
 #include "util/socket.h"
 
@@ -239,10 +241,20 @@ TEST_F(SelectionServerTest, TcpEndpointServes) {
 // turn over, so bookkeeping stays O(live connections).
 TEST_F(SelectionServerTest, ConnectionBookkeepingStaysBounded) {
   const std::string path = SocketPath("reap");
-  auto server = StartUnix(path);
-  ASSERT_NE(server, nullptr);
-
   constexpr int kSessions = 20;
+  // Opens once every session's handler is on the done-list. The probe's
+  // own handler finishes at Shutdown and must not count it down again.
+  std::latch sessions_done(kSessions);
+  std::atomic<int> finished{0};
+  ServerOptions options;
+  options.unix_path = path;
+  options.connection_done_hook = [&] {
+    if (finished.fetch_add(1) < kSessions) sessions_done.count_down();
+  };
+  auto server_or = SelectionServer::Start(service_.get(), options);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto& server = *server_or;
+
   for (int i = 0; i < kSessions; ++i) {
     auto client = ConnectUnix(path);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -250,24 +262,18 @@ TEST_F(SelectionServerTest, ConnectionBookkeepingStaysBounded) {
     EXPECT_EQ(Exchange(*client, &buffer, R"({"cmd": "ping"})"), PongLine());
     // Destructor closes the socket; the handler notices EOF and finishes.
   }
+  sessions_done.wait();
 
-  // Each new accept reaps whatever finished before it; probe until the
-  // stragglers' handlers have observed EOF and been joined. Only the live
-  // probe connection (and at most one not-yet-reaped session) may remain.
-  bool bounded = false;
-  for (int attempt = 0; attempt < 100 && !bounded; ++attempt) {
-    auto probe = ConnectUnix(path);
-    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-    std::string buffer;
-    EXPECT_EQ(Exchange(*probe, &buffer, R"({"cmd": "ping"})"), PongLine());
-    bounded = server->tracked_connections() <= 2;
-    if (!bounded) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  EXPECT_TRUE(bounded) << "still tracking " << server->tracked_connections()
-                       << " connections after " << kSessions
-                       << " closed sessions";
+  // The probe's accept reaps all 20 finished sessions before it registers
+  // the probe, and the pong proves the probe is registered: only the live
+  // probe connection remains.
+  auto probe = ConnectUnix(path);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  std::string buffer;
+  EXPECT_EQ(Exchange(*probe, &buffer, R"({"cmd": "ping"})"), PongLine());
+  EXPECT_EQ(server->tracked_connections(), 1u)
+      << "still tracking finished sessions after " << kSessions
+      << " closed sessions";
   server->Shutdown();
 }
 
@@ -342,15 +348,17 @@ TEST_F(SelectionServerTest, ShutdownHonoredWhenAckSendFails) {
 }
 
 TEST_F(SelectionServerTest, ReloadOverTheWire) {
-  // Persist the suite artifacts as the plain-file pair a reload names.
-  const std::string dir = testing::TempDir();
-  const std::string matrix_path =
-      dir + std::string("/tps_server_test_reload_matrix_") + std::to_string(::getpid());
-  const std::string clustering_path =
-      dir + "/tps_server_test_reload_clustering_" +
-      std::to_string(::getpid());
-  ASSERT_TRUE(artifacts_->matrix.SaveToFile(matrix_path).ok());
-  ASSERT_TRUE(SaveClustering(artifacts_->clustering, clustering_path).ok());
+  // Persist the suite artifacts in the model store a reload names.
+  const std::string store_path = testing::TempDir() +
+                                 "/tps_server_test_reload_" +
+                                 std::to_string(::getpid()) + ".log";
+  std::remove(store_path.c_str());
+  {
+    auto store = ModelStore::Open(store_path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(store->PutPerformanceMatrix("nlp", artifacts_->matrix).ok());
+    ASSERT_TRUE(store->PutClustering("nlp", artifacts_->clustering).ok());
+  }
 
   const std::string path = SocketPath("reload");
   auto server = StartUnix(path);
@@ -366,20 +374,20 @@ TEST_F(SelectionServerTest, ReloadOverTheWire) {
   ASSERT_TRUE(before->status.ok()) << before->status.ToString();
   EXPECT_EQ(before->artifact_version, 1u);
 
-  // A reload naming a missing file fails and changes nothing.
-  auto bad = json::Parse(Exchange(
+  // A reload naming a missing store fails with NotFound, changes nothing
+  // and leaves no file behind.
+  const std::string missing = store_path + ".missing";
+  auto bad = ParseResponseLine(Exchange(
       *client, &buffer,
-      R"({"cmd": "reload", "matrix": "/no/such/file", "clustering": ")" +
-          clustering_path + "\"}"));
-  ASSERT_TRUE(bad.ok());
-  EXPECT_EQ(*bad->GetBool("ok"), false);
+      R"({"cmd": "reload", "store": ")" + missing + "\"}"));
+  EXPECT_TRUE(bad.status().IsNotFound()) << bad.status().ToString();
   EXPECT_EQ(service_->artifact_version(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(missing));
 
   // A real reload bumps the version; the session survives the swap.
   auto ack = json::Parse(Exchange(
-      *client, &buffer, R"({"cmd": "reload", "matrix": ")" + matrix_path +
-                            R"(", "clustering": ")" + clustering_path +
-                            "\"}"));
+      *client, &buffer,
+      R"({"cmd": "reload", "store": ")" + store_path + "\"}"));
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(*ack->GetBool("ok"), true);
   EXPECT_EQ(*ack->GetNumber("artifact_version"), 2.0);
@@ -400,8 +408,7 @@ TEST_F(SelectionServerTest, ReloadOverTheWire) {
   EXPECT_EQ(*inner->GetNumber("reloads"), 1.0);
 
   server->Shutdown();
-  ::unlink(matrix_path.c_str());
-  ::unlink(clustering_path.c_str());
+  ::unlink(store_path.c_str());
 }
 
 TEST_F(SelectionServerTest, ShutdownWithLiveConnectionUnblocksIt) {

@@ -7,8 +7,8 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
+#include <latch>
 #include <string>
 #include <thread>
 
@@ -213,15 +213,19 @@ TEST(SocketTest, ShutdownUnblocksParkedAccept) {
   auto server = ServerSocket::ListenUnix(path);
   ASSERT_TRUE(server.ok());
 
+  // Shutdown must stop the acceptor whether it is already parked in
+  // accept(2) or only about to enter it (then accept fails at once), so
+  // the latch only has to order Shutdown after the acceptor has started.
   std::atomic<bool> accept_returned{false};
+  std::latch accepting(1);
   std::thread acceptor([&] {
+    accepting.count_down();
     auto conn = server->Accept();  // Parks: no client will connect.
     EXPECT_FALSE(conn.ok());
     EXPECT_TRUE(conn.status().IsUnavailable()) << conn.status().ToString();
     accept_returned.store(true);
   });
-  // Give the acceptor time to actually park in accept(2).
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  accepting.wait();
   EXPECT_FALSE(accept_returned.load());
   server->Shutdown();
   acceptor.join();
@@ -240,12 +244,15 @@ TEST(SocketTest, ShutdownBothUnblocksParkedReader) {
   auto conn = server->Accept();
   ASSERT_TRUE(conn.ok());
 
+  // As above: a recv entered before or after ShutdownBoth reads EOF.
+  std::latch reading(1);
   std::thread reader([&] {
+    reading.count_down();
     std::string buffer;
     auto line = conn->RecvLine(&buffer);  // Parks: client sends nothing.
     EXPECT_FALSE(line.ok());  // Reads as EOF once shut down.
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  reading.wait();
   conn->ShutdownBoth();
   reader.join();
 }

@@ -17,6 +17,12 @@ std::string TempPath(const std::string& name) {
   return path;
 }
 
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST(KvStoreTest, PutGetDelete) {
   auto store = std::move(KvStore::Open(TempPath("kv_basic.log"))).value();
   ASSERT_TRUE(store.Put("alpha", "1").ok());
@@ -130,10 +136,7 @@ TEST(KvStoreTest, TornTailIsTruncatedSoPostRecoveryWritesSurvive) {
     ASSERT_TRUE(store.Put("victim", "will be torn").ok());
   }
   // Chop a few bytes off the end (crash mid-append of the second record).
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  std::string bytes = ReadAll(path);
   bytes.resize(bytes.size() - 3);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << bytes;
@@ -155,6 +158,34 @@ TEST(KvStoreTest, TornTailIsTruncatedSoPostRecoveryWritesSurvive) {
   EXPECT_EQ(*store.Get("survivor"), "intact");
   EXPECT_EQ(*store.Get("after-crash"), "must survive");
   EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(KvStoreTest, ReadOnlyOpenOfMissingLogCreatesNothing) {
+  const std::string path = TempPath("kv_read_only_missing.log");
+  auto store = KvStore::OpenReadOnly(path);
+  EXPECT_TRUE(store.status().IsNotFound()) << store.status().ToString();
+  EXPECT_NE(store.status().message().find(path), std::string::npos);
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
+TEST(KvStoreTest, ReadOnlyOpenLeavesTornTailAndRejectsWrites) {
+  const std::string path = TempPath("kv_read_only_torn.log");
+  {
+    auto store = std::move(KvStore::Open(path)).value();
+    ASSERT_TRUE(store.Put("kept", "intact").ok());
+  }
+  // A writer mid-append: stray bytes after the last whole record.
+  std::ofstream(path, std::ios::binary | std::ios::app) << "torn";
+  const std::string before = ReadAll(path);
+
+  auto store = std::move(KvStore::OpenReadOnly(path)).value();
+  EXPECT_EQ(*store.Get("kept"), "intact");
+  EXPECT_TRUE(store.recovery_stats().tail_was_torn);
+  EXPECT_EQ(store.recovery_stats().bytes_truncated, 0u);
+  EXPECT_TRUE(store.Put("new", "value").IsFailedPrecondition());
+  EXPECT_TRUE(store.Delete("kept").IsFailedPrecondition());
+  EXPECT_TRUE(store.Compact().IsFailedPrecondition());
+  EXPECT_EQ(ReadAll(path), before);
 }
 
 TEST(KvStoreTest, RandomOpsMatchReferenceModel) {

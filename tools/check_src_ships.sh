@@ -7,7 +7,10 @@
 # tests/. This script fails when a src/**/*.h header is #included from
 # nowhere in src/ (its own .cc aside), tools/, perfbench/ or examples/: such
 # a module has no production user, so it belongs in bench/lib/ or tests/,
-# or should be deleted. It is a tripwire, not a proof, and it runs
+# or should be deleted. It also fails when a std::ifstream/std::ofstream
+# appears in src/ outside src/util/env.cc: every byte the library reads or
+# writes goes through Env, where FaultInjectingEnv and the crash-point
+# suite reach it. It is a tripwire, not a proof, and it runs
 # exit-code-audit style as the `src_ships` ctest.
 #
 #   usage: check_src_ships.sh <repo-root>
@@ -62,6 +65,19 @@ if [[ $missing -eq 0 ]]; then
          "${orphans[@]}"
   else
     echo "ok: every src/ header is included from ${SCANNED[*]}"
+  fi
+fi
+
+# 3. File streams live only behind Env (src/util/env.cc): a second file
+#    path bypasses checksums, torn-tail recovery and fault injection.
+if [[ -d $ROOT/src ]]; then
+  streams=$(cd "$ROOT" && grep -rnE 'std::(i|o)?fstream' \
+    --include='*.h' --include='*.cc' src | grep -v '^src/util/env\.cc:')
+  if [[ -n $streams ]]; then
+    fail "file streams outside src/util/env.cc — read and write through Env" \
+         "$streams"
+  else
+    echo "ok: no file stream in src/ outside src/util/env.cc"
   fi
 fi
 

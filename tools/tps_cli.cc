@@ -1,12 +1,13 @@
 // tps_cli — command-line front end for the two-phase model-selection
 // library. Mirrors the workflow a model-repository operator runs:
 //
-//   tps_cli offline  --domain=nlp --matrix=m.txt --clustering=c.txt
-//                    [--index[=i.txt]] [--partitions=P]
+//   tps_cli offline  --domain=nlp --store=store.log [--id=nlp]
+//                    [--index] [--partitions=P]
 //                    [--gen=N --gen-seed=S --gen-lineages=L --prefix=gen]
 //       Build the offline artifacts (performance matrix + model
-//       clustering) for the paper zoo and persist them. --index also
-//       builds the sub-linear IVF recall index. --gen=N swaps the paper
+//       clustering) for the paper zoo and persist them, with the zoo's
+//       model specs, into the model store. --index also builds the
+//       sub-linear IVF recall index into the store. --gen=N swaps the paper
 //       zoo for a generated zoo of N models (see zoo-gen); generated
 //       zoos always get an index, and their serving clustering is derived
 //       from the index partitioning (the hierarchical clusterer does not
@@ -19,37 +20,35 @@
 //       seeded, deterministic), print a sample, and optionally register
 //       every spec in a model store.
 //
-//   tps_cli recall   --domain=nlp --matrix=m.txt --clustering=c.txt ...
+//   tps_cli recall   --domain=nlp --store=store.log [--id=nlp]
 //                    --target=mnli [--k=10] [--proxy=leep | --proxies=a,b]
-//                    [--index=i.txt] [--nprobe=N]
+//                    [--nprobe=N]
 //       Print the coarse-recall ranking for a target dataset, its proxy
 //       cost and, when the artifacts carry a recall index, how many of
 //       its partitions were probed.
 //
-//   tps_cli select   --domain=nlp --matrix=m.txt --clustering=c.txt ...
+//   tps_cli select   --domain=nlp --store=store.log [--id=nlp]
 //                    --target=mnli [--k=10] [--threshold=0.0]
 //                    [--repeat=N] [--targets=a,b,c] [--cache=4096]
 //                    [--deadline=MS] [--backend=representative|embedding|
-//                    hybrid] [--embeddings=e.txt] [--report=r.md]
-//                    [--trace=t.json]
+//                    hybrid] [--report=r.md] [--trace=t.json]
 //       Run the full two-phase selection and print the selected model,
 //       its accuracy, the survivors per epoch and the epoch cost.
 //       --repeat / --targets reuse the loaded artifacts (and the proxy-
 //       score cache) across requests. --backend routes recall phase 1
 //       through a named RecallBackend (embedding/hybrid need trained
-//       embeddings from `train-embed`, via the --store or
-//       --embeddings=PATH). --report writes a markdown report, --trace the
-//       SelectionTrace JSON that `trace` prints.
+//       embeddings in the store, from `train-embed`). --report writes a
+//       markdown report, --trace the SelectionTrace JSON that `trace`
+//       prints.
 //
-//   tps_cli train-embed --domain=nlp --matrix=m.txt | --store=store.log
+//   tps_cli train-embed --domain=nlp --store=store.log [--id=nlp]
 //                    [--dim=16] [--epochs=300] [--lr=0.5]
 //                    [--temperature=0.2] [--acc-temperature=0.05]
-//                    [--seed=7] [--threads=1] [--out=e.txt]
-//       Train the two-tower recall embeddings from the offline performance
+//                    [--seed=7] [--threads=1]
+//       Train the two-tower recall embeddings from the store's performance
 //       matrix (full-batch GD, in-batch softmax negatives; deterministic
-//       for any --threads). Persists into the --store under the artifact
-//       id and/or to --out as a plain file, and prints the loss curve
-//       endpoints.
+//       for any --threads). Persists them into the store under the
+//       artifact id and prints the loss curve endpoints.
 //
 //   tps_cli baselines --domain=nlp --target=mnli
 //       Compare brute force / successive halving / fine-selection /
@@ -66,7 +65,7 @@
 //       Compact a model store's log (drop overwritten/deleted records)
 //       and print the log size before/after plus recovery stats.
 //
-//   tps_cli trace    --domain=nlp --matrix=m.txt --clustering=c.txt ...
+//   tps_cli trace    --domain=nlp --store=store.log [--id=nlp]
 //                    --target=mnli [--k=10] [--threshold=0.0] [--out=t.json]
 //       Run the full two-phase selection and emit the structured
 //       SelectionTrace as JSON (per-cluster recall scores, recalled set,
@@ -77,13 +76,12 @@
 //   artifacts into an in-process SelectionService (the one `serve` runs)
 //   and runs its request through it, so for the same flags they recall,
 //   select and charge identically and differ only in what they print.
-//   Artifacts come from a model store (--store=s.log [--id=nlp]) or from
-//   files (--matrix + --clustering [--index=i.txt] [--embeddings=e.txt]).
-//   The artifacts pick the recall index: a store's IVF when it holds one,
-//   the --index file in file mode, else the exact index over the
-//   clustering. All three take the request flags (--k >= 1, --threshold,
-//   --proxy/--proxies, --nprobe, --backend, --deadline) and --threads /
-//   --cache.
+//   Artifacts come from a model store (--store=s.log [--id=nlp]), opened
+//   read-only: a missing store is an error and no file is created. The
+//   artifacts pick the recall index: the store's IVF when it holds one,
+//   else the exact index over the clustering. All three take the request
+//   flags (--k >= 1, --threshold, --proxy/--proxies, --nprobe, --backend,
+//   --deadline) and --threads / --cache.
 //
 //   tps_cli serve    --domain=nlp --store=store.log
 //                    --socket=/tmp/tps.sock | --port=0 [--workers=2]
@@ -101,8 +99,7 @@
 //       reply. Exit 0 iff the reply says "ok": true.
 //
 //   tps_cli reload   --socket=/tmp/tps.sock | --port=N
-//                    --store=store.log [--id=nlp] |
-//                    --matrix=PATH --clustering=PATH
+//                    --store=store.log [--id=nlp]
 //       Hot-swap a running server onto new artifacts with zero downtime:
 //       the server loads + validates the named artifacts off the serving
 //       path and publishes them as the next artifact version. In-flight
@@ -209,13 +206,9 @@ StatusOr<Pipeline> LoadPipeline(const FlagParser& flags) {
 }
 
 int RunOffline(const FlagParser& flags) {
-  auto domain_or = DomainFromFlag(flags);
-  if (!domain_or.ok()) return Fail(domain_or.status());
-  const TaskDomain domain = *domain_or;
-  const std::string matrix_path =
-      flags.GetString("matrix", "tps_matrix.txt");
-  const std::string clustering_path =
-      flags.GetString("clustering", "tps_clustering.txt");
+  auto paths_or = serve::ArtifactPathsFromFlags(flags);
+  if (!paths_or.ok()) return Fail(paths_or.status());
+  const TaskDomain domain = paths_or->domain;
 
   auto registry_or = DatasetRegistry::CreatePaperInventory();
   if (!registry_or.ok()) return Fail(registry_or.status());
@@ -295,55 +288,37 @@ int RunOffline(const FlagParser& flags) {
   }
   if (!clustering_or.ok()) return Fail(clustering_or.status());
 
-  // Optionally also register everything in a model store.
-  const std::string store_path = flags.GetString("store");
-  if (!store_path.empty()) {
-    const std::string id =
-        flags.GetString("id", domain == TaskDomain::kNLP ? "nlp" : "cv");
-    auto store_or = ModelStore::Open(store_path);
-    if (!store_or.ok()) return Fail(store_or.status());
-    ModelStore store = std::move(store_or).value();
-    for (const PretrainedModel& model : zoo_or->models()) {
-      Status put = store.PutModelSpec(model.spec());
-      if (!put.ok()) return Fail(put);
-    }
-    for (const Dataset& dataset : registry_or->datasets()) {
-      if (dataset.spec().domain != domain) continue;
-      Status put = store.PutDatasetSpec(dataset.spec());
-      if (!put.ok()) return Fail(put);
-    }
-    Status put = store.PutPerformanceMatrix(id, *matrix_or);
+  // Register the zoo and the artifacts in the store.
+  const std::string& store_path = paths_or->store;
+  const std::string id = paths_or->artifact_id();
+  auto store_or = ModelStore::Open(store_path);
+  if (!store_or.ok()) return Fail(store_or.status());
+  ModelStore store = std::move(store_or).value();
+  for (const PretrainedModel& model : zoo_or->models()) {
+    Status put = store.PutModelSpec(model.spec());
     if (!put.ok()) return Fail(put);
-    put = store.PutClustering(id, *clustering_or);
-    if (!put.ok()) return Fail(put);
-    if (index.has_value()) {
-      put = store.PutRecallIndex(id, *index);
-      if (!put.ok()) return Fail(put);
-    }
-    std::cout << "model store -> " << store_path << " (id " << id << ", "
-              << store.size() << " entries)\n";
   }
-
-  Status save = matrix_or->SaveToFile(matrix_path);
-  if (!save.ok()) return Fail(save);
-  save = SaveClustering(*clustering_or, clustering_path);
-  if (!save.ok()) return Fail(save);
+  Status put = store.PutPerformanceMatrix(id, *matrix_or);
+  if (!put.ok()) return Fail(put);
+  put = store.PutClustering(id, *clustering_or);
+  if (!put.ok()) return Fail(put);
+  if (index.has_value()) {
+    put = store.PutRecallIndex(id, *index);
+    if (!put.ok()) return Fail(put);
+  }
 
   std::cout << "offline artifacts for " << ToString(domain) << ": "
             << matrix_or->num_models() << " models x "
             << matrix_or->num_datasets() << " benchmarks\n"
-            << "  performance matrix -> " << matrix_path << "\n"
-            << "  model clustering   -> " << clustering_path << " ("
+            << "  model store -> " << store_path << " (id " << id << ", "
+            << store.size() << " entries)\n"
+            << "  model clustering: "
             << clustering_or->NonSingletonClusters().size()
-            << " non-singleton clusters)\n";
+            << " non-singleton clusters\n";
   if (index.has_value()) {
-    std::string index_path = flags.GetString("index");
-    if (index_path.empty()) index_path = "tps_index.txt";
-    save = index->SaveToFile(index_path);
-    if (!save.ok()) return Fail(save);
-    std::cout << "  recall index       -> " << index_path << " ("
-              << index->num_partitions() << " partitions, default nprobe "
-              << index->default_nprobe() << ")\n";
+    std::cout << "  recall index: " << index->num_partitions()
+              << " partitions, default nprobe " << index->default_nprobe()
+              << "\n";
   }
   return 0;
 }
@@ -544,37 +519,21 @@ int RunTrace(const FlagParser& flags) {
 }
 
 int RunTrainEmbed(const FlagParser& flags) {
-  auto domain_or = DomainFromFlag(flags);
-  if (!domain_or.ok()) return Fail(domain_or.status());
-  const TaskDomain domain = *domain_or;
+  // The matrix comes from the model store (--store [+ --id]) and the
+  // embeddings go back into it, through one open (each replays the whole
+  // log). A mistyped --store must fail, not create an empty store.
+  auto paths_or = serve::ArtifactPathsFromFlags(flags);
+  if (!paths_or.ok()) return Fail(paths_or.status());
+  const std::string& store_path = paths_or->store;
+  const std::string id = paths_or->artifact_id();
   auto registry_or = DatasetRegistry::CreatePaperInventory();
   if (!registry_or.ok()) return Fail(registry_or.status());
-
-  // Matrix comes from a model store (--store [+ --id]) or a plain file
-  // (--matrix), same convention as `recall`/`select`; the embeddings go
-  // back into that store and/or to --out. Both ends are checked before
-  // anything is loaded or trained.
-  const std::string store_path = flags.GetString("store");
-  const std::string matrix_path = flags.GetString("matrix");
-  const std::string out_path = flags.GetString("out");
-  const std::string id =
-      flags.GetString("id", domain == TaskDomain::kNLP ? "nlp" : "cv");
-  if (store_path.empty() && matrix_path.empty()) {
-    return Fail(Status::InvalidArgument(
-        "--store or --matrix is required (run `tps_cli offline` first)"));
+  if (!Env::Default()->FileExists(store_path)) {
+    return Fail(Status::NotFound("no store at " + store_path));
   }
-  if (store_path.empty() && out_path.empty()) {
-    return Fail(Status::InvalidArgument(
-        "nowhere to persist: pass --store and/or --out=PATH"));
-  }
-  std::optional<ModelStore> store;
-  if (!store_path.empty()) {
-    auto store_or = ModelStore::Open(store_path);
-    if (!store_or.ok()) return Fail(store_or.status());
-    store.emplace(std::move(store_or).value());
-  }
-  auto matrix_or = store ? store->GetPerformanceMatrix(id)
-                         : PerformanceMatrix::LoadFromFile(matrix_path);
+  auto store_or = ModelStore::Open(store_path);
+  if (!store_or.ok()) return Fail(store_or.status());
+  auto matrix_or = store_or->GetPerformanceMatrix(id);
   if (!matrix_or.ok()) return Fail(matrix_or.status());
   const PerformanceMatrix& matrix = *matrix_or;
 
@@ -628,17 +587,10 @@ int RunTrainEmbed(const FlagParser& flags) {
   if (!trained_or.ok()) return Fail(trained_or.status());
   const recall::EmbedTrainingResult& trained = *trained_or;
 
-  if (store) {
-    Status put = store->PutRecallEmbeddings(id, trained.embeddings);
-    if (!put.ok()) return Fail(put);
-    std::cout << "recall embeddings -> " << store_path << " (id " << id
-              << ")\n";
-  }
-  if (!out_path.empty()) {
-    Status save = trained.embeddings.SaveToFile(out_path);
-    if (!save.ok()) return Fail(save);
-    std::cout << "recall embeddings -> " << out_path << "\n";
-  }
+  Status put = store_or->PutRecallEmbeddings(id, trained.embeddings);
+  if (!put.ok()) return Fail(put);
+  std::cout << "recall embeddings -> " << store_path << " (id " << id
+            << ")\n";
   std::cout << "trained " << trained.embeddings.num_models() << " model"
             << " embeddings (dim " << trained.embeddings.dim() << ") over "
             << matrix.num_datasets() << " benchmarks in " << config.epochs

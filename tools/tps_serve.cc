@@ -1,9 +1,10 @@
 // tps_serve — standalone NDJSON selection server.
 //
 //   tps_serve --domain=nlp --store=store.log --socket=/tmp/tps.sock
-//   tps_serve --domain=cv --matrix=m.txt --clustering=c.txt --port=0
+//   tps_serve --domain=cv --store=store.log --id=cv --port=0
 //
-// Loads the offline artifacts once, then answers selection requests over a
+// Loads the offline artifacts from a model store (written by `tps_cli
+// offline --store`) once, then answers selection requests over a
 // Unix-domain socket (--socket=PATH) and/or TCP on 127.0.0.1 (--port=N;
 // port 0 auto-assigns and prints the chosen port). Tuning: --workers
 // (request workers, default 2), --queue (admission-queue depth, 64),
