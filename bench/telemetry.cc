@@ -22,6 +22,11 @@ void BenchTelemetry::RecordValue(const std::string& key, double value) {
   values_.emplace_back(key, value);
 }
 
+void BenchTelemetry::RecordProvenance(const std::string& key,
+                                      const std::string& value) {
+  provenance_.emplace_back(key, value);
+}
+
 std::string BenchTelemetry::ToJson(int indent) const {
   json::Value root = json::Value::Object();
   root.Set("bench", json::Value::String(bench_name_));
@@ -41,6 +46,13 @@ std::string BenchTelemetry::ToJson(int indent) const {
     values.Set(key, json::Value::Number(value));
   }
   root.Set("values", std::move(values));
+  if (!provenance_.empty()) {
+    json::Value provenance = json::Value::Object();
+    for (const auto& [key, value] : provenance_) {
+      provenance.Set(key, json::Value::String(value));
+    }
+    root.Set("provenance", std::move(provenance));
+  }
   return root.Dump(indent);
 }
 

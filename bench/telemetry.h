@@ -25,12 +25,15 @@ namespace bench {
 ///        "training_epochs": 0, "inference_epochs": 3.5},
 ///       ...
 ///     ],
-///     "values": {"NLP/mnli/bf_epochs": 200, ...}
+///     "values": {"NLP/mnli/bf_epochs": 200, ...},
+///     "provenance": {"nproc": "4", "build_type": "Release", ...}
 ///   }
 ///
 /// `phases` is ordered as recorded (one entry per measured pipeline phase:
 /// wall time plus the epoch costs charged during it); `values` holds
-/// free-form scalar results keyed "<domain>/<target>/<metric>".
+/// free-form scalar results keyed "<domain>/<target>/<metric>";
+/// `provenance` (present only when recorded) names the host and build the
+/// numbers came from.
 ///
 /// The file is written as `BENCH_<name>.json` into the directory named by
 /// the TPS_BENCH_TELEMETRY_DIR environment variable, or the working
@@ -46,6 +49,9 @@ class BenchTelemetry {
 
   /// Records one scalar result (insertion order is preserved).
   void RecordValue(const std::string& key, double value);
+
+  /// Records one provenance string, e.g. ("compiler", __VERSION__).
+  void RecordProvenance(const std::string& key, const std::string& value);
 
   std::string ToJson(int indent = 2) const;
 
@@ -72,6 +78,7 @@ class BenchTelemetry {
   std::string bench_name_;
   std::vector<Phase> phases_;
   std::vector<std::pair<std::string, double>> values_;
+  std::vector<std::pair<std::string, std::string>> provenance_;
 };
 
 }  // namespace bench

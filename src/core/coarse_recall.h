@@ -102,6 +102,8 @@ struct RecallEntry {
   /// True if the proxy component was propagated via Eq. 4 rather than
   /// computed from the model's own cluster representative.
   bool via_propagation = false;
+
+  bool operator==(const RecallEntry&) const = default;
 };
 
 struct RecallResult {
@@ -120,6 +122,8 @@ struct RecallResult {
   /// Rank position (0-based) of a model in the recall ordering; the zoo
   /// size if absent.
   size_t RankOf(size_t model_index) const;
+
+  bool operator==(const RecallResult&) const = default;
 };
 
 namespace recall {

@@ -1,17 +1,58 @@
 #include "core/fine_selection.h"
 
 #include <algorithm>
+#include <bit>
 
+#include "transfer/score_cache.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
 namespace tps {
 
+size_t FineTuneCurveMemo::KeyHash::operator()(const Key& key) const {
+  // The fingerprint is already a well-mixed hash; fold the rest into it.
+  uint64_t h = key.dataset_fingerprint;
+  for (uint64_t v : {static_cast<uint64_t>(key.model_index),
+                     static_cast<uint64_t>(key.epochs),
+                     key.learning_rate_bits, key.seed}) {
+    h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 29;
+  }
+  return static_cast<size_t>(h);
+}
+
+bool FineTuneCurveMemo::Lookup(const Key& key,
+                               std::span<double> curve) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = curves_.find(key);
+  if (it == curves_.end()) return false;
+  TPS_CHECK(it->second.size() == curve.size());
+  std::copy(it->second.begin(), it->second.end(), curve.begin());
+  return true;
+}
+
+void FineTuneCurveMemo::Insert(const Key& key,
+                               std::span<const double> curve) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (curves_.size() >= kMaxEntries) curves_.clear();
+  curves_.try_emplace(key, curve.begin(), curve.end());
+}
+
+size_t FineTuneCurveMemo::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return curves_.size();
+}
+
 FineSelectionSelector::FineSelectionSelector(
     const ModelZoo* zoo, const FineTuneSimulator* simulator,
-    const ConvergenceTrendMiner* miner, FineSelectionOptions options)
-    : zoo_(zoo), simulator_(simulator), miner_(miner), options_(options) {
+    const ConvergenceTrendMiner* miner, FineSelectionOptions options,
+    FineTuneCurveMemo* curve_memo)
+    : zoo_(zoo),
+      simulator_(simulator),
+      miner_(miner),
+      options_(options),
+      curve_memo_(curve_memo) {
   TPS_CHECK(zoo_ != nullptr);
   TPS_CHECK(simulator_ != nullptr);
   TPS_CHECK(miner_ != nullptr);
@@ -36,17 +77,41 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
   TPS_RETURN_NOT_OK(CheckCancel(cancel, "fine selection entry"));
   WallTimer phase_timer;
 
-  // Deterministic full curves; prefixes are consumed stage by stage. Each
-  // candidate's run is an independent simulated fine-tune, so they fan out
-  // over the pool into index-addressed slots.
-  std::vector<TrainingRun> runs(candidates.size());
+  // Deterministic full curves; prefixes are consumed stage by stage.
+  // Candidate i's curve is curves[i * 2 * epochs, (i + 1) * 2 * epochs):
+  // its validation values, then its test values. Each curve is an
+  // independent simulated fine-tune (or a memo copy of one), so they fan
+  // out over the pool into index-addressed slots. The simulator rejects
+  // hp.epochs < 1 before a curve is read.
+  const size_t epochs = static_cast<size_t>(std::max(hp.epochs, 0));
+  std::vector<double> curves(candidates.size() * 2 * epochs);
+  const uint64_t fingerprint =
+      curve_memo_ != nullptr ? DatasetFingerprint(target) : 0;
   TPS_RETURN_NOT_OK(StatusParallelFor(
       pool, candidates.size(), [&](size_t i) -> Status {
         TPS_RETURN_NOT_OK(CheckCancel(cancel, "simulator fan-out"));
-        TPS_ASSIGN_OR_RETURN(
-            runs[i], simulator_->Run(zoo_->model(candidates[i]), target, hp));
+        const std::span<double> curve =
+            std::span<double>(curves).subspan(i * 2 * epochs, 2 * epochs);
+        FineTuneCurveMemo::Key key;
+        if (curve_memo_ != nullptr) {
+          key = {fingerprint, candidates[i], hp.epochs,
+                 std::bit_cast<uint64_t>(hp.learning_rate), hp.seed};
+          if (curve_memo_->Lookup(key, curve)) {
+            instruments.fine_curve_hits.Increment();
+            return Status::OK();
+          }
+        }
+        TPS_RETURN_NOT_OK(simulator_->Simulate(zoo_->model(candidates[i]),
+                                               target, hp,
+                                               curve.first(epochs),
+                                               curve.last(epochs)));
+        instruments.fine_curve_misses.Increment();
+        if (curve_memo_ != nullptr) curve_memo_->Insert(key, curve);
         return Status::OK();
       }));
+  const auto val_at = [&](size_t pos, size_t stage) {
+    return curves[pos * 2 * epochs + stage];
+  };
 
   SelectionOutcome outcome;
   std::vector<size_t> remaining(candidates.size());
@@ -82,7 +147,7 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
     }
 
     const auto val_at_stage = [&](size_t pos) {
-      return runs[pos].val_accuracy[static_cast<size_t>(stage)];
+      return val_at(pos, static_cast<size_t>(stage));
     };
 
     // Predict each survivor's final accuracy from its convergence trends
@@ -168,12 +233,11 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
 
   size_t best = remaining[0];
   for (size_t pos : remaining) {
-    if (runs[pos].val_accuracy.back() > runs[best].val_accuracy.back()) {
-      best = pos;
-    }
+    if (val_at(pos, epochs - 1) > val_at(best, epochs - 1)) best = pos;
   }
   outcome.selected_model = candidates[best];
-  outcome.selected_accuracy = runs[best].final_test();
+  // The final trained epoch's test accuracy, the curve's last value.
+  outcome.selected_accuracy = curves[(best + 1) * 2 * epochs - 1];
 
   const double wall_ms = phase_timer.ElapsedMillis();
   instruments.fine_runs.Increment();

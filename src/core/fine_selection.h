@@ -1,6 +1,10 @@
 #ifndef TPS_CORE_FINE_SELECTION_H_
 #define TPS_CORE_FINE_SELECTION_H_
 
+#include <cstdint>
+#include <mutex>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/cancellation.h"
@@ -25,6 +29,50 @@ struct FineSelectionOptions {
   double threshold = 0.0;
 };
 
+/// Bounded memo of simulated fine-tune curves ("Threading model" in
+/// DESIGN.md). A curve is a pure function of (model, target, hyperparams),
+/// so a hit is bit-identical to re-running the simulator. Keyed by value —
+/// DatasetFingerprint(target), the model's zoo index, and hp's epochs,
+/// learning rate (by bits) and seed — never by a Dataset address, since
+/// callers pass temporary datasets. Zoo indices only name models within
+/// one zoo, so a memo must serve a single (zoo, simulator) pair:
+/// TwoPhaseSelector owns one per artifact version, beside its trend memo.
+/// At kMaxEntries the memo is cleared before the next insert, which keeps
+/// the hit path free of LRU bookkeeping. Thread-safe.
+class FineTuneCurveMemo {
+ public:
+  /// Entry cap. The benchmark's serving mixes read about 120 (target,
+  /// model) pairs, so a clear is rare.
+  static constexpr size_t kMaxEntries = 4096;
+
+  struct Key {
+    uint64_t dataset_fingerprint = 0;
+    size_t model_index = 0;
+    int epochs = 0;
+    uint64_t learning_rate_bits = 0;
+    uint64_t seed = 0;
+
+    bool operator==(const Key&) const = default;
+  };
+
+  /// Copies the memoized curve of `key` (its epochs validation values, then
+  /// its epochs test values) into `curve` and returns true; false on a miss.
+  bool Lookup(const Key& key, std::span<double> curve) const;
+  /// Stores `curve` under `key`, clearing the memo first when it is full.
+  /// A key already present keeps its curve (both are the same bits).
+  void Insert(const Key& key, std::span<const double> curve);
+
+  size_t size() const;
+
+ private:
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
+
+  mutable std::mutex mu_;
+  std::unordered_map<Key, std::vector<double>, KeyHash> curves_;
+};
+
 /// The paper's fine-selection strategy (Algorithm 1): successive halving
 /// augmented with convergence-trend prediction. At each stage every
 /// survivor trains one epoch; then
@@ -40,18 +88,25 @@ struct FineSelectionOptions {
 /// successive halving's and usually far less.
 class FineSelectionSelector {
  public:
-  /// Pointers must outlive this object.
+  /// Pointers must outlive this object. `curve_memo` (may be null)
+  /// memoizes the simulated curves across Select calls; it must only ever
+  /// see this zoo and simulator.
   FineSelectionSelector(const ModelZoo* zoo,
                         const FineTuneSimulator* simulator,
                         const ConvergenceTrendMiner* miner,
-                        FineSelectionOptions options = FineSelectionOptions());
+                        FineSelectionOptions options = FineSelectionOptions(),
+                        FineTuneCurveMemo* curve_memo = nullptr);
 
   /// Runs the selection over `candidates` (zoo indices, which must also be
   /// valid row indices of the miner's performance matrix). Charges training
   /// epochs to `budget` (may be null).
   ///
-  /// When `pool` is non-null, the per-survivor epoch steps (simulated
-  /// fine-tune runs) and per-survivor trend predictions run concurrently
+  /// Each candidate's full curve is read from the memo or, on a miss,
+  /// simulated and stored; `fine.curve_hits` and `fine.curve_misses` count
+  /// the two (every simulator run is a miss, memo or not).
+  ///
+  /// When `pool` is non-null, the per-candidate curves (memo reads or
+  /// simulator runs) and per-survivor trend predictions run concurrently
   /// on the pool; every task writes an index-addressed slot and the
   /// fine-filter / halving step stays serial, so the outcome and the
   /// budget ledger are bit-identical to the serial run.
@@ -81,6 +136,7 @@ class FineSelectionSelector {
   const FineTuneSimulator* simulator_;
   const ConvergenceTrendMiner* miner_;
   FineSelectionOptions options_;
+  FineTuneCurveMemo* curve_memo_;
 };
 
 }  // namespace tps

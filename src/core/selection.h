@@ -20,6 +20,8 @@ struct SelectionOutcome {
   /// epoch), e.g. {10, 5, 2, 1, 1} for successive halving of 10 models
   /// over 5 epochs.
   std::vector<size_t> survivors_per_stage;
+
+  bool operator==(const SelectionOutcome&) const = default;
 };
 
 }  // namespace tps

@@ -54,9 +54,9 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
   }
 
   // Phase 2: fine selection over the recalled candidates, on the same
-  // pool, reading the selector's memoized trends.
+  // pool, reading the selector's memoized trends and curves.
   FineSelectionSelector fine(zoo_, simulator_, &miner_,
-                             options.fine_selection);
+                             options.fine_selection, &curve_memo_);
   TPS_ASSIGN_OR_RETURN(report.selection,
                        fine.Select(candidates, target, hp, &report.budget,
                                    pool, metrics, trace, options.cancel));

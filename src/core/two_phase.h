@@ -48,6 +48,8 @@ struct TwoPhaseReport {
   SelectionOutcome selection;
   /// Full cost ledger: training epochs + 0.5-epoch proxy inferences.
   EpochBudget budget;
+
+  bool operator==(const TwoPhaseReport&) const = default;
 };
 
 /// The complete framework: offline artifacts (performance matrix + model
@@ -62,7 +64,10 @@ struct TwoPhaseReport {
 /// CoarseRecall (and with it the exact recall index over `clustering`) and
 /// its ConvergenceTrendMiner once, at construction, and shares them across
 /// Select calls: each convergence trend is mined at most once per selector,
-/// i.e. once per artifact version when serving.
+/// i.e. once per artifact version when serving. Its FineTuneCurveMemo
+/// likewise keeps each (target, model, hyperparams) curve it simulates, so
+/// a warm select reads its candidates' curves instead of re-running the
+/// simulator.
 class TwoPhaseSelector {
  public:
   TwoPhaseSelector(const ModelZoo* zoo, const PerformanceMatrix* matrix,
@@ -102,6 +107,8 @@ class TwoPhaseSelector {
   const FineTuneSimulator* simulator_;
   CoarseRecall recall_;
   ConvergenceTrendMiner miner_;
+  /// Filled on misses only, so construction and reloads pay nothing.
+  mutable FineTuneCurveMemo curve_memo_;
 };
 
 }  // namespace tps

@@ -194,6 +194,7 @@ SelectionService::Admission SelectionService::Admit(QueuedRequest& queued,
         admitted_counter_.Increment();
         lock.unlock();
         queue_ready_.notify_one();
+        if (options_.queued_hook) options_.queued_hook();
         return Admission::kQueued;
       }
     }

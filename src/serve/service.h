@@ -57,6 +57,11 @@ struct ServiceOptions {
   /// caller). Lets tests hold a run slot on a latch to fill the queue
   /// deterministically. Never set in production.
   std::function<void()> pre_handle_hook;
+  /// Test-only hook: invoked on the admitting thread right after a request
+  /// joins the admission queue, outside the service lock. Lets tests wait
+  /// for a queue depth on a latch instead of polling. Never set in
+  /// production.
+  std::function<void()> queued_hook;
 };
 
 /// One selection query.

@@ -23,6 +23,8 @@ class EpochBudget {
   double inference_epochs() const { return inference_epochs_; }
   double total_epochs() const { return training_epochs_ + inference_epochs_; }
 
+  bool operator==(const EpochBudget&) const = default;
+
   void Reset() {
     training_epochs_ = 0.0;
     inference_epochs_ = 0.0;

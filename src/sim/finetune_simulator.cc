@@ -29,6 +29,22 @@ FineTuneSimulator::FineTuneSimulator(TransferOracle oracle)
 StatusOr<TrainingRun> FineTuneSimulator::Run(const PretrainedModel& model,
                                              const Dataset& dataset,
                                              const Hyperparams& hp) const {
+  TrainingRun run;
+  run.val_accuracy.resize(static_cast<size_t>(std::max(hp.epochs, 0)));
+  run.test_accuracy.resize(run.val_accuracy.size());
+  TPS_RETURN_NOT_OK(
+      Simulate(model, dataset, hp, run.val_accuracy, run.test_accuracy));
+  run.model_name = model.name();
+  run.dataset_name = dataset.name();
+  run.hyperparams = hp;
+  return run;
+}
+
+Status FineTuneSimulator::Simulate(const PretrainedModel& model,
+                                   const Dataset& dataset,
+                                   const Hyperparams& hp,
+                                   std::span<double> val,
+                                   std::span<double> test) const {
   if (model.domain() != dataset.spec().domain) {
     return Status::InvalidArgument(
         "cannot fine-tune " + model.name() + " (" + ToString(model.domain()) +
@@ -40,6 +56,10 @@ StatusOr<TrainingRun> FineTuneSimulator::Run(const PretrainedModel& model,
   }
   if (hp.learning_rate <= 0.0) {
     return Status::InvalidArgument("learning rate must be positive");
+  }
+  const size_t epochs = static_cast<size_t>(hp.epochs);
+  if (val.size() != epochs || test.size() != epochs) {
+    return Status::InvalidArgument("curve spans must hold hp.epochs values");
   }
 
   const TransferTruth truth = oracle_.Evaluate(model, dataset);
@@ -67,30 +87,20 @@ StatusOr<TrainingRun> FineTuneSimulator::Run(const PretrainedModel& model,
       0.008 * (1.0 + dataset.spec().difficulty) *
       (dataset.spec().EffectiveCeiling() - chance) / 0.6;
 
-  TrainingRun run;
-  run.model_name = model.name();
-  run.dataset_name = dataset.name();
-  run.hyperparams = hp;
-  run.val_accuracy.reserve(static_cast<size_t>(hp.epochs));
-  run.test_accuracy.reserve(static_cast<size_t>(hp.epochs));
-
-  for (int epoch = 1; epoch <= hp.epochs; ++epoch) {
-    const double t = static_cast<double>(epoch);
+  for (size_t e = 0; e < epochs; ++e) {
+    const double t = static_cast<double>(e + 1);
     const double progress = 1.0 - std::exp(-rate * t);
     const double decline = overfit * std::max(0.0, t - onset_epoch);
     const double clean =
         chance + (truth.asymptotic_accuracy - chance) * progress - decline;
     // Validation is noisier than test (smaller split).
-    const double val =
-        stats::Clamp(clean + noise_scale * 1.4 * rng.Normal(), 0.0, 1.0);
-    const double test =
+    val[e] = stats::Clamp(clean + noise_scale * 1.4 * rng.Normal(), 0.0, 1.0);
+    test[e] =
         stats::Clamp(clean - 0.004 + noise_scale * rng.Normal(), 0.0, 1.0);
-    run.val_accuracy.push_back(val);
-    run.test_accuracy.push_back(test);
   }
   runs_counter_->Increment();
-  epochs_counter_->Increment(static_cast<uint64_t>(hp.epochs));
-  return run;
+  epochs_counter_->Increment(epochs);
+  return Status::OK();
 }
 
 }  // namespace tps

@@ -1,6 +1,7 @@
 #ifndef TPS_SIM_FINETUNE_SIMULATOR_H_
 #define TPS_SIM_FINETUNE_SIMULATOR_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,10 +45,19 @@ class FineTuneSimulator {
   explicit FineTuneSimulator(TransferOracle oracle = TransferOracle());
 
   /// Runs `hp.epochs` epochs of fine-tuning. Fails if the model and
-  /// dataset task domains differ or hp.epochs < 1.
+  /// dataset task domains differ, hp.epochs < 1 or the learning rate is not
+  /// positive.
   StatusOr<TrainingRun> Run(const PretrainedModel& model,
                             const Dataset& dataset,
                             const Hyperparams& hp) const;
+
+  /// Run's writer: the same curve written straight into `val` and `test`
+  /// (epoch t at index t-1, each span exactly hp.epochs long), with no
+  /// allocation. Run is built on it, so both produce the same bits, and
+  /// both count one run in the `sim.*` counters.
+  Status Simulate(const PretrainedModel& model, const Dataset& dataset,
+                  const Hyperparams& hp, std::span<double> val,
+                  std::span<double> test) const;
 
   const TransferOracle& oracle() const { return oracle_; }
 

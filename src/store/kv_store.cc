@@ -54,9 +54,11 @@ std::string RecoveryStats::ToString() const {
   std::string out = "replayed " + std::to_string(records_replayed) +
                     " records (" + std::to_string(valid_prefix_bytes) +
                     " valid bytes)";
-  if (tail_was_torn) {
+  if (tail_was_torn && bytes_truncated > 0) {
     out += ", torn tail: truncated " + std::to_string(bytes_truncated) +
            " bytes";
+  } else if (tail_was_torn) {
+    out += ", torn tail: left on disk (read-only open)";
   } else {
     out += ", clean tail";
   }

@@ -30,7 +30,8 @@ struct RecoveryStats {
   bool tail_was_torn = false;
 
   /// One-line human-readable summary, e.g.
-  /// "replayed 12 records (96 valid bytes), torn tail: truncated 5 bytes".
+  /// "replayed 12 records (96 valid bytes), torn tail: truncated 5 bytes"
+  /// ("torn tail: left on disk" after a read-only open).
   std::string ToString() const;
 };
 

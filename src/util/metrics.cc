@@ -170,6 +170,8 @@ PipelineInstruments::PipelineInstruments(MetricsRegistry& registry)
       fine_trend_prunes(registry.counter("fine.trend_prunes")),
       fine_halving_drops(registry.counter("fine.halving_drops")),
       fine_runs(registry.counter("fine.runs")),
+      fine_curve_hits(registry.counter("fine.curve_hits")),
+      fine_curve_misses(registry.counter("fine.curve_misses")),
       fine_wall_us(registry.histogram("fine.wall_us")),
       two_phase_runs(registry.counter("two_phase.runs")) {}
 

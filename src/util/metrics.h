@@ -125,6 +125,8 @@ struct PipelineInstruments {
   Counter& fine_trend_prunes;
   Counter& fine_halving_drops;
   Counter& fine_runs;
+  Counter& fine_curve_hits;
+  Counter& fine_curve_misses;
   Histogram& fine_wall_us;
   Counter& two_phase_runs;
 };

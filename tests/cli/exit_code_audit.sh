@@ -122,6 +122,18 @@ expect 1 "store in missing directory" -- \
   store-info --store="$SCRATCH/no/such/dir/store.log"
 require_stderr_contains "error:" "store in missing directory"
 
+# Neither store command creates a store it was not given: a mistyped path
+# fails NotFound and leaves no file behind.
+for cmd in store-info store-compact; do
+  expect 1 "$cmd with a missing store" -- $cmd \
+    --store="$SCRATCH/typo-$cmd.log"
+  require_stderr_contains "NotFound" "$cmd with a missing store"
+  if [[ -e $SCRATCH/typo-$cmd.log ]]; then
+    echo "FAIL: $cmd --store=<missing> created $SCRATCH/typo-$cmd.log" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+done
+
 expect 1 "baselines with unknown target" -- \
   baselines --domain=nlp --target=no-such-dataset
 require_stderr_contains "error:" "baselines with unknown target"
@@ -255,6 +267,23 @@ expect 0 "select representative backend" -- select "${ARTIFACTS[@]}" \
 # the copy taken after the offline build.
 if ! cmp -s "$SCRATCH/store.log" "$SCRATCH/store3.log"; then
   echo "FAIL: reading commands modified the model store" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
+# store-info inspects without writing: a torn tail (a record a writer is
+# still appending) is reported and left on disk byte for byte.
+cp "$SCRATCH/store.log" "$SCRATCH/torn.log"
+printf 'torn' >>"$SCRATCH/torn.log"
+cp "$SCRATCH/torn.log" "$SCRATCH/torn.copy"
+expect 0 "store-info on a torn store" -- store-info \
+  --store="$SCRATCH/torn.log"
+if ! grep -q '^recovery: .*torn tail: left on disk' "$STDOUT"; then
+  echo "FAIL: store-info did not report the torn tail" >&2
+  sed 's/^/  stdout: /' "$STDOUT" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+if ! cmp -s "$SCRATCH/torn.log" "$SCRATCH/torn.copy"; then
+  echo "FAIL: store-info modified a torn store" >&2
   FAILURES=$((FAILURES + 1))
 fi
 

@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <latch>
 #include <mutex>
@@ -27,6 +30,31 @@
 namespace tps {
 namespace serve {
 namespace {
+
+/// Counts the requests that joined the admission queue, through
+/// ServiceOptions::queued_hook. WaitFor(n) returns true once n have, or
+/// false after a generous timeout, so a queue depth that is never reached
+/// fails the test instead of hanging it.
+class QueueLatch {
+ public:
+  std::function<void()> Hook() {
+    return [this] {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++queued_;
+      cv_.notify_all();
+    };
+  }
+  bool WaitFor(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return queued_ >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int queued_ = 0;
+};
 
 class SelectionServerTest : public testing::Test {
  protected:
@@ -444,6 +472,8 @@ TEST_F(SelectionServerTest, SocketSelectsQueueThenRejectWhenFull) {
     if (first.exchange(false)) entered.count_down();
     release.wait();
   };
+  QueueLatch queue;
+  options.queued_hook = queue.Hook();
   auto service_or = SelectionService::Create(*artifacts_, options);
   ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
   std::unique_ptr<SelectionService> service = std::move(*service_or);
@@ -460,7 +490,11 @@ TEST_F(SelectionServerTest, SocketSelectsQueueThenRejectWhenFull) {
   ASSERT_TRUE(running->SendAll("{\"target\": \"mnli\"}\n").ok());
   entered.wait();  // The first select holds the only run slot.
   ASSERT_TRUE(queued->SendAll("{\"target\": \"boolq\"}\n").ok());
-  while (service->queue_depth() != 1) std::this_thread::yield();
+  if (!queue.WaitFor(1)) {
+    release.count_down();  // Free the held slot so the test can end.
+    FAIL() << "the second select never joined the queue";
+  }
+  EXPECT_EQ(service->queue_depth(), 1u);
 
   // The slot is still held, so this reply cannot have waited for it.
   auto rejected = ParseResponseLine(
@@ -515,6 +549,8 @@ TEST_F(SelectionServerTest, RunSlotsBoundConcurrentSocketSelects) {
     std::lock_guard<std::mutex> lock(mu);
     --inside;
   };
+  QueueLatch queue;
+  options.queued_hook = queue.Hook();
   auto service_or = SelectionService::Create(*artifacts_, options);
   ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
   std::unique_ptr<SelectionService> service = std::move(*service_or);
@@ -536,9 +572,12 @@ TEST_F(SelectionServerTest, RunSlotsBoundConcurrentSocketSelects) {
     });
   }
   slots_full.wait();
-  while (service->queue_depth() != kClients - kSlots) {
-    std::this_thread::yield();
+  if (!queue.WaitFor(kClients - kSlots)) {
+    release.count_down();  // Free the held slots so the clients finish.
+    for (std::thread& client : clients) client.join();
+    FAIL() << "fewer than " << kClients - kSlots << " selects queued";
   }
+  EXPECT_EQ(service->queue_depth(), static_cast<size_t>(kClients - kSlots));
   {
     // Six selects wait in the queue while two hold the slots.
     std::lock_guard<std::mutex> lock(mu);

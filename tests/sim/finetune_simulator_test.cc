@@ -1,5 +1,7 @@
 #include "sim/finetune_simulator.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/epoch_budget.h"
@@ -50,6 +52,20 @@ TEST_F(FineTuneSimulatorTest, RunProducesRequestedEpochs) {
   EXPECT_EQ(run->test_accuracy.size(), 5u);
   EXPECT_EQ(run->model_name, model_.name());
   EXPECT_EQ(run->dataset_name, dataset_.name());
+}
+
+TEST_F(FineTuneSimulatorTest, SimulateWritesRunsCurveIntoSpans) {
+  Hyperparams hp;
+  hp.epochs = 6;
+  const TrainingRun run = *simulator_.Run(model_, dataset_, hp);
+  std::vector<double> val(6), test(6);
+  ASSERT_TRUE(simulator_.Simulate(model_, dataset_, hp, val, test).ok());
+  EXPECT_EQ(val, run.val_accuracy);
+  EXPECT_EQ(test, run.test_accuracy);
+
+  std::vector<double> short_val(5);
+  EXPECT_TRUE(simulator_.Simulate(model_, dataset_, hp, short_val, test)
+                  .IsInvalidArgument());
 }
 
 TEST_F(FineTuneSimulatorTest, AccuraciesStayInUnitInterval) {

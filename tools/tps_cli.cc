@@ -707,7 +707,8 @@ int RunCard(const FlagParser& flags) {
 
 /// Prints the line both store subcommands share: what recovery found when
 /// the log was replayed. This is the observable face of torn-tail
-/// recovery — a crashed writer shows up here as truncated bytes.
+/// recovery — a crashed writer shows up here as a torn tail (truncated by
+/// store-compact, left on disk by the read-only store-info).
 void PrintRecoveryStats(const ModelStore& store) {
   std::cout << "recovery: " << store.recovery_stats().ToString() << "\n";
 }
@@ -717,7 +718,9 @@ int RunStoreInfo(const FlagParser& flags) {
   if (store_path.empty()) {
     return Fail(Status::InvalidArgument("--store is required"));
   }
-  auto store_or = ModelStore::Open(store_path);
+  // Read-only: inspecting a store never creates it, and a torn tail that a
+  // writer may still be appending is reported, not truncated.
+  auto store_or = ModelStore::OpenReadOnly(store_path);
   if (!store_or.ok()) return Fail(store_or.status());
   const ModelStore& store = *store_or;
 
@@ -753,6 +756,10 @@ int RunStoreCompact(const FlagParser& flags) {
   const std::string store_path = flags.GetString("store");
   if (store_path.empty()) {
     return Fail(Status::InvalidArgument("--store is required"));
+  }
+  // Compacting rewrites an existing log; it never creates an empty one.
+  if (!Env::Default()->FileExists(store_path)) {
+    return Fail(Status::NotFound("no store at " + store_path));
   }
   auto store_or = ModelStore::Open(store_path);
   if (!store_or.ok()) return Fail(store_or.status());
