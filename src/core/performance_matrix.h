@@ -21,9 +21,7 @@ namespace tps {
 ///
 /// This is the expensive offline artifact the paper amortizes across
 /// target tasks; it feeds (a) model clustering in the coarse-recall phase
-/// and (b) convergence-trend mining in the fine-selection phase. It can be
-/// saved to / loaded from a text file so the "offline once, online many"
-/// workflow is reproducible.
+/// and (b) convergence-trend mining in the fine-selection phase.
 class PerformanceMatrix {
  public:
   /// Fine-tunes every model on every benchmark dataset (domain-matched;

@@ -37,10 +37,10 @@ namespace serve {
 ///   defaults to the domain name):
 ///     {"cmd": "reload", "store": "PATH", "id": "nlp"}
 ///     -> {"ok": true, "reloaded": true, "artifact_version": 2}
-///     The artifacts load and validate on the connection thread, entirely
-///     off the serving path; on any failure nothing is published and the
-///     current version keeps serving. The domain is the server's own (a
-///     reload can never flip an NLP server to CV).
+///     The artifacts load and validate on the server's reload thread,
+///     entirely off the serving path; on any failure nothing is published
+///     and the current version keeps serving. The domain is the server's
+///     own (a reload can never flip an NLP server to CV).
 ///
 /// Select replies carry "artifact_version": the artifact version the
 /// request was served against (1 until the first reload).
@@ -81,8 +81,8 @@ std::string ResponseToLine(const SelectionResponse& response);
 std::string ErrorToLine(const Status& status);
 
 /// Append forms of ResponseToLine / ErrorToLine: the same bytes, written
-/// straight into `*out` with json::Writer (no newline). The server reuses
-/// one reply buffer per connection through these.
+/// straight into `*out` with json::Writer (no newline). The server appends
+/// every reply into its connection's output buffer through these.
 void AppendResponse(const SelectionResponse& response, std::string* out);
 void AppendError(const Status& status, std::string* out);
 

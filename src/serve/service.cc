@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "util/timer.h"
@@ -78,7 +79,7 @@ SelectionService::~SelectionService() {
     response.target = queued.request.target;
     response.artifact_version = queued.snapshot->version;
     response.status = Status::Unavailable("service shutting down");
-    queued.promise.set_value(std::move(response));
+    queued.done(std::move(response));
   }
 }
 
@@ -133,30 +134,55 @@ SelectionResponse SelectionService::Handle(const SelectionRequest& request) {
   return Run(request, token_ptr, *snapshot);
 }
 
-std::future<SelectionResponse> SelectionService::Submit(
-    SelectionRequest request) {
+void SelectionService::Dispatch(SelectionRequest request, Done done,
+                                bool may_run_inline) {
   QueuedRequest queued;
   queued.request = std::move(request);
-  std::future<SelectionResponse> future = queued.promise.get_future();
-  if (Admit(queued, /*may_run_here=*/false) == Admission::kRejected) {
-    queued.promise.set_value(Rejection(queued));
+  queued.done = std::move(done);
+  switch (Admit(queued, may_run_inline)) {
+    case Admission::kRunHere:
+      queued.done(RunAdmitted(queued));
+      return;
+    case Admission::kQueued:
+      return;  // Answered by the worker that runs it.
+    case Admission::kRejected:
+      queued.done(Rejection(queued));
+      return;
   }
+}
+
+std::future<SelectionResponse> SelectionService::Submit(
+    SelectionRequest request) {
+  auto promise = std::make_shared<std::promise<SelectionResponse>>();
+  std::future<SelectionResponse> future = promise->get_future();
+  Dispatch(
+      std::move(request),
+      [promise](SelectionResponse response) {
+        promise->set_value(std::move(response));
+      },
+      /*may_run_inline=*/false);
   return future;
 }
 
 SelectionResponse SelectionService::Serve(SelectionRequest request) {
-  QueuedRequest queued;
-  queued.request = std::move(request);
-  std::future<SelectionResponse> future = queued.promise.get_future();
-  switch (Admit(queued, /*may_run_here=*/true)) {
-    case Admission::kRunHere:
-      return RunAdmitted(queued);
-    case Admission::kQueued:
-      return future.get();
-    case Admission::kRejected:
-      break;
-  }
-  return Rejection(queued);
+  // An inline run or a rejection fills `answer` before Dispatch returns,
+  // so the uncontended path builds no shared state and never waits.
+  struct Answer {
+    std::mutex mu;
+    std::condition_variable ready;
+    std::optional<SelectionResponse> response;
+  } answer;
+  Dispatch(
+      std::move(request),
+      [&answer](SelectionResponse response) {
+        std::lock_guard<std::mutex> lock(answer.mu);
+        answer.response = std::move(response);
+        answer.ready.notify_one();
+      },
+      /*may_run_inline=*/true);
+  std::unique_lock<std::mutex> lock(answer.mu);
+  answer.ready.wait(lock, [&answer] { return answer.response.has_value(); });
+  return std::move(*answer.response);
 }
 
 SelectionService::Admission SelectionService::Admit(QueuedRequest& queued,
@@ -250,7 +276,7 @@ void SelectionService::WorkerLoop() {
       ++running_;
       queue_depth_gauge_.Set(static_cast<double>(queue_.size()));
     }
-    queued.promise.set_value(RunAdmitted(queued));
+    queued.done(RunAdmitted(queued));
     // queued goes out of scope here, releasing the snapshot reference —
     // the last release after a Reload destroys the retired version.
   }

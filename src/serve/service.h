@@ -156,20 +156,20 @@ struct ServiceStats {
 /// admission control, and answers many concurrent selection requests
 /// without reloading anything per call.
 ///
-/// Three entry points:
+/// Entry points:
 ///  - Handle(): synchronous, runs the pipeline on the calling thread
 ///    outside admission control. Thread-safe — any number of callers may
 ///    Handle concurrently; they share the cache and pool. Used by
 ///    `tps_cli select` and tests.
-///  - Submit(): admission-controlled. The request either takes a queue
-///    slot (drained by worker threads) or is rejected immediately with an
-///    Unavailable response. Deadlines start at admission, so time spent
-///    queued counts against them.
-///  - Serve(): the same admission, blocking. A request that finds a free
-///    run slot and an empty queue runs on the calling thread; otherwise
-///    it queues like Submit and the caller waits for its answer. Used by
-///    the socket front end, so an uncontended select never changes
-///    threads.
+///  - Dispatch(): the one admission path. The request is rejected at once
+///    with an Unavailable response, runs on the calling thread when the
+///    caller allows it and a run slot is free with nothing queued, or
+///    takes a queue slot drained by the worker threads. Its answer always
+///    arrives through one callback. Deadlines start at admission, so time
+///    spent queued counts against them. The socket front end dispatches
+///    every wire select, so an uncontended select never changes threads.
+///  - Submit(): Dispatch that always queues, answered through a future.
+///  - Serve(): Dispatch that may run inline, blocking until the answer.
 ///
 /// Hot artifact swap ("Serving: hot artifact swap" in DESIGN.md): Reload()
 /// publishes new ServiceArtifacts with zero downtime. Every request
@@ -182,7 +182,8 @@ struct ServiceStats {
 ///
 /// Shutdown: the destructor stops the workers; requests still queued are
 /// answered with Unavailable("service shutting down") rather than dropped.
-/// Handle and Serve callers must return before the service is destroyed.
+/// Handle and Serve callers, and every Dispatch callback's owner, must be
+/// done with the service before it is destroyed.
 ///
 /// Metrics (prefix `serve.`): requests/admitted/rejected/completed/
 /// deadline_exceeded/errors/reloads counters, queue_depth gauge (current +
@@ -201,16 +202,22 @@ class SelectionService {
   /// Runs one request synchronously on the calling thread. Never queues.
   SelectionResponse Handle(const SelectionRequest& request);
 
-  /// Admission control: queue the request or reject it now. The returned
-  /// future always resolves (Unavailable on rejection/shutdown,
-  /// DeadlineExceeded if it expired in the queue, the pipeline's answer
-  /// otherwise).
+  /// Receives a dispatched request's answer, exactly once.
+  using Done = std::function<void(SelectionResponse)>;
+
+  /// Admission control, answered through `done`. A rejected request is
+  /// answered with Unavailable before Dispatch returns. With `may_run_inline`, a request that finds
+  /// a free run slot and an empty queue runs on the calling thread and is
+  /// answered before Dispatch returns. Any other admitted request queues
+  /// and is answered on the worker that runs it: DeadlineExceeded if it
+  /// expired in the queue, the pipeline's answer otherwise.
+  void Dispatch(SelectionRequest request, Done done, bool may_run_inline);
+
+  /// Dispatch that never runs inline. The returned future always resolves.
   std::future<SelectionResponse> Submit(SelectionRequest request);
 
-  /// Blocking admission control: admits exactly as Submit does, then runs
-  /// the request on the calling thread when a run slot is free and nothing
-  /// is queued, and otherwise waits for a worker to answer it. Returns
-  /// what Submit's future would resolve to.
+  /// Dispatch that may run inline, blocking until the answer. Returns what
+  /// Submit's future would resolve to.
   SelectionResponse Serve(SelectionRequest request);
 
   /// Zero-downtime artifact hot swap: validates `artifacts`, publishes
@@ -239,12 +246,14 @@ class SelectionService {
   uint64_t artifact_version() const { return slot_.version(); }
   ProxyScoreCache* cache() { return cache_.get(); }
   ProxyFlightGroup* flight_group() { return &flight_; }
+  /// The sink every serve.* instrument records into.
+  MetricsRegistry* metrics() const { return metrics_; }
   size_t queue_depth() const;
 
  private:
   struct QueuedRequest {
     SelectionRequest request;
-    std::promise<SelectionResponse> promise;
+    Done done;
     /// Artifact version acquired at admission: the whole request runs
     /// against this snapshot no matter how many Reloads land while it
     /// waits in the queue.
@@ -265,11 +274,11 @@ class SelectionService {
                         const CancelToken* token,
                         const ArtifactSnapshot& snapshot);
 
-  /// Admission shared by Submit and Serve: counts the request, pins the
-  /// snapshot and arms the deadline on `queued`, then under mu_ takes a
-  /// free run slot (kRunHere; only when `may_run_here` and nothing is
-  /// queued, so queued requests keep FIFO order), or moves `queued` into
-  /// the queue (kQueued), or rejects it (kRejected; `queued` is intact).
+  /// Dispatch's admission: counts the request, pins the snapshot and arms
+  /// the deadline on `queued`, then under mu_ takes a free run slot
+  /// (kRunHere; only when `may_run_here` and nothing is queued, so queued
+  /// requests keep FIFO order), or moves `queued` into the queue
+  /// (kQueued), or rejects it (kRejected; `queued` is intact).
   Admission Admit(QueuedRequest& queued, bool may_run_here);
 
   /// The Unavailable answer to a request Admit rejected.

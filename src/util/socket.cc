@@ -47,31 +47,14 @@ Status Socket::SendAll(std::string_view data) {
   return Status::OK();
 }
 
-StatusOr<std::string> Socket::RecvLine(std::string* buffer,
-                                       size_t max_line_bytes) {
+StatusOr<std::string> Socket::RecvLine(std::string* buffer) {
   if (!valid()) return Status::FailedPrecondition("recv on closed socket");
-  const auto oversized = [max_line_bytes] {
-    return Status::InvalidArgument(
-        "line exceeds " + std::to_string(max_line_bytes) + " bytes");
-  };
-  // Once a line overflows the cap its bytes are dropped as they arrive;
-  // we keep reading only to find the '\n' that re-frames the stream.
-  bool discarding = false;
   for (;;) {
     const size_t newline = buffer->find('\n');
     if (newline != std::string::npos) {
-      if (discarding ||
-          (max_line_bytes > 0 && newline > max_line_bytes)) {
-        buffer->erase(0, newline + 1);
-        return oversized();
-      }
       std::string line = buffer->substr(0, newline);
       buffer->erase(0, newline + 1);
       return line;
-    }
-    if (max_line_bytes > 0 && buffer->size() > max_line_bytes) {
-      discarding = true;
-      buffer->clear();
     }
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -80,10 +63,6 @@ StatusOr<std::string> Socket::RecvLine(std::string* buffer,
       return Errno("recv");
     }
     if (n == 0) {  // EOF.
-      if (discarding) {
-        buffer->clear();
-        return oversized();
-      }
       if (buffer->empty()) {
         return Status::OutOfRange("connection closed");
       }

@@ -8,10 +8,11 @@
 
 namespace tps {
 
-/// Thin RAII wrappers over POSIX stream sockets for the serving front end
-/// ("Serving" in DESIGN.md). Deliberately blocking: the server dedicates a
-/// thread per connection and unblocks Accept/Recv with ::shutdown(), which
-/// keeps the whole stack TSan-clean without readiness polling.
+/// Thin RAII wrappers over POSIX stream sockets ("Serving" in DESIGN.md).
+/// The calls here block: clients (`tps_cli query`, the benchmark's load
+/// generator, tests) use them as they are. The server takes only the fds:
+/// it listens through ServerSocket and drives every connection
+/// non-blocking from its own epoll loop, framing lines itself.
 
 /// One connected stream socket (Unix-domain or TCP). Move-only; closes on
 /// destruction.
@@ -35,20 +36,11 @@ class Socket {
 
   /// Reads up to and including the next '\n', consuming from `buffer`
   /// first (bytes read past a previous line are left there). Returns the
-  /// line WITHOUT the trailing newline. An empty optional-style contract
-  /// is not needed: a clean EOF before any byte of a new line returns
-  /// kOutOfRange("connection closed"); EOF mid-line returns the partial
-  /// line as-is.
-  ///
-  /// `max_line_bytes` bounds how much one line may buffer (0 = unlimited).
-  /// An oversized line is DISCARDED — the call keeps draining bytes up to
-  /// and including the line's '\n' terminator without retaining them, then
-  /// returns InvalidArgument. The stream stays framed: the next RecvLine
-  /// starts at the following line, so a server can answer the error and
-  /// keep the session instead of tearing it down (and a peer streaming
-  /// gigabytes of unterminated garbage holds O(max) memory, not O(input)).
-  StatusOr<std::string> RecvLine(std::string* buffer,
-                                 size_t max_line_bytes = 0);
+  /// line WITHOUT the trailing newline. A clean EOF before any byte of a
+  /// new line returns kOutOfRange("connection closed"); EOF mid-line
+  /// returns the partial line as-is. A line may be any length: the peer is
+  /// trusted (only clients call this, on the server's replies).
+  StatusOr<std::string> RecvLine(std::string* buffer);
 
   /// Half-closes both directions (unblocks a peer or a blocked reader on
   /// this socket) without releasing the fd.
@@ -80,6 +72,7 @@ class ServerSocket {
   ServerSocket& operator=(ServerSocket&& other) noexcept;
 
   bool valid() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
   int port() const { return port_; }
   const std::string& unix_path() const { return unix_path_; }
 

@@ -416,6 +416,70 @@ TEST_F(SelectionServiceTest, ServeRunsOnTheCallerWhenASlotIsFree) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
+// Dispatch answers through its callback exactly once: before it returns
+// when the request runs inline or is rejected, and on a worker when it
+// queues.
+TEST_F(SelectionServiceTest, DispatchAnswersInlineOrOnAWorker) {
+  MetricsRegistry metrics;
+  ServiceOptions options;
+  options.worker_threads = 1;
+  options.max_queue = 1;
+  options.metrics = &metrics;
+  auto service = MakeService(options);
+  MetricsRegistry gated_metrics;
+  HookGate gate;
+  options.metrics = &gated_metrics;
+  options.pre_handle_hook = gate.Hook();
+  auto gated = MakeService(options);
+
+  struct Answer {
+    std::thread::id thread;
+    SelectionResponse response;
+    int calls = 0;
+  };
+  const auto record = [](Answer* answer, std::latch* done) {
+    return [answer, done](SelectionResponse response) {
+      answer->thread = std::this_thread::get_id();
+      answer->response = std::move(response);
+      ++answer->calls;
+      if (done != nullptr) done->count_down();
+    };
+  };
+
+  // A free slot and an empty queue: answered inline, before returning.
+  Answer inline_answer;
+  service->Dispatch(Request("mnli"), record(&inline_answer, nullptr),
+                    /*may_run_inline=*/true);
+  EXPECT_EQ(inline_answer.calls, 1);
+  EXPECT_EQ(inline_answer.thread, std::this_thread::get_id());
+  EXPECT_TRUE(inline_answer.response.status.ok());
+
+  // Hold the only slot on the worker, then fill the one-deep queue.
+  auto held = gated->Submit(Request("mnli"));
+  gate.WaitEntered();
+  Answer queued_answer;
+  std::latch queued_done(1);
+  gated->Dispatch(Request("boolq"), record(&queued_answer, &queued_done),
+                  /*may_run_inline=*/true);
+  EXPECT_EQ(gated->queue_depth(), 1u);
+
+  // One over capacity: rejected inline.
+  Answer rejected_answer;
+  gated->Dispatch(Request("mnli"), record(&rejected_answer, nullptr),
+                  /*may_run_inline=*/true);
+  EXPECT_EQ(rejected_answer.calls, 1);
+  EXPECT_EQ(rejected_answer.thread, std::this_thread::get_id());
+  EXPECT_TRUE(rejected_answer.response.status.IsUnavailable());
+
+  gate.Release();
+  EXPECT_TRUE(held.get().status.ok());
+  queued_done.wait();
+  EXPECT_EQ(queued_answer.calls, 1);
+  EXPECT_NE(queued_answer.thread, std::this_thread::get_id());
+  EXPECT_TRUE(queued_answer.response.status.ok());
+  EXPECT_EQ(queued_answer.response.target, "boolq");
+}
+
 TEST_F(SelectionServiceTest, CacheDisabledStillServes) {
   MetricsRegistry metrics;
   ServiceOptions options;

@@ -263,15 +263,15 @@ TEST_F(SelectionServerTest, TcpEndpointServes) {
   server->Shutdown();
 }
 
-// Regression (connection-thread leak): the server used to keep every
+// Regression (connection leak): the server used to keep every
 // connection's thread and socket until Shutdown, growing without bound on
-// a long-lived server. Finished handlers must be reaped as accept loops
-// turn over, so bookkeeping stays O(live connections).
+// a long-lived server. A closed session must be forgotten at once, so the
+// server's state stays O(live connections).
 TEST_F(SelectionServerTest, ConnectionBookkeepingStaysBounded) {
   const std::string path = SocketPath("reap");
   constexpr int kSessions = 20;
-  // Opens once every session's handler is on the done-list. The probe's
-  // own handler finishes at Shutdown and must not count it down again.
+  // Opens once every session is closed and forgotten. The probe's own
+  // close at Shutdown must not count it down again.
   std::latch sessions_done(kSessions);
   std::atomic<int> finished{0};
   ServerOptions options;
@@ -288,20 +288,24 @@ TEST_F(SelectionServerTest, ConnectionBookkeepingStaysBounded) {
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     std::string buffer;
     EXPECT_EQ(Exchange(*client, &buffer, R"({"cmd": "ping"})"), PongLine());
-    // Destructor closes the socket; the handler notices EOF and finishes.
+    // Destructor closes the socket; the loop reads EOF and forgets it.
   }
   sessions_done.wait();
+  const Gauge& open = metrics_.gauge("serve.connections");
+  EXPECT_EQ(open.value(), 0.0)
+      << "still tracking sessions after " << kSessions << " closed";
 
-  // The probe's accept reaps all 20 finished sessions before it registers
-  // the probe, and the pong proves the probe is registered: only the live
-  // probe connection remains.
+  // The pong proves the probe is registered: only it remains.
   auto probe = ConnectUnix(path);
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   std::string buffer;
   EXPECT_EQ(Exchange(*probe, &buffer, R"({"cmd": "ping"})"), PongLine());
-  EXPECT_EQ(server->tracked_connections(), 1u)
-      << "still tracking finished sessions after " << kSessions
-      << " closed sessions";
+  EXPECT_EQ(open.value(), 1.0);
+  EXPECT_EQ(open.max_value(), 1.0);  // Sessions never overlapped.
+  EXPECT_EQ(metrics_.counter("serve.connections_accepted").value(),
+            kSessions + 1u);
+  EXPECT_EQ(metrics_.counter("serve.connections_closed").value(),
+            static_cast<uint64_t>(kSessions));
   server->Shutdown();
 }
 
@@ -455,10 +459,10 @@ TEST_F(SelectionServerTest, ShutdownWithLiveConnectionUnblocksIt) {
   EXPECT_FALSE(eof.ok());
 }
 
-// A socket select is admission-controlled. With the only run slot held
-// and a one-deep queue, the next connection's select queues, the one after
-// is refused at once with the queue-full error line, and both admitted
-// selects answer once the slot is released.
+// A socket select is admission-controlled. With the only run slot held by
+// a submitted select and a one-deep queue, the next connection's select
+// queues, the one after is refused at once with the queue-full error line,
+// and both admitted selects answer once the slot is released.
 TEST_F(SelectionServerTest, SocketSelectsQueueThenRejectWhenFull) {
   MetricsRegistry metrics;
   std::atomic<bool> first{true};
@@ -481,18 +485,24 @@ TEST_F(SelectionServerTest, SocketSelectsQueueThenRejectWhenFull) {
   auto server = StartUnixFor(service.get(), path);
   ASSERT_NE(server, nullptr);
 
-  auto running = ConnectUnix(path);
+  // The worker holds the only run slot (held on a worker, not inline on
+  // the server's loop, so the loop keeps answering the sockets).
+  SelectionRequest held_request;
+  held_request.target = "mnli";
+  std::future<SelectionResponse> held =
+      service->Submit(std::move(held_request));
+  entered.wait();
+  ASSERT_TRUE(queue.WaitFor(1));  // Submit passed through the queue.
+
   auto queued = ConnectUnix(path);
   auto refused = ConnectUnix(path);
-  ASSERT_TRUE(running.ok() && queued.ok() && refused.ok());
-  std::string running_buffer, queued_buffer, refused_buffer;
+  ASSERT_TRUE(queued.ok() && refused.ok());
+  std::string queued_buffer, refused_buffer;
 
-  ASSERT_TRUE(running->SendAll("{\"target\": \"mnli\"}\n").ok());
-  entered.wait();  // The first select holds the only run slot.
   ASSERT_TRUE(queued->SendAll("{\"target\": \"boolq\"}\n").ok());
-  if (!queue.WaitFor(1)) {
+  if (!queue.WaitFor(2)) {
     release.count_down();  // Free the held slot so the test can end.
-    FAIL() << "the second select never joined the queue";
+    FAIL() << "the socket select never joined the queue";
   }
   EXPECT_EQ(service->queue_depth(), 1u);
 
@@ -505,15 +515,12 @@ TEST_F(SelectionServerTest, SocketSelectsQueueThenRejectWhenFull) {
             std::string::npos);
 
   release.count_down();
-  auto expect_ok_reply = [](Socket& socket, std::string* buffer) {
-    auto line = socket.RecvLine(buffer);
-    ASSERT_TRUE(line.ok()) << line.status().ToString();
-    auto reply = ParseResponseLine(*line);
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
-  };
-  expect_ok_reply(*running, &running_buffer);
-  expect_ok_reply(*queued, &queued_buffer);
+  EXPECT_TRUE(held.get().status.ok());
+  auto line = queued->RecvLine(&queued_buffer);
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  auto reply = ParseResponseLine(*line);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
   server->Shutdown();
 
   const ServiceStats stats = service->Stats();
@@ -523,9 +530,9 @@ TEST_F(SelectionServerTest, SocketSelectsQueueThenRejectWhenFull) {
   ExpectConservation(metrics, stats);
 }
 
-// Run slots bound connection threads and workers together: eight
-// connections selecting at once never have more than worker_threads
-// requests past admission and into the pipeline; the rest queue.
+// Run slots bound the server's loop and the workers together: with both
+// slots held, eight connections' selects all queue rather than run on the
+// loop, and no more than worker_threads requests are ever in the pipeline.
 TEST_F(SelectionServerTest, RunSlotsBoundConcurrentSocketSelects) {
   constexpr int kClients = 8;
   constexpr int kSlots = 2;
@@ -558,6 +565,15 @@ TEST_F(SelectionServerTest, RunSlotsBoundConcurrentSocketSelects) {
   auto server = StartUnixFor(service.get(), path);
   ASSERT_NE(server, nullptr);
 
+  // Two submitted selects take both slots on the workers.
+  std::vector<std::future<SelectionResponse>> holders;
+  for (int i = 0; i < kSlots; ++i) {
+    SelectionRequest request;
+    request.target = "mnli";
+    holders.push_back(service->Submit(std::move(request)));
+  }
+  slots_full.wait();
+
   std::vector<std::thread> clients;
   std::atomic<int> ok_replies{0};
   for (int i = 0; i < kClients; ++i) {
@@ -571,27 +587,27 @@ TEST_F(SelectionServerTest, RunSlotsBoundConcurrentSocketSelects) {
       if (reply.ok() && reply->status.ok()) ok_replies.fetch_add(1);
     });
   }
-  slots_full.wait();
-  if (!queue.WaitFor(kClients - kSlots)) {
+  if (!queue.WaitFor(kSlots + kClients)) {
     release.count_down();  // Free the held slots so the clients finish.
     for (std::thread& client : clients) client.join();
-    FAIL() << "fewer than " << kClients - kSlots << " selects queued";
+    FAIL() << "fewer than " << kClients << " socket selects queued";
   }
-  EXPECT_EQ(service->queue_depth(), static_cast<size_t>(kClients - kSlots));
+  EXPECT_EQ(service->queue_depth(), static_cast<size_t>(kClients));
   {
-    // Six selects wait in the queue while two hold the slots.
+    // Eight selects wait in the queue while two hold the slots.
     std::lock_guard<std::mutex> lock(mu);
     EXPECT_EQ(inside, kSlots);
   }
   release.count_down();
   for (std::thread& client : clients) client.join();
+  for (auto& holder : holders) EXPECT_TRUE(holder.get().status.ok());
   server->Shutdown();
 
   EXPECT_EQ(ok_replies.load(), kClients);
   EXPECT_EQ(max_inside, kSlots);
   const ServiceStats stats = service->Stats();
-  EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kClients));
-  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kClients + kSlots));
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kClients + kSlots));
   ExpectConservation(metrics, stats);
 }
 

@@ -131,83 +131,6 @@ TEST(SocketTest, MidLineEofReturnsPartialLine) {
   client_thread.join();
 }
 
-TEST(SocketTest, RecvLineCapDiscardsOversizedLineAndKeepsFraming) {
-  const std::string path = TempSocketPath("cap");
-  auto server = ServerSocket::ListenUnix(path);
-  ASSERT_TRUE(server.ok());
-
-  std::thread client_thread([&path] {
-    auto client = ConnectUnix(path);
-    ASSERT_TRUE(client.ok());
-    // One line far over the cap, then two normal lines in the same burst.
-    const std::string big(256 * 1024, 'x');
-    ASSERT_TRUE(client->SendAll(big + "\nafter\nthe flood\n").ok());
-  });
-
-  auto conn = server->Accept();
-  ASSERT_TRUE(conn.ok());
-  std::string buffer;
-  constexpr size_t kCap = 1024;
-  // The oversized line is discarded (bounded memory), reported as
-  // InvalidArgument...
-  auto big_line = conn->RecvLine(&buffer, kCap);
-  EXPECT_FALSE(big_line.ok());
-  EXPECT_TRUE(big_line.status().IsInvalidArgument())
-      << big_line.status().ToString();
-  // ...and the stream stays framed: the following lines come out intact.
-  EXPECT_EQ(*conn->RecvLine(&buffer, kCap), "after");
-  EXPECT_EQ(*conn->RecvLine(&buffer, kCap), "the flood");
-  client_thread.join();
-}
-
-TEST(SocketTest, RecvLineCapExactBoundaryIsAccepted) {
-  const std::string path = TempSocketPath("cap_boundary");
-  auto server = ServerSocket::ListenUnix(path);
-  ASSERT_TRUE(server.ok());
-
-  constexpr size_t kCap = 64;
-  std::thread client_thread([&path] {
-    auto client = ConnectUnix(path);
-    ASSERT_TRUE(client.ok());
-    // Exactly at the cap (payload bytes, excluding '\n'): accepted.
-    ASSERT_TRUE(client->SendAll(std::string(kCap, 'a') + "\n").ok());
-    // One byte over: rejected.
-    ASSERT_TRUE(client->SendAll(std::string(kCap + 1, 'b') + "\n").ok());
-    // Still framed afterwards.
-    ASSERT_TRUE(client->SendAll("ok\n").ok());
-  });
-
-  auto conn = server->Accept();
-  ASSERT_TRUE(conn.ok());
-  std::string buffer;
-  EXPECT_EQ(*conn->RecvLine(&buffer, kCap), std::string(kCap, 'a'));
-  EXPECT_TRUE(conn->RecvLine(&buffer, kCap).status().IsInvalidArgument());
-  EXPECT_EQ(*conn->RecvLine(&buffer, kCap), "ok");
-  client_thread.join();
-}
-
-TEST(SocketTest, RecvLineCapUnterminatedEofStillReportsOversize) {
-  const std::string path = TempSocketPath("cap_eof");
-  auto server = ServerSocket::ListenUnix(path);
-  ASSERT_TRUE(server.ok());
-
-  std::thread client_thread([&path] {
-    auto client = ConnectUnix(path);
-    ASSERT_TRUE(client.ok());
-    // Over-cap garbage with NO terminator, then hang up.
-    ASSERT_TRUE(client->SendAll(std::string(8 * 1024, 'z')).ok());
-  });
-
-  auto conn = server->Accept();
-  ASSERT_TRUE(conn.ok());
-  std::string buffer;
-  auto line = conn->RecvLine(&buffer, 1024);
-  EXPECT_FALSE(line.ok());
-  EXPECT_TRUE(line.status().IsInvalidArgument()) << line.status().ToString();
-  EXPECT_TRUE(buffer.empty());  // Nothing retained.
-  client_thread.join();
-}
-
 TEST(SocketTest, ShutdownUnblocksParkedAccept) {
   const std::string path = TempSocketPath("unblock");
   auto server = ServerSocket::ListenUnix(path);
