@@ -29,7 +29,7 @@ void Report(TaskDomain domain, const char* title) {
 
   std::cout << "=== Ablation: SH eta sweep vs fine-selection (" << title
             << ", full zoo) ===\n";
-  TablePrinter table({"target", "method", "epochs", "accuracy"});
+  SectionedTable table({"target", "method", "epochs", "accuracy"});
   for (const Dataset* target : world.Targets()) {
     for (int eta : {2, 3, 4}) {
       SuccessiveHalvingOptions options;

@@ -49,7 +49,7 @@ void Report(TaskDomain domain, const char* title) {
                              world.clustering.get(), world.simulator.get());
 
   std::cout << "=== Extension: strategy landscape (" << title << ") ===\n";
-  TablePrinter table({"target", "strategy", "epochs", "accuracy"});
+  SectionedTable table({"target", "strategy", "epochs", "accuracy"});
   for (const Dataset* target : world.Targets()) {
     const std::vector<double> truth = ExitIfError(
         TrueFinalAccuracies(*world.zoo, *target, *world.simulator, hp),

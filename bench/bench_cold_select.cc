@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "bench/lib/dispatch.h"
 #include "bench/telemetry.h"
 #include "serve/service.h"
 #include "util/stats.h"
@@ -81,7 +82,7 @@ double ServeMicros(SelectionService& service, const std::string& target) {
   SelectionRequest request;
   request.target = target;
   const double start = ThreadCpuMicros();
-  const auto response = service.Serve(std::move(request));
+  const auto response = Serve(service, std::move(request));
   const double us = ThreadCpuMicros() - start;
   ExitIfError(response.status, "serve " + target);
   return us;
@@ -107,7 +108,7 @@ void RunDomain(TaskDomain domain, BenchTelemetry& telemetry,
   ServiceArtifacts artifacts =
       ExitIfError(ServiceArtifacts::Build(domain), tag + " artifacts");
   std::vector<std::string> targets;
-  for (const Dataset* target : artifacts.registry.Targets(domain)) {
+  for (const Dataset* target : Targets(artifacts.registry, domain)) {
     targets.push_back(target->name());
   }
   auto service = ExitIfError(

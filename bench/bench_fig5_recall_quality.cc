@@ -45,8 +45,8 @@ void Report(TaskDomain domain, const char* title) {
                       world.clustering.get());
 
   std::cout << "=== Fig. 5: recall quality (" << title << ") ===\n";
-  TablePrinter table({"target", "K", "coarse-recall", "random-recall",
-                      "best model contained", "regret@K"});
+  SectionedTable table({"target", "K", "coarse-recall", "random-recall",
+                        "best model contained", "regret@K"});
   Rng rng(2024);
   for (const Dataset* target : world.Targets()) {
     RecallResult result = ExitIfError(
@@ -144,8 +144,8 @@ void ReportBackends(TaskDomain domain, const char* title,
   const recall::RecallBackendSet backends(representative, context);
 
   std::cout << "=== Recall backends head-to-head (" << title << ") ===\n";
-  TablePrinter table({"target", "backend", "recall@5", "recall@10",
-                      "recall@15", "recall@20", "latency (ms)"});
+  SectionedTable table({"target", "backend", "recall@5", "recall@10",
+                        "recall@15", "recall@20", "latency (ms)"});
   // backend -> accumulated mean recall@10 / latency across targets.
   std::map<std::string, double> sum_recall10;
   std::map<std::string, double> sum_latency;
@@ -157,7 +157,7 @@ void ReportBackends(TaskDomain domain, const char* title,
                             world.DefaultHp()),
         "truth " + target->name());
     ++num_targets;
-    for (const std::string& name : backends.available()) {
+    for (const std::string& name : AvailableBackends(backends)) {
       const recall::RecallBackend* backend =
           ExitIfError(backends.Find(name), "find backend " + name);
       const RecallResult result = ExitIfError(
@@ -197,7 +197,7 @@ void ReportBackends(TaskDomain domain, const char* title,
   // Aggregates + the acceptance gate: embedding recall@10 within 0.90x of
   // representative, at lower per-request latency.
   const double n = static_cast<double>(num_targets);
-  for (const std::string& name : backends.available()) {
+  for (const std::string& name : AvailableBackends(backends)) {
     telemetry->RecordValue(prefix + "/" + name + "/mean_recall@10",
                            sum_recall10[name] / n);
     telemetry->RecordValue(prefix + "/" + name + "/mean_latency_ms",

@@ -86,9 +86,16 @@ Matrix RandomVectors(size_t n, size_t dims, uint64_t seed) {
   return m;
 }
 
+std::vector<std::vector<double>> Rows(const Matrix& m) {
+  std::vector<std::vector<double>> rows;
+  rows.reserve(m.rows());
+  for (size_t i = 0; i < m.rows(); ++i) rows.push_back(m.Row(i));
+  return rows;
+}
+
 void BM_PairwiseTopKDistances(benchmark::State& state) {
-  const Matrix vectors =
-      RandomVectors(static_cast<size_t>(state.range(0)), 24, 7);
+  const std::vector<std::vector<double>> vectors =
+      Rows(RandomVectors(static_cast<size_t>(state.range(0)), 24, 7));
   for (auto _ : state) {
     auto distances =
         PairwiseDistances(vectors, DistanceMetric::kTopKAbsDiff, 5);
@@ -112,8 +119,8 @@ void BM_KMeans(benchmark::State& state) {
 BENCHMARK(BM_KMeans)->Arg(40)->Arg(200)->Arg(1000);
 
 void BM_HierarchicalCluster(benchmark::State& state) {
-  const Matrix vectors =
-      RandomVectors(static_cast<size_t>(state.range(0)), 24, 13);
+  const std::vector<std::vector<double>> vectors =
+      Rows(RandomVectors(static_cast<size_t>(state.range(0)), 24, 13));
   auto distances =
       PairwiseDistances(vectors, DistanceMetric::kEuclidean, 5);
   TPS_CHECK_OK(distances.status());

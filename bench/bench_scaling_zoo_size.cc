@@ -222,14 +222,14 @@ void ReportIndexedRecall(BenchTelemetry* telemetry) {
 
     // Full probe with exact (unrestricted) propagation must reproduce the
     // oracle bit-for-bit — the serving-path mirror of theorem A in
-    // tests/index/index_equivalence_test.cc.
+    // tests/index/index_equivalence_test.cc. The quantizer is a pure
+    // function of the vectors and the k-means options, so this index has
+    // the same partitions as `index`.
     IvfIndexOptions exact_options;
     exact_options.propagation_neighbors = 0;
     IvfIndex exact_index = ExitIfError(
-        IvfIndex::BuildWithCentroids(index.centroids(),
-                                     matrix.ModelVectors(),
-                                     matrix.ModelAverageAccuracies(),
-                                     exact_options),
+        IvfIndex::Build(matrix.ModelVectors(),
+                        matrix.ModelAverageAccuracies(), exact_options),
         "exact index");
     RecallOptions full_options = oracle_options;
     full_options.index = &exact_index;

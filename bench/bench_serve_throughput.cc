@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "bench/lib/dispatch.h"
 #include "bench/telemetry.h"
 #include "serve/service.h"
 #include "util/stats.h"
@@ -64,7 +65,7 @@ LoadResult RunLoad(SelectionService& service,
         request.target =
             targets[(c * kRequestsPerClient + i) % targets.size()]->name();
         const auto begin = Clock::now();
-        const auto response = service.Submit(std::move(request)).get();
+        const auto response = Submit(service, std::move(request)).get();
         latencies[c].push_back(
             std::chrono::duration<double, std::milli>(Clock::now() - begin)
                 .count());
@@ -115,7 +116,7 @@ LoadResult RunStampede(SelectionService& service,
         request.target = target->name();
         request.proxies = {"leep", "nce", "logme", "knn"};
         const auto begin = Clock::now();
-        const auto response = service.Submit(std::move(request)).get();
+        const auto response = Submit(service, std::move(request)).get();
         const double ms =
             std::chrono::duration<double, std::milli>(Clock::now() - begin)
                 .count();
@@ -163,7 +164,7 @@ void Report() {
   ServiceArtifacts artifacts = ExitIfError(
       ServiceArtifacts::Build(TaskDomain::kNLP, build_threads), "artifacts");
   const std::vector<const Dataset*> targets =
-      artifacts.registry.Targets(TaskDomain::kNLP);
+      Targets(artifacts.registry, TaskDomain::kNLP);
 
   TablePrinter table({"run", "QPS", "p50 ms", "p99 ms", "cache hit rate",
                       "hits", "misses"});

@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench/harness.h"
-#include "core/model_clusterer.h"
+#include "bench/lib/baseline_clustering.h"
 
 namespace tps {
 namespace bench {
@@ -14,12 +14,12 @@ namespace {
 
 void Report(TaskDomain domain, const char* title) {
   World world = ExitIfError(BuildWorld(domain), "build world");
-  ModelClusteringOptions options;
+  BaselineClusteringOptions options;
   options.algorithm = ClusterAlgorithm::kKMeans;
   // Match the hierarchical granularity, as the paper's appendix does.
   options.num_clusters = world.clustering->clusters.num_clusters;
   ModelClustering clustering = ExitIfError(
-      ClusterModels(*world.matrix, *world.zoo, options), "cluster");
+      ClusterModelsBaseline(*world.matrix, *world.zoo, options), "cluster");
 
   std::cout << "=== Table XI: k-means model clusters (" << title << ", k="
             << options.num_clusters << ") ===\n";

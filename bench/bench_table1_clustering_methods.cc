@@ -7,8 +7,8 @@
 #include <iostream>
 
 #include "bench/harness.h"
+#include "bench/lib/baseline_clustering.h"
 #include "bench/lib/silhouette.h"
-#include "core/model_clusterer.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -18,7 +18,7 @@ namespace {
 
 double SilhouetteFor(const World& world, ModelSimilarityKind similarity,
                      ClusterAlgorithm algorithm) {
-  ModelClusteringOptions options;
+  BaselineClusteringOptions options;
   options.similarity = similarity;
   options.algorithm = algorithm;
   if (algorithm == ClusterAlgorithm::kKMeans) {
@@ -26,7 +26,7 @@ double SilhouetteFor(const World& world, ModelSimilarityKind similarity,
     options.num_clusters = world.clustering->clusters.num_clusters;
   }
   ModelClustering clustering = ExitIfError(
-      ClusterModels(*world.matrix, *world.zoo, options), "cluster");
+      ClusterModelsBaseline(*world.matrix, *world.zoo, options), "cluster");
   return ExitIfError(
       SilhouetteScore(clustering.distances, clustering.clusters),
       "silhouette");

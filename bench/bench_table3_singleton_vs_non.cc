@@ -18,12 +18,17 @@ namespace {
 
 void Report(TaskDomain domain, const char* title, TablePrinter& table) {
   World world = ExitIfError(BuildWorld(domain), "build world");
+  const ClusteringResult& clusters = world.clustering->clusters;
+  const std::vector<size_t> sizes = clusters.Sizes();
+  const auto is_singleton = [&](size_t m) {
+    return sizes[static_cast<size_t>(clusters.assignments[m])] == 1;
+  };
 
   std::vector<double> non_singleton_acc;
   std::vector<double> singleton_acc;
   for (size_t m = 0; m < world.zoo->size(); ++m) {
     const double acc = world.matrix->ModelAverageAccuracy(m);
-    if (world.clustering->IsSingletonModel(m)) {
+    if (is_singleton(m)) {
       singleton_acc.push_back(acc);
     } else {
       non_singleton_acc.push_back(acc);
@@ -34,7 +39,7 @@ void Report(TaskDomain domain, const char* title, TablePrinter& table) {
   size_t singleton_best = 0;
   for (size_t d = 0; d < world.matrix->num_datasets(); ++d) {
     const size_t best = stats::ArgMax(world.matrix->accuracy().Row(d));
-    if (world.clustering->IsSingletonModel(best)) {
+    if (is_singleton(best)) {
       ++singleton_best;
     } else {
       ++non_singleton_best;

@@ -17,7 +17,7 @@ namespace bench {
 namespace {
 
 void Report(TaskDomain domain, const std::vector<std::string>& targets,
-            TablePrinter& table) {
+            SectionedTable& table) {
   World world = ExitIfError(BuildWorld(domain), "build world");
   CoarseRecall recall(world.zoo.get(), world.matrix.get(),
                       world.clustering.get());
@@ -57,7 +57,7 @@ int main() {
   using namespace tps::bench;
   std::cout << "=== Table IV: fine-selection filtering threshold sweep "
                "===\n";
-  TablePrinter table({"target", "metric", "0%", "1%", "5%", "10%"});
+  SectionedTable table({"target", "metric", "0%", "1%", "5%", "10%"});
   Report(TaskDomain::kNLP, {"mnli", "multirc"}, table);
   Report(TaskDomain::kCV, {"oxford_flowers", "chest_xray"}, table);
   table.Print(std::cout);

@@ -53,8 +53,8 @@ void Report(TaskDomain domain, const char* title,
   std::cout << "=== Table V: selection time (" << title << ", "
             << hp.epochs << " epochs/model, zoo size " << world.zoo->size()
             << ") ===\n";
-  TablePrinter table({"target", "method", "epochs@10", "speedup@10",
-                      "epochs@all", "speedup@all"});
+  SectionedTable table({"target", "method", "epochs@10", "speedup@10",
+                        "epochs@all", "speedup@all"});
 
   for (const Dataset* target : world.Targets()) {
     const std::string prefix = std::string(title) + "/" + target->name();
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   telemetry.WriteFileOrWarn();
   if (*flags->GetBool("parallel-timing", false)) {
     const int threads = static_cast<int>(
-        *flags->GetInt("threads", tps::ThreadPool::DefaultThreads()));
+        *flags->GetInt("threads", tps::DefaultThreads()));
     const int repeats = static_cast<int>(*flags->GetInt("repeats", 3));
     tps::bench::ReportWallClock(tps::TaskDomain::kNLP, "NLP", threads,
                                 repeats);

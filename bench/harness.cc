@@ -4,13 +4,12 @@
 #include <iostream>
 
 #include "model/paper_zoo.h"
-#include "util/thread_pool.h"
 
 namespace tps {
 namespace bench {
 
 StatusOr<World> BuildWorld(TaskDomain domain) {
-  return BuildWorld(domain, ThreadPool::DefaultThreads());
+  return BuildWorld(domain, DefaultThreads());
 }
 
 StatusOr<World> BuildWorld(TaskDomain domain, int num_threads) {

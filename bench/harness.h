@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/lib/bench_util.h"
 #include "core/model_clusterer.h"
 #include "core/performance_matrix.h"
 #include "data/registry.h"
@@ -30,7 +31,7 @@ struct World {
     return registry->Benchmarks(domain);
   }
   std::vector<const Dataset*> Targets() const {
-    return registry->Targets(domain);
+    return ::tps::Targets(*registry, domain);
   }
   Hyperparams DefaultHp() const { return Hyperparams::DefaultsFor(domain); }
 };

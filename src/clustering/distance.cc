@@ -29,14 +29,6 @@ double Distance(const std::vector<double>& a, const std::vector<double>& b,
   return 0.0;
 }
 
-StatusOr<Matrix> PairwiseDistances(const Matrix& rows, DistanceMetric metric,
-                                   size_t top_k) {
-  std::vector<std::vector<double>> vectors;
-  vectors.reserve(rows.rows());
-  for (size_t i = 0; i < rows.rows(); ++i) vectors.push_back(rows.Row(i));
-  return PairwiseDistances(vectors, metric, top_k);
-}
-
 StatusOr<Matrix> PairwiseDistances(
     const std::vector<std::vector<double>>& vectors, DistanceMetric metric,
     size_t top_k) {

@@ -39,10 +39,6 @@ double PerformanceSimilarity(const double* a, const double* b, size_t dims,
 double Distance(const std::vector<double>& a, const std::vector<double>& b,
                 DistanceMetric metric, size_t top_k = 5);
 
-/// Symmetric pairwise-distance matrix over the rows of `rows`.
-StatusOr<Matrix> PairwiseDistances(const Matrix& rows, DistanceMetric metric,
-                                   size_t top_k = 5);
-
 /// Symmetric pairwise-distance matrix from explicit vectors (one per item).
 /// Fails if vectors are ragged or empty.
 StatusOr<Matrix> PairwiseDistances(

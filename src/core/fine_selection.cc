@@ -39,11 +39,6 @@ void FineTuneCurveMemo::Insert(const Key& key,
   curves_.try_emplace(key, curve.begin(), curve.end());
 }
 
-size_t FineTuneCurveMemo::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return curves_.size();
-}
-
 FineSelectionSelector::FineSelectionSelector(
     const ModelZoo* zoo, const FineTuneSimulator* simulator,
     const ConvergenceTrendMiner* miner, FineSelectionOptions options,

@@ -62,8 +62,6 @@ class FineTuneCurveMemo {
   /// A key already present keeps its curve (both are the same bits).
   void Insert(const Key& key, std::span<const double> curve);
 
-  size_t size() const;
-
  private:
   struct KeyHash {
     size_t operator()(const Key& key) const;

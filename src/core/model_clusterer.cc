@@ -1,14 +1,12 @@
 #include "core/model_clusterer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <sstream>
 
 #include "clustering/distance.h"
 #include "clustering/hierarchical.h"
-#include "clustering/kmeans.h"
-#include "embedding/text_embedder.h"
-#include "model/model_card.h"
 #include "util/logging.h"
 
 namespace tps {
@@ -22,51 +20,26 @@ std::vector<int> ModelClustering::NonSingletonClusters() const {
   return out;
 }
 
-std::vector<int> ModelClustering::SingletonClusters() const {
-  std::vector<int> out;
-  const std::vector<size_t> sizes = clusters.Sizes();
+std::vector<size_t> PickRepresentatives(const PerformanceMatrix& matrix,
+                                        const ClusteringResult& clusters) {
+  std::vector<size_t> representatives(
+      static_cast<size_t>(clusters.num_clusters), 0);
   for (int c = 0; c < clusters.num_clusters; ++c) {
-    if (sizes[static_cast<size_t>(c)] == 1) out.push_back(c);
+    const std::vector<size_t> members = clusters.Members(c);
+    TPS_CHECK(!members.empty());
+    size_t best = members[0];
+    double best_acc = matrix.ModelAverageAccuracy(best);
+    for (size_t m : members) {
+      const double acc = matrix.ModelAverageAccuracy(m);
+      if (acc > best_acc) {
+        best_acc = acc;
+        best = m;
+      }
+    }
+    representatives[static_cast<size_t>(c)] = best;
   }
-  return out;
+  return representatives;
 }
-
-bool ModelClustering::IsSingletonModel(size_t model_index) const {
-  TPS_CHECK(model_index < clusters.assignments.size());
-  const int c = clusters.assignments[model_index];
-  return clusters.Sizes()[static_cast<size_t>(c)] == 1;
-}
-
-int ModelClustering::ClusterOf(size_t model_index) const {
-  TPS_CHECK(model_index < clusters.assignments.size());
-  return clusters.assignments[model_index];
-}
-
-namespace {
-
-StatusOr<Matrix> BuildDistances(const PerformanceMatrix& matrix,
-                                const ModelZoo& zoo,
-                                const ModelClusteringOptions& options) {
-  const size_t n = zoo.size();
-  if (options.similarity == ModelSimilarityKind::kPerformance) {
-    std::vector<std::vector<double>> vectors;
-    vectors.reserve(n);
-    for (size_t m = 0; m < n; ++m) vectors.push_back(matrix.ModelVector(m));
-    return PairwiseDistances(vectors, DistanceMetric::kTopKAbsDiff,
-                             options.top_k);
-  }
-  // Text-card similarity baseline.
-  HashedTextEmbedder embedder;
-  std::vector<std::vector<double>> embeddings;
-  embeddings.reserve(n);
-  for (size_t m = 0; m < n; ++m) {
-    embeddings.push_back(embedder.Embed(GenerateModelCard(
-        zoo.model(m).spec())));
-  }
-  return PairwiseDistances(embeddings, DistanceMetric::kCosine);
-}
-
-}  // namespace
 
 StatusOr<ModelClustering> ClusterModels(
     const PerformanceMatrix& matrix, const ModelZoo& zoo,
@@ -81,61 +54,23 @@ StatusOr<ModelClustering> ClusterModels(
 
   ModelClustering result;
   result.options = options;
+  std::vector<std::vector<double>> vectors;
+  vectors.reserve(zoo.size());
+  for (size_t m = 0; m < zoo.size(); ++m) {
+    vectors.push_back(matrix.ModelVector(m));
+  }
   TPS_ASSIGN_OR_RETURN(result.distances,
-                       BuildDistances(matrix, zoo, options));
+                       PairwiseDistances(vectors, DistanceMetric::kTopKAbsDiff,
+                                         options.top_k));
 
-  if (options.algorithm == ClusterAlgorithm::kHierarchical) {
-    HierarchicalOptions hopts;
-    hopts.linkage = Linkage::kAverage;
-    hopts.num_clusters = options.num_clusters;
-    hopts.distance_threshold = options.distance_threshold;
-    TPS_ASSIGN_OR_RETURN(HierarchicalResult hr,
-                         HierarchicalCluster(result.distances, hopts));
-    result.clusters = std::move(hr.clustering);
-  } else {
-    if (options.num_clusters < 1) {
-      return Status::InvalidArgument("k-means needs num_clusters >= 1");
-    }
-    // K-means runs in the raw feature space (performance vectors or card
-    // embeddings), not on the distance matrix.
-    std::vector<std::vector<double>> features;
-    features.reserve(zoo.size());
-    if (options.similarity == ModelSimilarityKind::kPerformance) {
-      for (size_t m = 0; m < zoo.size(); ++m) {
-        features.push_back(matrix.ModelVector(m));
-      }
-    } else {
-      HashedTextEmbedder embedder;
-      for (size_t m = 0; m < zoo.size(); ++m) {
-        features.push_back(
-            embedder.Embed(GenerateModelCard(zoo.model(m).spec())));
-      }
-    }
-    TPS_ASSIGN_OR_RETURN(Matrix points, Matrix::FromRows(features));
-    KMeansOptions kopts;
-    kopts.num_clusters = options.num_clusters;
-    kopts.seed = options.seed;
-    TPS_ASSIGN_OR_RETURN(KMeansResult kr, KMeans(points, kopts));
-    result.clusters = std::move(kr.clustering);
-  }
-
-  // Representative model per cluster: highest average benchmark accuracy.
-  result.representatives.assign(
-      static_cast<size_t>(result.clusters.num_clusters), 0);
-  for (int c = 0; c < result.clusters.num_clusters; ++c) {
-    const std::vector<size_t> members = result.clusters.Members(c);
-    TPS_CHECK(!members.empty());
-    size_t best = members[0];
-    double best_acc = matrix.ModelAverageAccuracy(best);
-    for (size_t m : members) {
-      const double acc = matrix.ModelAverageAccuracy(m);
-      if (acc > best_acc) {
-        best_acc = acc;
-        best = m;
-      }
-    }
-    result.representatives[static_cast<size_t>(c)] = best;
-  }
+  HierarchicalOptions hopts;
+  hopts.linkage = Linkage::kAverage;
+  hopts.num_clusters = options.num_clusters;
+  hopts.distance_threshold = options.distance_threshold;
+  TPS_ASSIGN_OR_RETURN(HierarchicalResult hr,
+                       HierarchicalCluster(result.distances, hopts));
+  result.clusters = std::move(hr.clustering);
+  result.representatives = PickRepresentatives(matrix, result.clusters);
   return result;
 }
 
@@ -177,8 +112,6 @@ StatusOr<ModelClustering> ClusteringFromIndexStructure(
   // The distance matrix stays empty on purpose: nothing in the recall
   // path reads it, and materializing O(n^2) distances is exactly what a
   // large generated zoo cannot afford.
-  clustering.options.similarity = ModelSimilarityKind::kPerformance;
-  clustering.options.algorithm = ClusterAlgorithm::kKMeans;
   clustering.options.top_k = structure.similarity_top_k;
   clustering.options.num_clusters = static_cast<int>(P);
   return clustering;
@@ -213,14 +146,11 @@ std::string FormatClusters(const ModelClustering& clustering,
 
 std::string SerializeClustering(const ModelClustering& clustering) {
   std::ostringstream out;
-  out << "tps-model-clustering v1\n";
+  out << "tps-model-clustering v2\n";
   out << clustering.clusters.assignments.size() << " "
       << clustering.clusters.num_clusters << "\n";
-  out << static_cast<int>(clustering.options.similarity) << " "
-      << static_cast<int>(clustering.options.algorithm) << " "
-      << clustering.options.top_k << " " << clustering.options.num_clusters
-      << " " << clustering.options.distance_threshold << " "
-      << clustering.options.seed << "\n";
+  out << clustering.options.top_k << " " << clustering.options.num_clusters
+      << " " << clustering.options.distance_threshold << "\n";
   for (int a : clustering.clusters.assignments) out << a << " ";
   out << "\n";
   for (size_t r : clustering.representatives) out << r << " ";
@@ -240,7 +170,8 @@ StatusOr<ModelClustering> DeserializeClustering(const std::string& text) {
   std::istringstream in(text);
   std::string header;
   std::getline(in, header);
-  if (header != "tps-model-clustering v1") {
+  const bool v1 = header == "tps-model-clustering v1";
+  if (!v1 && header != "tps-model-clustering v2") {
     return Status::InvalidArgument("bad clustering header");
   }
   size_t num_models = 0;
@@ -254,17 +185,18 @@ StatusOr<ModelClustering> DeserializeClustering(const std::string& text) {
   }
 
   ModelClustering clustering;
+  // v1 led with the similarity kind and the algorithm (each 0 or 1) and
+  // ended with the k-means seed; they are checked, then dropped.
   int similarity = 0, algorithm = 0;
-  in >> similarity >> algorithm >> clustering.options.top_k >>
-      clustering.options.num_clusters >>
-      clustering.options.distance_threshold >> clustering.options.seed;
+  uint64_t seed = 0;
+  if (v1) in >> similarity >> algorithm;
+  in >> clustering.options.top_k >> clustering.options.num_clusters >>
+      clustering.options.distance_threshold;
+  if (v1) in >> seed;
   if (!in || similarity < 0 || similarity > 1 || algorithm < 0 ||
       algorithm > 1) {
     return Status::InvalidArgument("bad clustering options");
   }
-  clustering.options.similarity =
-      static_cast<ModelSimilarityKind>(similarity);
-  clustering.options.algorithm = static_cast<ClusterAlgorithm>(algorithm);
 
   clustering.clusters.num_clusters = num_clusters;
   clustering.clusters.assignments.resize(num_models);

@@ -1,7 +1,6 @@
 #ifndef TPS_CORE_MODEL_CLUSTERER_H_
 #define TPS_CORE_MODEL_CLUSTERER_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,33 +13,17 @@
 
 namespace tps {
 
-/// How model-to-model similarity is measured before clustering.
-enum class ModelSimilarityKind {
-  /// The paper's Eq. 1: 1 - mean of the top-k largest per-benchmark
-  /// accuracy differences, computed from the performance matrix.
-  kPerformance,
-  /// Baseline of Table I: cosine similarity of embedded model-card text.
-  kTextCard,
-};
-
-enum class ClusterAlgorithm {
-  /// Agglomerative, average linkage — the paper's winning configuration.
-  kHierarchical,
-  kKMeans,
-};
-
+/// The paper's coarse-recall clustering: Eq. 1 performance similarity,
+/// then average-linkage hierarchical clustering. (Table I's text-card and
+/// k-means baselines live in bench/lib/baseline_clustering.h.)
 struct ModelClusteringOptions {
-  ModelSimilarityKind similarity = ModelSimilarityKind::kPerformance;
-  ClusterAlgorithm algorithm = ClusterAlgorithm::kHierarchical;
   /// Eq. 1 top-k (Appendix D fixes k = 5).
   size_t top_k = 5;
-  /// Cluster count. For k-means this is k (must be > 0). For hierarchical,
-  /// > 0 merges to exactly that many clusters; 0 cuts the dendrogram at
-  /// `distance_threshold` instead (how the paper obtains a natural mix of
-  /// singleton and non-singleton clusters).
+  /// Cluster count: > 0 merges to exactly that many clusters; 0 cuts the
+  /// dendrogram at `distance_threshold` instead (how the paper obtains a
+  /// natural mix of singleton and non-singleton clusters).
   int num_clusters = 0;
   double distance_threshold = 0.085;
-  uint64_t seed = 42;
 };
 
 /// A clustering of the model repository plus everything the recall phase
@@ -57,19 +40,20 @@ struct ModelClustering {
 
   /// Ids of clusters with more than one member, ascending.
   std::vector<int> NonSingletonClusters() const;
-  /// Ids of clusters with exactly one member, ascending.
-  std::vector<int> SingletonClusters() const;
-  bool IsSingletonModel(size_t model_index) const;
-  int ClusterOf(size_t model_index) const;
 };
 
 /// Clusters the model repository. The performance matrix provides Eq. 1
-/// features and the average-accuracy representative rule; the zoo provides
-/// model cards for the text baseline. Fails if sizes disagree or options
-/// are invalid.
+/// features and the average-accuracy representative rule; the zoo must
+/// hold the matrix's models. Fails if sizes disagree or options are
+/// invalid.
 StatusOr<ModelClustering> ClusterModels(const PerformanceMatrix& matrix,
                                         const ModelZoo& zoo,
                                         const ModelClusteringOptions& options);
+
+/// Per cluster, the index (into the zoo) of the member with the highest
+/// average benchmark accuracy; the first such member wins ties.
+std::vector<size_t> PickRepresentatives(const PerformanceMatrix& matrix,
+                                        const ClusteringResult& clusters);
 
 /// Bridges between the clustering artifact and the recall index subsystem
 /// (src/index/), in both directions:
@@ -100,10 +84,12 @@ std::string FormatClusters(const ModelClustering& clustering,
 
 /// Serializes a clustering (assignments, representatives, options,
 /// distance matrix) to the line-oriented text format the model store
-/// persists.
+/// persists: `tps-model-clustering v2`.
 std::string SerializeClustering(const ModelClustering& clustering);
 
-/// Parses a clustering produced by SerializeClustering.
+/// Parses a clustering produced by SerializeClustering. Also reads v1,
+/// which carried three more option fields (similarity kind, algorithm,
+/// k-means seed): they are range-checked as before, then dropped.
 StatusOr<ModelClustering> DeserializeClustering(const std::string& text);
 
 }  // namespace tps

@@ -2,7 +2,6 @@
 
 #include "data/latent.h"
 #include "matrix/vector_ops.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace tps {
@@ -88,19 +87,8 @@ const std::vector<Example>& Dataset::examples() const {
   std::call_once(examples_->once, [this] {
     examples_->examples =
         GenerateExamples(spec_, seed_, domain_vector_, label_prototypes_);
-    examples_->built = true;
   });
   return examples_->examples;
-}
-
-bool Dataset::examples_built() const {
-  return examples_ != nullptr && examples_->built;
-}
-
-const std::vector<double>& Dataset::label_prototype(int label) const {
-  TPS_CHECK(label >= 0 &&
-            static_cast<size_t>(label) < label_prototypes_.size());
-  return label_prototypes_[static_cast<size_t>(label)];
 }
 
 std::string ToString(TaskDomain domain) {

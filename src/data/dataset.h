@@ -1,7 +1,6 @@
 #ifndef TPS_DATA_DATASET_H_
 #define TPS_DATA_DATASET_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,14 +47,9 @@ class Dataset {
   size_t size() const {
     return examples_ == nullptr ? 0 : static_cast<size_t>(spec_.num_examples);
   }
-  /// Whether some copy has built the examples yet.
-  bool examples_built() const;
 
   /// The dataset's latent domain vector (unit norm).
   const std::vector<double>& domain_vector() const { return domain_vector_; }
-
-  /// Prototype direction of label y (unit norm). y in [0, num_labels).
-  const std::vector<double>& label_prototype(int label) const;
 
   /// Deterministic seed derived from the dataset name; used to key all of
   /// the dataset's internal randomness.
@@ -66,7 +60,6 @@ class Dataset {
   /// behind a shared_ptr so Dataset stays copyable and movable.
   struct LazyExamples {
     std::once_flag once;
-    std::atomic<bool> built{false};
     std::vector<Example> examples;
   };
 
@@ -75,6 +68,7 @@ class Dataset {
   DatasetSpec spec_;
   uint64_t seed_ = 0;
   std::vector<double> domain_vector_;
+  /// Prototype direction of each label (unit norm).
   std::vector<std::vector<double>> label_prototypes_;
   std::shared_ptr<LazyExamples> examples_;
 };

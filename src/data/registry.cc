@@ -193,14 +193,4 @@ std::vector<const Dataset*> DatasetRegistry::Benchmarks(
   return out;
 }
 
-std::vector<const Dataset*> DatasetRegistry::Targets(TaskDomain domain) const {
-  std::vector<const Dataset*> out;
-  for (const Dataset& ds : datasets()) {
-    if (ds.spec().domain == domain && ds.spec().role == DatasetRole::kTarget) {
-      out.push_back(&ds);
-    }
-  }
-  return out;
-}
-
 }  // namespace tps

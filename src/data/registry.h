@@ -52,9 +52,6 @@ class DatasetRegistry {
   /// All benchmark datasets of a domain, in registration order.
   std::vector<const Dataset*> Benchmarks(TaskDomain domain) const;
 
-  /// All target datasets of a domain, in registration order.
-  std::vector<const Dataset*> Targets(TaskDomain domain) const;
-
   const std::vector<Dataset>& datasets() const;
   size_t size() const {
     return datasets_ == nullptr ? 0 : datasets_->size();

@@ -93,12 +93,10 @@ StatusOr<IvfIndex> IvfIndex::Build(std::vector<std::vector<double>> vectors,
   index.centroids_ = std::move(kmeans.centroids);
   // The k-means loop can stop on its iteration cap right after a centroid
   // update, leaving the reported assignments one step behind the final
-  // centroids. The index contract is nearest-final-centroid (Insert and
-  // BuildWithCentroids both route that way — the equivalence theorems rest
-  // on it), so re-derive every assignment here and drop any cell the final
-  // pass leaves empty. Pruning keeps the quantizer minimal: every surviving
-  // centroid is some model's nearest, so a frozen-quantizer rebuild
-  // reproduces these assignments exactly.
+  // centroids. The index contract is nearest-final-centroid, the rule
+  // queries route by too, so re-derive every assignment here and drop any
+  // cell the final pass leaves empty. Pruning keeps the quantizer minimal:
+  // every surviving centroid is some model's nearest.
   std::vector<int> assignments(vectors.size());
   std::vector<size_t> cell_count(index.centroids_.rows(), 0);
   for (size_t m = 0; m < vectors.size(); ++m) {
@@ -132,52 +130,6 @@ StatusOr<IvfIndex> IvfIndex::Build(std::vector<std::vector<double>> vectors,
   TPS_RETURN_NOT_OK(
       FinalizeIndexStructure(&s, options.propagation_neighbors));
   return index;
-}
-
-StatusOr<IvfIndex> IvfIndex::BuildWithCentroids(
-    Matrix centroids, std::vector<std::vector<double>> vectors,
-    std::vector<double> prior, const IvfIndexOptions& options) {
-  TPS_RETURN_NOT_OK(ValidateVectors(vectors, prior, options));
-  if (centroids.empty()) {
-    return Status::InvalidArgument("centroids must be non-empty");
-  }
-  if (centroids.cols() != vectors[0].size()) {
-    return Status::InvalidArgument(
-        "centroid dimensionality does not match the model vectors");
-  }
-  IvfIndex index;
-  index.options_ = options;
-  index.centroids_ = std::move(centroids);
-  IndexStructure& s = index.structure_;
-  s.similarity_top_k = options.similarity_top_k;
-  s.vectors = std::move(vectors);
-  s.prior = std::move(prior);
-  s.assignments.resize(s.vectors.size());
-  for (size_t m = 0; m < s.vectors.size(); ++m) {
-    s.assignments[m] = static_cast<int>(index.NearestCentroid(s.vectors[m]));
-  }
-  s.members.resize(index.centroids_.rows());
-  TPS_RETURN_NOT_OK(
-      FinalizeIndexStructure(&s, options.propagation_neighbors));
-  return index;
-}
-
-Status IvfIndex::Insert(const std::vector<double>& vector, double prior) {
-  if (vector.size() != centroids_.cols()) {
-    return Status::InvalidArgument(
-        "inserted vector dimensionality does not match the index");
-  }
-  // Frozen quantizer: route to the nearest existing centroid, touch that
-  // posting list only, then refresh the derived layout. No k-means rerun,
-  // no reassignment of existing models — Insert over a BuildWithCentroids
-  // index is bit-identical to rebuilding it with the grown inputs
-  // (tests/index/index_equivalence_test.cc).
-  const size_t partition = NearestCentroid(vector);
-  structure_.vectors.push_back(vector);
-  structure_.prior.push_back(prior);
-  structure_.assignments.push_back(static_cast<int>(partition));
-  return FinalizeIndexStructure(&structure_,
-                                options_.propagation_neighbors);
 }
 
 size_t IvfIndex::default_nprobe() const {

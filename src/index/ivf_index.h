@@ -44,10 +44,7 @@ struct IvfIndexOptions {
 ///
 /// Determinism: Build is a pure function of (vectors, prior, options) —
 /// seeded k-means, index-order reductions — so the same inputs always
-/// yield the same index, bit for bit. Insert updates exactly one posting
-/// list against the frozen quantizer and refreshes the derived fields;
-/// tests/index/index_equivalence_test.cc pins Insert == BuildWithCentroids
-/// over the grown set.
+/// yield the same index, bit for bit.
 class IvfIndex : public RecallIndex {
  public:
   /// Trains the quantizer and builds the posting lists. `vectors` is
@@ -56,20 +53,6 @@ class IvfIndex : public RecallIndex {
   static StatusOr<IvfIndex> Build(std::vector<std::vector<double>> vectors,
                                   std::vector<double> prior,
                                   const IvfIndexOptions& options);
-
-  /// Rebuilds against a frozen quantizer: every vector is assigned to its
-  /// nearest centroid (no retraining). This is the rebuild-from-scratch
-  /// oracle the incremental-insert equivalence compares against.
-  static StatusOr<IvfIndex> BuildWithCentroids(
-      Matrix centroids, std::vector<std::vector<double>> vectors,
-      std::vector<double> prior, const IvfIndexOptions& options);
-
-  /// Incremental insert: assigns the new model to its nearest centroid
-  /// (the quantizer stays frozen), appends it to that partition's posting
-  /// list, and refreshes the derived per-partition fields — O(P * dims +
-  /// singletons * scored) work, never a re-cluster of the zoo. The new
-  /// model's index is the current num_models().
-  Status Insert(const std::vector<double>& vector, double prior);
 
   const char* name() const override { return "ivf"; }
 

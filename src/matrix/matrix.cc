@@ -51,18 +51,4 @@ void Matrix::SetRow(size_t r, const std::vector<double>& values) {
   for (size_t c = 0; c < cols_; ++c) At(r, c) = values[c];
 }
 
-std::string Matrix::ToString(int decimals) const {
-  std::ostringstream os;
-  os << "Matrix(" << rows_ << " x " << cols_ << ")\n";
-  for (size_t r = 0; r < rows_; ++r) {
-    os << "  [";
-    for (size_t c = 0; c < cols_; ++c) {
-      if (c > 0) os << ", ";
-      os << strings::FormatDouble(At(r, c), decimals);
-    }
-    os << "]\n";
-  }
-  return os.str();
-}
-
 }  // namespace tps

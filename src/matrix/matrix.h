@@ -54,9 +54,6 @@ class Matrix {
   /// Overwrites row r. `values.size()` must equal cols().
   void SetRow(size_t r, const std::vector<double>& values);
 
-  /// Multi-line debug rendering with fixed precision.
-  std::string ToString(int decimals = 4) const;
-
   const std::vector<double>& data() const { return data_; }
 
   /// Mutable raw row-major storage, for the SoA batch kernels that fill a

@@ -69,12 +69,6 @@ void NormalizeInPlace(std::vector<double>& a) {
   for (double& v : a) v /= norm;
 }
 
-std::vector<double> Softmax(const std::vector<double>& logits) {
-  std::vector<double> out(logits);
-  SoftmaxInPlace(out.data(), out.size());
-  return out;
-}
-
 std::vector<double> MinMaxNormalize(const std::vector<double>& values) {
   std::vector<double> out(values.size(), 0.5);
   if (values.empty()) return out;

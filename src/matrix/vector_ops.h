@@ -42,9 +42,6 @@ double MeanOfTopK(std::vector<double> values, size_t k);
 /// In-place scaling to unit L2 norm; no-op on a zero vector.
 void NormalizeInPlace(std::vector<double>& a);
 
-/// Softmax (numerically stabilized by max subtraction).
-std::vector<double> Softmax(const std::vector<double>& logits);
-
 /// Min-max normalizes `values` into [0, 1] (the paper normalizes LEEP
 /// before combining it with the prior accuracy in the recall score; the
 /// learned recall backends normalize their scores the same way). A
@@ -60,8 +57,8 @@ std::vector<double> MinMaxNormalize(const std::vector<double>& values);
 // counterpart (same operations, same order); the differential kernel
 // harness (tests/transfer/kernel_equivalence_test.cc) pins this.
 
-/// Softmax over `values[0, n)` in place: identical max-subtraction, exp
-/// and normalization order as Softmax(). No-op when n == 0.
+/// Softmax over `values[0, n)` in place, numerically stabilized by max
+/// subtraction. No-op when n == 0.
 void SoftmaxInPlace(double* values, size_t n);
 
 /// MeanOfTopK over caller-owned scratch (partially sorts `values`). Same

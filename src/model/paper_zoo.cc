@@ -331,35 +331,4 @@ ZooTagVocabulary SyntheticTagVocabulary(TaskDomain domain) {
   return vocab;
 }
 
-std::vector<ModelSpec> SyntheticZooSpecs(TaskDomain domain, size_t count,
-                                         uint64_t seed) {
-  Rng rng(latent::CombineSeeds(seed, latent::HashString("synthetic-zoo")));
-  const bool nlp = domain == TaskDomain::kNLP;
-  const ZooTagVocabulary vocab = SyntheticTagVocabulary(domain);
-  const std::vector<std::string>& families = vocab.families;
-  const std::vector<std::vector<std::string>>& corpora = vocab.corpora;
-  const std::vector<std::vector<std::string>>& finetunes = vocab.finetunes;
-
-  std::vector<ModelSpec> specs;
-  specs.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const std::string family = families[rng.UniformInt(families.size())];
-    const auto& corpus = corpora[rng.UniformInt(corpora.size())];
-    const auto& ft = finetunes[rng.UniformInt(finetunes.size())];
-    // Capability distribution is skewed low: most repository models are
-    // mediocre, a few are strong (the Fig. 1 shape).
-    const double u = rng.Uniform();
-    const double capability = 0.35 + 0.5 * u * u;
-    ModelSpec spec = M(
-        strings::Format("synthetic/%s-%s-%zu", nlp ? "nlp" : "cv",
-                        family.c_str(), i),
-        domain, family, rng.Uniform(10.0, 350.0), capability, corpus, ft,
-        ft.empty() ? 0.0 : 0.5,
-        ft.empty() ? 16 : static_cast<int>(2 + rng.UniformInt(8)),
-        "Synthetic zoo member for scaling experiments.");
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
 }  // namespace tps

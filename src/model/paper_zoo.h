@@ -39,15 +39,9 @@ std::vector<ModelSpec> CvPaperZooSpecs();
 /// models.
 StatusOr<ModelZoo> PaperZoo(TaskDomain domain);
 
-/// The domain's tag vocabulary (shared by SyntheticZooSpecs and the
-/// parameterized generator in model/zoo_gen.h).
+/// The domain's tag vocabulary, which the parameterized generator in
+/// model/zoo_gen.h (and the benches' synthetic scaling zoo) draw from.
 ZooTagVocabulary SyntheticTagVocabulary(TaskDomain domain);
-
-/// Generates a synthetic zoo of `count` models for scaling experiments:
-/// random family/capability/fine-tune-dataset combinations over the given
-/// domain's tag vocabulary, seeded deterministically.
-std::vector<ModelSpec> SyntheticZooSpecs(TaskDomain domain, size_t count,
-                                         uint64_t seed);
 
 }  // namespace tps
 

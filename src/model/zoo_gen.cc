@@ -27,7 +27,8 @@ double Clamp(double v, double lo, double hi) {
 }
 
 /// Skewed-low capability draw (the Fig. 1 shape): most repository models
-/// are mediocre, a few are strong. Same expression as SyntheticZooSpecs.
+/// are mediocre, a few are strong. Same expression as the benches'
+/// SyntheticZooSpecs (bench/lib/bench_util.h).
 double DrawCapability(Rng& rng) {
   const double u = rng.Uniform();
   return 0.35 + 0.5 * u * u;

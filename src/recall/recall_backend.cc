@@ -63,14 +63,5 @@ StatusOr<const RecallBackend*> RecallBackendSet::Find(
   return Status::NotFound("unknown recall backend: " + name);
 }
 
-std::vector<std::string> RecallBackendSet::available() const {
-  std::vector<std::string> names = {representative_.name()};
-  for (const std::unique_ptr<RecallBackend>& backend : learned_) {
-    names.push_back(backend->name());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 }  // namespace recall
 }  // namespace tps

@@ -57,9 +57,6 @@ class RecallBackendSet {
   /// this artifact set cannot serve.
   StatusOr<const RecallBackend*> Find(const std::string& name) const;
 
-  /// Names available under this artifact set, sorted.
-  std::vector<std::string> available() const;
-
  private:
   const CoarseRecall& representative_;
   std::vector<std::unique_ptr<RecallBackend>> learned_;

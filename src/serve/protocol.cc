@@ -302,12 +302,6 @@ std::string ResponseToLine(const SelectionResponse& response) {
   return out;
 }
 
-std::string ErrorToLine(const Status& status) {
-  std::string out;
-  AppendError(status, &out);
-  return out;
-}
-
 std::string PongLine() {
   return Line([](json::Writer& w) {
     w.BeginObject().Key("ok").Bool(true).Key("pong").Bool(true).EndObject();

@@ -77,12 +77,10 @@ std::string RequestToLine(const SelectionRequest& request);
 /// One-line JSON reply for a handled selection (ok or error form).
 std::string ResponseToLine(const SelectionResponse& response);
 
-/// One-line `{"ok": false, ...}` reply for protocol-level failures.
-std::string ErrorToLine(const Status& status);
-
-/// Append forms of ResponseToLine / ErrorToLine: the same bytes, written
-/// straight into `*out` with json::Writer (no newline). The server appends
-/// every reply into its connection's output buffer through these.
+/// Append forms of ResponseToLine and of the one-line `{"ok": false, ...}`
+/// reply for protocol-level failures, written straight into `*out` with
+/// json::Writer (no newline). The server appends every reply into its
+/// connection's output buffer through these.
 void AppendResponse(const SelectionResponse& response, std::string* out);
 void AppendError(const Status& status, std::string* out);
 

@@ -1,7 +1,6 @@
 #include "serve/service.h"
 
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "util/timer.h"
@@ -149,40 +148,6 @@ void SelectionService::Dispatch(SelectionRequest request, Done done,
       queued.done(Rejection(queued));
       return;
   }
-}
-
-std::future<SelectionResponse> SelectionService::Submit(
-    SelectionRequest request) {
-  auto promise = std::make_shared<std::promise<SelectionResponse>>();
-  std::future<SelectionResponse> future = promise->get_future();
-  Dispatch(
-      std::move(request),
-      [promise](SelectionResponse response) {
-        promise->set_value(std::move(response));
-      },
-      /*may_run_inline=*/false);
-  return future;
-}
-
-SelectionResponse SelectionService::Serve(SelectionRequest request) {
-  // An inline run or a rejection fills `answer` before Dispatch returns,
-  // so the uncontended path builds no shared state and never waits.
-  struct Answer {
-    std::mutex mu;
-    std::condition_variable ready;
-    std::optional<SelectionResponse> response;
-  } answer;
-  Dispatch(
-      std::move(request),
-      [&answer](SelectionResponse response) {
-        std::lock_guard<std::mutex> lock(answer.mu);
-        answer.response = std::move(response);
-        answer.ready.notify_one();
-      },
-      /*may_run_inline=*/true);
-  std::unique_lock<std::mutex> lock(answer.mu);
-  answer.ready.wait(lock, [&answer] { return answer.response.has_value(); });
-  return std::move(*answer.response);
 }
 
 SelectionService::Admission SelectionService::Admit(QueuedRequest& queued,

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,12 +31,13 @@ namespace serve {
 struct ServiceOptions {
   /// Run slots: at most this many admitted requests run their pipeline at
   /// once. One worker thread per slot drains the admission queue, and a
-  /// Serve caller that finds a free slot and an empty queue takes the slot
-  /// and runs on its own thread; both share the same slots. 0 is valid for
+  /// Dispatch that may run inline and finds a free slot and an empty queue
+  /// takes the slot and runs on its caller's thread; both share the same
+  /// slots. 0 is valid for
   /// Handle-only services: admitted requests then queue without ever
   /// running.
   int worker_threads = 2;
-  /// Bounded queue capacity. A Submit that finds the queue full is
+  /// Bounded queue capacity. A Dispatch that finds the queue full is
   /// rejected immediately with an Unavailable response (explicit
   /// backpressure), never blocked.
   size_t max_queue = 64;
@@ -53,7 +53,7 @@ struct ServiceOptions {
   /// Metrics sink; nullptr -> MetricsRegistry::Default().
   MetricsRegistry* metrics = nullptr;
   /// Test-only hook: invoked immediately before an admitted request starts
-  /// its pipeline, on whichever thread runs it (a worker, or the Serve
+  /// its pipeline, on whichever thread runs it (a worker, or the Dispatch
   /// caller). Lets tests hold a run slot on a latch to fill the queue
   /// deterministically. Never set in production.
   std::function<void()> pre_handle_hook;
@@ -71,8 +71,8 @@ struct SelectionRequest {
   double threshold = 0.0;       // Fine-filter threshold.
   std::string proxy = "leep";   // Single proxy scorer.
   std::vector<std::string> proxies;  // Multi-proxy override (may be empty).
-  /// Per-request deadline in ms, measured from admission (Submit, Serve)
-  /// or from Handle entry; <= 0 uses the service default; 0 default = none.
+  /// Per-request deadline in ms, measured from admission (Dispatch) or
+  /// from Handle entry; <= 0 uses the service default; 0 default = none.
   double deadline_ms = 0.0;
   /// When true the response carries the full SelectionTrace.
   bool want_trace = false;
@@ -168,8 +168,6 @@ struct ServiceStats {
 ///    arrives through one callback. Deadlines start at admission, so time
 ///    spent queued counts against them. The socket front end dispatches
 ///    every wire select, so an uncontended select never changes threads.
-///  - Submit(): Dispatch that always queues, answered through a future.
-///  - Serve(): Dispatch that may run inline, blocking until the answer.
 ///
 /// Hot artifact swap ("Serving: hot artifact swap" in DESIGN.md): Reload()
 /// publishes new ServiceArtifacts with zero downtime. Every request
@@ -182,8 +180,8 @@ struct ServiceStats {
 ///
 /// Shutdown: the destructor stops the workers; requests still queued are
 /// answered with Unavailable("service shutting down") rather than dropped.
-/// Handle and Serve callers, and every Dispatch callback's owner, must be
-/// done with the service before it is destroyed.
+/// Handle callers, and every Dispatch callback's owner, must be done with
+/// the service before it is destroyed.
 ///
 /// Metrics (prefix `serve.`): requests/admitted/rejected/completed/
 /// deadline_exceeded/errors/reloads counters, queue_depth gauge (current +
@@ -212,13 +210,6 @@ class SelectionService {
   /// and is answered on the worker that runs it: DeadlineExceeded if it
   /// expired in the queue, the pipeline's answer otherwise.
   void Dispatch(SelectionRequest request, Done done, bool may_run_inline);
-
-  /// Dispatch that never runs inline. The returned future always resolves.
-  std::future<SelectionResponse> Submit(SelectionRequest request);
-
-  /// Dispatch that may run inline, blocking until the answer. Returns what
-  /// Submit's future would resolve to.
-  SelectionResponse Serve(SelectionRequest request);
 
   /// Zero-downtime artifact hot swap: validates `artifacts`, publishes
   /// them as the next version, and returns. In-flight requests keep the
@@ -306,7 +297,7 @@ class SelectionService {
   std::condition_variable queue_ready_;
   std::deque<QueuedRequest> queue_;
   bool shutting_down_ = false;
-  /// Run slots taken, by workers and Serve callers alike; at most
+  /// Run slots taken, by workers and inline Dispatch callers alike; at most
   /// options_.worker_threads.
   int running_ = 0;
   std::vector<std::thread> workers_;

@@ -16,10 +16,6 @@ namespace {
 constexpr double kReferenceLearningRate = 3e-5;
 }  // namespace
 
-double TrainingRun::best_val() const {
-  return val_accuracy.empty() ? 0.0 : stats::Max(val_accuracy);
-}
-
 FineTuneSimulator::FineTuneSimulator(TransferOracle oracle)
     : oracle_(std::move(oracle)),
       runs_counter_(&MetricsRegistry::Default()->counter("sim.runs")),

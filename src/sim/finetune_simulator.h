@@ -29,8 +29,6 @@ struct TrainingRun {
   double final_test() const {
     return test_accuracy.empty() ? 0.0 : test_accuracy.back();
   }
-  /// Best validation accuracy over the run.
-  double best_val() const;
 };
 
 /// Simulates fine-tuning a pre-trained model on a dataset and reports

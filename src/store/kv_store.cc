@@ -6,15 +6,16 @@ namespace tps {
 
 namespace {
 
+/// The one mutation op: a put. The op byte stays in the record format; a
+/// log holding any other op (older logs could carry 'D' deletes) fails
+/// to open.
 constexpr char kOpPut = 'P';
-constexpr char kOpDelete = 'D';
 
 /// Mutation payload: [op][u32 key length LE][key][value...].
-std::string EncodeMutation(char op, const std::string& key,
-                           const std::string& value) {
+std::string EncodePut(const std::string& key, const std::string& value) {
   std::string payload;
   payload.reserve(5 + key.size() + value.size());
-  payload.push_back(op);
+  payload.push_back(kOpPut);
   const uint32_t key_length = static_cast<uint32_t>(key.size());
   payload.push_back(static_cast<char>(key_length & 0xFF));
   payload.push_back(static_cast<char>((key_length >> 8) & 0xFF));
@@ -70,13 +71,8 @@ Status KvStore::Replay(const RecordLogContents& contents) {
     char op = 0;
     std::string key, value;
     TPS_RETURN_NOT_OK(DecodeMutation(record, &op, &key, &value));
-    if (op == kOpPut) {
-      table_[key] = std::move(value);
-    } else if (op == kOpDelete) {
-      table_.erase(key);
-    } else {
-      return Status::Internal("unknown mutation op in log");
-    }
+    if (op != kOpPut) return Status::Internal("unknown mutation op in log");
+    table_[key] = std::move(value);
     ++log_records_;
   }
   recovery_stats_.records_replayed = contents.records.size();
@@ -133,17 +129,16 @@ Status KvStore::CheckWritable() const {
   return Status::FailedPrecondition("store opened read-only: " + path_);
 }
 
-Status KvStore::AppendMutation(char op, const std::string& key,
-                               const std::string& value) {
+Status KvStore::AppendPut(const std::string& key, const std::string& value) {
   TPS_RETURN_NOT_OK(CheckWritable());
-  TPS_RETURN_NOT_OK(log_->Append(EncodeMutation(op, key, value)));
+  TPS_RETURN_NOT_OK(log_->Append(EncodePut(key, value)));
   ++log_records_;
   return Status::OK();
 }
 
 Status KvStore::Put(const std::string& key, const std::string& value) {
   if (key.empty()) return Status::InvalidArgument("empty key");
-  TPS_RETURN_NOT_OK(AppendMutation(kOpPut, key, value));
+  TPS_RETURN_NOT_OK(AppendPut(key, value));
   table_[key] = value;
   return Status::OK();
 }
@@ -152,18 +147,6 @@ StatusOr<std::string> KvStore::Get(const std::string& key) const {
   auto it = table_.find(key);
   if (it == table_.end()) return Status::NotFound("key not found: " + key);
   return it->second;
-}
-
-Status KvStore::Delete(const std::string& key) {
-  if (key.empty()) return Status::InvalidArgument("empty key");
-  if (table_.find(key) == table_.end()) return Status::OK();
-  TPS_RETURN_NOT_OK(AppendMutation(kOpDelete, key, ""));
-  table_.erase(key);
-  return Status::OK();
-}
-
-bool KvStore::Contains(const std::string& key) const {
-  return table_.find(key) != table_.end();
 }
 
 std::vector<std::string> KvStore::ScanPrefix(
@@ -185,7 +168,7 @@ Status KvStore::Compact() {
     TPS_ASSIGN_OR_RETURN(RecordLogWriter writer,
                          RecordLogWriter::Create(temp_path, env_));
     for (const auto& [key, value] : table_) {
-      Status append = writer.Append(EncodeMutation(kOpPut, key, value));
+      Status append = writer.Append(EncodePut(key, value));
       if (!append.ok()) {
         // The live log is untouched; drop the partial temp file.
         env_->RemoveFile(temp_path);

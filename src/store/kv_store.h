@@ -47,7 +47,7 @@ struct RecoveryStats {
 ///    append — so post-recovery writes land on a clean boundary and
 ///    survive the next replay (crash safety);
 ///  - Compact() rewrites the log with only live entries and atomically
-///    swaps it in, reclaiming space from overwrites and deletes;
+///    swaps it in, reclaiming space from overwrites;
 ///  - OpenReadOnly() replays the log with no writer: it never creates,
 ///    truncates or appends to the file, so readers can load a store that
 ///    a writer may still be appending to.
@@ -65,7 +65,7 @@ class KvStore {
   /// Replays the log at `path` without opening it for writing. A missing
   /// file is NotFound and nothing is created; a torn tail is read up to
   /// its valid prefix and left on disk (`recovery_stats().tail_was_torn`
-  /// reports it, `bytes_truncated` stays 0). Put, Delete and Compact on
+  /// reports it, `bytes_truncated` stays 0). Put and Compact on
   /// the returned store are FailedPrecondition.
   static StatusOr<KvStore> OpenReadOnly(const std::string& path,
                                         Env* env = Env::Default());
@@ -80,11 +80,6 @@ class KvStore {
 
   /// Value for `key`, or NotFound.
   StatusOr<std::string> Get(const std::string& key) const;
-
-  /// Removes `key`; idempotent (deleting an absent key is OK).
-  Status Delete(const std::string& key);
-
-  bool Contains(const std::string& key) const;
 
   /// All keys with the given prefix, in lexicographic order.
   std::vector<std::string> ScanPrefix(const std::string& prefix) const;
@@ -112,8 +107,7 @@ class KvStore {
   Status Replay(const RecordLogContents& contents);
   /// FailedPrecondition on a store opened read-only.
   Status CheckWritable() const;
-  Status AppendMutation(char op, const std::string& key,
-                        const std::string& value);
+  Status AppendPut(const std::string& key, const std::string& value);
 
   std::string path_;
   Env* env_ = nullptr;

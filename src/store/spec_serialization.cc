@@ -172,38 +172,4 @@ StatusOr<std::string> SerializeDatasetSpec(const DatasetSpec& spec) {
   return out.str();
 }
 
-StatusOr<DatasetSpec> DeserializeDatasetSpec(const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  std::getline(in, header);
-  if (header != "tps-dataset-spec v1") {
-    return Status::InvalidArgument("bad dataset-spec header");
-  }
-  TPS_ASSIGN_OR_RETURN(auto fields,
-                       ParseFields(text.substr(header.size() + 1)));
-  DatasetSpec spec;
-  TPS_ASSIGN_OR_RETURN(spec.name, SingleValue(fields, "name"));
-  TPS_ASSIGN_OR_RETURN(spec.domain, DomainValue(fields));
-  TPS_ASSIGN_OR_RETURN(std::string role, SingleValue(fields, "role"));
-  if (role == "benchmark") {
-    spec.role = DatasetRole::kBenchmark;
-  } else if (role == "target") {
-    spec.role = DatasetRole::kTarget;
-  } else {
-    return Status::InvalidArgument("unknown role: " + role);
-  }
-  TPS_ASSIGN_OR_RETURN(double labels, DoubleValue(fields, "num_labels"));
-  spec.num_labels = static_cast<int>(labels);
-  TPS_ASSIGN_OR_RETURN(spec.difficulty, DoubleValue(fields, "difficulty"));
-  spec.tags = TagsValue(fields, "tags");
-  TPS_ASSIGN_OR_RETURN(double examples,
-                       DoubleValue(fields, "num_examples"));
-  spec.num_examples = static_cast<int>(examples);
-  TPS_ASSIGN_OR_RETURN(spec.chance_accuracy,
-                       DoubleValue(fields, "chance_accuracy"));
-  TPS_ASSIGN_OR_RETURN(spec.ceiling_accuracy,
-                       DoubleValue(fields, "ceiling_accuracy"));
-  return spec;
-}
-
 }  // namespace tps

@@ -11,13 +11,15 @@ namespace tps {
 
 /// Line-oriented `field<TAB>value` serialization for the registry specs
 /// the model store keeps. Tags are tab-joined on one line. Field names and
-/// values must not contain tabs or newlines (validated on write).
+/// values must not contain tabs or newlines (validated on write). Dataset
+/// specs are written for the record only: nothing shipped reads them back
+/// (tests/store/dataset_spec_reader.h parses them for the round-trip
+/// tests).
 
 StatusOr<std::string> SerializeModelSpec(const ModelSpec& spec);
 StatusOr<ModelSpec> DeserializeModelSpec(const std::string& text);
 
 StatusOr<std::string> SerializeDatasetSpec(const DatasetSpec& spec);
-StatusOr<DatasetSpec> DeserializeDatasetSpec(const std::string& text);
 
 }  // namespace tps
 

@@ -19,11 +19,6 @@ ProxyFlightGroup::ProxyFlightGroup(MetricsRegistry* metrics)
       compute_counter_(metrics_->counter("proxy_flight.computes")),
       handoff_counter_(metrics_->counter("proxy_flight.handoffs")) {}
 
-size_t ProxyFlightGroup::InFlight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return flights_.size();
-}
-
 void ProxyFlightGroup::Depart(const ProxyCacheKey& key,
                               const std::shared_ptr<Flight>& flight) {
   flight->members -= 1;

@@ -81,9 +81,6 @@ class ProxyFlightGroup {
     return handoffs_.load(std::memory_order_relaxed);
   }
 
-  /// In-flight key count (0 when idle; for tests).
-  size_t InFlight() const;
-
  private:
   struct Flight {
     std::condition_variable cv;

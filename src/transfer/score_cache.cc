@@ -119,12 +119,4 @@ size_t ProxyScoreCache::size() const {
   return lru_.size();
 }
 
-std::vector<ProxyCacheKey> ProxyScoreCache::KeysByRecency() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ProxyCacheKey> keys;
-  keys.reserve(lru_.size());
-  for (const Entry& entry : lru_) keys.push_back(entry.first);
-  return keys;
-}
-
 }  // namespace tps

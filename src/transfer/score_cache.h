@@ -99,10 +99,6 @@ class ProxyScoreCache {
     return evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Keys in most- to least-recently-used order (for eviction-order
-  /// tests).
-  std::vector<ProxyCacheKey> KeysByRecency() const;
-
  private:
   using Entry = std::pair<ProxyCacheKey, double>;
 

@@ -64,12 +64,4 @@ uint32_t Crc32Update(uint32_t state, const void* data, size_t length) {
 
 uint32_t Crc32Finish(uint32_t state) { return state ^ 0xFFFFFFFFu; }
 
-uint32_t Crc32(const void* data, size_t length) {
-  return Crc32Finish(Crc32Update(Crc32Init(), data, length));
-}
-
-uint32_t Crc32(std::string_view data) {
-  return Crc32(data.data(), data.size());
-}
-
 }  // namespace tps

@@ -3,17 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace tps {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum
-/// guarding every record in the store's log files.
-uint32_t Crc32(const void* data, size_t length);
-uint32_t Crc32(std::string_view data);
-
-/// Incremental form: feed chunks with the previous return value.
-/// Start with `Crc32Init()` and finish with `Crc32Finish()`.
+/// guarding every record in the store's log files. Incremental: feed
+/// chunks with the previous return value. Start with `Crc32Init()` and
+/// finish with `Crc32Finish()`.
 uint32_t Crc32Init();
 uint32_t Crc32Update(uint32_t state, const void* data, size_t length);
 uint32_t Crc32Finish(uint32_t state);

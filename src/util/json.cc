@@ -75,11 +75,6 @@ const std::vector<Value>& Value::items() const {
   return array_;
 }
 
-const std::vector<std::pair<std::string, Value>>& Value::entries() const {
-  TPS_CHECK(type_ == Type::kObject);
-  return object_;
-}
-
 void Value::Append(Value v) {
   TPS_CHECK(type_ == Type::kArray);
   array_.push_back(std::move(v));
@@ -102,12 +97,6 @@ const Value* Value::Find(const std::string& key) const {
     if (entry.first == key) return &entry.second;
   }
   return nullptr;
-}
-
-size_t Value::size() const {
-  if (type_ == Type::kArray) return array_.size();
-  if (type_ == Type::kObject) return object_.size();
-  return 0;
 }
 
 StatusOr<bool> Value::GetBool(const std::string& key) const {
@@ -148,26 +137,6 @@ StatusOr<const Value*> Value::GetObject(const std::string& key) const {
     return Status::InvalidArgument("missing or non-object member: " + key);
   }
   return v;
-}
-
-bool Value::operator==(const Value& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case Type::kNull:
-      return true;
-    case Type::kBool:
-      return bool_ == other.bool_;
-    case Type::kNumber:
-      return exact_uint_ == other.exact_uint_ &&
-             (exact_uint_ ? uint_ == other.uint_ : number_ == other.number_);
-    case Type::kString:
-      return string_ == other.string_;
-    case Type::kArray:
-      return array_ == other.array_;
-    case Type::kObject:
-      return object_ == other.object_;
-  }
-  return false;
 }
 
 namespace {

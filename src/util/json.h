@@ -70,18 +70,16 @@ class Value {
   double number() const;
   const std::string& string() const;
 
-  /// Array elements / object entries (object keys keep insertion order).
+  /// Array elements.
   const std::vector<Value>& items() const;
-  const std::vector<std::pair<std::string, Value>>& entries() const;
 
   /// Appends to an array value.
   void Append(Value v);
-  /// Sets (or overwrites) an object key.
+  /// Sets (or overwrites) an object key; keys keep insertion order.
   void Set(const std::string& key, Value v);
 
   /// Object lookup; null when absent or this is not an object.
   const Value* Find(const std::string& key) const;
-  size_t size() const;
 
   /// Fallible extraction for parsed documents: object member `key` of the
   /// required type, as a Status error (never a crash) on mismatch.
@@ -95,9 +93,6 @@ class Value {
   /// indent >= 0 -> pretty-printed with that many spaces per level.
   /// Non-finite numbers (inf/NaN have no JSON spelling) are emitted as null.
   std::string Dump(int indent = -1) const;
-
-  bool operator==(const Value& other) const;
-  bool operator!=(const Value& other) const { return !(*this == other); }
 
  private:
   void WriteTo(Writer* writer) const;

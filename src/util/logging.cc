@@ -6,7 +6,6 @@
 namespace tps {
 
 namespace {
-LogLevel g_log_level = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -25,15 +24,11 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_log_level = level; }
-LogLevel GetLogLevel() { return g_log_level; }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level),
-      enabled_(static_cast<int>(level) >= static_cast<int>(g_log_level) ||
-               level == LogLevel::kFatal) {
+      enabled_(static_cast<int>(level) >= static_cast<int>(kMinLogLevel)) {
   if (enabled_) {
     // Strip directories from the file path for readability.
     const char* basename = file;

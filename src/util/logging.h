@@ -17,10 +17,8 @@ enum class LogLevel : int {
   kFatal = 4,
 };
 
-/// Process-wide minimum level; messages below it are dropped.
-/// Defaults to kInfo. Not thread-safe to mutate concurrently with logging.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// Messages below this level are dropped.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 
 namespace internal {
 

@@ -117,8 +117,7 @@ std::string MetricsRegistry::ToJson(int indent) const {
 
   json::Value counters = json::Value::Object();
   for (const auto& [name, counter] : counters_) {
-    counters.Set(name,
-                 json::Value::Int(static_cast<int64_t>(counter->value())));
+    counters.Set(name, json::Value::Uint(counter->value()));
   }
   root.Set("counters", std::move(counters));
 
@@ -134,8 +133,7 @@ std::string MetricsRegistry::ToJson(int indent) const {
   json::Value histograms = json::Value::Object();
   for (const auto& [name, histogram] : histograms_) {
     json::Value h = json::Value::Object();
-    h.Set("count",
-          json::Value::Int(static_cast<int64_t>(histogram->count())));
+    h.Set("count", json::Value::Uint(histogram->count()));
     h.Set("sum", json::Value::Number(histogram->sum()));
     h.Set("min", json::Value::Number(histogram->min()));
     h.Set("max", json::Value::Number(histogram->max()));
@@ -150,7 +148,7 @@ std::string MetricsRegistry::ToJson(int indent) const {
       } else {
         bucket.Set("le", json::Value::String("inf"));
       }
-      bucket.Set("count", json::Value::Int(static_cast<int64_t>(count)));
+      bucket.Set("count", json::Value::Uint(count));
       buckets.Append(std::move(bucket));
     }
     h.Set("buckets", std::move(buckets));

@@ -74,10 +74,6 @@ StatusOr<std::string> Socket::RecvLine(std::string* buffer) {
   }
 }
 
-void Socket::ShutdownBoth() {
-  if (valid()) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Socket::Close() {
   if (valid()) {
     ::close(fd_);
@@ -156,37 +152,6 @@ ServerSocket::ServerSocket(ServerSocket&& other) noexcept
       unix_path_(std::move(other.unix_path_)) {
   other.fd_ = -1;
   other.unix_path_.clear();
-}
-
-ServerSocket& ServerSocket::operator=(ServerSocket&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = other.fd_;
-    port_ = other.port_;
-    unix_path_ = std::move(other.unix_path_);
-    other.fd_ = -1;
-    other.unix_path_.clear();
-  }
-  return *this;
-}
-
-StatusOr<Socket> ServerSocket::Accept() {
-  if (!valid()) return Status::Unavailable("server socket closed");
-  for (;;) {
-    const int client = ::accept(fd_, nullptr, nullptr);
-    if (client >= 0) return Socket(client);
-    if (errno == EINTR) continue;
-    // A shut-down listener reports EINVAL (POSIX) or ECONNABORTED; both
-    // mean "no more clients", which callers treat as the stop signal.
-    if (errno == EINVAL || errno == ECONNABORTED || errno == EBADF) {
-      return Status::Unavailable("server socket shut down");
-    }
-    return Errno("accept");
-  }
-}
-
-void ServerSocket::Shutdown() {
-  if (valid()) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void ServerSocket::Close() {

@@ -42,10 +42,6 @@ class Socket {
   /// trusted (only clients call this, on the server's replies).
   StatusOr<std::string> RecvLine(std::string* buffer);
 
-  /// Half-closes both directions (unblocks a peer or a blocked reader on
-  /// this socket) without releasing the fd.
-  void ShutdownBoth();
-
   void Close();
 
  private:
@@ -69,20 +65,11 @@ class ServerSocket {
   ServerSocket(const ServerSocket&) = delete;
   ServerSocket& operator=(const ServerSocket&) = delete;
   ServerSocket(ServerSocket&& other) noexcept;
-  ServerSocket& operator=(ServerSocket&& other) noexcept;
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
   int port() const { return port_; }
   const std::string& unix_path() const { return unix_path_; }
-
-  /// Blocks until a client connects. After Shutdown() (from any thread)
-  /// the pending and all future calls return kUnavailable.
-  StatusOr<Socket> Accept();
-
-  /// Unblocks any thread parked in Accept(). Idempotent; does not close
-  /// the fd (the destructor / Close does, removing the Unix socket file).
-  void Shutdown();
 
   void Close();
 

@@ -16,16 +16,6 @@ double Mean(const std::vector<double>& values) {
   return Sum(values) / static_cast<double>(values.size());
 }
 
-double Min(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  return *std::min_element(values.begin(), values.end());
-}
-
-double Max(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  return *std::max_element(values.begin(), values.end());
-}
-
 size_t ArgMax(const std::vector<double>& values) {
   if (values.empty()) return 0;
   return static_cast<size_t>(

@@ -14,8 +14,6 @@ namespace stats {
 double Sum(const std::vector<double>& values);
 double Mean(const std::vector<double>& values);
 
-double Min(const std::vector<double>& values);
-double Max(const std::vector<double>& values);
 
 /// Index of the maximum element; 0 on empty input. Ties break to the
 /// earliest index.

@@ -38,8 +38,4 @@ std::string Status::ToString() const {
   return result;
 }
 
-std::ostream& operator<<(std::ostream& os, const Status& status) {
-  return os << status.ToString();
-}
-
 }  // namespace tps

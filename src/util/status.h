@@ -1,7 +1,6 @@
 #ifndef TPS_UTIL_STATUS_H_
 #define TPS_UTIL_STATUS_H_
 
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -122,8 +121,6 @@ class Status {
   StatusCode code_ = StatusCode::kOk;
   std::string message_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Status& status);
 
 }  // namespace tps
 

@@ -45,10 +45,6 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
-bool Contains(std::string_view text, std::string_view needle) {
-  return text.find(needle) != std::string_view::npos;
-}
-
 std::string Format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

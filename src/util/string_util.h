@@ -18,7 +18,6 @@ std::string Join(const std::vector<std::string>& parts,
 std::string ToLower(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool Contains(std::string_view text, std::string_view needle);
 
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -9,19 +9,15 @@ TablePrinter::TablePrinter(std::vector<std::string> header)
     : header_(std::move(header)) {}
 
 void TablePrinter::AddRow(std::vector<std::string> row) {
-  rows_.push_back(Row{std::move(row), /*separator=*/false});
-}
-
-void TablePrinter::AddSeparator() {
-  rows_.push_back(Row{{}, /*separator=*/true});
+  rows_.push_back(std::move(row));
 }
 
 void TablePrinter::Print(std::ostream& os) const { os << ToString(); }
 
 std::string TablePrinter::ToString() const {
   size_t columns = header_.size();
-  for (const Row& row : rows_) {
-    columns = std::max(columns, row.cells.size());
+  for (const std::vector<std::string>& row : rows_) {
+    columns = std::max(columns, row.size());
   }
   std::vector<size_t> widths(columns, 0);
   auto account = [&](const std::vector<std::string>& cells) {
@@ -30,9 +26,7 @@ std::string TablePrinter::ToString() const {
     }
   };
   account(header_);
-  for (const Row& row : rows_) {
-    if (!row.separator) account(row.cells);
-  }
+  for (const std::vector<std::string>& row : rows_) account(row);
 
   std::ostringstream os;
   auto emit_separator = [&] {
@@ -52,13 +46,7 @@ std::string TablePrinter::ToString() const {
   emit_separator();
   emit_row(header_);
   emit_separator();
-  for (const Row& row : rows_) {
-    if (row.separator) {
-      emit_separator();
-    } else {
-      emit_row(row.cells);
-    }
-  }
+  for (const std::vector<std::string>& row : rows_) emit_row(row);
   emit_separator();
   return os.str();
 }

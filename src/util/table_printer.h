@@ -21,9 +21,6 @@ class TablePrinter {
   /// cells; longer rows extend the column count.
   void AddRow(std::vector<std::string> row);
 
-  /// Convenience: adds a horizontal separator line at this position.
-  void AddSeparator();
-
   /// Writes the table. Every column is padded to its widest cell.
   void Print(std::ostream& os) const;
 
@@ -33,13 +30,8 @@ class TablePrinter {
   size_t num_rows() const { return rows_.size(); }
 
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool separator = false;
-  };
-
   std::vector<std::string> header_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace tps

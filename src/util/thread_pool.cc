@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -63,24 +64,11 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       Instruments().queue_depth.Set(static_cast<double>(queue_.size()));
     }
-    std::exception_ptr error;
     {
       ScopedLatencyTimer timer(&Instruments().latency_us);
-      try {
-        task();
-      } catch (...) {
-        error = std::current_exception();
-      }
+      task();
     }
     Instruments().completed.Increment();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (error != nullptr && first_error_ == nullptr) {
-        first_error_ = error;
-      }
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
@@ -90,22 +78,11 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mu_);
     TPS_CHECK(!shutting_down_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
     Instruments().queue_depth.Set(static_cast<double>(queue_.size()));
     Instruments().queue_depth.SetMax(static_cast<double>(queue_.size()));
   }
   Instruments().submitted.Increment();
   task_ready_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    all_done_.wait(lock, [this] { return in_flight_ == 0; });
-    error = std::exchange(first_error_, nullptr);
-  }
-  if (error != nullptr) std::rethrow_exception(error);
 }
 
 namespace {
@@ -184,10 +161,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     error = std::move(state->error);
   }
   if (error != nullptr) std::rethrow_exception(error);
-}
-
-int ThreadPool::DefaultThreads() {
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 int ThreadPool::ClampThreads(int requested, size_t num_items) {

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -44,15 +43,9 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// Enqueues one task. Tasks may call Submit and ParallelFor on the same
-  /// pool, but not Wait (a task waiting for itself to finish would
-  /// deadlock). An exception escaping a task is captured; the first one
-  /// captured is rethrown by the next Wait().
+  /// pool. A task must not throw (ParallelFor's tasks catch and forward
+  /// their own); an escaping exception terminates the process.
   void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished, then rethrows
-  /// the first captured task exception (if any) and clears it. Must not be
-  /// called from inside a pool task.
-  void Wait();
 
   /// Runs fn(i) for every i in [0, n) across the pool *and* the calling
   /// thread, returning when all n calls have finished. Work is handed out
@@ -73,10 +66,6 @@ class ThreadPool {
   /// state, so late execution is safe).
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Hardware concurrency with a floor of 1 (hardware_concurrency() may
-  /// report 0).
-  static int DefaultThreads();
-
   /// Clamps a requested worker count to [1, num_items] so no idle workers
   /// are spawned for work lists smaller than the request.
   static int ClampThreads(int requested, size_t num_items);
@@ -86,12 +75,8 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
-  /// Tasks submitted but not yet finished (queued + running).
-  size_t in_flight_ = 0;
   bool shutting_down_ = false;
-  std::exception_ptr first_error_;
   std::vector<std::thread> workers_;
 };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "matrix/matrix_testing.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/baseline_clustering.h"
 #include "bench/lib/rand_index.h"
 #include "core/model_clusterer.h"
 #include "data/registry.h"
@@ -95,9 +96,10 @@ TEST(LineageRecoveryTest, KMeansAlsoRecoversButTypicallyNoBetter) {
   ModelClusteringOptions h_options;
   h_options.num_clusters = groups;
   auto hierarchical = *ClusterModels(matrix, zoo, h_options);
-  ModelClusteringOptions k_options = h_options;
+  BaselineClusteringOptions k_options;
   k_options.algorithm = ClusterAlgorithm::kKMeans;
-  auto kmeans = *ClusterModels(matrix, zoo, k_options);
+  k_options.num_clusters = groups;
+  auto kmeans = *ClusterModelsBaseline(matrix, zoo, k_options);
 
   const double h_ari = *AdjustedRandIndex(planted, hierarchical.clusters);
   const double k_ari = *AdjustedRandIndex(planted, kmeans.clusters);

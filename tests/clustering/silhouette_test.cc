@@ -4,6 +4,7 @@
 
 #include "clustering/distance.h"
 #include "util/rng.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {

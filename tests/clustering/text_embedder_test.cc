@@ -1,4 +1,4 @@
-#include "embedding/text_embedder.h"
+#include "bench/lib/baseline_clustering.h"
 
 #include <gtest/gtest.h>
 

@@ -38,8 +38,7 @@ TEST_F(ClusteringPersistenceTest, SaveLoadRoundTrips) {
             clustering_->clusters.num_clusters);
   EXPECT_EQ(loaded->representatives, clustering_->representatives);
   EXPECT_EQ(loaded->options.top_k, clustering_->options.top_k);
-  EXPECT_EQ(loaded->options.similarity, clustering_->options.similarity);
-  EXPECT_EQ(loaded->options.algorithm, clustering_->options.algorithm);
+  EXPECT_EQ(loaded->options.num_clusters, clustering_->options.num_clusters);
   EXPECT_NEAR(loaded->options.distance_threshold,
               clustering_->options.distance_threshold, 1e-15);
   EXPECT_TRUE(ApproxEquals(loaded->distances, clustering_->distances, 1e-12));
@@ -51,10 +50,55 @@ TEST_F(ClusteringPersistenceTest, LoadedClusteringDrivesRecallIdentically) {
   auto loaded = *DeserializeClustering(SerializeClustering(*clustering_));
   EXPECT_EQ(loaded.NonSingletonClusters(),
             clustering_->NonSingletonClusters());
+  EXPECT_EQ(loaded.clusters.Sizes(), clustering_->clusters.Sizes());
   for (size_t m = 0; m < zoo_->size(); ++m) {
-    EXPECT_EQ(loaded.IsSingletonModel(m),
-              clustering_->IsSingletonModel(m));
-    EXPECT_EQ(loaded.ClusterOf(m), clustering_->ClusterOf(m));
+    EXPECT_EQ(loaded.clusters.assignments[m],
+              clustering_->clusters.assignments[m]);
+  }
+}
+
+TEST_F(ClusteringPersistenceTest, ReadsV1Records) {
+  // Written by the v1 writer, which also stored the similarity kind, the
+  // algorithm and the k-means seed: a hierarchical clustering with
+  // distances, and an index-derived one (labelled k-means) without.
+  const std::string hierarchical =
+      "tps-model-clustering v1\n3 2\n0 0 5 0 0.085 42\n0 0 1 \n1 2 \n3\n"
+      "0 0.0625 0.29999999999999999 \n0.0625 0 0.28125 \n"
+      "0.29999999999999999 0.28125 0 \n";
+  const std::string index_derived =
+      "tps-model-clustering v1\n4 2\n0 1 5 2 0.085 42\n1 0 1 0 \n3 0 \n0\n";
+
+  auto loaded = DeserializeClustering(hierarchical);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->clusters.assignments, (std::vector<int>{0, 0, 1}));
+  EXPECT_EQ(loaded->representatives, (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(loaded->options.top_k, 5u);
+  EXPECT_EQ(loaded->options.num_clusters, 0);
+  EXPECT_DOUBLE_EQ(loaded->options.distance_threshold, 0.085);
+  ASSERT_EQ(loaded->distances.rows(), 3u);
+  EXPECT_DOUBLE_EQ(loaded->distances.At(0, 2), 0.3);
+  EXPECT_DOUBLE_EQ(loaded->distances.At(1, 2), 0.28125);
+  // Written back, it is a v2 record that drops the three fields.
+  const std::string rewritten = SerializeClustering(*loaded);
+  EXPECT_EQ(rewritten.substr(0, rewritten.find("\n0 0 1")),
+            "tps-model-clustering v2\n3 2\n5 0 0.085");
+
+  auto index = DeserializeClustering(index_derived);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index->clusters.assignments, (std::vector<int>{1, 0, 1, 0}));
+  EXPECT_EQ(index->representatives, (std::vector<size_t>{3, 0}));
+  EXPECT_EQ(index->options.num_clusters, 2);
+  EXPECT_EQ(index->distances.rows(), 0u);
+
+  // The dropped fields are still range-checked.
+  for (const char* options : {"2 0 5 0 0.085 42", "0 2 5 0 0.085 42",
+                              "0 -1 5 0 0.085 42", "0 0 5 0 0.085 x"}) {
+    const Status status =
+        DeserializeClustering(std::string("tps-model-clustering v1\n3 2\n") +
+                              options + "\n0 0 1 \n1 2 \n0\n")
+            .status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << options;
+    EXPECT_EQ(status.message(), "bad clustering options") << options;
   }
 }
 

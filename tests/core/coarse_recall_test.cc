@@ -70,9 +70,11 @@ TEST_F(CoarseRecallTest, ChargesHalfEpochPerProxy) {
 TEST_F(CoarseRecallTest, SingletonModelsGetPropagatedScores) {
   CoarseRecall recall(zoo_, matrix_, clustering_);
   auto result = *recall.Recall(*target_, RecallOptions(), nullptr);
+  const std::vector<size_t> sizes = clustering_->clusters.Sizes();
   for (const RecallEntry& entry : result.ranked) {
+    const int cluster = clustering_->clusters.assignments[entry.model_index];
     EXPECT_EQ(entry.via_propagation,
-              clustering_->IsSingletonModel(entry.model_index));
+              sizes[static_cast<size_t>(cluster)] == 1);
     EXPECT_GE(entry.proxy_component, 0.0);
     EXPECT_LE(entry.proxy_component, 1.0);
     EXPECT_NEAR(entry.recall_score,

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/baseline_clustering.h"
 #include "core/two_phase.h"
 #include "data/registry.h"
 #include "model/paper_zoo.h"
@@ -60,7 +61,7 @@ const Dataset* ConfigMatrixTest::target_ = nullptr;
 
 TEST_P(ConfigMatrixTest, PipelineCompletesWithValidOutcome) {
   const Config& config = GetParam();
-  ModelClusteringOptions cluster_options;
+  BaselineClusteringOptions cluster_options;
   cluster_options.algorithm = config.algorithm;
   cluster_options.similarity = config.similarity;
   if (config.algorithm == ClusterAlgorithm::kKMeans) {
@@ -68,7 +69,7 @@ TEST_P(ConfigMatrixTest, PipelineCompletesWithValidOutcome) {
   } else if (config.similarity == ModelSimilarityKind::kTextCard) {
     cluster_options.distance_threshold = 0.5;  // Cosine-distance scale.
   }
-  auto clustering = ClusterModels(*matrix_, *zoo_, cluster_options);
+  auto clustering = ClusterModelsBaseline(*matrix_, *zoo_, cluster_options);
   ASSERT_TRUE(clustering.ok()) << clustering.status().ToString();
 
   TwoPhaseOptions options;

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "core/two_phase.h"
 #include "data/registry.h"
 #include "model/paper_zoo.h"
@@ -61,7 +62,7 @@ json::Value Snapshot(TaskDomain domain) {
   json::Value root = json::Value::Object();
   root.Set("domain", json::Value::String(std::string(ToString(domain))));
   json::Value targets = json::Value::Object();
-  for (const Dataset* target : registry.Targets(domain)) {
+  for (const Dataset* target : Targets(registry, domain)) {
     SelectionTrace trace;
     TwoPhaseOptions options;
     options.trace = &trace;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "core/two_phase.h"
 #include "data/registry.h"
 #include "model/paper_zoo.h"
@@ -81,7 +82,7 @@ TEST_P(MetricsInertnessTest, InstrumentedRunBitIdenticalToNoOpRun) {
   TwoPhaseSelector selector(&world.zoo, &world.matrix, &world.clustering,
                             &simulator);
 
-  for (const Dataset* target : world.registry.Targets(GetParam())) {
+  for (const Dataset* target : Targets(world.registry, GetParam())) {
     // Baseline: disabled registry (every recording a no-op), no trace.
     MetricsRegistry disabled(/*enabled=*/false);
     TwoPhaseOptions baseline_options;
@@ -133,7 +134,7 @@ TEST_P(MetricsInertnessTest, InstrumentedParallelMatchesNoOpSerial) {
   FineTuneSimulator simulator;
   TwoPhaseSelector selector(&world.zoo, &world.matrix, &world.clustering,
                             &simulator);
-  const Dataset* target = world.registry.Targets(GetParam()).front();
+  const Dataset* target = Targets(world.registry, GetParam()).front();
 
   MetricsRegistry disabled(/*enabled=*/false);
   TwoPhaseOptions baseline_options;
@@ -167,7 +168,7 @@ TEST_P(MetricsInertnessTest, TraceIsIdenticalAcrossRepeatsAndThreadCounts) {
   FineTuneSimulator simulator;
   TwoPhaseSelector selector(&world.zoo, &world.matrix, &world.clustering,
                             &simulator);
-  const Dataset* target = world.registry.Targets(GetParam()).front();
+  const Dataset* target = Targets(world.registry, GetParam()).front();
 
   const auto traced_run = [&](ThreadPool* pool) {
     SelectionTrace trace;

@@ -1,10 +1,14 @@
 #include "core/model_clusterer.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "bench/lib/baseline_clustering.h"
 #include "data/registry.h"
 #include "model/paper_zoo.h"
 #include "util/string_util.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -36,7 +40,8 @@ TEST_F(ModelClustererTest, DefaultClusteringIsNonDegenerate) {
   EXPECT_EQ(clustering.clusters.assignments.size(), 40u);
   EXPECT_GE(clustering.NonSingletonClusters().size(), 4u);
   EXPECT_LE(clustering.NonSingletonClusters().size(), 12u);
-  EXPECT_GE(clustering.SingletonClusters().size(), 2u);
+  const std::vector<size_t> sizes = clustering.clusters.Sizes();
+  EXPECT_GE(std::count(sizes.begin(), sizes.end(), size_t{1}), 2);
   EXPECT_EQ(clustering.representatives.size(),
             static_cast<size_t>(clustering.clusters.num_clusters));
 }
@@ -46,18 +51,19 @@ TEST_F(ModelClustererTest, QqpLineageCoClusters) {
   const size_t a = *zoo_->IndexOf("Jeevesh8/bert_ft_qqp-68");
   const size_t b = *zoo_->IndexOf("Jeevesh8/bert_ft_qqp-9");
   const size_t c = *zoo_->IndexOf("Jeevesh8/bert_ft_qqp-40");
-  EXPECT_EQ(clustering.ClusterOf(a), clustering.ClusterOf(b));
-  EXPECT_EQ(clustering.ClusterOf(a), clustering.ClusterOf(c));
+  const std::vector<int>& cluster_of = clustering.clusters.assignments;
+  EXPECT_EQ(cluster_of[a], cluster_of[b]);
+  EXPECT_EQ(cluster_of[a], cluster_of[c]);
   // The weak random-init lineage lands elsewhere.
   const size_t weak = *zoo_->IndexOf("Jeevesh8/init_bert_ft_qqp-33");
-  EXPECT_NE(clustering.ClusterOf(a), clustering.ClusterOf(weak));
+  EXPECT_NE(cluster_of[a], cluster_of[weak]);
 }
 
 TEST_F(ModelClustererTest, RepresentativeHasMaxAverageAccuracy) {
   auto clustering = *ClusterModels(*matrix_, *zoo_, ModelClusteringOptions());
   for (int c = 0; c < clustering.clusters.num_clusters; ++c) {
     const size_t rep = clustering.representatives[static_cast<size_t>(c)];
-    EXPECT_EQ(clustering.ClusterOf(rep), c);
+    EXPECT_EQ(clustering.clusters.assignments[rep], c);
     for (size_t member : clustering.clusters.Members(c)) {
       EXPECT_GE(matrix_->ModelAverageAccuracy(rep),
                 matrix_->ModelAverageAccuracy(member));
@@ -68,35 +74,37 @@ TEST_F(ModelClustererTest, RepresentativeHasMaxAverageAccuracy) {
 TEST_F(ModelClustererTest, SingletonPredicateMatchesClusterSizes) {
   auto clustering = *ClusterModels(*matrix_, *zoo_, ModelClusteringOptions());
   const std::vector<size_t> sizes = clustering.clusters.Sizes();
+  const std::vector<int> scored = clustering.NonSingletonClusters();
   for (size_t m = 0; m < zoo_->size(); ++m) {
-    const int c = clustering.ClusterOf(m);
-    EXPECT_EQ(clustering.IsSingletonModel(m),
-              sizes[static_cast<size_t>(c)] == 1);
+    const int c = clustering.clusters.assignments[m];
+    const bool in_scored =
+        std::find(scored.begin(), scored.end(), c) != scored.end();
+    EXPECT_EQ(in_scored, sizes[static_cast<size_t>(c)] > 1);
   }
 }
 
 TEST_F(ModelClustererTest, KMeansPathProducesRequestedK) {
-  ModelClusteringOptions options;
+  BaselineClusteringOptions options;
   options.algorithm = ClusterAlgorithm::kKMeans;
   options.num_clusters = 10;
-  auto clustering = *ClusterModels(*matrix_, *zoo_, options);
+  auto clustering = *ClusterModelsBaseline(*matrix_, *zoo_, options);
   EXPECT_EQ(clustering.clusters.num_clusters, 10);
 }
 
 TEST_F(ModelClustererTest, KMeansWithoutKFails) {
-  ModelClusteringOptions options;
+  BaselineClusteringOptions options;
   options.algorithm = ClusterAlgorithm::kKMeans;
   options.num_clusters = 0;
-  EXPECT_TRUE(ClusterModels(*matrix_, *zoo_, options)
+  EXPECT_TRUE(ClusterModelsBaseline(*matrix_, *zoo_, options)
                   .status()
                   .IsInvalidArgument());
 }
 
 TEST_F(ModelClustererTest, TextSimilarityPathWorks) {
-  ModelClusteringOptions options;
+  BaselineClusteringOptions options;
   options.similarity = ModelSimilarityKind::kTextCard;
   options.distance_threshold = 0.5;
-  auto clustering = ClusterModels(*matrix_, *zoo_, options);
+  auto clustering = ClusterModelsBaseline(*matrix_, *zoo_, options);
   ASSERT_TRUE(clustering.ok());
   EXPECT_EQ(clustering->clusters.assignments.size(), 40u);
 }

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "core/coarse_recall.h"
 #include "core/convergence_trend.h"
 #include "core/fine_selection.h"
@@ -35,7 +36,7 @@ namespace tps {
 namespace {
 
 std::vector<int> ThreadCounts() {
-  return {1, 2, 7, 2 * ThreadPool::DefaultThreads()};
+  return {1, 2, 7, 2 * DefaultThreads()};
 }
 
 /// One randomized end-to-end configuration: a zoo of models with random

@@ -5,6 +5,7 @@
 #include "data/registry.h"
 #include "model/paper_zoo.h"
 #include "util/string_util.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {

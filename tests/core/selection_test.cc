@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "core/convergence_trend.h"
 #include "core/fine_selection.h"
 #include "data/registry.h"
@@ -111,7 +112,7 @@ TEST_F(SelectionTest, FineSelectionNeverCostsMoreThanHalving) {
   SuccessiveHalvingSelector sh(zoo_, simulator_);
   FineSelectionSelector fs(zoo_, simulator_, miner_);
   const Hyperparams hp = Hyperparams::DefaultsFor(TaskDomain::kNLP);
-  for (const Dataset* target : registry_->Targets(TaskDomain::kNLP)) {
+  for (const Dataset* target : Targets(*registry_, TaskDomain::kNLP)) {
     auto sh_outcome = *sh.Select(AllModels(), *target, hp, nullptr);
     auto fs_outcome = *fs.Select(AllModels(), *target, hp, nullptr);
     EXPECT_LE(fs_outcome.training_epochs, sh_outcome.training_epochs)
@@ -228,7 +229,7 @@ TEST_F(SelectionTest, SelectedModelIsAlwaysACandidate) {
   const std::vector<size_t> candidates = {2, 9, 17, 25, 33};
   FineSelectionSelector fs(zoo_, simulator_, miner_);
   SuccessiveHalvingSelector sh(zoo_, simulator_);
-  for (const Dataset* target : registry_->Targets(TaskDomain::kNLP)) {
+  for (const Dataset* target : Targets(*registry_, TaskDomain::kNLP)) {
     for (const SelectionOutcome& outcome :
          {*fs.Select(candidates, *target, hp, nullptr),
           *sh.Select(candidates, *target, hp, nullptr)}) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "core/reference_trends.h"
 #include "core/two_phase.h"
 #include "data/registry.h"
@@ -220,7 +221,7 @@ TEST_P(TrendTableTest, WarmSelectMatchesColdSelectBitForBit) {
     ThreadPool* pool = threads > 1 ? &workers : nullptr;
     TwoPhaseOptions options;
     options.metrics = &quiet;
-    for (const Dataset* target : w.registry.Targets(GetParam())) {
+    for (const Dataset* target : Targets(w.registry, GetParam())) {
       SCOPED_TRACE(target->name());
       SelectionTrace cold_trace;
       options.trace = &cold_trace;

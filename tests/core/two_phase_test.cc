@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "core/baselines.h"
 #include "core/evaluation.h"
 #include "data/registry.h"
@@ -90,7 +91,7 @@ TEST_F(TwoPhaseTest, CheaperThanHalvingWhichIsCheaperThanBruteForce) {
   SuccessiveHalvingSelector sh(&nlp_->zoo, simulator_);
   BruteForceSelector bf(&nlp_->zoo, simulator_);
 
-  for (const Dataset* target : registry_->Targets(TaskDomain::kNLP)) {
+  for (const Dataset* target : Targets(*registry_, TaskDomain::kNLP)) {
     auto report = *selector.Select(*target, TwoPhaseOptions(), hp);
     EpochBudget sh_budget, bf_budget;
     (void)*sh.Select(all, *target, hp, &sh_budget);
@@ -118,7 +119,7 @@ TEST_F(TwoPhaseTest, AccuracyNearBruteForceOnAllTargets) {
     TwoPhaseSelector selector(&world->zoo, &world->matrix,
                               &world->clustering, simulator_);
     BruteForceSelector bf(&world->zoo, simulator_);
-    for (const Dataset* target : registry_->Targets(domain)) {
+    for (const Dataset* target : Targets(*registry_, domain)) {
       auto report = *selector.Select(*target, TwoPhaseOptions(), hp);
       auto bf_outcome = *bf.Select(all, *target, hp, nullptr);
       EXPECT_GE(report.selection.selected_accuracy,

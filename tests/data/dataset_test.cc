@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
+#include "data/latent.h"
 #include "data/registry.h"
 #include "matrix/vector_ops.h"
 
@@ -104,11 +106,13 @@ TEST(DatasetTest, SameClassExamplesAreCloserThanCrossClass) {
 }
 
 TEST(DatasetTest, LabelPrototypesAreDistinctUnitVectors) {
+  // A dataset's label y is built around latent::LabelVector(seed, y).
   auto ds = *Dataset::Create(ValidSpec());
   for (int y = 0; y < 3; ++y) {
-    EXPECT_NEAR(vec::Norm(ds.label_prototype(y)), 1.0, 1e-12);
+    EXPECT_NEAR(vec::Norm(latent::LabelVector(ds.seed(), y)), 1.0, 1e-12);
   }
-  EXPECT_NE(ds.label_prototype(0), ds.label_prototype(1));
+  EXPECT_NE(latent::LabelVector(ds.seed(), 0),
+            latent::LabelVector(ds.seed(), 1));
 }
 
 TEST(DatasetSpecTest, EffectiveChanceAndCeilingDefaults) {
@@ -125,9 +129,9 @@ TEST(RegistryTest, PaperInventoryCounts) {
   auto registry = DatasetRegistry::CreatePaperInventory();
   ASSERT_TRUE(registry.ok());
   EXPECT_EQ(registry->Benchmarks(TaskDomain::kNLP).size(), 24u);
-  EXPECT_EQ(registry->Targets(TaskDomain::kNLP).size(), 4u);
+  EXPECT_EQ(Targets(*registry, TaskDomain::kNLP).size(), 4u);
   EXPECT_EQ(registry->Benchmarks(TaskDomain::kCV).size(), 10u);
-  EXPECT_EQ(registry->Targets(TaskDomain::kCV).size(), 4u);
+  EXPECT_EQ(Targets(*registry, TaskDomain::kCV).size(), 4u);
   EXPECT_EQ(registry->size(), 42u);
 }
 
@@ -138,7 +142,7 @@ TEST(RegistryTest, BenchmarkAndTargetSetsAreDisjoint) {
     for (const Dataset* d : registry.Benchmarks(domain)) {
       benchmarks.insert(d->name());
     }
-    for (const Dataset* d : registry.Targets(domain)) {
+    for (const Dataset* d : Targets(registry, domain)) {
       EXPECT_EQ(benchmarks.count(d->name()), 0u) << d->name();
     }
   }

@@ -34,9 +34,7 @@ namespace {
 //     ModelClustering — reproduces the reference sweep over that
 //     clustering bit for bit, for a real clustering and for the
 //     all-singleton one.
-//  C. Incremental Insert against a frozen quantizer equals the
-//     from-scratch BuildWithCentroids rebuild over the grown inputs.
-//  D. The Eq. 4 weights an index stores (neighbor_similarity) are the
+//  C. The Eq. 4 weights an index stores (neighbor_similarity) are the
 //     similarities recall would compute per query, bit for bit.
 // Each theorem is fuzzed over zoo sizes and seeds and run serial and on a
 // pool (the parallel label routes this file through the TSan sweep).
@@ -186,52 +184,7 @@ TEST(IndexEquivalenceTest, BruteForceFromClusteringEqualsLegacySweep) {
   }
 }
 
-TEST(IndexEquivalenceTest, InsertEqualsRebuildWithFrozenQuantizer) {
-  for (const auto& [num_models, seed] :
-       std::vector<std::pair<size_t, uint64_t>>{{60, 7}, {120, 31}}) {
-    SCOPED_TRACE("zoo " + std::to_string(num_models) + " seed " +
-                 std::to_string(seed));
-    const World world = MakeWorld(num_models, seed);
-    const std::vector<std::vector<double>> vectors =
-        world.matrix->ModelVectors();
-    const std::vector<double> prior =
-        world.matrix->ModelAverageAccuracies();
-    const size_t held_out = 5;
-    const size_t base_count = vectors.size() - held_out;
-
-    IvfIndexOptions options;
-    options.propagation_neighbors = 4;
-    std::vector<std::vector<double>> base_vectors(
-        vectors.begin(), vectors.begin() + static_cast<long>(base_count));
-    std::vector<double> base_prior(
-        prior.begin(), prior.begin() + static_cast<long>(base_count));
-    auto grown = IvfIndex::Build(base_vectors, base_prior, options);
-    ASSERT_TRUE(grown.ok()) << grown.status().message();
-
-    for (size_t m = base_count; m < vectors.size(); ++m) {
-      ASSERT_TRUE(grown->Insert(vectors[m], prior[m]).ok());
-    }
-    auto rebuilt = IvfIndex::BuildWithCentroids(grown->centroids(), vectors,
-                                                prior, options);
-    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
-
-    // Serialize covers every primary field (options, priors, assignments,
-    // centroids, vectors); the derived fields are compared directly.
-    EXPECT_EQ(grown->Serialize(), rebuilt->Serialize());
-    const IndexStructure& a = grown->structure();
-    const IndexStructure& b = rebuilt->structure();
-    EXPECT_EQ(a.members, b.members);
-    EXPECT_EQ(a.representatives, b.representatives);
-    EXPECT_EQ(a.scored_partitions, b.scored_partitions);
-    EXPECT_EQ(a.slot_of_partition, b.slot_of_partition);
-    EXPECT_EQ(a.neighbors, b.neighbors);
-    EXPECT_EQ(a.neighbor_similarity, b.neighbor_similarity);
-    EXPECT_EQ(a.probe_priority, b.probe_priority);
-    EXPECT_EQ(a.pilot_order, b.pilot_order);
-  }
-}
-
-// Theorem D over one structure: every stored weight is
+// Theorem C over one structure: every stored weight is
 // PerformanceSimilarity(the unscored partition's one member, the listed
 // slot's representative), computed the way recall used to per query.
 void ExpectStoredEq4Weights(const IndexStructure& s) {

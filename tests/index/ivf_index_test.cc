@@ -348,35 +348,5 @@ TEST(IvfIndexTest, BuildRejectsInvalidInputs) {
       IvfIndex::Build(inputs.vectors, inputs.prior, bad_kmeans).ok());
 }
 
-TEST(IvfIndexTest, InsertGrowsExactlyOnePartition) {
-  const TestInputs inputs = MakeInputs(5, 8, 4, 13);
-  IvfIndex index = BuildOrDie(inputs, IvfIndexOptions());
-  const size_t n = index.num_models();
-  const std::vector<std::vector<size_t>> before = index.structure().members;
-
-  // Insert a near-duplicate of model 0: it must land in model 0's
-  // partition (nearest centroid) and every other posting list must keep
-  // its members.
-  std::vector<double> vector = inputs.vectors[0];
-  vector[0] += 1e-6;
-  ASSERT_TRUE(index.Insert(vector, 0.9).ok());
-  const IndexStructure& s = index.structure();
-  EXPECT_EQ(s.num_models(), n + 1);
-  EXPECT_EQ(s.assignments.back(), s.assignments[0]);
-  size_t grown = 0;
-  for (size_t p = 0; p < s.num_partitions(); ++p) {
-    std::vector<size_t> old_members = s.members[p];
-    old_members.erase(std::remove(old_members.begin(), old_members.end(), n),
-                      old_members.end());
-    EXPECT_EQ(old_members, before[p]);
-    if (s.members[p].size() != before[p].size()) ++grown;
-  }
-  EXPECT_EQ(grown, 1u);
-
-  // Dimensionality mismatch is rejected without touching the index.
-  EXPECT_FALSE(index.Insert({0.5, 0.5}, 0.5).ok());
-  EXPECT_EQ(index.num_models(), n + 1);
-}
-
 }  // namespace
 }  // namespace tps

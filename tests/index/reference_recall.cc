@@ -78,8 +78,9 @@ StatusOr<RecallResult> ReferenceRecall(const ModelZoo& zoo,
     RecallEntry entry;
     entry.model_index = m;
     entry.prior_accuracy = matrix.ModelAverageAccuracy(m);
-    const double cluster_proxy =
-        proxy_of_cluster[static_cast<size_t>(clustering.ClusterOf(m))];
+    const size_t cluster =
+        static_cast<size_t>(clustering.clusters.assignments[m]);
+    const double cluster_proxy = proxy_of_cluster[cluster];
     if (cluster_proxy >= 0.0) {
       entry.proxy_component = cluster_proxy;  // Eq. 3.
     } else {

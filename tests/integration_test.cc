@@ -2,10 +2,12 @@
 // domains, exercised through the public API exactly as the examples and
 // benches use it, with paper-level assertions on costs and quality.
 
+#include <algorithm>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "core/baselines.h"
 #include "core/coarse_recall.h"
 #include "core/evaluation.h"
@@ -14,6 +16,7 @@
 #include "model/paper_zoo.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -87,7 +90,7 @@ TEST_F(IntegrationTest, RecallBeatsRandomOnEveryTarget) {
     DomainWorld& world = World(domain);
     CoarseRecall recall(&world.zoo, &world.matrix, &world.clustering);
     const Hyperparams hp = Hyperparams::DefaultsFor(domain);
-    for (const Dataset* target : registry_->Targets(domain)) {
+    for (const Dataset* target : Targets(*registry_, domain)) {
       auto result = *recall.Recall(*target, RecallOptions(), nullptr);
       const auto truth =
           *TrueFinalAccuracies(world.zoo, *target, *simulator_, hp);
@@ -110,7 +113,7 @@ TEST_F(IntegrationTest, RecallRegretSmallAtTopFifteen) {
     DomainWorld& world = World(domain);
     CoarseRecall recall(&world.zoo, &world.matrix, &world.clustering);
     const Hyperparams hp = Hyperparams::DefaultsFor(domain);
-    for (const Dataset* target : registry_->Targets(domain)) {
+    for (const Dataset* target : Targets(*registry_, domain)) {
       auto result = *recall.Recall(*target, RecallOptions(), nullptr);
       const auto truth =
           *TrueFinalAccuracies(world.zoo, *target, *simulator_, hp);
@@ -118,7 +121,8 @@ TEST_F(IntegrationTest, RecallRegretSmallAtTopFifteen) {
       for (size_t index : result.TopModels(15)) {
         best_recalled = std::max(best_recalled, truth[index]);
       }
-      EXPECT_GE(best_recalled, stats::Max(truth) - 0.06) << target->name();
+      const double best = *std::max_element(truth.begin(), truth.end());
+      EXPECT_GE(best_recalled, best - 0.06) << target->name();
     }
   }
 }
@@ -136,7 +140,7 @@ TEST_F(IntegrationTest, EndToEndSpeedupsMatchPaperBands) {
     SuccessiveHalvingSelector sh(&world.zoo, simulator_);
     const double bf_epochs =
         static_cast<double>(world.zoo.size() * hp.epochs);
-    for (const Dataset* target : registry_->Targets(domain)) {
+    for (const Dataset* target : Targets(*registry_, domain)) {
       auto report = *selector.Select(*target, TwoPhaseOptions(), hp);
       EpochBudget sh_budget;
       (void)*sh.Select(all, *target, hp, &sh_budget);
@@ -158,7 +162,7 @@ TEST_F(IntegrationTest, MultiProxyRecallIsAtLeastAsRobust) {
   const Hyperparams hp = Hyperparams::DefaultsFor(TaskDomain::kCV);
   RecallOptions combined;
   combined.proxies = {"leep", "nce", "knn"};
-  for (const Dataset* target : registry_->Targets(TaskDomain::kCV)) {
+  for (const Dataset* target : Targets(*registry_, TaskDomain::kCV)) {
     auto single = *recall.Recall(*target, RecallOptions(), nullptr);
     auto multi = *recall.Recall(*target, combined, nullptr);
     const auto truth =
@@ -175,7 +179,7 @@ TEST_F(IntegrationTest, FirstEpochValidationPredictsFinalOutcome) {
   DomainWorld& world = World(TaskDomain::kNLP);
   CoarseRecall recall(&world.zoo, &world.matrix, &world.clustering);
   const Hyperparams hp = Hyperparams::DefaultsFor(TaskDomain::kNLP);
-  for (const Dataset* target : registry_->Targets(TaskDomain::kNLP)) {
+  for (const Dataset* target : Targets(*registry_, TaskDomain::kNLP)) {
     auto result = *recall.Recall(*target, RecallOptions(), nullptr);
     std::vector<double> first_val, final_test;
     for (size_t index : result.TopModels(10)) {

@@ -65,10 +65,5 @@ TEST(MatrixTest, ApproxEquals) {
   EXPECT_FALSE(ApproxEquals(a, Matrix(2, 1)));
 }
 
-TEST(MatrixTest, ToStringMentionsShape) {
-  Matrix m(2, 2, 0.5);
-  EXPECT_NE(m.ToString().find("2 x 2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace tps

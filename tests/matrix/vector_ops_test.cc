@@ -1,4 +1,5 @@
 #include "matrix/vector_ops.h"
+#include "util/test_helpers.h"
 
 #include <cmath>
 

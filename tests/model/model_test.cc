@@ -7,6 +7,7 @@
 #include "model/model_card.h"
 #include "model/zoo.h"
 #include "util/string_util.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {

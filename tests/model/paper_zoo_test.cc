@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "model/zoo.h"
 #include "serve/artifacts.h"
 #include "store/model_store.h"
 #include "util/string_util.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "bench/lib/bench_util.h"
+#include "bench/lib/dispatch.h"
 #include "recall/embed_trainer.h"
 #include "serve/artifact_slot.h"
 #include "serve/artifacts.h"
@@ -100,7 +102,7 @@ class EmbeddingServingTest : public testing::Test {
     EXPECT_TRUE(service.ok()) << service.status().message();
     std::map<std::string, SelectionResponse> answers;
     for (const Dataset* target :
-         artifacts.registry.Targets(artifacts.domain)) {
+         Targets(artifacts.registry, artifacts.domain)) {
       answers[target->name()] =
           (*service)->Handle(EmbeddingRequest(target->name()));
       EXPECT_TRUE(answers[target->name()].status.ok());
@@ -268,7 +270,7 @@ TEST_F(EmbeddingServingTest, SwapBetweenEmbeddingVersionsNeverMixes) {
       for (size_t i = 0;; ++i) {
         const std::string& target = targets[(c + i) % targets.size()];
         responses[c].push_back(
-            service.Submit(EmbeddingRequest(target)).get());
+            Submit(service, EmbeddingRequest(target)).get());
         if (i == 0) warmed.count_down();
         if (!counted_b && responses[c].back().artifact_version == 2) {
           counted_b = true;

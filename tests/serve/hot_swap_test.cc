@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
+#include "bench/lib/dispatch.h"
 #include "core/model_clusterer.h"
 #include "model/paper_zoo.h"
 #include "serve/artifact_slot.h"
@@ -72,7 +74,7 @@ class HotSwapTest : public testing::Test {
 
   static std::vector<std::string> TargetNames() {
     std::vector<std::string> names;
-    for (const Dataset* target : base_->registry.Targets(TaskDomain::kNLP)) {
+    for (const Dataset* target : Targets(base_->registry, TaskDomain::kNLP)) {
       names.push_back(target->name());
     }
     return names;
@@ -93,7 +95,7 @@ class HotSwapTest : public testing::Test {
     EXPECT_TRUE(service_or.ok()) << service_or.status().ToString();
     std::map<std::string, SelectionResponse> answers;
     for (const Dataset* target :
-         artifacts.registry.Targets(artifacts.domain)) {
+         Targets(artifacts.registry, artifacts.domain)) {
       SelectionRequest request;
       request.target = target->name();
       answers[request.target] = (*service_or)->Handle(request);
@@ -257,7 +259,7 @@ TEST_F(HotSwapTest, StragglerKeepsAdmissionVersionAndEpochsNeverMix) {
 
   // The straggler: admitted (snapshot acquired) at version 1, then held by
   // the hook before its pipeline starts.
-  std::future<SelectionResponse> straggler = service.Submit(Request("mnli"));
+  std::future<SelectionResponse> straggler = Submit(service, Request("mnli"));
   picked_up.get_future().wait();
 
   // Reload lands while the straggler is parked: version 2 published, over
@@ -270,7 +272,7 @@ TEST_F(HotSwapTest, StragglerKeepsAdmissionVersionAndEpochsNeverMix) {
 
   // Same target, admitted AFTER the reload — queued behind the straggler
   // on the single worker, so it runs after version-1 scores were cached.
-  std::future<SelectionResponse> fresh = service.Submit(Request("mnli"));
+  std::future<SelectionResponse> fresh = Submit(service, Request("mnli"));
   release.set_value();
 
   const SelectionResponse straggler_response = straggler.get();
@@ -382,7 +384,7 @@ TEST_F(HotSwapTest, SwapUnderLoadNeverDropsOrMixesVersions) {
       for (int i = 0;; ++i) {
         SelectionRequest request =
             Request(targets[(c + i) % targets.size()]);
-        responses[c].push_back(service.Submit(std::move(request)).get());
+        responses[c].push_back(Submit(service, std::move(request)).get());
         if (i == 0) warmed.count_down();
         if (!counted_variant && responses[c].back().artifact_version == 2) {
           counted_variant = true;

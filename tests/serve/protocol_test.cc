@@ -240,7 +240,9 @@ TEST(ResponseRoundTripTest, EveryCodeNameRestores) {
       Status::DeadlineExceeded("i"), Status::Unavailable("j"),
   };
   for (const Status& status : statuses) {
-    auto parsed = ParseResponseLine(ErrorToLine(status));
+    std::string line;
+    AppendError(status, &line);
+    auto parsed = ParseResponseLine(line);
     ASSERT_FALSE(parsed.ok()) << status.ToString();
     EXPECT_EQ(parsed.status().code(), status.code()) << status.ToString();
     EXPECT_EQ(parsed.status().message(), status.message());

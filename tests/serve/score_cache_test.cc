@@ -78,12 +78,15 @@ TEST(ProxyScoreCacheTest, EvictionOrderIsDeterministicLru) {
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(metrics.counter("proxy_cache.evictions").value(), 1u);
 
-  // MRU -> LRU after the lookups above: c (just touched), d, a.
-  const std::vector<ProxyCacheKey> order = cache.KeysByRecency();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0].model, "c");
-  EXPECT_EQ(order[1].model, "d");
-  EXPECT_EQ(order[2].model, "a");
+  // MRU -> LRU after the lookups above: c (just touched), d, a. Each new
+  // key evicts the least recent; a missed Lookup touches nothing.
+  cache.Insert(Key(5, "e"), 0.5);
+  EXPECT_FALSE(cache.Lookup(Key(1, "a")).has_value());
+  cache.Insert(Key(6, "f"), 0.6);
+  EXPECT_FALSE(cache.Lookup(Key(4, "d")).has_value());
+  cache.Insert(Key(7, "g"), 0.7);
+  EXPECT_FALSE(cache.Lookup(Key(3, "c")).has_value());
+  EXPECT_EQ(cache.evictions(), 4u);
 }
 
 TEST(ProxyScoreCacheTest, SameAccessSequenceSameEvictionOrder) {
@@ -103,9 +106,15 @@ TEST(ProxyScoreCacheTest, SameAccessSequenceSameEvictionOrder) {
   };
   feed(a);
   feed(b);
-  EXPECT_EQ(a.KeysByRecency(), b.KeysByRecency());
   EXPECT_EQ(a.hits(), b.hits());
   EXPECT_EQ(a.evictions(), b.evictions());
+  // The same survivors: every key of the sequence is held by both or by
+  // neither (identical lookups keep the two recency orders in step).
+  for (uint64_t i = 0; i < 30; ++i) {
+    const ProxyCacheKey key =
+        Key(i % 6, std::string("m") + std::to_string(i % 5));
+    EXPECT_EQ(a.Lookup(key).has_value(), b.Lookup(key).has_value()) << i;
+  }
 }
 
 TEST(ProxyScoreCacheTest, ZeroCapacityDisablesStorage) {

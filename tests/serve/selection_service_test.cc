@@ -3,6 +3,7 @@
 // concurrent-equals-serial results.
 
 #include "serve/service.h"
+#include "bench/lib/dispatch.h"
 
 #include <atomic>
 #include <chrono>
@@ -168,7 +169,7 @@ TEST_F(SelectionServiceTest, SubmitDrainsThroughWorkers) {
   auto service = MakeService(options);
   std::vector<std::future<SelectionResponse>> futures;
   for (int i = 0; i < 4; ++i) {
-    futures.push_back(service->Submit(Request(i % 2 == 0 ? "mnli" : "boolq")));
+    futures.push_back(Submit(*service, Request(i % 2 == 0 ? "mnli" : "boolq")));
   }
   for (auto& future : futures) {
     const SelectionResponse response = future.get();
@@ -193,16 +194,16 @@ TEST_F(SelectionServiceTest, FullQueueRejectsImmediately) {
   auto service = MakeService(options);
 
   // First request: the worker dequeues it and parks in the hook.
-  auto f1 = service->Submit(Request("mnli"));
+  auto f1 = Submit(*service, Request("mnli"));
   gate.WaitEntered();
   // Queue is now empty; fill it to capacity.
-  auto f2 = service->Submit(Request("mnli"));
-  auto f3 = service->Submit(Request("boolq"));
+  auto f2 = Submit(*service, Request("mnli"));
+  auto f3 = Submit(*service, Request("boolq"));
   EXPECT_EQ(service->queue_depth(), 2u);
 
   // One over capacity: rejected NOW, without blocking, with Unavailable.
   const auto reject_start = std::chrono::steady_clock::now();
-  auto f4 = service->Submit(Request("mnli"));
+  auto f4 = Submit(*service, Request("mnli"));
   const SelectionResponse rejected = f4.get();
   const double reject_ms =
       std::chrono::duration<double, std::milli>(
@@ -239,13 +240,13 @@ TEST_F(SelectionServiceTest, DeadlineBurnsWhileQueued) {
   options.pre_handle_hook = gate.Hook();
   auto service = MakeService(options);
 
-  auto blocker = service->Submit(Request("mnli"));  // No deadline.
+  auto blocker = Submit(*service, Request("mnli"));  // No deadline.
   gate.WaitEntered();
   // A 1 ns deadline: admitted (the queue has room), and long expired by
   // the time the held slot frees up, without the test waiting on a clock.
   SelectionRequest doomed = Request("boolq");
   doomed.deadline_ms = 1e-6;
-  auto f = service->Submit(std::move(doomed));
+  auto f = Submit(*service, std::move(doomed));
   EXPECT_EQ(service->queue_depth(), 1u);
   gate.Release();
 
@@ -269,10 +270,10 @@ TEST_F(SelectionServiceTest, ShutdownAnswersAbandonedRequests) {
   options.pre_handle_hook = gate.Hook();
   auto service = MakeService(options);
 
-  auto f1 = service->Submit(Request("mnli"));
+  auto f1 = Submit(*service, Request("mnli"));
   gate.WaitEntered();
-  auto f2 = service->Submit(Request("boolq"));
-  auto f3 = service->Submit(Request("mnli"));
+  auto f2 = Submit(*service, Request("boolq"));
+  auto f3 = Submit(*service, Request("mnli"));
   EXPECT_EQ(service->queue_depth(), 2u);
 
   // Destroy the service from another thread: the destructor swaps the
@@ -356,7 +357,7 @@ TEST_F(SelectionServiceTest, ConcurrentRequestsReportOnlyTheirOwnLookups) {
   options.worker_threads = 2;
   options.metrics = &metrics;
   auto service = MakeService(options);
-  const SelectionResponse cold = service->Serve(Request("mnli"));
+  const SelectionResponse cold = Serve(*service, Request("mnli"));
   ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
   const uint64_t lookups = cold.cache_misses;
   ASSERT_GT(lookups, 0u);
@@ -372,7 +373,7 @@ TEST_F(SelectionServiceTest, ConcurrentRequestsReportOnlyTheirOwnLookups) {
     for (int i = 0; i < 2; ++i) {
       callers.emplace_back([&, i] {
         start.arrive_and_wait();
-        responses[i] = service->Serve(Request("mnli"));
+        responses[i] = Serve(*service, Request("mnli"));
       });
     }
     for (std::thread& caller : callers) caller.join();
@@ -399,10 +400,10 @@ TEST_F(SelectionServiceTest, ServeRunsOnTheCallerWhenASlotIsFree) {
   auto service = MakeService(options);
 
   // A free slot and an empty queue: Serve runs the pipeline right here.
-  const SelectionResponse served = service->Serve(Request("mnli"));
+  const SelectionResponse served = Serve(*service, Request("mnli"));
   ASSERT_TRUE(served.status.ok()) << served.status.ToString();
   // Submit always hands the request to a worker.
-  const SelectionResponse submitted = service->Submit(Request("mnli")).get();
+  const SelectionResponse submitted = Submit(*service, Request("mnli")).get();
   ASSERT_TRUE(submitted.status.ok()) << submitted.status.ToString();
   EXPECT_EQ(served.selected_model, submitted.selected_model);
 
@@ -455,7 +456,7 @@ TEST_F(SelectionServiceTest, DispatchAnswersInlineOrOnAWorker) {
   EXPECT_TRUE(inline_answer.response.status.ok());
 
   // Hold the only slot on the worker, then fill the one-deep queue.
-  auto held = gated->Submit(Request("mnli"));
+  auto held = Submit(*gated, Request("mnli"));
   gate.WaitEntered();
   Answer queued_answer;
   std::latch queued_done(1);

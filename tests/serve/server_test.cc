@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/dispatch.h"
 #include "serve/protocol.h"
 #include "store/model_store.h"
 #include "util/json.h"
@@ -490,7 +491,7 @@ TEST_F(SelectionServerTest, SocketSelectsQueueThenRejectWhenFull) {
   SelectionRequest held_request;
   held_request.target = "mnli";
   std::future<SelectionResponse> held =
-      service->Submit(std::move(held_request));
+      Submit(*service, std::move(held_request));
   entered.wait();
   ASSERT_TRUE(queue.WaitFor(1));  // Submit passed through the queue.
 
@@ -570,7 +571,7 @@ TEST_F(SelectionServerTest, RunSlotsBoundConcurrentSocketSelects) {
   for (int i = 0; i < kSlots; ++i) {
     SelectionRequest request;
     request.target = "mnli";
-    holders.push_back(service->Submit(std::move(request)));
+    holders.push_back(Submit(*service, std::move(request)));
   }
   slots_full.wait();
 

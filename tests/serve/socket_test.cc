@@ -1,13 +1,17 @@
 // POSIX socket wrappers: Unix + TCP listen/connect, line framing across
-// partial reads, EOF handling, and Shutdown() unblocking a parked Accept.
+// partial reads, EOF handling, and shutdown(2) unblocking a parked accept
+// or reader.
 
 #include "util/socket.h"
 
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <latch>
 #include <string>
 #include <thread>
@@ -20,6 +24,20 @@ namespace {
 std::string TempSocketPath(const std::string& tag) {
   return testing::TempDir() + "/tps_socket_test_" + tag + "_" +
          std::to_string(::getpid()) + ".sock";
+}
+
+/// Accepts one client on the listener with accept(2); the server accepts
+/// with accept4 from its own loop. A listener shut down with shutdown(2)
+/// fails it, which reads as Unavailable.
+StatusOr<Socket> Accept(const ServerSocket& server) {
+  for (;;) {
+    const int fd = ::accept(server.fd(), nullptr, nullptr);
+    if (fd >= 0) return Socket(fd);
+    if (errno != EINTR) {
+      return Status::Unavailable(std::string("accept: ") +
+                                 std::strerror(errno));
+    }
+  }
 }
 
 TEST(SocketTest, UnixRoundTrip) {
@@ -38,7 +56,7 @@ TEST(SocketTest, UnixRoundTrip) {
     EXPECT_EQ(*reply, "hello client");
   });
 
-  auto conn = server->Accept();
+  auto conn = Accept(*server);
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
   std::string buffer;
   auto line = conn->RecvLine(&buffer);
@@ -58,7 +76,7 @@ TEST(SocketTest, TcpAutoAssignsPort) {
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     ASSERT_TRUE(client->SendAll("over tcp\n").ok());
   });
-  auto conn = server->Accept();
+  auto conn = Accept(*server);
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
   std::string buffer;
   auto line = conn->RecvLine(&buffer);
@@ -80,7 +98,7 @@ TEST(SocketTest, RecvLineSplitsMultipleLinesFromOneWrite) {
     ASSERT_TRUE(client->SendAll("ial\n").ok());  // Finish line four.
   });
 
-  auto conn = server->Accept();
+  auto conn = Accept(*server);
   ASSERT_TRUE(conn.ok());
   std::string buffer;
   EXPECT_EQ(*conn->RecvLine(&buffer), "one");
@@ -102,7 +120,7 @@ TEST(SocketTest, CleanEofIsOutOfRange) {
     ASSERT_TRUE(client->SendAll("last full line\n").ok());
     // Destructor closes: clean EOF after a complete line.
   });
-  auto conn = server->Accept();
+  auto conn = Accept(*server);
   ASSERT_TRUE(conn.ok());
   std::string buffer;
   EXPECT_EQ(*conn->RecvLine(&buffer), "last full line");
@@ -122,7 +140,7 @@ TEST(SocketTest, MidLineEofReturnsPartialLine) {
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client->SendAll("no newline here").ok());
   });
-  auto conn = server->Accept();
+  auto conn = Accept(*server);
   ASSERT_TRUE(conn.ok());
   std::string buffer;
   auto line = conn->RecvLine(&buffer);
@@ -136,25 +154,25 @@ TEST(SocketTest, ShutdownUnblocksParkedAccept) {
   auto server = ServerSocket::ListenUnix(path);
   ASSERT_TRUE(server.ok());
 
-  // Shutdown must stop the acceptor whether it is already parked in
+  // shutdown(2) must stop the acceptor whether it is already parked in
   // accept(2) or only about to enter it (then accept fails at once), so
-  // the latch only has to order Shutdown after the acceptor has started.
+  // the latch only has to order shutdown after the acceptor has started.
   std::atomic<bool> accept_returned{false};
   std::latch accepting(1);
   std::thread acceptor([&] {
     accepting.count_down();
-    auto conn = server->Accept();  // Parks: no client will connect.
+    auto conn = Accept(*server);  // Parks: no client will connect.
     EXPECT_FALSE(conn.ok());
     EXPECT_TRUE(conn.status().IsUnavailable()) << conn.status().ToString();
     accept_returned.store(true);
   });
   accepting.wait();
   EXPECT_FALSE(accept_returned.load());
-  server->Shutdown();
+  ::shutdown(server->fd(), SHUT_RDWR);
   acceptor.join();
   EXPECT_TRUE(accept_returned.load());
-  // After Shutdown every further Accept fails fast too.
-  EXPECT_FALSE(server->Accept().ok());
+  // After shutdown every further accept fails fast too.
+  EXPECT_FALSE(Accept(*server).ok());
 }
 
 TEST(SocketTest, ShutdownBothUnblocksParkedReader) {
@@ -164,10 +182,10 @@ TEST(SocketTest, ShutdownBothUnblocksParkedReader) {
 
   auto client = ConnectUnix(path);
   ASSERT_TRUE(client.ok());
-  auto conn = server->Accept();
+  auto conn = Accept(*server);
   ASSERT_TRUE(conn.ok());
 
-  // As above: a recv entered before or after ShutdownBoth reads EOF.
+  // As above: a recv entered before or after shutdown reads EOF.
   std::latch reading(1);
   std::thread reader([&] {
     reading.count_down();
@@ -176,7 +194,7 @@ TEST(SocketTest, ShutdownBothUnblocksParkedReader) {
     EXPECT_FALSE(line.ok());  // Reads as EOF once shut down.
   });
   reading.wait();
-  conn->ShutdownBoth();
+  ::shutdown(conn->fd(), SHUT_RDWR);
   reader.join();
 }
 
@@ -195,7 +213,7 @@ TEST(SocketTest, StaleSocketFileIsReplaced) {
     auto client = ConnectUnix(path);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
   });
-  auto conn = second->Accept();
+  auto conn = Accept(*second);
   EXPECT_TRUE(conn.ok());
   client_thread.join();
 }

@@ -6,6 +6,7 @@
 
 #include "sim/finetune_simulator.h"
 #include "util/stats.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -62,11 +63,11 @@ TEST_P(CurvePropertiesTest, CurveInvariantsHold) {
   EXPECT_GT(run.val_accuracy.front(), 0.25 * chance);
   // 3. ... and the best validation beats the first epoch (learning
   //    happens) for all but pathological settings.
-  EXPECT_GE(run.best_val(), run.val_accuracy.front() - 0.02);
+  EXPECT_GE(BestVal(run), run.val_accuracy.front() - 0.02);
   // 4. The curve approaches the oracle's asymptote from below: the best
   //    value does not exceed asymptote + noise margin.
   const TransferTruth truth = simulator.oracle().Evaluate(model, dataset);
-  EXPECT_LE(run.best_val(), truth.asymptotic_accuracy + 0.08);
+  EXPECT_LE(BestVal(run), truth.asymptotic_accuracy + 0.08);
   // 5. Test tracks validation: final test within a small gap of late-epoch
   //    validation.
   EXPECT_NEAR(run.final_test(), run.val_accuracy.back(), 0.08);

@@ -6,6 +6,7 @@
 
 #include "sim/epoch_budget.h"
 #include "util/stats.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -111,7 +112,7 @@ TEST_F(FineTuneSimulatorTest, CurvesRiseTowardAsymptote) {
   EXPECT_GT(run.val_accuracy[2], run.val_accuracy[0]);
   const TransferTruth truth =
       simulator_.oracle().Evaluate(model_, dataset_);
-  EXPECT_NEAR(run.best_val(), truth.asymptotic_accuracy, 0.08);
+  EXPECT_NEAR(BestVal(run), truth.asymptotic_accuracy, 0.08);
 }
 
 TEST_F(FineTuneSimulatorTest, LowerLearningRateConvergesSlower) {
@@ -147,11 +148,11 @@ TEST_F(FineTuneSimulatorTest, RejectsDomainMismatch) {
 
 TEST_F(FineTuneSimulatorTest, BestValHelper) {
   TrainingRun run;
-  EXPECT_DOUBLE_EQ(run.best_val(), 0.0);
+  EXPECT_DOUBLE_EQ(BestVal(run), 0.0);
   EXPECT_DOUBLE_EQ(run.final_test(), 0.0);
   run.val_accuracy = {0.3, 0.7, 0.5};
   run.test_accuracy = {0.2, 0.6, 0.55};
-  EXPECT_DOUBLE_EQ(run.best_val(), 0.7);
+  EXPECT_DOUBLE_EQ(BestVal(run), 0.7);
   EXPECT_DOUBLE_EQ(run.final_test(), 0.55);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,14 @@
 
 namespace tps {
 namespace {
+
+/// The checksum of one buffer, fed in a single Crc32Update.
+uint32_t Crc32(const void* data, size_t length) {
+  return Crc32Finish(Crc32Update(Crc32Init(), data, length));
+}
+uint32_t Crc32(std::string_view data) {
+  return Crc32(data.data(), data.size());
+}
 
 TEST(Crc32Test, KnownTestVectors) {
   // Standard CRC-32/IEEE check values.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "store/record_log.h"
 #include "util/rng.h"
 
 namespace tps {
@@ -23,21 +24,36 @@ std::string ReadAll(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-TEST(KvStoreTest, PutGetDelete) {
+TEST(KvStoreTest, PutGetAndMissingKey) {
   auto store = std::move(KvStore::Open(TempPath("kv_basic.log"))).value();
   ASSERT_TRUE(store.Put("alpha", "1").ok());
   ASSERT_TRUE(store.Put("beta", "2").ok());
   EXPECT_EQ(*store.Get("alpha"), "1");
   EXPECT_EQ(*store.Get("beta"), "2");
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.Contains("alpha"));
+  EXPECT_TRUE(store.Get("gamma").status().IsNotFound());
+}
 
-  ASSERT_TRUE(store.Delete("alpha").ok());
-  EXPECT_FALSE(store.Contains("alpha"));
-  EXPECT_TRUE(store.Get("alpha").status().IsNotFound());
-  EXPECT_EQ(store.size(), 1u);
-  // Deleting an absent key is a no-op.
-  EXPECT_TRUE(store.Delete("alpha").ok());
+TEST(KvStoreTest, LogWithADeleteRecordFailsToOpen) {
+  // Stores once logged deletes as 'D' records; no writer emits one now, so
+  // replay refuses the op instead of guessing at it.
+  const std::string path = TempPath("kv_delete_op.log");
+  {
+    auto store = std::move(KvStore::Open(path)).value();
+    ASSERT_TRUE(store.Put("alpha", "1").ok());
+  }
+  {
+    auto writer = std::move(RecordLogWriter::Open(path)).value();
+    // [op][u32 key length LE][key], as the put records are framed.
+    ASSERT_TRUE(writer.Append(std::string("D\x05\0\0\0alpha", 10)).ok());
+  }
+  for (const bool read_only : {false, true}) {
+    const auto store =
+        read_only ? KvStore::OpenReadOnly(path) : KvStore::Open(path);
+    EXPECT_FALSE(store.ok()) << read_only;
+    EXPECT_EQ(store.status().message(), "unknown mutation op in log")
+        << store.status().ToString();
+  }
 }
 
 TEST(KvStoreTest, OverwriteKeepsLatestValue) {
@@ -51,7 +67,6 @@ TEST(KvStoreTest, OverwriteKeepsLatestValue) {
 TEST(KvStoreTest, EmptyKeyRejected) {
   auto store = std::move(KvStore::Open(TempPath("kv_emptykey.log"))).value();
   EXPECT_TRUE(store.Put("", "v").IsInvalidArgument());
-  EXPECT_TRUE(store.Delete("").IsInvalidArgument());
 }
 
 TEST(KvStoreTest, ValuesMayContainBinaryData) {
@@ -69,12 +84,12 @@ TEST(KvStoreTest, PersistsAcrossReopen) {
     auto store = std::move(KvStore::Open(path)).value();
     ASSERT_TRUE(store.Put("a", "1").ok());
     ASSERT_TRUE(store.Put("b", "2").ok());
-    ASSERT_TRUE(store.Delete("a").ok());
+    ASSERT_TRUE(store.Put("a", "10").ok());
     ASSERT_TRUE(store.Put("c", "3").ok());
   }
   auto store = std::move(KvStore::Open(path)).value();
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_TRUE(store.Get("a").status().IsNotFound());
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(*store.Get("a"), "10");
   EXPECT_EQ(*store.Get("b"), "2");
   EXPECT_EQ(*store.Get("c"), "3");
 }
@@ -98,16 +113,17 @@ TEST(KvStoreTest, CompactionShrinksLogAndPreservesContents) {
     ASSERT_TRUE(store.Put("churn", std::string("v") + std::to_string(i)).ok());
   }
   ASSERT_TRUE(store.Put("keep", "forever").ok());
-  ASSERT_TRUE(store.Delete("churn").ok());
-  EXPECT_GT(store.log_records(), 50u);
+  EXPECT_EQ(store.log_records(), 51u);
 
   ASSERT_TRUE(store.Compact().ok());
-  EXPECT_EQ(store.log_records(), 1u);  // Only the live key remains.
+  EXPECT_EQ(store.log_records(), 2u);  // Only the live values remain.
+  EXPECT_EQ(*store.Get("churn"), "v49");
   EXPECT_EQ(*store.Get("keep"), "forever");
 
   // The compacted log replays correctly.
   auto reopened = std::move(KvStore::Open(path)).value();
-  EXPECT_EQ(reopened.size(), 1u);
+  EXPECT_EQ(reopened.size(), 2u);
+  EXPECT_EQ(*reopened.Get("churn"), "v49");
   EXPECT_EQ(*reopened.Get("keep"), "forever");
 }
 
@@ -150,7 +166,7 @@ TEST(KvStoreTest, TornTailIsTruncatedSoPostRecoveryWritesSurvive) {
     EXPECT_EQ(store.recovery_stats().bytes_truncated, 8u + 23u - 3u);
     EXPECT_EQ(store.recovery_stats().records_replayed, 1u);
     EXPECT_EQ(store.size(), 1u);
-    EXPECT_FALSE(store.Contains("victim"));
+    EXPECT_TRUE(store.Get("victim").status().IsNotFound());
     ASSERT_TRUE(store.Put("after-crash", "must survive").ok());
   }
   auto store = std::move(KvStore::Open(path)).value();
@@ -183,13 +199,12 @@ TEST(KvStoreTest, ReadOnlyOpenLeavesTornTailAndRejectsWrites) {
   EXPECT_TRUE(store.recovery_stats().tail_was_torn);
   EXPECT_EQ(store.recovery_stats().bytes_truncated, 0u);
   EXPECT_TRUE(store.Put("new", "value").IsFailedPrecondition());
-  EXPECT_TRUE(store.Delete("kept").IsFailedPrecondition());
   EXPECT_TRUE(store.Compact().IsFailedPrecondition());
   EXPECT_EQ(ReadAll(path), before);
 }
 
 TEST(KvStoreTest, RandomOpsMatchReferenceModel) {
-  // Property test: a random Put/Delete/Compact/Reopen workload agrees with
+  // Property test: a random Put/Compact/Reopen workload agrees with
   // std::map at every step.
   const std::string path = TempPath("kv_model_check.log");
   auto store_or = KvStore::Open(path);
@@ -202,13 +217,10 @@ TEST(KvStoreTest, RandomOpsMatchReferenceModel) {
     const std::string key =
         std::string("k") + std::to_string(rng.UniformInt(uint64_t{40}));
     const double dice = rng.Uniform();
-    if (dice < 0.55) {
+    if (dice < 0.85) {
       const std::string value = std::string("v") + std::to_string(op);
       ASSERT_TRUE(store.Put(key, value).ok());
       reference[key] = value;
-    } else if (dice < 0.85) {
-      ASSERT_TRUE(store.Delete(key).ok());
-      reference.erase(key);
     } else if (dice < 0.95) {
       ASSERT_TRUE(store.Compact().ok());
     } else {

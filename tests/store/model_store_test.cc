@@ -8,6 +8,7 @@
 #include "matrix/matrix_testing.h"
 #include "model/paper_zoo.h"
 #include "sim/finetune_simulator.h"
+#include "store/dataset_spec_reader.h"
 #include "store/spec_serialization.h"
 
 namespace tps {

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/selection_trace.h"
+#include "store/dataset_spec_reader.h"
 #include "store/spec_serialization.h"
 #include "util/json.h"
 #include "util/rng.h"

@@ -10,6 +10,7 @@
 #include "matrix/eigen.h"
 #include "matrix/vector_ops.h"
 #include "transfer/kernels.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace kernels {

@@ -18,12 +18,12 @@ std::string TempPath(const std::string& name) {
 
 std::string ReadAll(Env* env, const std::string& path) {
   auto size = env->FileSize(path);
-  EXPECT_TRUE(size.ok()) << size.status();
+  EXPECT_TRUE(size.ok()) << size.status().ToString();
   auto file = env->NewSequentialFile(path);
-  EXPECT_TRUE(file.ok()) << file.status();
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
   std::string bytes(static_cast<size_t>(*size), '\0');
   auto got = ReadFully(file->get(), bytes.size(), bytes.data());
-  EXPECT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, bytes.size());
   return bytes;
 }

@@ -19,11 +19,7 @@ class CerrCapture {
   std::streambuf* old_buffer_;
 };
 
-class LoggingTest : public testing::Test {
- protected:
-  void SetUp() override { SetLogLevel(LogLevel::kInfo); }
-  void TearDown() override { SetLogLevel(LogLevel::kInfo); }
-};
+class LoggingTest : public testing::Test {};
 
 TEST_F(LoggingTest, EmitsAtOrAboveThreshold) {
   CerrCapture capture;
@@ -39,20 +35,9 @@ TEST_F(LoggingTest, EmitsAtOrAboveThreshold) {
 TEST_F(LoggingTest, SuppressesBelowThreshold) {
   CerrCapture capture;
   TPS_LOG(Debug) << "hidden debug";
+  TPS_LOG(Error) << "visible error";
   EXPECT_EQ(capture.text().find("hidden debug"), std::string::npos);
-  SetLogLevel(LogLevel::kDebug);
-  TPS_LOG(Debug) << "now visible";
-  EXPECT_NE(capture.text().find("now visible"), std::string::npos);
-}
-
-TEST_F(LoggingTest, ErrorLevelFiltersInfo) {
-  SetLogLevel(LogLevel::kError);
-  CerrCapture capture;
-  TPS_LOG(Info) << "quiet";
-  TPS_LOG(Error) << "loud";
-  const std::string out = capture.text();
-  EXPECT_EQ(out.find("quiet"), std::string::npos);
-  EXPECT_NE(out.find("loud"), std::string::npos);
+  EXPECT_NE(capture.text().find("visible error"), std::string::npos);
 }
 
 TEST_F(LoggingTest, MessageIncludesBasenameNotFullPath) {
@@ -61,11 +46,6 @@ TEST_F(LoggingTest, MessageIncludesBasenameNotFullPath) {
   const std::string out = capture.text();
   EXPECT_NE(out.find("logging_test.cc:"), std::string::npos);
   EXPECT_EQ(out.find("/tests/"), std::string::npos);
-}
-
-TEST_F(LoggingTest, GetLogLevelReflectsSetting) {
-  SetLogLevel(LogLevel::kWarning);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kWarning);
 }
 
 TEST(CheckTest, PassingCheckIsSilentAndFatalAborts) {

@@ -18,17 +18,14 @@ TEST(StatsTest, EmptyInputsReturnZero) {
   const std::vector<double> empty;
   EXPECT_DOUBLE_EQ(Sum(empty), 0.0);
   EXPECT_DOUBLE_EQ(Mean(empty), 0.0);
-  EXPECT_DOUBLE_EQ(Min(empty), 0.0);
-  EXPECT_DOUBLE_EQ(Max(empty), 0.0);
   EXPECT_DOUBLE_EQ(Median(empty), 0.0);
   EXPECT_EQ(ArgMax(empty), 0u);
 }
 
 TEST(StatsTest, MinMaxArg) {
   const std::vector<double> v = {3.0, 1.0, 4.0, 1.0, 5.0};
-  EXPECT_DOUBLE_EQ(Min(v), 1.0);
-  EXPECT_DOUBLE_EQ(Max(v), 5.0);
   EXPECT_EQ(ArgMax(v), 4u);
+  EXPECT_EQ(ArgMax({2.0, 7.0, 7.0}), 1u);  // Ties: the earliest index.
 }
 
 TEST(StatsTest, MedianOddAndEven) {

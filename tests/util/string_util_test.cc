@@ -1,4 +1,5 @@
 #include "util/string_util.h"
+#include "util/test_helpers.h"
 
 #include <gtest/gtest.h>
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "util/string_util.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -38,16 +40,21 @@ TEST(TablePrinterTest, LongRowsExtendColumnCount) {
 }
 
 TEST(TablePrinterTest, SeparatorEmitsRule) {
-  TablePrinter t({"h"});
+  // Sections are the benches' SectionedTable over TablePrinter.
+  SectionedTable t({"h"});
   t.AddRow({"x"});
   t.AddSeparator();
-  t.AddRow({"y"});
+  t.AddRow({"long"});
+  t.AddSeparator();
   const auto lines = strings::Split(t.ToString(), '\n');
   int rules = 0;
   for (const auto& line : lines) {
     if (!line.empty() && line[0] == '+') ++rules;
   }
-  EXPECT_EQ(rules, 4);  // Top, under-header, explicit, bottom.
+  EXPECT_EQ(rules, 5);  // Top, under-header, two explicit, bottom.
+  EXPECT_EQ(t.ToString(),
+            "+------+\n| h    |\n+------+\n| x    |\n+------+\n| long |\n"
+            "+------+\n+------+\n");
 }
 
 TEST(TablePrinterTest, CountsRows) {

@@ -26,6 +26,7 @@
 
 #include "util/metrics.h"
 #include "util/thread_pool.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -60,8 +61,7 @@ TEST(ThreadPoolStressTest, ManyConcurrentSubmitters) {
       });
     }
     for (std::thread& submitter : submitters) submitter.join();
-    pool.Wait();
-  }
+  }  // The destructor drains the queue before joining.
   const PoolCounters after = PoolCounters::Snapshot();
 
   constexpr uint64_t kTotal = kSubmitters * kTasksPerSubmitter;
@@ -113,14 +113,15 @@ TEST(ThreadPoolStressTest, NestedParallelForFromSubmittedTasks) {
   constexpr int kTasks = 16;
   constexpr size_t kRange = 32;
   ThreadPool pool(4);
+  TaskGroup group(&pool);
   std::vector<std::vector<int>> slots(kTasks, std::vector<int>(kRange, 0));
   for (int t = 0; t < kTasks; ++t) {
-    pool.Submit([&pool, &slots, t] {
+    group.Submit([&pool, &slots, t] {
       pool.ParallelFor(kRange,
                        [&slots, t](size_t i) { slots[t][i] = t + 1; });
     });
   }
-  pool.Wait();
+  group.Wait();
   for (int t = 0; t < kTasks; ++t) {
     const long expected = static_cast<long>(kRange) * (t + 1);
     EXPECT_EQ(std::accumulate(slots[t].begin(), slots[t].end(), 0L),
@@ -151,7 +152,6 @@ TEST(ThreadPoolStressTest, MixedLoadTelemetryStaysConsistent) {
       });
     }
     for (std::thread& submitter : submitters) submitter.join();
-    pool.Wait();
   }
   const PoolCounters after = PoolCounters::Snapshot();
 
@@ -175,13 +175,14 @@ TEST(ThreadPoolStressTest, WaitIsReusableUnderChurn) {
   // Submit / Wait cycles interleaved with nested fan-out: Wait must be a
   // clean barrier every round, not just once.
   ThreadPool pool(3);
+  TaskGroup group(&pool);
   std::atomic<int> total{0};
   for (int round = 0; round < 20; ++round) {
     for (int t = 0; t < 10; ++t) {
-      pool.Submit([&] { total.fetch_add(1); });
+      group.Submit([&] { total.fetch_add(1); });
     }
     pool.ParallelFor(10, [&](size_t) { total.fetch_add(1); });
-    pool.Wait();
+    group.Wait();
     EXPECT_EQ(total.load(), (round + 1) * 20);
   }
 }

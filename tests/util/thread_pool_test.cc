@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "util/parallel.h"
 #include "util/status.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -29,17 +31,19 @@ TEST(ThreadPoolTest, ClampsNonPositiveThreadCountToOne) {
 
 TEST(ThreadPoolTest, SubmitRunsTasksAndWaitBlocksUntilDone) {
   ThreadPool pool(4);
+  TaskGroup group(&pool);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    group.Submit([&counter] { counter.fetch_add(1); });
   }
-  pool.Wait();
+  group.Wait();
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, WaitWithNothingSubmittedReturnsImmediately) {
   ThreadPool pool(2);
-  pool.Wait();  // Must not hang.
+  TaskGroup group(&pool);
+  group.Wait();  // Must not hang.
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
@@ -70,7 +74,7 @@ TEST(ThreadPoolTest, ParallelForWritesIndexOrderedSlots) {
   for (size_t i = 0; i < expected.size(); ++i) {
     expected[i] = static_cast<double>(i) * 1.25 + 0.5;
   }
-  for (int threads : {1, 2, 7, 2 * ThreadPool::DefaultThreads()}) {
+  for (int threads : {1, 2, 7, 2 * DefaultThreads()}) {
     ThreadPool pool(threads);
     std::vector<double> slots(expected.size(), 0.0);
     pool.ParallelFor(slots.size(), [&](size_t i) {
@@ -97,14 +101,14 @@ TEST(ThreadPoolTest, ParallelForSingleItem) {
 TEST(ThreadPoolTest, OversubscriptionManyMoreThreadsThanWork) {
   // 4x the hardware with 3 items: the pool must neither deadlock nor drop
   // or duplicate work.
-  ThreadPool pool(4 * ThreadPool::DefaultThreads());
+  ThreadPool pool(4 * DefaultThreads());
   std::vector<std::atomic<int>> hits(3);
   pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ThreadPoolTest, OversubscriptionManyTinyTasksStress) {
-  ThreadPool pool(2 * ThreadPool::DefaultThreads());
+  ThreadPool pool(2 * DefaultThreads());
   std::atomic<int64_t> sum{0};
   constexpr size_t kN = 20000;
   pool.ParallelFor(kN, [&](size_t i) {
@@ -143,7 +147,7 @@ TEST(ThreadPoolTest, ParallelForRethrowsSmallestFailingIndexDeterministically) {
   // All indices run even after a failure, so the propagated exception is
   // always the one from the smallest failing index — for every thread
   // count and schedule.
-  for (int threads : {1, 2, 7, 2 * ThreadPool::DefaultThreads()}) {
+  for (int threads : {1, 2, 7, 2 * DefaultThreads()}) {
     ThreadPool pool(threads);
     for (int round = 0; round < 5; ++round) {
       try {
@@ -163,10 +167,11 @@ TEST(ThreadPoolTest, ParallelForRethrowsSmallestFailingIndexDeterministically) {
 
 TEST(ThreadPoolTest, SubmitExceptionSurfacesFromWait) {
   ThreadPool pool(2);
-  pool.Submit([] { throw std::logic_error("boom"); });
-  EXPECT_THROW(pool.Wait(), std::logic_error);
+  TaskGroup group(&pool);
+  group.Submit([] { throw std::logic_error("boom"); });
+  EXPECT_THROW(group.Wait(), std::logic_error);
   // The error is cleared once rethrown.
-  pool.Wait();
+  group.Wait();
 }
 
 TEST(ThreadPoolTest, ConcurrentParallelForsFromMultipleSubmitters) {
@@ -188,7 +193,7 @@ TEST(ThreadPoolTest, ConcurrentParallelForsFromMultipleSubmitters) {
 }
 
 TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultThreads(), 1);
+  EXPECT_GE(DefaultThreads(), 1);
 }
 
 TEST(ThreadPoolTest, ClampThreads) {
