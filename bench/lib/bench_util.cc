@@ -89,21 +89,4 @@ std::vector<ModelSpec> SyntheticZooSpecs(TaskDomain domain, size_t count,
   return specs;
 }
 
-std::string SectionedTable::ToString() const {
-  // TablePrinter's lines: rule, header, rule, one per row, rule. A
-  // separator taken at row count r repeats the rule before line 3 + r.
-  const std::vector<std::string> lines =
-      strings::Split(table_.ToString(), '\n');
-  std::string out;
-  size_t next = 0;
-  for (size_t i = 0; i < 4 + table_.num_rows(); ++i) {
-    for (; i >= 3 && next < separators_.size() && separators_[next] == i - 3;
-         ++next) {
-      out += lines[0] + "\n";
-    }
-    out += lines[i] + "\n";
-  }
-  return out;
-}
-
 }  // namespace tps

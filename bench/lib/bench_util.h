@@ -42,14 +42,13 @@ class SectionedTable {
   void AddRow(std::vector<std::string> row) { table_.AddRow(std::move(row)); }
   void AddSeparator() { separators_.push_back(table_.num_rows()); }
 
-  /// Writes the table: TablePrinter's output with a rule after every row
-  /// a separator follows.
   void Print(std::ostream& os) const { os << ToString(); }
-  std::string ToString() const;
+  std::string ToString() const { return table_.ToString(separators_); }
 
  private:
   TablePrinter table_;
-  /// Row counts at each AddSeparator, ascending.
+  /// Row counts at each AddSeparator, ascending: TablePrinter draws a rule
+  /// before each of those rows.
   std::vector<size_t> separators_;
 };
 

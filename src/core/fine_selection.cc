@@ -32,11 +32,12 @@ bool FineTuneCurveMemo::Lookup(const Key& key,
   return true;
 }
 
-void FineTuneCurveMemo::Insert(const Key& key,
-                               std::span<const double> curve) {
+size_t FineTuneCurveMemo::Insert(const Key& key,
+                                 std::span<const double> curve) {
   std::lock_guard<std::mutex> lock(mu_);
   if (curves_.size() >= kMaxEntries) curves_.clear();
   curves_.try_emplace(key, curve.begin(), curve.end());
+  return curves_.size();
 }
 
 FineSelectionSelector::FineSelectionSelector(
@@ -101,7 +102,12 @@ StatusOr<SelectionOutcome> FineSelectionSelector::Select(
                                                curve.first(epochs),
                                                curve.last(epochs)));
         instruments.fine_curve_misses.Increment();
-        if (curve_memo_ != nullptr) curve_memo_->Insert(key, curve);
+        if (curve_memo_ != nullptr) {
+          const double entries =
+              static_cast<double>(curve_memo_->Insert(key, curve));
+          instruments.fine_curve_memo_entries.Set(entries);
+          instruments.fine_curve_memo_entries.SetMax(entries);
+        }
         return Status::OK();
       }));
   const auto val_at = [&](size_t pos, size_t stage) {

@@ -60,7 +60,8 @@ class FineTuneCurveMemo {
   bool Lookup(const Key& key, std::span<double> curve) const;
   /// Stores `curve` under `key`, clearing the memo first when it is full.
   /// A key already present keeps its curve (both are the same bits).
-  void Insert(const Key& key, std::span<const double> curve);
+  /// Returns the entry count after the insert (at most kMaxEntries).
+  size_t Insert(const Key& key, std::span<const double> curve);
 
  private:
   struct KeyHash {

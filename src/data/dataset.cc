@@ -2,6 +2,7 @@
 
 #include "data/latent.h"
 #include "matrix/vector_ops.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace tps {
@@ -87,6 +88,7 @@ const std::vector<Example>& Dataset::examples() const {
   std::call_once(examples_->once, [this] {
     examples_->examples =
         GenerateExamples(spec_, seed_, domain_vector_, label_prototypes_);
+    MetricsRegistry::Default()->counter("data.examples_built").Increment();
   });
   return examples_->examples;
 }

@@ -41,7 +41,8 @@ class Dataset {
 
   const DatasetSpec& spec() const { return spec_; }
   const std::string& name() const { return spec_.name; }
-  /// The labelled examples, built on the first call (by any copy).
+  /// The labelled examples, built on the first call (by any copy). Each
+  /// build counts once in `data.examples_built` on MetricsRegistry::Default().
   const std::vector<Example>& examples() const;
   /// spec().num_examples (0 once moved from); never builds the examples.
   size_t size() const {

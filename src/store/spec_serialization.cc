@@ -1,8 +1,9 @@
 #include "store/spec_serialization.h"
 
-#include <map>
+#include <cstdlib>
 #include <sstream>
 
+#include "store/spec_fields.h"
 #include "util/string_util.h"
 
 namespace tps {
@@ -35,11 +36,18 @@ Status AppendTags(std::ostringstream& out, const std::string& name,
   return Status::OK();
 }
 
-/// Parses the line-oriented format into field -> token-list.
-StatusOr<std::map<std::string, std::vector<std::string>>> ParseFields(
-    const std::string& text) {
-  std::map<std::string, std::vector<std::string>> fields;
-  std::istringstream in(text);
+}  // namespace
+
+namespace spec_fields {
+
+StatusOr<Fields> ParseRecord(const std::string& text,
+                             const std::string& header) {
+  const size_t eol = text.find('\n');
+  if (text.compare(0, eol, header) != 0) {
+    return Status::InvalidArgument("bad record header, expected " + header);
+  }
+  Fields fields;
+  std::istringstream in(eol == std::string::npos ? "" : text.substr(eol + 1));
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -54,9 +62,8 @@ StatusOr<std::map<std::string, std::vector<std::string>>> ParseFields(
   return fields;
 }
 
-StatusOr<std::string> SingleValue(
-    const std::map<std::string, std::vector<std::string>>& fields,
-    const std::string& name) {
+StatusOr<std::string> SingleValue(const Fields& fields,
+                                  const std::string& name) {
   auto it = fields.find(name);
   if (it == fields.end() || it->second.size() != 1) {
     return Status::InvalidArgument("missing or malformed field: " + name);
@@ -64,9 +71,7 @@ StatusOr<std::string> SingleValue(
   return it->second[0];
 }
 
-StatusOr<double> DoubleValue(
-    const std::map<std::string, std::vector<std::string>>& fields,
-    const std::string& name) {
+StatusOr<double> DoubleValue(const Fields& fields, const std::string& name) {
   TPS_ASSIGN_OR_RETURN(std::string raw, SingleValue(fields, name));
   char* end = nullptr;
   const double value = std::strtod(raw.c_str(), &end);
@@ -76,17 +81,15 @@ StatusOr<double> DoubleValue(
   return value;
 }
 
-StatusOr<TaskDomain> DomainValue(
-    const std::map<std::string, std::vector<std::string>>& fields) {
+StatusOr<TaskDomain> DomainValue(const Fields& fields) {
   TPS_ASSIGN_OR_RETURN(std::string raw, SingleValue(fields, "domain"));
   if (raw == "NLP") return TaskDomain::kNLP;
   if (raw == "CV") return TaskDomain::kCV;
   return Status::InvalidArgument("unknown domain: " + raw);
 }
 
-std::vector<std::string> TagsValue(
-    const std::map<std::string, std::vector<std::string>>& fields,
-    const std::string& name) {
+std::vector<std::string> TagsValue(const Fields& fields,
+                                   const std::string& name) {
   auto it = fields.find(name);
   if (it == fields.end()) return {};
   std::vector<std::string> tags = it->second;
@@ -95,7 +98,7 @@ std::vector<std::string> TagsValue(
   return tags;
 }
 
-}  // namespace
+}  // namespace spec_fields
 
 StatusOr<std::string> SerializeModelSpec(const ModelSpec& spec) {
   std::ostringstream out;
@@ -119,14 +122,9 @@ StatusOr<std::string> SerializeModelSpec(const ModelSpec& spec) {
 }
 
 StatusOr<ModelSpec> DeserializeModelSpec(const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  std::getline(in, header);
-  if (header != "tps-model-spec v1") {
-    return Status::InvalidArgument("bad model-spec header");
-  }
-  TPS_ASSIGN_OR_RETURN(auto fields,
-                       ParseFields(text.substr(header.size() + 1)));
+  using namespace spec_fields;
+  TPS_ASSIGN_OR_RETURN(const Fields fields,
+                       ParseRecord(text, "tps-model-spec v1"));
   ModelSpec spec;
   TPS_ASSIGN_OR_RETURN(spec.name, SingleValue(fields, "name"));
   TPS_ASSIGN_OR_RETURN(spec.domain, DomainValue(fields));

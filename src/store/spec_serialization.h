@@ -14,7 +14,7 @@ namespace tps {
 /// values must not contain tabs or newlines (validated on write). Dataset
 /// specs are written for the record only: nothing shipped reads them back
 /// (tests/store/dataset_spec_reader.h parses them for the round-trip
-/// tests).
+/// tests, with the field readers of spec_fields.h).
 
 StatusOr<std::string> SerializeModelSpec(const ModelSpec& spec);
 StatusOr<ModelSpec> DeserializeModelSpec(const std::string& text);

@@ -170,6 +170,7 @@ PipelineInstruments::PipelineInstruments(MetricsRegistry& registry)
       fine_runs(registry.counter("fine.runs")),
       fine_curve_hits(registry.counter("fine.curve_hits")),
       fine_curve_misses(registry.counter("fine.curve_misses")),
+      fine_curve_memo_entries(registry.gauge("fine.curve_memo_entries")),
       fine_wall_us(registry.histogram("fine.wall_us")),
       two_phase_runs(registry.counter("two_phase.runs")) {}
 

@@ -127,6 +127,9 @@ struct PipelineInstruments {
   Counter& fine_runs;
   Counter& fine_curve_hits;
   Counter& fine_curve_misses;
+  /// FineTuneCurveMemo's entry count after this registry's latest insert;
+  /// max_value() is the peak.
+  Gauge& fine_curve_memo_entries;
   Histogram& fine_wall_us;
   Counter& two_phase_runs;
 };

@@ -14,7 +14,8 @@ void TablePrinter::AddRow(std::vector<std::string> row) {
 
 void TablePrinter::Print(std::ostream& os) const { os << ToString(); }
 
-std::string TablePrinter::ToString() const {
+std::string TablePrinter::ToString(
+    const std::vector<size_t>& rules_before) const {
   size_t columns = header_.size();
   for (const std::vector<std::string>& row : rows_) {
     columns = std::max(columns, row.size());
@@ -46,7 +47,11 @@ std::string TablePrinter::ToString() const {
   emit_separator();
   emit_row(header_);
   emit_separator();
-  for (const std::vector<std::string>& row : rows_) emit_row(row);
+  auto rule = rules_before.begin();
+  for (size_t r = 0; r <= rows_.size(); ++r) {
+    for (; rule != rules_before.end() && *rule == r; ++rule) emit_separator();
+    if (r < rows_.size()) emit_row(rows_[r]);
+  }
   emit_separator();
   return os.str();
 }

@@ -24,8 +24,10 @@ class TablePrinter {
   /// Writes the table. Every column is padded to its widest cell.
   void Print(std::ostream& os) const;
 
-  /// Renders to a string (same output as Print).
-  std::string ToString() const;
+  /// Renders to a string (same output as Print). For each entry r of
+  /// `rules_before` (ascending), a rule the same as the table's border is
+  /// drawn before row r; r == num_rows() draws it after the last row.
+  std::string ToString(const std::vector<size_t>& rules_before = {}) const;
 
   size_t num_rows() const { return rows_.size(); }
 

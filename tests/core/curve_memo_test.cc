@@ -184,6 +184,10 @@ TEST(CurveMemoCapTest, ClearWhenFullKeepsAnswers) {
     }
   }
   EXPECT_GE(clears, 1u);
+  // The memo clears only once full and never grows past its cap, so its
+  // peak is the cap exactly.
+  EXPECT_EQ(live.gauge("fine.curve_memo_entries").max_value(),
+            static_cast<double>(FineTuneCurveMemo::kMaxEntries));
 
   const uint64_t hits = live.counter("fine.curve_hits").value();
   const uint64_t misses = live.counter("fine.curve_misses").value();

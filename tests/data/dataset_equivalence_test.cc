@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/lib/bench_util.h"
 #include "data/dataset.h"
 #include "data/reference_dataset.h"
 #include "data/registry.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace tps {
@@ -96,21 +98,34 @@ TEST(DatasetEquivalenceTest, NovelSpecsMatchEagerOracle) {
   }
 }
 
+/// Example sets built so far in this process.
+uint64_t ExamplesBuilt() {
+  return MetricsRegistry::Default()->counter("data.examples_built").value();
+}
+
 TEST(DatasetEquivalenceTest, SizeDoesNotBuildExamples) {
-  // size() answers from the spec: it matches what examples() later builds.
+  const uint64_t built_before = ExamplesBuilt();
   const DatasetRegistry registry = *DatasetRegistry::Create(PaperSpecs());
   for (const Dataset& ds : registry.datasets()) {
     EXPECT_EQ(ds.size(), static_cast<size_t>(ds.spec().num_examples));
   }
+  EXPECT_EQ(ExamplesBuilt(), built_before);
   const Dataset& first = registry.datasets().front();
   EXPECT_EQ(first.examples().size(), first.size());
+  // Only the dataset that was read built its examples.
+  EXPECT_EQ(ExamplesBuilt(), built_before + 1);
 }
 
 TEST(DatasetEquivalenceTest, CopiesShareExamples) {
+  const uint64_t built_before = ExamplesBuilt();
   const Dataset original = *Dataset::Create(PaperSpecs().front());
   const Dataset copy = original;  // Copied before any read.
+  EXPECT_EQ(ExamplesBuilt(), built_before);
   const std::vector<Example>& via_copy = copy.examples();
+  EXPECT_EQ(ExamplesBuilt(), built_before + 1);
+  // The original reads the set its copy built; nothing is built again.
   EXPECT_EQ(original.examples().data(), via_copy.data());
+  EXPECT_EQ(ExamplesBuilt(), built_before + 1);
 
   // A registry copy shares the Dataset objects themselves.
   const DatasetRegistry registry = *DatasetRegistry::Create(PaperSpecs());
@@ -133,6 +148,7 @@ TEST(DatasetEquivalenceTest, DefaultAndMovedFromRegistriesAreEmpty) {
   EXPECT_TRUE(empty.datasets().empty());
   EXPECT_TRUE(empty.Find("mnli").status().IsNotFound());
   EXPECT_TRUE(empty.Benchmarks(TaskDomain::kNLP).empty());
+  EXPECT_TRUE(Targets(empty, TaskDomain::kCV).empty());
 
   DatasetRegistry source = *DatasetRegistry::CreatePaperInventory();
   DatasetRegistry moved = std::move(source);

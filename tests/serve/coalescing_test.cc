@@ -35,12 +35,23 @@ ProxyCacheKey Key(uint64_t fingerprint, const std::string& model) {
 /// Whether no flight for `key` is in the air: a fresh arrival then leads
 /// a flight of its own instead of waiting on one. The probe's flight
 /// retires before it returns, so the group is left as it was, bar its
-/// counters.
-bool Retired(ProxyFlightGroup& group, const ProxyCacheKey& key) {
+/// counters. A probe that finds a flight in the air waits on it for at
+/// most `patience`, then leaves it undisturbed (counted as a waiter), so a
+/// leaked flight fails the caller instead of hanging it.
+bool Retired(ProxyFlightGroup& group, const ProxyCacheKey& key,
+             std::chrono::milliseconds patience = std::chrono::seconds(2)) {
   const uint64_t leaders = group.leaders();
   const uint64_t waiters = group.waiters();
+  const auto deadline = std::chrono::steady_clock::now() + patience;
   const auto probe = group.GetOrCompute(
-      nullptr, key, nullptr, []() -> StatusOr<double> { return 0.0; });
+      nullptr, key,
+      /*poll_cancel=*/
+      [deadline] {
+        return std::chrono::steady_clock::now() < deadline
+                   ? Status::OK()
+                   : Status::DeadlineExceeded("probe out of patience");
+      },
+      []() -> StatusOr<double> { return 0.0; });
   return probe.ok() && group.leaders() == leaders + 1 &&
          group.waiters() == waiters;
 }
@@ -183,9 +194,11 @@ TEST(ProxyFlightGroupTest, EveryArrivalHasExactlyOneOutcome) {
 
   score_cached.get_future().wait();
   auto mid_flight = group.GetOrCompute(&cache, key, nullptr, must_not_compute);
-  // A hit: the leader, still held in its compute, has not retired the
-  // flight yet.
+  // A hit, though the leader, still held in its compute, has not retired
+  // the flight yet: a probe past the cache joins it (as a second waiter,
+  // which leaves at once).
   EXPECT_TRUE(mid_flight.ok() && *mid_flight == 5.0);
+  EXPECT_FALSE(Retired(group, key, std::chrono::milliseconds(0)));
   mid_flight_hit_done.set_value();
   leader.join();
   waiter.join();
@@ -193,14 +206,16 @@ TEST(ProxyFlightGroupTest, EveryArrivalHasExactlyOneOutcome) {
   auto after = group.GetOrCompute(&cache, key, nullptr, must_not_compute);
   EXPECT_TRUE(after.ok() && *after == 5.0);
 
-  // Four arrivals, four outcomes: one leader, one waiter, two hits.
+  // Five arrivals, five outcomes: one leader, two waiters (the probe
+  // one of them), two hits.
   EXPECT_EQ(compute_calls.load(), 1);
   EXPECT_EQ(group.computes(), 1u);
   EXPECT_EQ(group.leaders(), 1u);
-  EXPECT_EQ(group.waiters(), 1u);
+  EXPECT_EQ(group.waiters(), 2u);
   EXPECT_EQ(group.handoffs(), 0u);
   EXPECT_EQ(cache.hits(), 2u);
-  // One lookup per arrival: the leader's and the waiter's misses only.
+  // One lookup per arrival but the cacheless probe: the leader's and the
+  // waiter's misses only.
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(metrics.counter("proxy_cache.misses").value(), 2u);
   EXPECT_TRUE(Retired(group, key));

@@ -1,68 +1,16 @@
 #include "store/dataset_spec_reader.h"
 
-#include <cstdlib>
-#include <map>
-#include <sstream>
-#include <vector>
-
-#include "util/string_util.h"
+#include "store/spec_fields.h"
 
 namespace tps {
 
-namespace {
-
-using Fields = std::map<std::string, std::vector<std::string>>;
-
-StatusOr<std::string> SingleValue(const Fields& fields,
-                                  const std::string& name) {
-  auto it = fields.find(name);
-  if (it == fields.end() || it->second.size() != 1) {
-    return Status::InvalidArgument("missing or malformed field: " + name);
-  }
-  return it->second[0];
-}
-
-StatusOr<double> DoubleValue(const Fields& fields, const std::string& name) {
-  TPS_ASSIGN_OR_RETURN(std::string raw, SingleValue(fields, name));
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
-    return Status::InvalidArgument("field " + name + " is not a number");
-  }
-  return value;
-}
-
-}  // namespace
-
 StatusOr<DatasetSpec> DeserializeDatasetSpec(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  std::getline(in, line);
-  if (line != "tps-dataset-spec v1") {
-    return Status::InvalidArgument("bad dataset-spec header");
-  }
-  Fields fields;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> parts = strings::Split(line, '\t');
-    if (parts.empty() || parts[0].empty()) {
-      return Status::InvalidArgument("malformed spec line: " + line);
-    }
-    const std::string name = parts[0];
-    parts.erase(parts.begin());
-    fields[name] = std::move(parts);
-  }
-
+  using namespace spec_fields;
+  TPS_ASSIGN_OR_RETURN(const Fields fields,
+                       ParseRecord(text, "tps-dataset-spec v1"));
   DatasetSpec spec;
   TPS_ASSIGN_OR_RETURN(spec.name, SingleValue(fields, "name"));
-  TPS_ASSIGN_OR_RETURN(std::string domain, SingleValue(fields, "domain"));
-  if (domain == "NLP") {
-    spec.domain = TaskDomain::kNLP;
-  } else if (domain == "CV") {
-    spec.domain = TaskDomain::kCV;
-  } else {
-    return Status::InvalidArgument("unknown domain: " + domain);
-  }
+  TPS_ASSIGN_OR_RETURN(spec.domain, DomainValue(fields));
   TPS_ASSIGN_OR_RETURN(std::string role, SingleValue(fields, "role"));
   if (role == "benchmark") {
     spec.role = DatasetRole::kBenchmark;
@@ -74,12 +22,8 @@ StatusOr<DatasetSpec> DeserializeDatasetSpec(const std::string& text) {
   TPS_ASSIGN_OR_RETURN(double labels, DoubleValue(fields, "num_labels"));
   spec.num_labels = static_cast<int>(labels);
   TPS_ASSIGN_OR_RETURN(spec.difficulty, DoubleValue(fields, "difficulty"));
-  auto tags = fields.find("tags");
-  if (tags != fields.end()) spec.tags = tags->second;
-  // A lone empty token means "no tags".
-  if (spec.tags.size() == 1 && spec.tags[0].empty()) spec.tags.clear();
-  TPS_ASSIGN_OR_RETURN(double examples,
-                       DoubleValue(fields, "num_examples"));
+  spec.tags = TagsValue(fields, "tags");
+  TPS_ASSIGN_OR_RETURN(double examples, DoubleValue(fields, "num_examples"));
   spec.num_examples = static_cast<int>(examples);
   TPS_ASSIGN_OR_RETURN(spec.chance_accuracy,
                        DoubleValue(fields, "chance_accuracy"));

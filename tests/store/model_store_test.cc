@@ -67,6 +67,12 @@ TEST(SpecSerializationTest, RejectsGarbage) {
   EXPECT_TRUE(DeserializeModelSpec("nonsense").status().IsInvalidArgument());
   EXPECT_TRUE(
       DeserializeDatasetSpec("nonsense").status().IsInvalidArgument());
+  // A header with nothing after it, not even its newline.
+  EXPECT_TRUE(
+      DeserializeModelSpec("tps-model-spec v1").status().IsInvalidArgument());
+  EXPECT_TRUE(DeserializeDatasetSpec("tps-dataset-spec v1")
+                  .status()
+                  .IsInvalidArgument());
   ModelSpec bad = NlpPaperZooSpecs()[0];
   bad.description = "has\ttab";
   EXPECT_TRUE(SerializeModelSpec(bad).status().IsInvalidArgument());

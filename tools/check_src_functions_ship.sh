@@ -3,9 +3,11 @@
 #
 # check_src_ships.sh proves every src/ header has a production includer;
 # this script asks the linker the same question one function at a time. It
-# builds the seven shipped binaries — tps_cli, tps_serve, the four examples
-# and perfbench — at -O0 (so no call is inlined away) with
-# -ffunction-sections -fdata-sections -Wl,--gc-sections, then fails, naming
+# builds every target of the root project with tests and benches off (which
+# alone proves production links neither) and perfbench, at -O0 (so no call
+# is inlined away) with -ffunction-sections -fdata-sections
+# -Wl,--gc-sections. Of those, the seven shipped binaries — tps_cli,
+# tps_serve, the four examples and perfbench — are checked: it fails, naming
 # each one, when a strong (nm type T) tps:: function defined in a src/
 # archive is kept by none of them. A function that only benches call
 # belongs in bench/lib/, one that only tests call in tests/, and one that
@@ -66,9 +68,7 @@ build() {  # build <source-dir> <build-dir> <target>... [-- <cmake-arg>...]
   fi
 }
 
-PROD_BINS=(tps_cli tps_serve_bin quickstart zoo_explorer nlp_model_selection
-           cv_model_selection)
-build "$ROOT" "$WORK/prod" "${PROD_BINS[@]}" -- \
+build "$ROOT" "$WORK/prod" all -- \
   -DTPS_BUILD_TESTS=OFF -DTPS_BUILD_BENCH=OFF -DTPS_BUILD_EXAMPLES=ON
 build "$ROOT/perfbench" "$WORK/perfbench" perfbench
 
