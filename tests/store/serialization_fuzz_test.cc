@@ -205,10 +205,10 @@ TEST(SpecSerializationFuzzTest, MutatedAndTruncatedInputNeverCrashes) {
     (void)DeserializeModelSpec(Mutate(model_text, rng));
     (void)DeserializeDatasetSpec(Mutate(dataset_text, rng));
   }
-  for (size_t cut = 0; cut <= model_text.size(); cut += 3) {
+  for (size_t cut = 0; cut <= model_text.size(); ++cut) {
     (void)DeserializeModelSpec(model_text.substr(0, cut));
   }
-  for (size_t cut = 0; cut <= dataset_text.size(); cut += 3) {
+  for (size_t cut = 0; cut <= dataset_text.size(); ++cut) {
     (void)DeserializeDatasetSpec(dataset_text.substr(0, cut));
   }
   (void)DeserializeModelSpec("");
