@@ -76,7 +76,7 @@ void Report(TaskDomain domain, const char* title) {
     // Prediction error: each benchmark dataset as pseudo-target.
     std::vector<double> final_tests(num_datasets);
     for (size_t d = 0; d < num_datasets; ++d) {
-      final_tests[d] = world.matrix->run(d, m).final_test();
+      final_tests[d] = world.matrix->accuracy().At(d, m);
     }
     const double global_mean = stats::Mean(final_tests);
     double trend_err = 0.0, mean_err = 0.0;

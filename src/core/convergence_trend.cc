@@ -15,8 +15,7 @@ ConvergenceTrendMiner::ConvergenceTrendMiner(const PerformanceMatrix* matrix,
   TPS_CHECK(options_.num_trends >= 1);
   for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
     for (size_t m = 0; m < matrix_->num_models(); ++m) {
-      num_stages_ =
-          std::max(num_stages_, matrix_->run(d, m).val_accuracy.size());
+      num_stages_ = std::max(num_stages_, matrix_->ValCurve(d, m).size());
     }
   }
   cells_ = std::make_unique<Cell[]>(matrix_->num_models() * num_stages_);
@@ -89,7 +88,7 @@ StatusOr<std::vector<ConvergenceTrend>> ConvergenceTrendMiner::Mine(
     double test_sum = 0.0;
     for (size_t d : trend.dataset_indices) {
       val_sum += stage_vals[d];
-      test_sum += matrix_->run(d, model_index).final_test();
+      test_sum += matrix_->accuracy().At(d, model_index);
     }
     const double count =
         std::max<double>(1.0, static_cast<double>(trend.dataset_indices.size()));

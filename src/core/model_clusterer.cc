@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "clustering/distance.h"
 #include "clustering/hierarchical.h"
 #include "util/logging.h"
+#include "util/text_codec.h"
 
 namespace tps {
 
@@ -145,89 +147,90 @@ std::string FormatClusters(const ModelClustering& clustering,
 }
 
 std::string SerializeClustering(const ModelClustering& clustering) {
-  std::ostringstream out;
-  out << "tps-model-clustering v2\n";
-  out << clustering.clusters.assignments.size() << " "
-      << clustering.clusters.num_clusters << "\n";
-  out << clustering.options.top_k << " " << clustering.options.num_clusters
-      << " " << clustering.options.distance_threshold << "\n";
-  for (int a : clustering.clusters.assignments) out << a << " ";
-  out << "\n";
-  for (size_t r : clustering.representatives) out << r << " ";
-  out << "\n";
-  out.precision(17);
+  text::TextWriter out;
+  out << "tps-model-clustering v2\n"
+      << clustering.clusters.assignments.size() << ' '
+      << clustering.clusters.num_clusters << '\n';
+  out << clustering.options.top_k << ' ' << clustering.options.num_clusters
+      << ' ' << text::Shortest{clustering.options.distance_threshold}
+      << '\n';
+  for (int a : clustering.clusters.assignments) out << a << ' ';
+  out << '\n';
+  for (size_t r : clustering.representatives) out << r << ' ';
+  out << '\n';
   const size_t n = clustering.distances.rows();
-  out << n << "\n";
+  out << n << '\n';
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) out << clustering.distances.At(i, j)
-                                       << " ";
-    out << "\n";
+    for (size_t j = 0; j < n; ++j) out << clustering.distances.At(i, j) << ' ';
+    out << '\n';
   }
-  return out.str();
+  return out.Take();
 }
 
-StatusOr<ModelClustering> DeserializeClustering(const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  std::getline(in, header);
+StatusOr<ModelClustering> DeserializeClustering(std::string_view text) {
+  text::TextCursor in(text);
+  std::string_view header;
+  in.Line(&header);
   const bool v1 = header == "tps-model-clustering v1";
   if (!v1 && header != "tps-model-clustering v2") {
     return Status::InvalidArgument("bad clustering header");
   }
   size_t num_models = 0;
   int num_clusters = 0;
-  in >> num_models >> num_clusters;
   // Every assignment takes at least two bytes, so a model count the text
   // cannot hold is malformed (and would otherwise size a huge buffer).
-  if (!in || num_models == 0 || num_models > text.size() ||
-      num_clusters <= 0 || num_clusters > static_cast<int>(num_models)) {
+  if (!in.ReadAll(&num_models, &num_clusters) || num_models == 0 ||
+      num_models > text.size() || num_clusters <= 0 ||
+      num_clusters > static_cast<int>(num_models)) {
     return Status::InvalidArgument("bad clustering dimensions");
   }
 
   ModelClustering clustering;
+  ModelClusteringOptions& options = clustering.options;
   // v1 led with the similarity kind and the algorithm (each 0 or 1) and
   // ended with the k-means seed; they are checked, then dropped.
   int similarity = 0, algorithm = 0;
   uint64_t seed = 0;
-  if (v1) in >> similarity >> algorithm;
-  in >> clustering.options.top_k >> clustering.options.num_clusters >>
-      clustering.options.distance_threshold;
-  if (v1) in >> seed;
-  if (!in || similarity < 0 || similarity > 1 || algorithm < 0 ||
-      algorithm > 1) {
+  if (!(v1 ? in.ReadAll(&similarity, &algorithm, &options.top_k,
+                        &options.num_clusters, &options.distance_threshold,
+                        &seed)
+           : in.ReadAll(&options.top_k, &options.num_clusters,
+                        &options.distance_threshold)) ||
+      similarity < 0 || similarity > 1 || algorithm < 0 || algorithm > 1) {
     return Status::InvalidArgument("bad clustering options");
   }
 
   clustering.clusters.num_clusters = num_clusters;
   clustering.clusters.assignments.resize(num_models);
   for (int& a : clustering.clusters.assignments) {
-    in >> a;
-    if (!in || a < 0 || a >= num_clusters) {
+    if (!in.Read(&a) || a < 0 || a >= num_clusters) {
       return Status::InvalidArgument("bad assignment");
     }
   }
   clustering.representatives.resize(static_cast<size_t>(num_clusters));
   for (size_t& r : clustering.representatives) {
-    in >> r;
-    if (!in || r >= num_models) {
+    if (!in.Read(&r) || r >= num_models) {
       return Status::InvalidArgument("bad representative");
     }
   }
   size_t n = 0;
-  in >> n;
   // n == 0 means the clustering carries no distance matrix (index-derived
   // clusterings over large generated zoos skip the O(n^2) artifact).
   // The n x n distances take at least two bytes each; dividing rather
   // than squaring keeps the bound itself from overflowing.
-  if (!in || (n != num_models && n != 0) || (n != 0 && n > text.size() / n)) {
+  if (!in.Read(&n) || (n != num_models && n != 0) ||
+      (n != 0 && n > text.size() / n)) {
     return Status::InvalidArgument("bad distance matrix size");
   }
   if (n > 0) {
     clustering.distances = Matrix(n, n);
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) in >> clustering.distances.At(i, j);
+      for (size_t j = 0; j < n; ++j) {
+        if (!in.Read(&clustering.distances.At(i, j))) {
+          return Status::InvalidArgument("truncated distances");
+        }
+      }
     }
-    if (!in) return Status::InvalidArgument("truncated distances");
   }
   return clustering;
 }

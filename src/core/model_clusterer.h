@@ -2,6 +2,7 @@
 #define TPS_CORE_MODEL_CLUSTERER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "clustering/cluster_result.h"
@@ -84,13 +85,17 @@ std::string FormatClusters(const ModelClustering& clustering,
 
 /// Serializes a clustering (assignments, representatives, options,
 /// distance matrix) to the line-oriented text format the model store
-/// persists: `tps-model-clustering v2`.
+/// persists: `tps-model-clustering v2`. Numbers go through
+/// util/text_codec.h: distances at 17 significant digits, the distance
+/// threshold in its shortest round-trip form, so every double reads back
+/// bit for bit.
 std::string SerializeClustering(const ModelClustering& clustering);
 
-/// Parses a clustering produced by SerializeClustering. Also reads v1,
-/// which carried three more option fields (similarity kind, algorithm,
-/// k-means seed): they are range-checked as before, then dropped.
-StatusOr<ModelClustering> DeserializeClustering(const std::string& text);
+/// Parses a clustering produced by SerializeClustering (numbers read with
+/// from_chars through util/text_codec.h). Also reads v1, which carried
+/// three more option fields (similarity kind, algorithm, k-means seed):
+/// they are range-checked as before, then dropped.
+StatusOr<ModelClustering> DeserializeClustering(std::string_view text);
 
 }  // namespace tps
 

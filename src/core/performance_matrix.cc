@@ -1,67 +1,14 @@
 #include "core/performance_matrix.h"
 
 #include <algorithm>
-#include <charconv>
-#include <iterator>
-#include <string_view>
-#include <type_traits>
 
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
-#include "util/string_util.h"
+#include "util/text_codec.h"
 #include "util/timer.h"
 
 namespace tps {
-
-namespace {
-
-/// A cursor over serialized text that reads lines like std::getline and
-/// numbers like operator>> (skip leading whitespace, then take the longest
-/// valid number), with std::from_chars instead of a stream. Both parse
-/// doubles with correct rounding, so Serialize round trips stay bit-exact.
-class TextCursor {
- public:
-  explicit TextCursor(std::string_view text) : text_(text) {}
-
-  /// The next line without its '\n'; false (and no line) at end of text.
-  bool Line(std::string_view* line) {
-    if (pos_ >= text_.size()) return false;
-    const size_t end = std::min(text_.find('\n', pos_), text_.size());
-    *line = text_.substr(pos_, end - pos_);
-    pos_ = end + (end < text_.size() ? 1 : 0);
-    return true;
-  }
-
-  template <typename T>
-  bool Number(T* value) {
-    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
-    const char* first = text_.data() + pos_;
-    const char* last = text_.data() + text_.size();
-    const std::from_chars_result result = std::from_chars(first, last, *value);
-    if (result.ec != std::errc()) return false;
-    pos_ += static_cast<size_t>(result.ptr - first);
-    return true;
-  }
-
-  /// Skips one character (the newline after the dimensions line).
-  void SkipOne() {
-    if (pos_ < text_.size()) ++pos_;
-  }
-
-  size_t remaining() const { return text_.size() - pos_; }
-
- private:
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
-           c == '\f';
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
 
 StatusOr<PerformanceMatrix> PerformanceMatrix::Build(
     const ModelZoo& zoo, const std::vector<const Dataset*>& benchmarks,
@@ -113,7 +60,7 @@ StatusOr<PerformanceMatrix> PerformanceMatrix::BuildOnPool(
   const size_t num_models = zoo.size();
   const size_t total = benchmarks.size() * num_models;
   pm.accuracy_ = Matrix(benchmarks.size(), num_models);
-  pm.runs_.resize(total);
+  std::vector<TrainingRun> runs(total);
 
   // Fan out over the flat (dataset, model) index space; each cell is an
   // index-addressed slot written by exactly one task, so the matrix is
@@ -122,12 +69,20 @@ StatusOr<PerformanceMatrix> PerformanceMatrix::BuildOnPool(
                                           -> Status {
     const size_t di = index / num_models;
     const size_t mi = index % num_models;
-    TPS_ASSIGN_OR_RETURN(TrainingRun run,
+    TPS_ASSIGN_OR_RETURN(runs[index],
                          simulator.Run(zoo.model(mi), *benchmarks[di], hp));
-    pm.accuracy_.At(di, mi) = run.final_test();
-    pm.runs_[index] = std::move(run);
+    pm.accuracy_.At(di, mi) = runs[index].final_test();
     return Status::OK();
   }));
+  pm.offsets_.reserve(total + 1);
+  pm.offsets_.push_back(0);
+  for (const TrainingRun& run : runs) {
+    pm.curves_.insert(pm.curves_.end(), run.val_accuracy.begin(),
+                      run.val_accuracy.end());
+    pm.curves_.insert(pm.curves_.end(), run.test_accuracy.begin(),
+                      run.test_accuracy.end());
+    pm.offsets_.push_back(pm.curves_.size());
+  }
   MetricsRegistry& metrics = *MetricsRegistry::Default();
   metrics.counter("matrix.builds").Increment();
   metrics.counter("matrix.cells_built").Increment(total);
@@ -166,86 +121,60 @@ std::vector<double> PerformanceMatrix::ModelAverageAccuracies() const {
   return priors;
 }
 
-const TrainingRun& PerformanceMatrix::run(size_t dataset_index,
-                                          size_t model_index) const {
+std::span<const double> PerformanceMatrix::ValCurve(
+    size_t dataset_index, size_t model_index) const {
   TPS_CHECK(dataset_index < num_datasets());
   TPS_CHECK(model_index < num_models());
-  return runs_[dataset_index * num_models() + model_index];
+  const size_t cell = dataset_index * num_models() + model_index;
+  const size_t begin = offsets_[cell];
+  return {curves_.data() + begin, (offsets_[cell + 1] - begin) / 2};
+}
+
+std::span<const double> PerformanceMatrix::TestCurve(
+    size_t dataset_index, size_t model_index) const {
+  const std::span<const double> val = ValCurve(dataset_index, model_index);
+  return {val.data() + val.size(), val.size()};
 }
 
 double PerformanceMatrix::ValAtStage(size_t dataset_index, size_t model_index,
                                      int stage) const {
-  const TrainingRun& r = run(dataset_index, model_index);
-  TPS_CHECK(!r.val_accuracy.empty());
-  const int last = static_cast<int>(r.val_accuracy.size()) - 1;
+  const std::span<const double> val = ValCurve(dataset_index, model_index);
+  TPS_CHECK(!val.empty());
+  const int last = static_cast<int>(val.size()) - 1;
   const int s = stage < 0 ? 0 : (stage > last ? last : stage);
-  return r.val_accuracy[static_cast<size_t>(s)];
+  return val[static_cast<size_t>(s)];
 }
-
-namespace {
-
-/// Appends `v` as ostream would with precision 17: integers in decimal,
-/// doubles as %.17g (to_chars' general format at that precision).
-template <typename T>
-void AppendText(std::string* out, T v) {
-  char buf[32];
-  const std::to_chars_result written = [&] {
-    if constexpr (std::is_floating_point_v<T>) {
-      return std::to_chars(buf, buf + sizeof(buf), v,
-                           std::chars_format::general, 17);
-    } else {
-      return std::to_chars(buf, buf + sizeof(buf), v);
-    }
-  }();
-  out->append(buf, written.ptr);
-}
-
-}  // namespace
 
 std::string PerformanceMatrix::Serialize() const {
-  std::string out = "tps-performance-matrix v1\n";
-  AppendText(&out, num_datasets());
-  out.push_back(' ');
-  AppendText(&out, num_models());
-  out.push_back('\n');
+  text::TextWriter out;
+  out << "tps-performance-matrix v1\n"
+      << num_datasets() << ' ' << num_models() << '\n';
   for (const std::vector<std::string>* names :
        {&dataset_names_, &model_names_}) {
-    for (const std::string& name : *names) {
-      out.append(name);
-      out.push_back('\n');
-    }
+    for (const std::string& name : *names) out << name << '\n';
   }
   for (size_t di = 0; di < num_datasets(); ++di) {
     for (size_t mi = 0; mi < num_models(); ++mi) {
-      const TrainingRun& r = run(di, mi);
-      AppendText(&out, di);
-      out.push_back(' ');
-      AppendText(&out, mi);
-      out.push_back(' ');
-      AppendText(&out, r.epochs());
-      for (const std::vector<double>* curve :
-           {&r.val_accuracy, &r.test_accuracy}) {
-        for (double v : *curve) {
-          out.push_back(' ');
-          AppendText(&out, v);
-        }
-      }
-      out.push_back('\n');
+      const std::span<const double> val = ValCurve(di, mi);
+      out << di << ' ' << mi << ' ' << val.size();
+      for (double v : val) out << ' ' << v;
+      for (double v : TestCurve(di, mi)) out << ' ' << v;
+      out << '\n';
     }
   }
-  return out;
+  return out.Take();
 }
 
 StatusOr<PerformanceMatrix> PerformanceMatrix::Deserialize(
-    const std::string& text) {
-  TextCursor in(text);
+    std::string_view text) {
+  text::TextCursor in(text);
   std::string_view header;
   in.Line(&header);
   if (header != "tps-performance-matrix v1") {
     return Status::InvalidArgument("bad performance-matrix header");
   }
   size_t num_datasets = 0, num_models = 0;
-  const bool dims_ok = in.Number(&num_datasets) && in.Number(&num_models);
+  const bool dims_ok = in.ReadAll(&num_datasets, &num_models);
   in.SkipOne();  // Trailing newline.
   // Every name and run record takes at least two bytes, so dimensions the
   // text cannot hold are malformed (and would otherwise size huge buffers).
@@ -272,32 +201,37 @@ StatusOr<PerformanceMatrix> PerformanceMatrix::Deserialize(
     name = line;
   }
 
+  const size_t total = num_datasets * num_models;
   pm.accuracy_ = Matrix(num_datasets, num_models);
-  pm.runs_.resize(num_datasets * num_models);
-  for (size_t entry = 0; entry < num_datasets * num_models; ++entry) {
+  pm.offsets_.reserve(total + 1);
+  pm.offsets_.push_back(0);
+  for (size_t cell = 0; cell < total; ++cell) {
     size_t di = 0, mi = 0;
     int epochs = 0;
-    if (!(in.Number(&di) && in.Number(&mi) && in.Number(&epochs)) ||
-        di >= num_datasets || mi >= num_models || epochs < 1) {
+    if (!in.ReadAll(&di, &mi, &epochs) || di >= num_datasets ||
+        mi >= num_models || epochs < 1) {
       return Status::InvalidArgument("truncated run record");
+    }
+    if (di * num_models + mi != cell) {
+      return Status::InvalidArgument("run record out of order");
     }
     // 2 * epochs values of at least two bytes each (digit + separator).
     if (static_cast<size_t>(epochs) > (in.remaining() + 1) / 4) {
       return Status::InvalidArgument("truncated curves");
     }
-    TrainingRun run;
-    run.dataset_name = pm.dataset_names_[di];
-    run.model_name = pm.model_names_[mi];
-    run.val_accuracy.resize(static_cast<size_t>(epochs));
-    run.test_accuracy.resize(static_cast<size_t>(epochs));
-    for (double& v : run.val_accuracy) {
-      if (!in.Number(&v)) return Status::InvalidArgument("truncated curves");
+    if (cell == 0) {
+      // Sized for every cell at the first one's length, but never past
+      // what the rest of the text can hold.
+      pm.curves_.reserve(std::min(total * 2 * static_cast<size_t>(epochs),
+                                  in.remaining() / 2 + 1));
     }
-    for (double& v : run.test_accuracy) {
-      if (!in.Number(&v)) return Status::InvalidArgument("truncated curves");
+    for (int i = 0; i < 2 * epochs; ++i) {
+      double v = 0.0;
+      if (!in.Read(&v)) return Status::InvalidArgument("truncated curves");
+      pm.curves_.push_back(v);
     }
-    pm.accuracy_.At(di, mi) = run.final_test();
-    pm.runs_[di * num_models + mi] = std::move(run);
+    pm.accuracy_.At(di, mi) = pm.curves_.back();
+    pm.offsets_.push_back(pm.curves_.size());
   }
   return pm;
 }

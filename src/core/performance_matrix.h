@@ -1,7 +1,9 @@
 #ifndef TPS_CORE_PERFORMANCE_MATRIX_H_
 #define TPS_CORE_PERFORMANCE_MATRIX_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.h"
@@ -22,6 +24,11 @@ namespace tps {
 /// This is the expensive offline artifact the paper amortizes across
 /// target tasks; it feeds (a) model clustering in the coarse-recall phase
 /// and (b) convergence-trend mining in the fine-selection phase.
+///
+/// The curves are stored flat: one array of every cell's validation then
+/// test values, cell-major (dataset x model x epoch), with per-cell
+/// offsets, and the names once. A load is one allocation per field, not
+/// one TrainingRun (two names, two vectors) per cell.
 class PerformanceMatrix {
  public:
   /// Fine-tunes every model on every benchmark dataset (domain-matched;
@@ -69,8 +76,13 @@ class PerformanceMatrix {
   /// acc(m_j) for every model, in zoo order.
   std::vector<double> ModelAverageAccuracies() const;
 
-  /// The full training run for (dataset, model).
-  const TrainingRun& run(size_t dataset_index, size_t model_index) const;
+  /// Validation accuracy per epoch of (dataset, model); never empty.
+  std::span<const double> ValCurve(size_t dataset_index,
+                                   size_t model_index) const;
+  /// Test accuracy per epoch of (dataset, model), as long as ValCurve; its
+  /// last value is accuracy()(dataset_index, model_index).
+  std::span<const double> TestCurve(size_t dataset_index,
+                                    size_t model_index) const;
 
   /// Validation accuracy of (dataset, model) at a 0-based stage, clamped to
   /// the last recorded epoch (CV runs are shorter than NLP runs).
@@ -81,8 +93,10 @@ class PerformanceMatrix {
   /// persists.
   std::string Serialize() const;
 
-  /// Parses a matrix previously produced by Serialize.
-  static StatusOr<PerformanceMatrix> Deserialize(const std::string& text);
+  /// Parses a matrix previously produced by Serialize (numbers through
+  /// util/text_codec.h). The run records must come in Serialize's order,
+  /// one per cell.
+  static StatusOr<PerformanceMatrix> Deserialize(std::string_view text);
 
  private:
   PerformanceMatrix() = default;
@@ -97,8 +111,11 @@ class PerformanceMatrix {
   std::vector<std::string> model_names_;
   std::vector<std::string> dataset_names_;
   Matrix accuracy_;
-  /// runs_[dataset_index * num_models + model_index].
-  std::vector<TrainingRun> runs_;
+  /// Cell c = dataset_index * num_models + model_index holds its
+  /// validation curve at curves_[offsets_[c], offsets_[c] + e) and its test
+  /// curve in the e values after it, e = (offsets_[c + 1] - offsets_[c]) / 2.
+  std::vector<double> curves_;
+  std::vector<size_t> offsets_;
 };
 
 }  // namespace tps

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "clustering/kmeans.h"
+#include "util/text_codec.h"
 
 namespace tps {
 
@@ -211,73 +211,85 @@ std::vector<size_t> IvfIndex::ProbePartitionsNearQuery(
 }
 
 std::string IvfIndex::Serialize() const {
-  std::ostringstream out;
-  out.precision(17);
+  text::TextWriter out;
   const IndexStructure& s = structure_;
   const size_t dims = s.vectors.empty() ? 0 : s.vectors[0].size();
   out << "tps-ivf-index v1\n";
-  out << s.num_models() << " " << dims << " " << centroids_.rows() << "\n";
-  out << options_.num_partitions << " " << options_.default_nprobe << " "
-      << options_.propagation_neighbors << " " << options_.similarity_top_k
-      << " " << options_.kmeans_iterations << " "
-      << options_.kmeans_restarts << " " << options_.seed << "\n";
-  for (double p : s.prior) out << p << " ";
-  out << "\n";
-  for (int a : s.assignments) out << a << " ";
-  out << "\n";
+  out << s.num_models() << ' ' << dims << ' ' << centroids_.rows() << '\n';
+  out << options_.num_partitions << ' ' << options_.default_nprobe << ' '
+      << options_.propagation_neighbors << ' ' << options_.similarity_top_k
+      << ' ' << options_.kmeans_iterations << ' '
+      << options_.kmeans_restarts << ' ' << options_.seed << '\n';
+  for (double p : s.prior) out << p << ' ';
+  out << '\n';
+  for (int a : s.assignments) out << a << ' ';
+  out << '\n';
   for (size_t c = 0; c < centroids_.rows(); ++c) {
     for (size_t d = 0; d < centroids_.cols(); ++d) {
-      out << centroids_.At(c, d) << " ";
+      out << centroids_.At(c, d) << ' ';
     }
-    out << "\n";
+    out << '\n';
   }
   for (const std::vector<double>& v : s.vectors) {
-    for (double x : v) out << x << " ";
-    out << "\n";
+    for (double x : v) out << x << ' ';
+    out << '\n';
   }
-  return out.str();
+  return out.Take();
 }
 
-StatusOr<IvfIndex> IvfIndex::Deserialize(const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  std::getline(in, header);
+StatusOr<IvfIndex> IvfIndex::Deserialize(std::string_view text) {
+  text::TextCursor in(text);
+  std::string_view header;
+  in.Line(&header);
   if (header != "tps-ivf-index v1") {
     return Status::InvalidArgument("bad ivf index header");
   }
   size_t n = 0, dims = 0, partitions = 0;
-  in >> n >> dims >> partitions;
-  if (!in || n == 0 || dims == 0 || partitions == 0 || partitions > n) {
+  // The n priors and n x dims vector entries take at least a byte each, so
+  // counts the text cannot hold are malformed (and would otherwise size
+  // huge buffers); partitions <= n bounds the centroids the same way.
+  if (!in.ReadAll(&n, &dims, &partitions) || n == 0 || dims == 0 ||
+      partitions == 0 || partitions > n || n > text.size() ||
+      dims > text.size() / n) {
     return Status::InvalidArgument("bad ivf index dimensions");
   }
   IvfIndex index;
   IvfIndexOptions& options = index.options_;
-  in >> options.num_partitions >> options.default_nprobe >>
-      options.propagation_neighbors >> options.similarity_top_k >>
-      options.kmeans_iterations >> options.kmeans_restarts >> options.seed;
-  if (!in) return Status::InvalidArgument("bad ivf index options");
+  if (!in.ReadAll(&options.num_partitions, &options.default_nprobe,
+                  &options.propagation_neighbors, &options.similarity_top_k,
+                  &options.kmeans_iterations, &options.kmeans_restarts,
+                  &options.seed)) {
+    return Status::InvalidArgument("bad ivf index options");
+  }
 
+  const auto truncated = [] {
+    return Status::InvalidArgument("truncated ivf index");
+  };
   IndexStructure& s = index.structure_;
   s.similarity_top_k = options.similarity_top_k;
   s.prior.resize(n);
-  for (double& p : s.prior) in >> p;
+  for (double& p : s.prior) {
+    if (!in.Read(&p)) return truncated();
+  }
   s.assignments.resize(n);
   for (int& a : s.assignments) {
-    in >> a;
-    if (in && (a < 0 || a >= static_cast<int>(partitions))) {
+    if (!in.Read(&a)) return truncated();
+    if (a < 0 || a >= static_cast<int>(partitions)) {
       return Status::InvalidArgument("ivf assignment out of range");
     }
   }
-  if (!in) return Status::InvalidArgument("truncated ivf index");
   index.centroids_ = Matrix(partitions, dims);
   for (size_t c = 0; c < partitions; ++c) {
-    for (size_t d = 0; d < dims; ++d) in >> index.centroids_.At(c, d);
+    for (size_t d = 0; d < dims; ++d) {
+      if (!in.Read(&index.centroids_.At(c, d))) return truncated();
+    }
   }
   s.vectors.assign(n, std::vector<double>(dims, 0.0));
   for (std::vector<double>& v : s.vectors) {
-    for (double& x : v) in >> x;
+    for (double& x : v) {
+      if (!in.Read(&x)) return truncated();
+    }
   }
-  if (!in) return Status::InvalidArgument("truncated ivf index");
   s.members.resize(partitions);
   // Refinalized rather than deserialized: the derived layout is always a
   // pure function of the primaries, so the codec cannot desync from the

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "index/recall_index.h"
@@ -89,12 +90,13 @@ class IvfIndex : public RecallIndex {
   const Matrix& centroids() const { return centroids_; }
   const IvfIndexOptions& options() const { return options_; }
 
-  /// Line-oriented text codec (precision 17, like the matrix and
-  /// clustering artifacts). Only the primary fields are serialized; the
-  /// derived layout is refinalized on load, so the codec cannot desync
-  /// from the build rules.
+  /// Line-oriented text codec (doubles at 17 significant digits, written
+  /// and read through util/text_codec.h like the matrix and clustering
+  /// artifacts). Only the primary fields are serialized; the derived
+  /// layout is refinalized on load, so the codec cannot desync from the
+  /// build rules.
   std::string Serialize() const;
-  static StatusOr<IvfIndex> Deserialize(const std::string& text);
+  static StatusOr<IvfIndex> Deserialize(std::string_view text);
 
  private:
   IvfIndex() = default;

@@ -1,7 +1,8 @@
 #include "recall/recall_embeddings.h"
 
-#include <sstream>
 #include <utility>
+
+#include "util/text_codec.h"
 
 namespace tps {
 namespace recall {
@@ -101,66 +102,81 @@ double RecallEmbeddings::Score(const std::vector<double>& query,
 }
 
 std::string RecallEmbeddings::Serialize() const {
-  std::ostringstream out;
-  out.precision(17);
+  text::TextWriter out;
   out << "tps-recall-embeddings v1\n";
-  out << num_models() << " " << config_.dim << " " << feature_dim() << "\n";
-  out << config_.epochs << " " << config_.learning_rate << " "
-      << config_.temperature << " " << config_.accuracy_temperature << " "
-      << config_.weight_decay << " " << config_.seed << "\n";
-  for (const std::string& name : model_names_) out << name << "\n";
-  for (double p : prior_) out << p << " ";
-  out << "\n";
+  out << num_models() << ' ' << config_.dim << ' ' << feature_dim() << '\n';
+  out << config_.epochs << ' ' << config_.learning_rate << ' '
+      << config_.temperature << ' ' << config_.accuracy_temperature << ' '
+      << config_.weight_decay << ' ' << config_.seed << '\n';
+  for (const std::string& name : model_names_) out << name << '\n';
+  for (double p : prior_) out << p << ' ';
+  out << '\n';
   for (size_t r = 0; r < dataset_map_.rows(); ++r) {
     for (size_t c = 0; c < dataset_map_.cols(); ++c) {
-      out << dataset_map_.At(r, c) << " ";
+      out << dataset_map_.At(r, c) << ' ';
     }
-    out << "\n";
+    out << '\n';
   }
   for (const std::vector<double>& v : model_embeddings_) {
-    for (double x : v) out << x << " ";
-    out << "\n";
+    for (double x : v) out << x << ' ';
+    out << '\n';
   }
-  return out.str();
+  return out.Take();
 }
 
 StatusOr<RecallEmbeddings> RecallEmbeddings::Deserialize(
-    const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  std::getline(in, header);
+    std::string_view text) {
+  text::TextCursor in(text);
+  std::string_view header;
+  in.Line(&header);
   if (header != "tps-recall-embeddings v1") {
     return Status::InvalidArgument("bad recall embeddings header");
   }
   size_t n = 0, dim = 0, feature_dim = 0;
-  in >> n >> dim >> feature_dim;
-  if (!in || n == 0 || dim == 0 || feature_dim == 0) {
+  // The n names, n x dim embeddings and dim x feature_dim map entries take
+  // at least a byte each, so counts the text cannot hold are malformed
+  // (and would otherwise size huge buffers).
+  if (!in.ReadAll(&n, &dim, &feature_dim) || n == 0 || dim == 0 ||
+      feature_dim == 0 || n > text.size() || dim > text.size() / n ||
+      feature_dim > text.size() / dim) {
     return Status::InvalidArgument("bad recall embeddings dimensions");
   }
   EmbeddingConfig config;
   config.dim = dim;
-  in >> config.epochs >> config.learning_rate >> config.temperature >>
-      config.accuracy_temperature >> config.weight_decay >> config.seed;
-  if (!in) return Status::InvalidArgument("bad recall embeddings config");
-  in.ignore(1, '\n');
+  if (!in.ReadAll(&config.epochs, &config.learning_rate, &config.temperature,
+                  &config.accuracy_temperature, &config.weight_decay,
+                  &config.seed)) {
+    return Status::InvalidArgument("bad recall embeddings config");
+  }
+  in.SkipOne();
   std::vector<std::string> model_names(n);
   for (std::string& name : model_names) {
-    if (!std::getline(in, name) || name.empty()) {
+    std::string_view line;
+    if (!in.Line(&line) || line.empty()) {
       return Status::InvalidArgument("truncated recall embeddings names");
     }
+    name = line;
   }
+  const auto truncated = [] {
+    return Status::InvalidArgument("truncated recall embeddings");
+  };
   std::vector<double> prior(n);
-  for (double& p : prior) in >> p;
+  for (double& p : prior) {
+    if (!in.Read(&p)) return truncated();
+  }
   Matrix dataset_map(dim, feature_dim);
   for (size_t r = 0; r < dim; ++r) {
-    for (size_t c = 0; c < feature_dim; ++c) in >> dataset_map.At(r, c);
+    for (size_t c = 0; c < feature_dim; ++c) {
+      if (!in.Read(&dataset_map.At(r, c))) return truncated();
+    }
   }
   std::vector<std::vector<double>> model_embeddings(
       n, std::vector<double>(dim, 0.0));
   for (std::vector<double>& v : model_embeddings) {
-    for (double& x : v) in >> x;
+    for (double& x : v) {
+      if (!in.Read(&x)) return truncated();
+    }
   }
-  if (!in) return Status::InvalidArgument("truncated recall embeddings");
   return Create(config, std::move(dataset_map), std::move(model_embeddings),
                 std::move(prior), std::move(model_names));
 }

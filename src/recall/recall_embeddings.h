@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.h"
@@ -48,7 +49,7 @@ struct EmbeddingConfig {
 ///
 /// Immutable once created; shared read-only by every request a serving
 /// snapshot answers. Text codec matches the other offline artifacts
-/// (line-oriented, precision 17, lossless round-trip).
+/// (line-oriented, util/text_codec.h, lossless round-trip).
 class RecallEmbeddings {
  public:
   /// Empty artifact (num_models() == 0); assign from Create / Deserialize.
@@ -85,10 +86,11 @@ class RecallEmbeddings {
   /// Raw two-tower affinity: dot(query, v_model).
   double Score(const std::vector<double>& query, size_t model_index) const;
 
-  /// Line-oriented text codec (precision 17). Lossless:
+  /// Line-oriented text codec: doubles at 17 significant digits, written
+  /// and read through util/text_codec.h. Lossless:
   /// Deserialize(Serialize()) reproduces the artifact bit for bit.
   std::string Serialize() const;
-  static StatusOr<RecallEmbeddings> Deserialize(const std::string& text);
+  static StatusOr<RecallEmbeddings> Deserialize(std::string_view text);
 
  private:
   EmbeddingConfig config_;

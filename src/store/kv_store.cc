@@ -143,10 +143,10 @@ Status KvStore::Put(const std::string& key, const std::string& value) {
   return Status::OK();
 }
 
-StatusOr<std::string> KvStore::Get(const std::string& key) const {
+StatusOr<std::string_view> KvStore::Get(const std::string& key) const {
   auto it = table_.find(key);
   if (it == table_.end()) return Status::NotFound("key not found: " + key);
-  return it->second;
+  return std::string_view(it->second);
 }
 
 std::vector<std::string> KvStore::ScanPrefix(

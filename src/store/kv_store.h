@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/record_log.h"
@@ -78,8 +79,9 @@ class KvStore {
   /// Inserts or overwrites. Keys must be non-empty.
   Status Put(const std::string& key, const std::string& value);
 
-  /// Value for `key`, or NotFound.
-  StatusOr<std::string> Get(const std::string& key) const;
+  /// Value for `key`, or NotFound. The view reads the table in place: it
+  /// stays valid until `key` is next written or the store is destroyed.
+  StatusOr<std::string_view> Get(const std::string& key) const;
 
   /// All keys with the given prefix, in lexicographic order.
   std::vector<std::string> ScanPrefix(const std::string& prefix) const;

@@ -39,7 +39,8 @@ Status ModelStore::PutModelSpec(const ModelSpec& spec) {
 }
 
 StatusOr<ModelSpec> ModelStore::GetModelSpec(const std::string& name) const {
-  TPS_ASSIGN_OR_RETURN(std::string payload, kv_.Get(kModelPrefix + name));
+  TPS_ASSIGN_OR_RETURN(const std::string_view payload,
+                       kv_.Get(kModelPrefix + name));
   return DeserializeModelSpec(payload);
 }
 
@@ -69,7 +70,8 @@ Status ModelStore::PutPerformanceMatrix(const std::string& id,
 
 StatusOr<PerformanceMatrix> ModelStore::GetPerformanceMatrix(
     const std::string& id) const {
-  TPS_ASSIGN_OR_RETURN(std::string payload, kv_.Get(kMatrixPrefix + id));
+  TPS_ASSIGN_OR_RETURN(const std::string_view payload,
+                       kv_.Get(kMatrixPrefix + id));
   return PerformanceMatrix::Deserialize(payload);
 }
 
@@ -83,7 +85,7 @@ Status ModelStore::PutClustering(const std::string& id,
 
 StatusOr<ModelClustering> ModelStore::GetClustering(
     const std::string& id) const {
-  TPS_ASSIGN_OR_RETURN(std::string payload,
+  TPS_ASSIGN_OR_RETURN(const std::string_view payload,
                        kv_.Get(kClusteringPrefix + id));
   return DeserializeClustering(payload);
 }
@@ -95,7 +97,8 @@ Status ModelStore::PutRecallIndex(const std::string& id,
 }
 
 StatusOr<IvfIndex> ModelStore::GetRecallIndex(const std::string& id) const {
-  TPS_ASSIGN_OR_RETURN(std::string payload, kv_.Get(kIndexPrefix + id));
+  TPS_ASSIGN_OR_RETURN(const std::string_view payload,
+                       kv_.Get(kIndexPrefix + id));
   return IvfIndex::Deserialize(payload);
 }
 
@@ -109,7 +112,8 @@ Status ModelStore::PutRecallEmbeddings(
 
 StatusOr<recall::RecallEmbeddings> ModelStore::GetRecallEmbeddings(
     const std::string& id) const {
-  TPS_ASSIGN_OR_RETURN(std::string payload, kv_.Get(kEmbedPrefix + id));
+  TPS_ASSIGN_OR_RETURN(const std::string_view payload,
+                       kv_.Get(kEmbedPrefix + id));
   return recall::RecallEmbeddings::Deserialize(payload);
 }
 

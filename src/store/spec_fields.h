@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset_spec.h"
@@ -19,7 +20,7 @@ using Fields = std::map<std::string, std::vector<std::string>>;
 
 /// Checks that the first line of `text` is `header`, then parses the
 /// lines after it.
-StatusOr<Fields> ParseRecord(const std::string& text,
+StatusOr<Fields> ParseRecord(std::string_view text,
                              const std::string& header);
 
 /// The field's one token.

@@ -1,10 +1,12 @@
 #include "store/spec_serialization.h"
 
-#include <cstdlib>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "store/spec_fields.h"
 #include "util/string_util.h"
+#include "util/text_codec.h"
 
 namespace tps {
 
@@ -25,6 +27,15 @@ Status AppendField(std::ostringstream& out, const std::string& name,
   return Status::OK();
 }
 
+/// Reading a record rejects a non-finite number, so writing one fails.
+Status AppendDouble(std::ostringstream& out, const std::string& name,
+                    double value) {
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("field " + name + " must be finite");
+  }
+  return AppendField(out, name, strings::Format("%.17g", value));
+}
+
 Status AppendTags(std::ostringstream& out, const std::string& name,
                   const std::vector<std::string>& tags) {
   for (const std::string& tag : tags) {
@@ -40,20 +51,20 @@ Status AppendTags(std::ostringstream& out, const std::string& name,
 
 namespace spec_fields {
 
-StatusOr<Fields> ParseRecord(const std::string& text,
+StatusOr<Fields> ParseRecord(std::string_view text,
                              const std::string& header) {
-  const size_t eol = text.find('\n');
-  if (text.compare(0, eol, header) != 0) {
+  text::TextCursor in(text);
+  std::string_view line;
+  if (!in.Line(&line) || line != header) {
     return Status::InvalidArgument("bad record header, expected " + header);
   }
   Fields fields;
-  std::istringstream in(eol == std::string::npos ? "" : text.substr(eol + 1));
-  std::string line;
-  while (std::getline(in, line)) {
+  while (in.Line(&line)) {
     if (line.empty()) continue;
-    std::vector<std::string> parts = strings::Split(line, '\t');
+    std::vector<std::string> parts = strings::Split(std::string(line), '\t');
     if (parts.empty() || parts[0].empty()) {
-      return Status::InvalidArgument("malformed spec line: " + line);
+      return Status::InvalidArgument("malformed spec line: " +
+                                     std::string(line));
     }
     const std::string name = parts[0];
     parts.erase(parts.begin());
@@ -73,9 +84,8 @@ StatusOr<std::string> SingleValue(const Fields& fields,
 
 StatusOr<double> DoubleValue(const Fields& fields, const std::string& name) {
   TPS_ASSIGN_OR_RETURN(std::string raw, SingleValue(fields, name));
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
+  double value = 0.0;
+  if (!text::ParseDouble(raw, &value)) {
     return Status::InvalidArgument("field " + name + " is not a number");
   }
   return value;
@@ -106,22 +116,19 @@ StatusOr<std::string> SerializeModelSpec(const ModelSpec& spec) {
   TPS_RETURN_NOT_OK(AppendField(out, "name", spec.name));
   TPS_RETURN_NOT_OK(AppendField(out, "domain", ToString(spec.domain)));
   TPS_RETURN_NOT_OK(AppendField(out, "family", spec.family));
-  TPS_RETURN_NOT_OK(AppendField(
-      out, "scale_millions", strings::Format("%.17g", spec.scale_millions)));
-  TPS_RETURN_NOT_OK(AppendField(
-      out, "capability", strings::Format("%.17g", spec.capability)));
+  TPS_RETURN_NOT_OK(AppendDouble(out, "scale_millions", spec.scale_millions));
+  TPS_RETURN_NOT_OK(AppendDouble(out, "capability", spec.capability));
   TPS_RETURN_NOT_OK(AppendTags(out, "pretrain_tags", spec.pretrain_tags));
   TPS_RETURN_NOT_OK(AppendTags(out, "finetune_tags", spec.finetune_tags));
-  TPS_RETURN_NOT_OK(AppendField(
-      out, "finetune_strength",
-      strings::Format("%.17g", spec.finetune_strength)));
+  TPS_RETURN_NOT_OK(
+      AppendDouble(out, "finetune_strength", spec.finetune_strength));
   TPS_RETURN_NOT_OK(AppendField(out, "num_source_labels",
                                 std::to_string(spec.num_source_labels)));
   TPS_RETURN_NOT_OK(AppendField(out, "description", spec.description));
   return out.str();
 }
 
-StatusOr<ModelSpec> DeserializeModelSpec(const std::string& text) {
+StatusOr<ModelSpec> DeserializeModelSpec(std::string_view text) {
   using namespace spec_fields;
   TPS_ASSIGN_OR_RETURN(const Fields fields,
                        ParseRecord(text, "tps-model-spec v1"));
@@ -138,6 +145,10 @@ StatusOr<ModelSpec> DeserializeModelSpec(const std::string& text) {
                        DoubleValue(fields, "finetune_strength"));
   TPS_ASSIGN_OR_RETURN(double labels,
                        DoubleValue(fields, "num_source_labels"));
+  if (!(labels >= std::numeric_limits<int>::min() &&
+        labels <= std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument("field num_source_labels is out of range");
+  }
   spec.num_source_labels = static_cast<int>(labels);
   // description may legitimately be empty; SingleValue rejects that, so
   // read it leniently.
@@ -156,17 +167,14 @@ StatusOr<std::string> SerializeDatasetSpec(const DatasetSpec& spec) {
   TPS_RETURN_NOT_OK(AppendField(out, "role", ToString(spec.role)));
   TPS_RETURN_NOT_OK(
       AppendField(out, "num_labels", std::to_string(spec.num_labels)));
-  TPS_RETURN_NOT_OK(AppendField(
-      out, "difficulty", strings::Format("%.17g", spec.difficulty)));
+  TPS_RETURN_NOT_OK(AppendDouble(out, "difficulty", spec.difficulty));
   TPS_RETURN_NOT_OK(AppendTags(out, "tags", spec.tags));
   TPS_RETURN_NOT_OK(AppendField(out, "num_examples",
                                 std::to_string(spec.num_examples)));
-  TPS_RETURN_NOT_OK(AppendField(
-      out, "chance_accuracy",
-      strings::Format("%.17g", spec.chance_accuracy)));
-  TPS_RETURN_NOT_OK(AppendField(
-      out, "ceiling_accuracy",
-      strings::Format("%.17g", spec.ceiling_accuracy)));
+  TPS_RETURN_NOT_OK(
+      AppendDouble(out, "chance_accuracy", spec.chance_accuracy));
+  TPS_RETURN_NOT_OK(
+      AppendDouble(out, "ceiling_accuracy", spec.ceiling_accuracy));
   return out.str();
 }
 

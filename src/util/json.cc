@@ -3,9 +3,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 #include "util/logging.h"
+#include "util/text_codec.h"
 
 namespace tps {
 namespace json {
@@ -696,16 +696,13 @@ class Parser {
                                        "digits");
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Status::InvalidArgument("malformed number: " + token);
+    // The grammar above admits only what ParseDouble reads in full, so a
+    // failure here is overflow; underflow reads as 0 or a subnormal.
+    const std::string_view token = text_.substr(start, pos_ - start);
+    if (!text::ParseDouble(token, out)) {
+      return Status::InvalidArgument("number overflows double: " +
+                                     std::string(token));
     }
-    if (!std::isfinite(value)) {
-      return Status::InvalidArgument("number overflows double: " + token);
-    }
-    *out = value;
     return Status::OK();
   }
 

@@ -39,9 +39,18 @@ TEST_F(ClusteringPersistenceTest, SaveLoadRoundTrips) {
   EXPECT_EQ(loaded->representatives, clustering_->representatives);
   EXPECT_EQ(loaded->options.top_k, clustering_->options.top_k);
   EXPECT_EQ(loaded->options.num_clusters, clustering_->options.num_clusters);
-  EXPECT_NEAR(loaded->options.distance_threshold,
-              clustering_->options.distance_threshold, 1e-15);
-  EXPECT_TRUE(ApproxEquals(loaded->distances, clustering_->distances, 1e-12));
+  EXPECT_EQ(loaded->options.distance_threshold,
+            clustering_->options.distance_threshold);
+  EXPECT_EQ(loaded->distances.data(), clustering_->distances.data());
+  EXPECT_EQ(loaded->distances.rows(), clustering_->distances.rows());
+
+  // A threshold past 6 significant digits survives too (the stream writer
+  // kept only 6: 0.0851234567891 read back as 0.0851235).
+  ModelClustering fine = *clustering_;
+  fine.options.distance_threshold = 0.0851234567891;
+  EXPECT_EQ(DeserializeClustering(SerializeClustering(fine))
+                ->options.distance_threshold,
+            0.0851234567891);
 }
 
 TEST_F(ClusteringPersistenceTest, LoadedClusteringDrivesRecallIdentically) {
@@ -131,6 +140,16 @@ TEST_F(ClusteringPersistenceTest, LoadRejectsCorruptInput) {
   for (int m = 0; m < 4000; ++m) wide += "0 ";
   wide += "\n0\n4000\n";  // 16M distances promised in ~8 KB.
   expect_rejected(wide, "bad distance matrix size");
+  // Non-finite numbers are not numbers to the codec, in the options and
+  // in the distances.
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    expect_rejected("tps-model-clustering v2\n2 1\n5 0 " + bad +
+                        "\n0 0 \n1 \n0\n",
+                    "bad clustering options");
+    expect_rejected("tps-model-clustering v2\n2 1\n5 0 0.085\n0 0 \n1 \n"
+                    "2\n0 " + bad + " \n0.25 0 \n",
+                    "truncated distances");
+  }
   // A real clustering cut inside its distances.
   const std::string full = SerializeClustering(*clustering_);
   expect_rejected(full.substr(0, full.size() - full.size() / 10),

@@ -4,6 +4,7 @@
 
 #include "data/registry.h"
 #include "model/paper_zoo.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -69,7 +70,7 @@ TEST_F(ConvergenceTrendTest, TrendMeansMatchMembers) {
     double val_sum = 0.0, test_sum = 0.0;
     for (size_t d : trend.dataset_indices) {
       val_sum += matrix_->ValAtStage(d, model, stage);
-      test_sum += matrix_->run(d, model).final_test();
+      test_sum += RunAt(*matrix_, d, model).final_test();
     }
     const double n = static_cast<double>(trend.dataset_indices.size());
     EXPECT_NEAR(trend.mean_val, val_sum / n, 1e-12);

@@ -30,6 +30,7 @@
 #include "sim/finetune_simulator.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/test_helpers.h"
 #include "util/thread_pool.h"
 
 namespace tps {
@@ -244,10 +245,10 @@ TEST_P(ParallelEquivalenceTest, PerformanceMatrixBuildBitIdentical) {
     for (size_t di = 0; di < serial.num_datasets(); ++di) {
       for (size_t mi = 0; mi < serial.num_models(); ++mi) {
         EXPECT_EQ(parallel.accuracy()(di, mi), serial.accuracy()(di, mi));
-        EXPECT_EQ(parallel.run(di, mi).val_accuracy,
-                  serial.run(di, mi).val_accuracy);
-        EXPECT_EQ(parallel.run(di, mi).test_accuracy,
-                  serial.run(di, mi).test_accuracy);
+        EXPECT_EQ(RunAt(parallel, di, mi).val_accuracy,
+                  RunAt(serial, di, mi).val_accuracy);
+        EXPECT_EQ(RunAt(parallel, di, mi).test_accuracy,
+                  RunAt(serial, di, mi).test_accuracy);
       }
     }
     // Strongest form: the serialized artifacts are byte-identical.

@@ -1,16 +1,18 @@
 #include "core/performance_matrix.h"
 
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "core/reference_matrix_text.h"
 #include "data/registry.h"
 #include "matrix/matrix_testing.h"
 #include "model/paper_zoo.h"
 #include "model/zoo_gen.h"
+#include "store/reference_record_text.h"
+#include "util/test_helpers.h"
 
 namespace tps {
 namespace {
@@ -57,7 +59,7 @@ TEST_F(PerformanceMatrixTest, AccuracyEqualsRunFinalTest) {
   for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
     for (size_t m = 0; m < matrix_->num_models(); ++m) {
       EXPECT_DOUBLE_EQ(matrix_->accuracy().At(d, m),
-                       matrix_->run(d, m).final_test());
+                       RunAt(*matrix_, d, m).final_test());
     }
   }
 }
@@ -78,7 +80,7 @@ TEST_F(PerformanceMatrixTest, ModelAverageAccuracyIsColumnMean) {
 }
 
 TEST_F(PerformanceMatrixTest, ValAtStageClampsToCurveLength) {
-  const TrainingRun& run = matrix_->run(0, 0);
+  const TrainingRun run = RunAt(*matrix_, 0, 0);
   EXPECT_DOUBLE_EQ(matrix_->ValAtStage(0, 0, 0), run.val_accuracy.front());
   EXPECT_DOUBLE_EQ(matrix_->ValAtStage(0, 0, 100), run.val_accuracy.back());
   EXPECT_DOUBLE_EQ(matrix_->ValAtStage(0, 0, -5), run.val_accuracy.front());
@@ -89,7 +91,7 @@ TEST_F(PerformanceMatrixTest, MatchesDirectSimulation) {
       zoo_->model(3), **registry_->Find("qnli"),
       Hyperparams::DefaultsFor(TaskDomain::kNLP));
   // qnli is the third NLP benchmark spec (cola, mrpc, qnli, ...).
-  EXPECT_EQ(matrix_->run(2, 3).val_accuracy, direct.val_accuracy);
+  EXPECT_EQ(RunAt(*matrix_, 2, 3).val_accuracy, direct.val_accuracy);
 }
 
 TEST_F(PerformanceMatrixTest, SaveLoadRoundTrips) {
@@ -102,8 +104,8 @@ TEST_F(PerformanceMatrixTest, SaveLoadRoundTrips) {
   EXPECT_TRUE(ApproxEquals(loaded->accuracy(), matrix_->accuracy()));
   for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
     for (size_t m = 0; m < matrix_->num_models(); ++m) {
-      EXPECT_EQ(loaded->run(d, m).val_accuracy,
-                matrix_->run(d, m).val_accuracy);
+      EXPECT_EQ(RunAt(*loaded, d, m).val_accuracy,
+                RunAt(*matrix_, d, m).val_accuracy);
     }
   }
 }
@@ -124,8 +126,8 @@ TEST_F(PerformanceMatrixTest, TextRoundTripIsBitExact) {
   EXPECT_EQ(parsed->Serialize(), text);
   for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
     for (size_t m = 0; m < matrix_->num_models(); ++m) {
-      const TrainingRun& a = parsed->run(d, m);
-      const TrainingRun& b = matrix_->run(d, m);
+      const TrainingRun a = RunAt(*parsed, d, m);
+      const TrainingRun b = RunAt(*matrix_, d, m);
       ASSERT_EQ(a.val_accuracy.size(), b.val_accuracy.size());
       ASSERT_EQ(a.test_accuracy.size(), b.test_accuracy.size());
       EXPECT_EQ(std::memcmp(a.val_accuracy.data(), b.val_accuracy.data(),
@@ -175,6 +177,33 @@ TEST_F(PerformanceMatrixTest, DeserializeRejectsTruncatedAndMalformedText) {
   EXPECT_TRUE(PerformanceMatrix::Deserialize(
                   "tps-performance-matrix v1\n1 1\na\nm\n0 0 1 0.5 0.25")
                   .ok());
+  // Non-finite numbers and a leading '+' are not numbers to the codec
+  // (util/text_codec.h); bare from_chars would read the first three.
+  for (const char* bad : {"nan", "inf", "-inf", "+0.5"}) {
+    EXPECT_EQ(message(std::string("1 1\na\nm\n0 0 1 ") + bad + " 0.5\n"),
+              "truncated curves")
+        << bad;
+    EXPECT_EQ(message(std::string("1 1\na\nm\n0 0 1 0.5 ") + bad + "\n"),
+              "truncated curves")
+        << bad;
+  }
+  EXPECT_EQ(message("+1 1\na\nm\n0 0 1 0.5 0.5\n"),
+            "bad performance-matrix dimensions");
+  // Each cell once, in Serialize's order: a repeated cell used to leave
+  // another without a curve, which ValAtStage then aborted on.
+  EXPECT_EQ(message("1 2\na\nm\nn\n0 0 1 0.5 0.5\n0 0 1 0.5 0.5\n"),
+            "run record out of order");
+  EXPECT_EQ(message("1 2\na\nm\nn\n0 1 1 0.5 0.5\n0 0 1 0.5 0.5\n"),
+            "run record out of order");
+  // Underflow reads as strtod's value, like the stream did.
+  auto tiny = PerformanceMatrix::Deserialize(
+      "tps-performance-matrix v1\n1 1\na\nm\n0 0 2 1e-400 -1e-400 2e-320 "
+      "0.5\n");
+  ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
+  EXPECT_EQ(tiny->ValCurve(0, 0)[0], 0.0);
+  EXPECT_TRUE(std::signbit(tiny->ValCurve(0, 0)[1]));
+  EXPECT_EQ(tiny->TestCurve(0, 0)[0], 2e-320);
+  EXPECT_EQ(tiny->accuracy().At(0, 0), 0.5);
 }
 
 TEST_F(PerformanceMatrixTest, ParallelBuildIsBitIdenticalToSerial) {
@@ -187,8 +216,8 @@ TEST_F(PerformanceMatrixTest, ParallelBuildIsBitIdenticalToSerial) {
         << "threads=" << threads;
     for (size_t d = 0; d < matrix_->num_datasets(); ++d) {
       for (size_t m = 0; m < matrix_->num_models(); ++m) {
-        ASSERT_EQ(parallel->run(d, m).val_accuracy,
-                  matrix_->run(d, m).val_accuracy)
+        ASSERT_EQ(RunAt(*parallel, d, m).val_accuracy,
+                  RunAt(*matrix_, d, m).val_accuracy)
             << "threads=" << threads;
       }
     }

@@ -42,7 +42,7 @@ StatusOr<std::vector<ConvergenceTrend>> ReferenceMineTrends(
     double test_sum = 0.0;
     for (size_t d : trend.dataset_indices) {
       val_sum += stage_vals[d];
-      test_sum += matrix.run(d, model_index).final_test();
+      test_sum += matrix.TestCurve(d, model_index).back();
     }
     const double count = std::max<double>(
         1.0, static_cast<double>(trend.dataset_indices.size()));

@@ -317,6 +317,18 @@ TEST(IvfIndexTest, DeserializeRejectsCorruptInput) {
   EXPECT_FALSE(
       IvfIndex::Deserialize(good.substr(0, good.size() / 2)).ok());
   EXPECT_FALSE(IvfIndex::Deserialize(good.substr(0, 40)).ok());
+  // Non-finite numbers are not numbers to the codec: the first prior
+  // replaced by each reads as a truncated record.
+  const size_t options_end = good.find('\n', good.find('\n', 17) + 1);
+  const size_t first_prior = options_end + 1;
+  const size_t prior_end = good.find(' ', first_prior);
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    std::string text = good;
+    text.replace(first_prior, prior_end - first_prior, bad);
+    EXPECT_EQ(IvfIndex::Deserialize(text).status().message(),
+              "truncated ivf index")
+        << bad;
+  }
 }
 
 TEST(IvfIndexTest, BuildRejectsInvalidInputs) {

@@ -106,6 +106,40 @@ TEST_F(EmbedTrainerTest, CodecRoundTripIsLossless) {
   EXPECT_EQ(restored->config().seed, emb.config().seed);
 }
 
+TEST_F(EmbedTrainerTest, CodecRejectsCorruptInput) {
+  auto result = TrainRecallEmbeddings(*matrix_, *benchmarks_, FastConfig());
+  ASSERT_TRUE(result.ok());
+  const std::string good = result->embeddings.Serialize();
+  const auto message = [](const std::string& text) {
+    return RecallEmbeddings::Deserialize(text).status().message();
+  };
+  EXPECT_EQ(message("not embeddings\n"), "bad recall embeddings header");
+  EXPECT_EQ(message("tps-recall-embeddings v1\n0 16 9\n"),
+            "bad recall embeddings dimensions");
+  // Counts the text cannot hold are rejected before anything is sized.
+  EXPECT_EQ(message("tps-recall-embeddings v1\n4000000000 16 9\n"),
+            "bad recall embeddings dimensions");
+  EXPECT_EQ(message("tps-recall-embeddings v1\n2 4000000000 9\n"),
+            "bad recall embeddings dimensions");
+  EXPECT_EQ(message(good.substr(0, good.size() / 2)),
+            "truncated recall embeddings");
+  // Non-finite numbers are not numbers to the codec, in the config and in
+  // the values: the last embedding value replaced by each.
+  const size_t dims_line = good.find('\n') + 1;
+  const size_t config_end = good.find('\n', good.find('\n', dims_line) + 1);
+  const size_t seed_space = good.rfind(' ', config_end);
+  const size_t wd = good.rfind(' ', seed_space - 1) + 1;
+  const size_t last_value = good.rfind(' ', good.size() - 3) + 1;
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    std::string text = good;
+    text.replace(last_value, good.size() - 2 - last_value, bad);
+    EXPECT_EQ(message(text), "truncated recall embeddings") << bad;
+    text = good;
+    text.replace(wd, seed_space - wd, bad);
+    EXPECT_EQ(message(text), "bad recall embeddings config") << bad;
+  }
+}
+
 TEST_F(EmbedTrainerTest, FileRoundTripIsLossless) {
   // Trained embeddings persist through the model store: Put serializes
   // them into the log, and a read-only reopen deserializes them back.

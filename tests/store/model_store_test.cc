@@ -1,6 +1,8 @@
 #include "store/model_store.h"
 
 #include <cstdio>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +78,32 @@ TEST(SpecSerializationTest, RejectsGarbage) {
   ModelSpec bad = NlpPaperZooSpecs()[0];
   bad.description = "has\ttab";
   EXPECT_TRUE(SerializeModelSpec(bad).status().IsInvalidArgument());
+
+  // Numbers go through the shared text codec: non-finite values, a
+  // leading '+', padding and hex are not numbers, and a count past int is
+  // out of range (it used to be an undefined cast).
+  const std::string good = *SerializeModelSpec(NlpPaperZooSpecs()[0]);
+  ASSERT_TRUE(DeserializeModelSpec(good).ok());
+  const size_t at = good.find("capability\t") + 11;
+  const size_t end = good.find('\n', at);
+  for (const char* token : {"nan", "inf", "-inf", "+0.5", " 0.5", "0x1p-1",
+                            "0.5 "}) {
+    std::string text = good;
+    text.replace(at, end - at, token);
+    EXPECT_EQ(DeserializeModelSpec(text).status().message(),
+              "field capability is not a number")
+        << token;
+  }
+  std::string huge = good;
+  const size_t labels = huge.find("num_source_labels\t") + 18;
+  huge.replace(labels, huge.find('\n', labels) - labels, "1e300");
+  EXPECT_EQ(DeserializeModelSpec(huge).status().message(),
+            "field num_source_labels is out of range");
+  // A value the reader would reject is not written.
+  ModelSpec infinite = NlpPaperZooSpecs()[0];
+  infinite.capability = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(SerializeModelSpec(infinite).status().message(),
+            "field capability must be finite");
 }
 
 TEST(ModelStoreTest, CatalogWorkflow) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -158,6 +159,34 @@ TEST(JsonParseTest, RejectsNonFiniteLiterals) {
   EXPECT_FALSE(Parse("1e999").ok());
   EXPECT_FALSE(Parse("NaN").ok());
   EXPECT_FALSE(Parse("Infinity").ok());
+}
+
+// Numbers read through the shared text codec keep strtod's answer for
+// every valid JSON number: underflow is 0 (signed) or a subnormal, rounding
+// is correct to the last bit, and overflow is an error.
+TEST(JsonParseTest, NumbersReadAsStrtodReadsThem) {
+  const char* valid[] = {
+      "0",        "-0",          "1e-400",      "-1e-400",
+      "2e-320",   "4.9406564584124654e-324",    "2.4703282292062328e-324",
+      "1e-310",   "2.2250738585072011e-308",    "1.7976931348623157e308",
+      "0.1",      "123456789012345678901234567890", "1E+2",
+      "9007199254740993", "-2.5e-3",
+  };
+  for (const char* text : valid) {
+    auto parsed = Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    const double want = std::strtod(text, nullptr);
+    const double got = parsed->number();
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << text;
+  }
+  EXPECT_TRUE(std::signbit(Parse("-1e-400")->number()));
+  EXPECT_EQ(Parse("1e-400")->number(), 0.0);
+  for (const char* text : {"1e309", "-1e309", "1.7976931348623159e308"}) {
+    const Status status = Parse(text).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << text;
+    EXPECT_EQ(status.message(), std::string("number overflows double: ") +
+                                    text);
+  }
 }
 
 TEST(JsonGetTest, FallibleAccessorsReturnStatus) {

@@ -10,11 +10,13 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "clustering/distance.h"
+#include "core/performance_matrix.h"
 #include "matrix/matrix.h"
 #include "matrix/vector_ops.h"
 #include "sim/finetune_simulator.h"
@@ -41,6 +43,23 @@ inline std::vector<double> Softmax(const std::vector<double>& logits) {
 inline double BestVal(const TrainingRun& run) {
   if (run.val_accuracy.empty()) return 0.0;
   return *std::max_element(run.val_accuracy.begin(), run.val_accuracy.end());
+}
+
+/// The (dataset, model) cell of `matrix` as a TrainingRun: its names and
+/// both curves (the matrix keeps no hyperparameters, so those are the
+/// defaults).
+inline TrainingRun RunAt(const PerformanceMatrix& matrix,
+                         size_t dataset_index, size_t model_index) {
+  TrainingRun run;
+  run.dataset_name = matrix.dataset_names()[dataset_index];
+  run.model_name = matrix.model_names()[model_index];
+  const std::span<const double> val =
+      matrix.ValCurve(dataset_index, model_index);
+  const std::span<const double> test =
+      matrix.TestCurve(dataset_index, model_index);
+  run.val_accuracy.assign(val.begin(), val.end());
+  run.test_accuracy.assign(test.begin(), test.end());
+  return run;
 }
 
 /// Symmetric pairwise-distance matrix over the rows of `rows`.
