@@ -28,6 +28,9 @@ StatusOr<std::string> SingleValue(const Fields& fields,
                                   const std::string& name);
 /// The field's one token, parsed as a number.
 StatusOr<double> DoubleValue(const Fields& fields, const std::string& name);
+/// The field's one number, truncated to an int; out of int's range is
+/// InvalidArgument.
+StatusOr<int> IntValue(const Fields& fields, const std::string& name);
 /// The `domain` field.
 StatusOr<TaskDomain> DomainValue(const Fields& fields);
 /// The field's tokens; a missing field or a lone empty token is no tags.

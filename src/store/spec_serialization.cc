@@ -91,6 +91,15 @@ StatusOr<double> DoubleValue(const Fields& fields, const std::string& name) {
   return value;
 }
 
+StatusOr<int> IntValue(const Fields& fields, const std::string& name) {
+  TPS_ASSIGN_OR_RETURN(double value, DoubleValue(fields, name));
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument("field " + name + " is out of range");
+  }
+  return static_cast<int>(value);
+}
+
 StatusOr<TaskDomain> DomainValue(const Fields& fields) {
   TPS_ASSIGN_OR_RETURN(std::string raw, SingleValue(fields, "domain"));
   if (raw == "NLP") return TaskDomain::kNLP;
@@ -143,13 +152,8 @@ StatusOr<ModelSpec> DeserializeModelSpec(std::string_view text) {
   spec.finetune_tags = TagsValue(fields, "finetune_tags");
   TPS_ASSIGN_OR_RETURN(spec.finetune_strength,
                        DoubleValue(fields, "finetune_strength"));
-  TPS_ASSIGN_OR_RETURN(double labels,
-                       DoubleValue(fields, "num_source_labels"));
-  if (!(labels >= std::numeric_limits<int>::min() &&
-        labels <= std::numeric_limits<int>::max())) {
-    return Status::InvalidArgument("field num_source_labels is out of range");
-  }
-  spec.num_source_labels = static_cast<int>(labels);
+  TPS_ASSIGN_OR_RETURN(spec.num_source_labels,
+                       IntValue(fields, "num_source_labels"));
   // description may legitimately be empty; SingleValue rejects that, so
   // read it leniently.
   auto it = fields.find("description");

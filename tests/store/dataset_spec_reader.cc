@@ -19,12 +19,10 @@ StatusOr<DatasetSpec> DeserializeDatasetSpec(const std::string& text) {
   } else {
     return Status::InvalidArgument("unknown role: " + role);
   }
-  TPS_ASSIGN_OR_RETURN(double labels, DoubleValue(fields, "num_labels"));
-  spec.num_labels = static_cast<int>(labels);
+  TPS_ASSIGN_OR_RETURN(spec.num_labels, IntValue(fields, "num_labels"));
   TPS_ASSIGN_OR_RETURN(spec.difficulty, DoubleValue(fields, "difficulty"));
   spec.tags = TagsValue(fields, "tags");
-  TPS_ASSIGN_OR_RETURN(double examples, DoubleValue(fields, "num_examples"));
-  spec.num_examples = static_cast<int>(examples);
+  TPS_ASSIGN_OR_RETURN(spec.num_examples, IntValue(fields, "num_examples"));
   TPS_ASSIGN_OR_RETURN(spec.chance_accuracy,
                        DoubleValue(fields, "chance_accuracy"));
   TPS_ASSIGN_OR_RETURN(spec.ceiling_accuracy,

@@ -99,6 +99,11 @@ TEST(SpecSerializationTest, RejectsGarbage) {
   huge.replace(labels, huge.find('\n', labels) - labels, "1e300");
   EXPECT_EQ(DeserializeModelSpec(huge).status().message(),
             "field num_source_labels is out of range");
+  std::string dataset = *SerializeDatasetSpec(NlpBenchmarkSpecs()[0]);
+  const size_t examples = dataset.find("num_examples\t") + 13;
+  dataset.replace(examples, dataset.find('\n', examples) - examples, "-1e10");
+  EXPECT_EQ(DeserializeDatasetSpec(dataset).status().message(),
+            "field num_examples is out of range");
   // A value the reader would reject is not written.
   ModelSpec infinite = NlpPaperZooSpecs()[0];
   infinite.capability = std::numeric_limits<double>::infinity();
