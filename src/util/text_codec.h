@@ -14,16 +14,15 @@
 /// clustering, recall embeddings, IVF index), the JSON scanner and the
 /// spec-field reader: std::to_chars / std::from_chars instead of streams.
 ///
-/// Reading follows operator>> on a classic-locale stream, with three
-/// deliberate differences (pinned by tests/store/record_codec_test.cc):
-///  - `nan`, `inf` and `-inf` are rejected (the stream rejects them too;
-///    bare from_chars would accept them);
-///  - a leading `+` is rejected (no writer emits one);
-///  - a leading `-` on an unsigned field is rejected (the stream wraps it
-///    to a huge value).
-/// A value that underflows keeps the stream's (strtod's) answer: 0 or a
-/// subnormal, with its sign. Overflow is an error. Both round correctly,
-/// so a value written at 17 significant digits reads back bit for bit.
+/// Reading follows operator>> on a classic-locale stream: `nan`, `inf`
+/// and `-inf` are rejected (bare from_chars reads them), a value that
+/// underflows keeps strtod's answer (0 or a subnormal, with its sign),
+/// and overflow is an error. Both round correctly, so a value written at
+/// 17 significant digits reads back bit for bit. It differs from the
+/// stream on purpose in two ways (pinned by
+/// tests/store/record_codec_test.cc): a leading `+` is rejected (no
+/// writer emits one), and so is a leading `-` on an unsigned field (the
+/// stream wraps it to a huge value).
 namespace tps::text {
 
 /// Reads a double from the front of [first, last): the longest valid
